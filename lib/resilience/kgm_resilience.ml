@@ -141,6 +141,23 @@ module Faults = struct
         true
     | _ -> false
 
+  (* The saved sites keep their draw counters, so once [f] is done an
+     enclosing configuration draws on from where it stopped. *)
+  let with_spec spec f =
+    let saved = Hashtbl.copy sites_tbl
+    and seed0 = !seed
+    and active0 = !active_flag in
+    reset ();
+    Fun.protect
+      ~finally:(fun () ->
+        Hashtbl.reset sites_tbl;
+        Hashtbl.iter (Hashtbl.replace sites_tbl) saved;
+        seed := seed0;
+        active_flag := active0)
+      (fun () ->
+        configure spec;
+        f ())
+
   let active () = !active_flag
 
   (* splitmix64: a high-quality, allocation-free mix of (seed, site,
@@ -301,33 +318,6 @@ module Snapshot = struct
         Printf.fprintf oc "%s\n%s\n%d\n%s\n" magic kind version digest;
         output_string oc body);
     Sys.rename tmp path
-
-  (* header-only read: which version a snapshot claims to be, without
-     deserializing the payload. Lets a reader branch on format version
-     (e.g. the engine's v2 checkpoint read-compat) while [load] keeps
-     enforcing the version it is then asked for. *)
-  let peek_version ~kind ~path =
-    if not (Sys.file_exists path) then
-      Kgm_error.raise_error_ctx Kgm_error.Storage
-        [ ("snapshot", path) ]
-        "snapshot not found";
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let fail fmt =
-          Kgm_error.raise_error_ctx Kgm_error.Storage
-            [ ("snapshot", path) ]
-            fmt
-        in
-        let line () = try input_line ic with End_of_file -> fail "truncated snapshot header" in
-        if line () <> magic then fail "not a KGModel snapshot (bad magic)";
-        let k = line () in
-        if k <> kind then fail "snapshot kind mismatch: %s (want %s)" k kind;
-        let v = line () in
-        match int_of_string_opt v with
-        | Some version -> version
-        | None -> fail "malformed snapshot version %S" v)
 
   let load ~kind ~version ~path =
     if not (Sys.file_exists path) then

@@ -87,6 +87,13 @@ module Faults : sig
   val set_rate : string -> float -> unit
   (** Register one site programmatically (rate clamped to [0, 1]). *)
 
+  val with_spec : string -> (unit -> 'a) -> 'a
+  (** [with_spec spec f] runs [f] with only [spec] configured, then puts
+      back the previous configuration, draw counters included, whether
+      [f] returns or raises. A test can arm its own faults this way
+      inside a suite running under [KGM_FAULTS] without restarting the
+      suite's draw stream. *)
+
   val active : unit -> bool
 
   val inject : string -> unit
@@ -162,13 +169,6 @@ module Snapshot : sig
       {!Faults.inject}["checkpoint_write"] first, so an injected fault
       leaves the previous snapshot intact. Raises [Sys_error] on IO
       failure. *)
-
-  val peek_version : kind:string -> path:string -> int
-  (** The version a snapshot's header claims, after validating magic
-      and kind — without touching the payload. Lets a caller branch on
-      format version before asking {!load} for a specific one. Raises
-      [Kgm_error.Error] ([Storage]) on a missing, foreign or truncated
-      file. *)
 
   val load : kind:string -> version:int -> path:string -> 'a
   (** The caller asserts the payload type, as with [Marshal]; the

@@ -507,8 +507,8 @@ type prepared = {
   rid : int;
   (* recording id: the rule id written into support entries, suppressed
      firings and aggregate state. Equal to [rule_id] except when a
-     maintenance layer re-runs a slice of a larger pipeline and needs
-     the recorded ids to stay stable across slices ([?rule_ids]). *)
+     maintenance layer runs one phase of a larger pipeline and needs
+     the recorded ids to stay unique across phases ([?rule_ids]). *)
   head_label : string;  (* "pred/arity" of every head atom, joined *)
   existentials : string list;
   (* for every monotonic/stratified aggregate literal (at most one
@@ -547,93 +547,17 @@ let bound_before body i =
   let prefix = List.filteri (fun j _ -> j < i) body in
   Rule.body_vars prefix
 
-(* Greedy join ordering: bound-variable count (plus constants) first,
-   then fewer free variables; non-atom literals run as soon as their
-   inputs are bound. Rules with aggregates are left untouched — their
-   semantics depend on the written literal order. *)
-let reorder_rule ?db (r : Rule.rule) =
-  let has_agg =
-    List.exists (function Rule.Agg _ -> true | _ -> false) r.Rule.body
-  in
-  if has_agg then r
-  else begin
-    let items = Array.of_list r.Rule.body in
-    let n = Array.length items in
-    let used = Array.make n false in
-    let bound = Hashtbl.create 16 in
-    let is_bound v = Hashtbl.mem bound v in
-    let result = ref [] in
-    let add i =
-      used.(i) <- true;
-      List.iter
-        (fun v -> Hashtbl.replace bound v ())
-        (Rule.literal_body_bound items.(i));
-      result := items.(i) :: !result
-    in
-    let ready = function
-      | Rule.Pos _ | Rule.Agg _ -> false
-      | Rule.Neg a -> List.for_all is_bound (Rule.atom_vars a)
-      | Rule.Cond e -> List.for_all is_bound (Expr.vars e)
-      | Rule.Assign (x, e) ->
-          List.for_all (fun v -> v = x || is_bound v) (Expr.vars e)
-    in
-    let flush_ready () =
-      let progress = ref true in
-      while !progress do
-        progress := false;
-        for i = 0 to n - 1 do
-          if (not used.(i)) && ready items.(i) then begin
-            add i;
-            progress := true
-          end
-        done
-      done
-    in
-    flush_ready ();
-    let continue = ref true in
-    while !continue do
-      let best = ref (-1) in
-      let best_score = ref (min_int, min_int, min_int) in
-      for i = n - 1 downto 0 do
-        if not used.(i) then
-          match items.(i) with
-          | Rule.Pos a ->
-              let anchors =
-                List.fold_left
-                  (fun acc t ->
-                    match t with
-                    | Term.Const _ -> acc + 1
-                    | Term.Var v -> if is_bound v then acc + 1 else acc)
-                  0 a.Rule.args
-              in
-              (* estimated fan-out: an unanchored atom scans the whole
-                 predicate; prefer smaller base cardinalities *)
-              let card =
-                match db with
-                | Some db -> Database.count db a.Rule.pred
-                | None -> 0
-              in
-              let free = List.length a.Rule.args - anchors in
-              let score = ((if anchors > 0 then 1 else 0), -free, -card) in
-              (* >= so earlier literals win ties (stability) *)
-              if score >= !best_score then begin
-                best_score := score;
-                best := i
-              end
-          | _ -> ()
-      done;
-      if !best >= 0 then begin
-        add !best;
-        flush_ready ()
-      end
-      else continue := false
-    done;
-    (* leftovers (unsafe rules are rejected elsewhere) keep their order *)
-    for i = 0 to n - 1 do
-      if not used.(i) then add i
-    done;
-    { r with Rule.body = List.rev !result }
-  end
+(* ABL-4 [reorder_body]: the planner's greedy order, applied once to the
+   written body from the cardinalities at run start. Unlike a round
+   plan, this rewrite is visible — the written order defines emission
+   order — so rules with aggregates, whose semantics depend on that
+   order, keep theirs. *)
+let reorder_rule db (r : Rule.rule) =
+  if List.exists (function Rule.Agg _ -> true | _ -> false) r.Rule.body then r
+  else
+    let body = Array.of_list r.Rule.body in
+    let plan = Planner.plan_rule ~count:(Database.count db) r in
+    { r with Rule.body = List.map (Array.get body) plan.Planner.order }
 
 let prepare ?rid dict rule_id (r : Rule.rule) =
   let hvars = Rule.head_vars r.Rule.head in
@@ -1347,18 +1271,16 @@ let eval_stratified st (prep : prepared) agg_i ~on_new =
 
 (* ------------------------------------------------------------------ *)
 
-let eval_rule st (prep : prepared) ~delta ~on_new =
+(* Run [f] as one evaluation of [prep]: its counters are current, its
+   time accrues to [c_time] and the [engine.rule_eval_s] histogram, and
+   an evaluation that derived facts also gets a [rule:<head>] span and
+   a [rule.batch] journal event. *)
+let timed_rule st (prep : prepared) f =
   let ctr = st.ctrs.(prep.rule_id) in
   st.cur <- ctr;
   let t0 = Kgm_telemetry.Clock.now () in
   let before = st.added in
-  (match prep.strat_agg_index with
-   | Some agg_i ->
-       if delta = None then eval_stratified st prep agg_i ~on_new
-   | None ->
-       let env = env_create () in
-       eval_literals st env prep prep.cbody 0 ~delta
-         ~emit:(fun () -> fire st env prep ~on_new));
+  f ctr;
   let t1 = Kgm_telemetry.Clock.now () in
   ctr.c_time <- ctr.c_time +. (t1 -. t0);
   if Kgm_telemetry.enabled st.tele then begin
@@ -1378,6 +1300,16 @@ let eval_rule st (prep : prepared) ~delta ~on_new =
         ("rule", J.Str prep.head_label);
         ("derived", J.Int (st.added - before));
         ("time_s", J.Float (t1 -. t0)) ]
+
+let eval_rule st (prep : prepared) ~delta ~on_new =
+  timed_rule st prep (fun _ ->
+      match prep.strat_agg_index with
+      | Some agg_i ->
+          if delta = None then eval_stratified st prep agg_i ~on_new
+      | None ->
+          let env = env_create () in
+          eval_literals st env prep prep.cbody 0 ~delta
+            ~emit:(fun () -> fire st env prep ~on_new))
 
 (* ------------------------------------------------------------------ *)
 (* Parallel semi-naive rounds.
@@ -1810,11 +1742,8 @@ let eval_delta_round st pool (rules : prepared list) ~use_planner ~cancel
                 | None -> ())
             | _ -> ())
           prep.rule.Rule.body
-      else begin
-        let ctr = st.ctrs.(prep.rule_id) in
-        st.cur <- ctr;
-        let t0 = Kgm_telemetry.Clock.now () in
-        let before = st.added in
+      else
+        timed_rule st prep @@ fun ctr ->
         let env = env_create () in
         (* per delta literal (ascending): gather every chunk's
            candidates and fire them sorted on the insertion-seq vectors
@@ -1839,25 +1768,7 @@ let eval_delta_round st pool (rules : prepared list) ~use_planner ~cancel
                   Array.iter (fun c -> fire_candidate st env prep c ~on_new) arr
                 end
             | _ -> ())
-          prep.rule.Rule.body;
-        let t1 = Kgm_telemetry.Clock.now () in
-        ctr.c_time <- ctr.c_time +. (t1 -. t0);
-        if Kgm_telemetry.enabled st.tele then begin
-          Kgm_telemetry.observe st.tele "engine.rule_eval_s" (t1 -. t0);
-          if st.added > before then
-            Kgm_telemetry.record_span st.tele ~cat:"rule"
-              ~args:
-                [ ("fired", string_of_int (st.added - before));
-                  ("round", string_of_int st.round) ]
-              ("rule:" ^ prep.head_label) ~start:t0 ~stop:t1
-        end;
-        if Journal.enabled st.jr && st.added > before then
-          Journal.emit st.jr "rule.batch"
-            [ ("round", J.Int st.round);
-              ("rule", J.Str prep.head_label);
-              ("derived", J.Int (st.added - before));
-              ("time_s", J.Float (t1 -. t0)) ]
-      end)
+          prep.rule.Rule.body)
     rules
 
 (* ------------------------------------------------------------------ *)
@@ -1889,9 +1800,8 @@ let checkpoint ?(every = default_checkpoint_every) ?(keep = 0)
 
 (* v3: facts and deltas are stored as interned [int array]s together
    with the dictionary (p_dict); loading re-interns the dictionary into
-   the target database and remaps the ids. v2 snapshots (boxed value
-   facts) are still read, via [ck_payload_v2] below; v1 snapshots are
-   rejected by [Snapshot.load]'s version check *)
+   the target database and remaps the ids. Any other version is
+   rejected by [Snapshot.load]'s version check. *)
 let ck_version = 3
 let ck_kind label = "chase-" ^ label
 
@@ -1918,30 +1828,11 @@ type ck_payload = {
   p_agg : (int * agg_state) list;
   p_prov : ((string * Value.t list) * derivation) list option;
   p_sup : support option;
-      (* v2: the full derivation support, so a resumed run stays
+      (* the full derivation support, so a resumed run stays
          incrementally maintainable and explain-able. Pure data
          (hashtables, refs, lists of values), so Marshal round-trips
          it; per-fact entry lists are preserved verbatim, which keeps
          explanation output identical across resume. *)
-}
-
-(* Structural mirror of the v2 payload (facts as boxed value arrays, no
-   dictionary). Marshal is shape-based, so reading an old snapshot into
-   this record is exact; the loader re-interns the values. *)
-type ck_payload_v2 = {
-  q_fingerprint : string;
-  q_stratum : int;
-  q_round0_done : bool;
-  q_rounds : int;
-  q_deltas : int list;
-  q_added : int;
-  q_nulls : int;
-  q_facts : (string * Database.fact list) list;
-  q_delta : (string * Database.fact list) list;
-  q_ctrs : rule_ctr array;
-  q_agg : (int * agg_state) list;
-  q_prov : ((string * Value.t list) * derivation) list option;
-  q_sup : support option;
 }
 
 (* Merge a deserialized support into the caller's (normally fresh)
@@ -1974,14 +1865,44 @@ let support_absorb ~(into : support) (src : support) =
 let program_fingerprint program =
   Digest.to_hex (Digest.string (Rule.program_to_string program))
 
-let run ?(options = default_options) ?provenance ?support
+(* ------------------------------------------------------------------ *)
+(* The chase loop.
+
+   One semi-naive loop serves both entry points; they differ only in
+   how each stratum's first round is formed. [run] starts every stratum
+   with round 0, a full evaluation of its rules. [run_delta] is a
+   maintenance pass over a saturated store: a stratum named by
+   [wholesale] starts with round 0 as well, every other stratum with a
+   delta round over the seeds plus everything earlier strata of the
+   same pass derived. Under semi-naive completeness that first delta
+   round derives precisely the consequences of the seeds, which is what
+   makes maintenance cost proportional to the delta instead of the
+   database. Later rounds range over the stratum's own delta either
+   way, through the same planner, pool, schedule-independent merge and
+   budget machinery — the determinism invariants are the loop's, not
+   the entry point's. *)
+
+type start =
+  | Full
+  | Seeded of {
+      seed : (string * Database.fact list) list;
+      wholesale : int -> bool;
+      on_new : (string -> Database.fact -> unit) option;
+    }
+
+let chase start ?(options = default_options) ?provenance ?support
     ?(telemetry = Kgm_telemetry.null)
     ?(journal = Kgm_telemetry.Journal.null)
     ?(cancel = Kgm_resilience.Token.none) ?checkpoint ?resume_from ?on_agg
-    ?rule_ids (program : Rule.program) db =
+    ?rule_ids ?(agg_init = []) (program : Rule.program) db =
+  let seeded, seed, wholesale, on_new =
+    match start with
+    | Full -> (false, [], (fun _ -> true), None)
+    | Seeded { seed; wholesale; on_new } -> (true, seed, wholesale, on_new)
+  in
   Kgm_telemetry.with_span telemetry ~cat:"engine"
     ~args:[ ("rules", string_of_int (List.length program.Rule.rules)) ]
-    "engine.run"
+    (if seeded then "engine.run_delta" else "engine.run")
   @@ fun () ->
   let t0 = Kgm_telemetry.Clock.now () in
   (* [options.provenance] retains the support graph even when the caller
@@ -2002,7 +1923,7 @@ let run ?(options = default_options) ?provenance ?support
         (String.concat "; " report.Analysis.violations)
   end;
   let analysis = Analysis.stratify program in
-  let fingerprint = program_fingerprint program in
+  let fingerprint = lazy (program_fingerprint program) in
   let ck_label =
     match checkpoint with Some c -> c.ck_label | None -> "chase"
   in
@@ -2018,60 +1939,37 @@ let run ?(options = default_options) ?provenance ?support
     | `Ok -> Kgm_resilience.Token.status deadline_tok
     | s -> s
   in
-  (* Load a snapshot and normalize it against [db]'s dictionary: v3 ids
-     are remapped through the serialized dictionary, v2 value facts are
-     interned directly. Either way the returned payload's ids are valid
-     in [db] and [p_dict] is spent. Any other version falls through to
-     the strict v3 load, whose Storage error names both versions. *)
+  (* Load a snapshot and remap its ids through its serialized
+     dictionary into [db]'s, so the returned payload's ids are valid in
+     [db] and [p_dict] is spent. *)
   let resume : ck_payload option =
     Option.map
       (fun path ->
-        let kind = ck_kind ck_label in
-        let p =
-          if Kgm_resilience.Snapshot.peek_version ~kind ~path = 2 then begin
-            let (q : ck_payload_v2) =
-              Kgm_resilience.Snapshot.load ~kind ~version:2 ~path
-            in
-            let inf = List.map (Database.intern_fact db) in
-            { p_fingerprint = q.q_fingerprint;
-              p_stratum = q.q_stratum;
-              p_round0_done = q.q_round0_done;
-              p_rounds = q.q_rounds;
-              p_deltas = q.q_deltas;
-              p_added = q.q_added;
-              p_nulls = q.q_nulls;
-              p_dict = [||];
-              p_facts = List.map (fun (pr, fl) -> (pr, inf fl)) q.q_facts;
-              p_delta = List.map (fun (pr, fl) -> (pr, inf fl)) q.q_delta;
-              p_ctrs = q.q_ctrs;
-              p_agg = q.q_agg;
-              p_prov = q.q_prov;
-              p_sup = q.q_sup }
-          end
-          else begin
-            let (p : ck_payload) =
-              Kgm_resilience.Snapshot.load ~kind ~version:ck_version ~path
-            in
-            let dict = Database.dict db in
-            let remap = Array.map (fun v -> Intern.intern dict v) p.p_dict in
-            let rf = List.map (fun f -> Array.map (fun id -> remap.(id)) f) in
-            { p with
-              p_dict = [||];
-              p_facts = List.map (fun (pr, fl) -> (pr, rf fl)) p.p_facts;
-              p_delta = List.map (fun (pr, fl) -> (pr, rf fl)) p.p_delta }
-          end
+        let (p : ck_payload) =
+          Kgm_resilience.Snapshot.load ~kind:(ck_kind ck_label)
+            ~version:ck_version ~path
         in
-        if p.p_fingerprint <> fingerprint then
+        if p.p_fingerprint <> Lazy.force fingerprint then
           Kgm_error.validate_error
             "checkpoint %s was written by a different program (fingerprint \
              mismatch)"
             path;
-        p)
+        let dict = Database.dict db in
+        let remap = Array.map (fun v -> Intern.intern dict v) p.p_dict in
+        let rf (pr, fl) =
+          (pr, List.map (fun f -> Array.map (fun id -> remap.(id)) f) fl)
+        in
+        { p with
+          p_dict = [||];
+          p_facts = List.map rf p.p_facts;
+          p_delta = List.map rf p.p_delta })
       resume_from
   in
-  List.iter
-    (fun (pred, args) -> ignore (Database.add db pred (Array.of_list args)))
-    program.Rule.facts;
+  (* a seeded pass runs over a store that already holds them *)
+  if not seeded then
+    List.iter
+      (fun (pred, args) -> ignore (Database.add db pred (Array.of_list args)))
+      program.Rule.facts;
   let n_rules = List.length program.Rule.rules in
   let st =
     { db; opts = options; added = 0; agg_states = Hashtbl.create 16;
@@ -2083,6 +1981,11 @@ let run ?(options = default_options) ?provenance ?support
       cur = fresh_ctr ();
       round = 0; trip_rule = None }
   in
+  (* counting maintenance: start monotonic aggregates from the caller's
+     saturated accumulators instead of empty groups, so a seeded pass
+     neither re-counts old contributions nor misses thresholds already
+     crossed *)
+  List.iter (fun (id, s) -> Hashtbl.replace st.agg_states id s) agg_init;
   (match resume with
    | None -> ()
    | Some p ->
@@ -2109,34 +2012,41 @@ let run ?(options = default_options) ?provenance ?support
        (match support, p.p_sup with
         | Some into, Some src -> support_absorb ~into src
         | _ -> ()));
+  let seed =
+    List.map (fun (p, fs) -> (p, List.map (Database.intern_fact db) fs)) seed
+  in
   if Journal.enabled journal then
     Journal.emit journal "run.start"
-      [ ("mode", J.Str "chase");
-        ("rules", J.Int n_rules);
-        ("strata", J.Int (List.length analysis.Analysis.strata));
-        ("jobs", J.Int options.jobs);
-        ("planner", J.Bool options.planner);
-        ("provenance", J.Bool (Option.is_some support));
-        ("resumed", J.Bool (Option.is_some resume)) ];
+      ([ ("mode", J.Str (if seeded then "delta" else "chase"));
+         ("rules", J.Int n_rules);
+         ("strata", J.Int (List.length analysis.Analysis.strata));
+         ("jobs", J.Int options.jobs);
+         ("planner", J.Bool options.planner);
+         ("provenance", J.Bool (Option.is_some support)) ]
+      @
+      if seeded then
+        let n = List.fold_left (fun n (_, fs) -> n + List.length fs) 0 seed in
+        [ ("seed", J.Int n) ]
+      else [ ("resumed", J.Bool (Option.is_some resume)) ]);
   let prepared =
     List.mapi
       (fun i r ->
         prepare
           ?rid:(Option.map (fun a -> a.(i)) rule_ids)
           (Database.dict db) i
-          (if options.reorder_body then reorder_rule ~db r else r))
+          (if options.reorder_body then reorder_rule db r else r))
       program.Rule.rules
   in
-  let stratum_of pred =
-    Option.value ~default:0 (Analysis.SMap.find_opt pred analysis.Analysis.stratum_of)
-  in
-  let rule_stratum (prep : prepared) =
-    List.fold_left
-      (fun acc (a : Rule.atom) -> max acc (stratum_of a.Rule.pred))
-      0 prep.rule.Rule.head
-  in
+  let rule_strata = Analysis.rule_strata analysis program in
   let n_strata = List.length analysis.Analysis.strata in
-  if Kgm_telemetry.enabled telemetry && options.planner then begin
+  (* a seeded pass is delta rounds by construction, and maintenance
+     deltas are tiny relative to the saturated store: it always plans
+     (written-order plans probe the whole closure once per seed fact)
+     and is always semi-naive. Planning is pure scheduling — outputs are
+     unchanged — so the ablation contrast is confined to [run]. *)
+  let planned = options.planner || seeded in
+  let semi_naive = options.semi_naive || seeded in
+  if Kgm_telemetry.enabled telemetry && planned then begin
     Kgm_telemetry.count telemetry ~by:n_strata "planner.strata";
     let nrec =
       Array.fold_left
@@ -2158,7 +2068,7 @@ let run ?(options = default_options) ?provenance ?support
     | None -> ()
     | Some cfg ->
         let payload =
-          { p_fingerprint = fingerprint;
+          { p_fingerprint = Lazy.force fingerprint;
             p_stratum = stratum;
             p_round0_done = round0_done;
             p_rounds = !rounds;
@@ -2215,6 +2125,10 @@ let run ?(options = default_options) ?provenance ?support
              Journal.emit journal "checkpoint.fail"
                [ ("round", J.Int !rounds); ("path", J.Str path) ])
   in
+  (* everything a seeded pass derived, chronological across strata:
+     part of the first round of every later seeded stratum (in [run]
+     the round-0 full evaluation covers this; here nothing else would) *)
+  let derived : (string * Database.ifact) list ref = ref [] in
   let stopped = ref None in
   (* one pool for the whole run; with jobs = 1 it spawns no domains and
      Kgm_pool.run degenerates to an inline loop *)
@@ -2222,7 +2136,9 @@ let run ?(options = default_options) ?provenance ?support
   Fun.protect ~finally:(fun () -> Kgm_pool.shutdown pool) @@ fun () ->
   (try
      for s = start_stratum to n_strata - 1 do
-       let rules_here = List.filter (fun p -> rule_stratum p = s) prepared in
+       let rules_here =
+         List.filter (fun p -> rule_strata.(p.rule_id) = s) prepared
+       in
        if rules_here <> [] then begin
          Kgm_telemetry.with_span telemetry ~cat:"engine"
            ~args:[ ("rules", string_of_int (List.length rules_here)) ]
@@ -2233,27 +2149,40 @@ let run ?(options = default_options) ?provenance ?support
            | Some preds -> preds
            | None -> []
          in
+         (* the next round's input; fact lists are kept reversed, the
+            convention [eval_delta_round] expects *)
          let delta : (string, Database.ifact list ref) Hashtbl.t =
            Hashtbl.create 8
          in
+         let push pred fact =
+           match Hashtbl.find_opt delta pred with
+           | Some l -> l := fact :: !l
+           | None -> Hashtbl.add delta pred (ref [ fact ])
+         in
          let record pred fact =
-           if List.mem pred in_stratum then
-             match Hashtbl.find_opt delta pred with
-             | Some l -> l := fact :: !l
-             | None -> Hashtbl.add delta pred (ref [ fact ])
+           if seeded then derived := (pred, fact) :: !derived;
+           (* external observers stay value-level *)
+           Option.iter (fun f -> f pred (Database.resolve_fact db fact)) on_new;
+           if List.mem pred in_stratum then push pred fact
          in
          let delta_size () =
            Hashtbl.fold (fun _ l acc -> acc + List.length !l) delta 0
          in
-         let round0_done = ref false in
+         (* round 0 or the seeded round, whichever opens the stratum *)
+         let first_pending = ref true in
+         let full_first = wholesale s in
          (match resume with
           | Some p when s = p.p_stratum ->
-              round0_done := p.p_round0_done;
+              first_pending := not p.p_round0_done;
               List.iter
                 (fun (pred, facts) ->
                   Hashtbl.replace delta pred (ref (List.rev facts)))
                 p.p_delta
           | _ -> ());
+         if not full_first then begin
+           List.iter (fun (pred, facts) -> List.iter (push pred) facts) seed;
+           List.iter (fun (pred, fact) -> push pred fact) (List.rev !derived)
+         end;
          (* limit checks happen only here, at clean round boundaries;
             the "round" fault site models a crash at exactly this point *)
          let boundary_check () =
@@ -2265,100 +2194,76 @@ let run ?(options = default_options) ?provenance ?support
            if !rounds >= options.max_rounds then
              raise (Stop_chase (`Rounds, true))
          in
-         let maybe_checkpoint () =
+         let round eval =
+           boundary_check ();
+           incr rounds;
+           st.round <- !rounds;
+           if Journal.enabled journal then
+             Journal.emit journal "round.start"
+               [ ("stratum", J.Int s); ("round", J.Int !rounds) ];
+           let current = Hashtbl.copy delta in
+           Hashtbl.reset delta;
+           (try
+              Kgm_telemetry.with_span telemetry ~cat:"round" "round" (fun () ->
+                  eval current)
+            with Round_aborted ->
+              (* the aborted round never happened: restore its input
+                 delta and stop at the previous boundary *)
+              decr rounds;
+              Hashtbl.reset delta;
+              Hashtbl.iter (fun k v -> Hashtbl.replace delta k v) current;
+              (match tok_status () with
+               | `Cancelled -> raise (Stop_chase (`Cancelled, true))
+               | _ -> raise (Stop_chase (`Deadline, true))));
+           first_pending := false;
+           deltas := delta_size () :: !deltas;
+           if Journal.enabled journal then
+             Journal.emit journal "round.end"
+               [ ("stratum", J.Int s);
+                 ("round", J.Int !rounds);
+                 ("delta", J.Int (delta_size ()));
+                 ("facts", J.Int (Database.total db)) ];
            match checkpoint with
            | Some cfg when !rounds mod cfg.ck_every = 0 ->
-               write_checkpoint ~stratum:s ~round0_done:!round0_done delta
+               write_checkpoint ~stratum:s ~round0_done:true delta
            | _ -> ()
          in
+         let full_round _ =
+           List.iter (fun p -> eval_rule st p ~delta:None ~on_new:record)
+             rules_here
+         in
+         let delta_round current =
+           eval_delta_round st pool rules_here ~use_planner:planned ~cancel
+             ~tok_status ~retries ~current ~on_new:record
+         in
+         (* stratification dividend: a non-recursive stratum is an SCC
+            group with no internal dependency edge, so none of its rules
+            reads a predicate derived in this stratum — once its first
+            round ran, a delta round could only rediscover its matches.
+            Under semi-naive evaluation that round derives nothing, so
+            skip it outright. (Naive mode re-evaluates everything each
+            round and is left untouched.) *)
+         let single_round =
+           planned && semi_naive
+           && not
+                (s < Array.length analysis.Analysis.recursive
+                 && analysis.Analysis.recursive.(s))
+         in
          try
-           boundary_check ();
-           let round_start () =
-             if Journal.enabled journal then
-               Journal.emit journal "round.start"
-                 [ ("stratum", J.Int s); ("round", J.Int !rounds) ]
-           in
-           let round_end delta_n =
-             if Journal.enabled journal then
-               Journal.emit journal "round.end"
-                 [ ("stratum", J.Int s);
-                   ("round", J.Int !rounds);
-                   ("delta", J.Int delta_n);
-                   ("facts", J.Int (Database.total db)) ]
-           in
-           if not !round0_done then begin
-             (* round 0: full evaluation *)
-             incr rounds;
-             st.round <- !rounds;
-             round_start ();
-             Kgm_telemetry.with_span telemetry ~cat:"round" "round" (fun () ->
-                 List.iter
-                   (fun p -> eval_rule st p ~delta:None ~on_new:record)
-                   rules_here);
-             deltas := delta_size () :: !deltas;
-             round_end (delta_size ());
-             round0_done := true;
-             maybe_checkpoint ()
-           end;
-           let continue = ref (Hashtbl.length delta > 0) in
-           (* stratification dividend: a non-recursive stratum is an SCC
-              group with no internal dependency edge, so none of its
-              rules reads a predicate derived in this stratum — the
-              delta round could only rediscover round-0 matches. Under
-              semi-naive evaluation that round derives nothing, so skip
-              it outright. (Naive mode re-evaluates everything each
-              round and is left untouched.) *)
-           let recursive_stratum =
-             s < Array.length analysis.Analysis.recursive
-             && analysis.Analysis.recursive.(s)
-           in
-           if
-             !continue && options.planner && options.semi_naive
-             && not recursive_stratum
-           then begin
-             continue := false;
-             if Kgm_telemetry.enabled telemetry then
-               Kgm_telemetry.count telemetry "planner.rounds.skipped"
-           end;
-           while !continue do
-             boundary_check ();
-             incr rounds;
-             st.round <- !rounds;
-             round_start ();
-             let current = Hashtbl.copy delta in
-             Hashtbl.reset delta;
-             (try
-                Kgm_telemetry.with_span telemetry ~cat:"round" "round"
-                  (fun () ->
-                    if options.semi_naive then
-                      eval_delta_round st pool rules_here
-                        ~use_planner:options.planner ~cancel ~tok_status
-                        ~retries ~current ~on_new:record
-                    else
-                      (* naive: full re-evaluation; recurse only while
-                         new facts appear *)
-                      List.iter
-                        (fun p -> eval_rule st p ~delta:None ~on_new:record)
-                        rules_here)
-              with Round_aborted ->
-                (* the aborted round never happened: restore its input
-                   delta and stop at the previous boundary *)
-                decr rounds;
-                Hashtbl.reset delta;
-                Hashtbl.iter (fun k v -> Hashtbl.replace delta k v) current;
-                (match tok_status () with
-                 | `Cancelled -> raise (Stop_chase (`Cancelled, true))
-                 | _ -> raise (Stop_chase (`Deadline, true))));
-             deltas := delta_size () :: !deltas;
-             round_end (delta_size ());
-             continue := Hashtbl.length delta > 0;
-             maybe_checkpoint ()
-           done
+           if full_first && !first_pending then round full_round;
+           while
+             Hashtbl.length delta > 0 && (!first_pending || not single_round)
+           do
+             round (if semi_naive then delta_round else full_round)
+           done;
+           if Hashtbl.length delta > 0 && Kgm_telemetry.enabled telemetry then
+             Kgm_telemetry.count telemetry "planner.rounds.skipped"
          with Stop_chase (l, clean) ->
            (* a clean stop is a round boundary: capture it so a later
               [~resume_from] continues exactly where this run stopped *)
            if clean then
-             write_checkpoint ~stratum:s ~round0_done:!round0_done delta;
+             write_checkpoint ~stratum:s ~round0_done:(not !first_pending)
+               delta;
            raise (Stop_chase (l, clean))
        end
      done
@@ -2400,7 +2305,7 @@ let run ?(options = default_options) ?provenance ?support
   in
   if Journal.enabled journal then
     Journal.emit journal "run.end"
-      [ ("mode", J.Str "chase");
+      [ ("mode", J.Str (if seeded then "delta" else "chase"));
         ("rounds", J.Int stats.rounds);
         ("new_facts", J.Int stats.new_facts);
         ("facts", J.Int (Database.total db));
@@ -2453,290 +2358,15 @@ let run ?(options = default_options) ?provenance ?support
    | _ -> ());
   stats
 
-(* ------------------------------------------------------------------ *)
-(* Seeded semi-naive pass for incremental maintenance.
+let run ?options ?provenance ?support ?telemetry ?journal ?cancel ?checkpoint
+    ?resume_from ?on_agg ?rule_ids program db =
+  chase Full ?options ?provenance ?support ?telemetry ?journal ?cancel
+    ?checkpoint ?resume_from ?on_agg ?rule_ids program db
 
-   Precondition: [db] already holds a chase fixpoint plus a batch of
-   new extensional facts, and [seed] lists exactly the facts that are
-   new since that fixpoint (the inserted batch, the maintenance
-   layer's re-fire seeds). The pass runs ONLY delta rounds — no
-   round-0 full evaluation — per stratum: the first round of each
-   stratum ranges over the seeds plus whatever earlier strata of this
-   same pass derived, subsequent rounds over the stratum's own delta
-   exactly as in [run]. Under semi-naive completeness this derives
-   precisely the consequences of the seeds, which is what makes
-   maintenance cost proportional to the delta instead of the
-   database. Everything else — the planner's delta-first plans, the
-   pool's parallel rounds, the schedule-independent merge order, the
-   budget/deadline machinery — is shared with [run], so the
-   determinism invariants carry over unchanged. *)
-let run_delta ?(options = default_options) ?provenance ?support
-    ?(telemetry = Kgm_telemetry.null)
-    ?(journal = Kgm_telemetry.Journal.null)
-    ?(cancel = Kgm_resilience.Token.none) ?on_new ?on_agg ?rule_ids
-    ?(agg_init = []) (program : Rule.program) db
-    ~(seed : (string * Database.fact list) list) =
-  Kgm_telemetry.with_span telemetry ~cat:"engine"
-    ~args:[ ("rules", string_of_int (List.length program.Rule.rules)) ]
-    "engine.run_delta"
-  @@ fun () ->
-  let t0 = Kgm_telemetry.Clock.now () in
-  let support =
-    match support with
-    | Some _ -> support
-    | None -> if options.provenance then Some (create_support ()) else None
-  in
-  (match Analysis.safety_report program with
-   | [] -> ()
-   | errs ->
-       Kgm_error.validate_error "unsafe program:@ %s" (String.concat "; " errs));
-  let analysis = Analysis.stratify program in
-  let deadline_tok =
-    match options.deadline_s with
-    | Some d -> Kgm_resilience.Token.create ~deadline_s:d ()
-    | None -> Kgm_resilience.Token.none
-  in
-  let tok_status () =
-    match Kgm_resilience.Token.status cancel with
-    | `Ok -> Kgm_resilience.Token.status deadline_tok
-    | s -> s
-  in
-  let n_rules = List.length program.Rule.rules in
-  let st =
-    { db; opts = options; added = 0; agg_states = Hashtbl.create 16;
-      prov = provenance; sup = support; on_agg; agg_notes = [];
-      trail_preds = [||]; trail_facts = [||]; trail_len = 0; fact_trail = [];
-      sc = Intern.Scratch.create ();
-      tele = telemetry; jr = journal;
-      ctrs = Array.init (max 1 n_rules) (fun _ -> fresh_ctr ());
-      cur = fresh_ctr ();
-      round = 0; trip_rule = None }
-  in
-  (* counting maintenance: start monotonic aggregates from the caller's
-     saturated accumulators instead of empty groups, so a delta pass
-     neither re-counts old contributions nor misses thresholds already
-     crossed *)
-  List.iter (fun (id, s) -> Hashtbl.replace st.agg_states id s) agg_init;
-  if Journal.enabled journal then
-    Journal.emit journal "run.start"
-      [ ("mode", J.Str "delta");
-        ("rules", J.Int n_rules);
-        ("strata", J.Int (List.length analysis.Analysis.strata));
-        ("jobs", J.Int options.jobs);
-        ("planner", J.Bool options.planner);
-        ("provenance", J.Bool (Option.is_some support));
-        ( "seed",
-          J.Int
-            (List.fold_left (fun acc (_, fs) -> acc + List.length fs) 0 seed)
-        ) ];
-  let prepared =
-    List.mapi
-      (fun i r ->
-        prepare
-          ?rid:(Option.map (fun a -> a.(i)) rule_ids)
-          (Database.dict db) i
-          (if options.reorder_body then reorder_rule ~db r else r))
-      program.Rule.rules
-  in
-  let stratum_of pred =
-    Option.value ~default:0
-      (Analysis.SMap.find_opt pred analysis.Analysis.stratum_of)
-  in
-  let rule_stratum (prep : prepared) =
-    List.fold_left
-      (fun acc (a : Rule.atom) -> max acc (stratum_of a.Rule.pred))
-      0 prep.rule.Rule.head
-  in
-  let n_strata = List.length analysis.Analysis.strata in
-  let rounds = ref 0 in
-  let deltas = ref [] in
-  let retries = Atomic.make 0 in
-  let stopped = ref None in
-  (* everything this pass derived, chronological across strata: part of
-     the first-round delta of every later stratum (in [run] the round-0
-     full evaluation covers this; here nothing else would) *)
-  let new_facts : (string * Database.ifact) list ref = ref [] in
-  let pool = Kgm_pool.create (max 1 options.jobs) in
-  Fun.protect ~finally:(fun () -> Kgm_pool.shutdown pool) @@ fun () ->
-  (try
-     for s = 0 to n_strata - 1 do
-       let rules_here = List.filter (fun p -> rule_stratum p = s) prepared in
-       if rules_here <> [] then begin
-         let in_stratum =
-           match List.nth_opt analysis.Analysis.strata s with
-           | Some preds -> preds
-           | None -> []
-         in
-         let delta : (string, Database.ifact list ref) Hashtbl.t =
-           Hashtbl.create 8
-         in
-         let record pred fact =
-           (* external observers stay value-level *)
-           (match on_new with
-            | Some f -> f pred (Database.resolve_fact db fact)
-            | None -> ());
-           new_facts := (pred, fact) :: !new_facts;
-           if List.mem pred in_stratum then
-             match Hashtbl.find_opt delta pred with
-             | Some l -> l := fact :: !l
-             | None -> Hashtbl.add delta pred (ref [ fact ])
-         in
-         let delta_size () =
-           Hashtbl.fold (fun _ l acc -> acc + List.length !l) delta 0
-         in
-         let boundary_check () =
-           (match tok_status () with
-            | `Cancelled -> raise (Stop_chase (`Cancelled, true))
-            | `Deadline -> raise (Stop_chase (`Deadline, true))
-            | `Ok -> ());
-           if !rounds >= options.max_rounds then
-             raise (Stop_chase (`Rounds, true))
-         in
-         (* first round of the stratum: caller seeds + earlier strata's
-            derivations of this pass (fact lists are kept reversed, the
-            convention [eval_delta_round] expects) *)
-         let initial : (string, Database.ifact list ref) Hashtbl.t =
-           Hashtbl.create 8
-         in
-         let put pred fact =
-           match Hashtbl.find_opt initial pred with
-           | Some l -> l := fact :: !l
-           | None -> Hashtbl.add initial pred (ref [ fact ])
-         in
-         List.iter
-           (fun (pred, facts) ->
-             List.iter (fun f -> put pred (Database.intern_fact db f)) facts)
-           seed;
-         List.iter (fun (pred, fact) -> put pred fact) (List.rev !new_facts);
-         let recursive_stratum =
-           s < Array.length analysis.Analysis.recursive
-           && analysis.Analysis.recursive.(s)
-         in
-         let pending = ref initial in
-         while Hashtbl.length !pending > 0 do
-           boundary_check ();
-           incr rounds;
-           st.round <- !rounds;
-           if Journal.enabled journal then
-             Journal.emit journal "round.start"
-               [ ("stratum", J.Int s); ("round", J.Int !rounds) ];
-           let current = !pending in
-           (try
-              Kgm_telemetry.with_span telemetry ~cat:"round" "round"
-                (fun () ->
-                  (* maintenance deltas are tiny relative to the
-                     saturated store, so the delta-first selectivity
-                     plans are applied unconditionally: with the planner
-                     off, written-order plans probe the full closure
-                     once per seed fact (the BENCH_incremental 0.3x
-                     regression). Planning is pure scheduling — outputs
-                     are unchanged — so the ablation contrast is
-                     confined to [run]. *)
-                  eval_delta_round st pool rules_here ~use_planner:true
-                    ~cancel ~tok_status ~retries ~current ~on_new:record)
-            with Round_aborted ->
-              decr rounds;
-              (match tok_status () with
-               | `Cancelled -> raise (Stop_chase (`Cancelled, true))
-               | _ -> raise (Stop_chase (`Deadline, true))));
-           deltas := delta_size () :: !deltas;
-           if Journal.enabled journal then
-             Journal.emit journal "round.end"
-               [ ("stratum", J.Int s);
-                 ("round", J.Int !rounds);
-                 ("delta", J.Int (delta_size ()));
-                 ("facts", J.Int (Database.total db)) ];
-           let next = Hashtbl.copy delta in
-           Hashtbl.reset delta;
-           (* stratification dividend, as in [run]: after its seeded
-              round a non-recursive stratum cannot refire itself (this
-              pass is always semi-naive, so the skip is unconditional
-              too) *)
-           if (not recursive_stratum) && Hashtbl.length next > 0 then begin
-             Hashtbl.reset next;
-             if Kgm_telemetry.enabled telemetry then
-               Kgm_telemetry.count telemetry "planner.rounds.skipped"
-           end;
-           pending := next
-         done
-       end
-     done
-   with Stop_chase (l, clean) ->
-     stopped := Some l;
-     if Journal.enabled journal then
-       Journal.emit journal "limit.stop"
-         [ ("limit", J.Str (limit_name l));
-           ("clean", J.Bool clean);
-           ("round", J.Int !rounds) ]);
-  let per_rule =
-    List.map
-      (fun (prep : prepared) ->
-        let c = st.ctrs.(prep.rule_id) in
-        { rs_id = prep.rule_id;
-          rs_rule = Format.asprintf "%a" Rule.pp_rule prep.rule;
-          rs_label = prep.head_label;
-          rs_firings = c.c_firings;
-          rs_matches = c.c_matches;
-          rs_probes = c.c_probes;
-          rs_nulls = c.c_nulls;
-          rs_chase_hits = c.c_hits;
-          rs_chase_misses = c.c_misses;
-          rs_time_s = c.c_time })
-      prepared
-  in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 per_rule in
-  let stats =
-    { rounds = !rounds;
-      new_facts = st.added;
-      elapsed_s = Kgm_telemetry.Clock.now () -. t0;
-      delta_sizes = List.rev !deltas;
-      nulls_invented = sum (fun r -> r.rs_nulls);
-      chase_hits = sum (fun r -> r.rs_chase_hits);
-      chase_misses = sum (fun r -> r.rs_chase_misses);
-      per_rule;
-      stopped = !stopped;
-      support = st.sup }
-  in
-  if Journal.enabled journal then
-    Journal.emit journal "run.end"
-      [ ("mode", J.Str "delta");
-        ("rounds", J.Int stats.rounds);
-        ("new_facts", J.Int stats.new_facts);
-        ("facts", J.Int (Database.total db));
-        ("elapsed_s", J.Float stats.elapsed_s);
-        ( "stopped",
-          match stats.stopped with
-          | Some l -> J.Str (limit_name l)
-          | None -> J.Null ) ];
-  if Kgm_telemetry.enabled telemetry then begin
-    Kgm_telemetry.count telemetry ~by:stats.new_facts "engine.facts.new";
-    Kgm_telemetry.count telemetry ~by:stats.rounds "engine.rounds";
-    let r = Atomic.get retries in
-    if r > 0 then
-      Kgm_telemetry.count telemetry ~by:r "resilience.worker.retries";
-    match stats.stopped with
-    | Some l -> Kgm_telemetry.count telemetry ("engine.stopped." ^ limit_name l)
-    | None -> ()
-  end;
-  (match !stopped, options.on_limit with
-   | Some l, `Raise ->
-       let ctx =
-         (match st.trip_rule with Some r -> [ ("rule", r) ] | None -> [])
-         @ [ ("round", string_of_int !rounds) ]
-       in
-       (match l with
-        | `Facts ->
-            Kgm_error.reason_error_ctx ctx
-              "fact budget exceeded (%d facts): non-terminating chase?"
-              options.max_facts
-        | `Rounds -> Kgm_error.reason_error_ctx ctx "round budget exceeded"
-        | `Deadline -> Kgm_error.reason_error_ctx ctx "deadline exceeded"
-        | `Cancelled ->
-            Kgm_error.reason_error_ctx
-              (("interrupted", "cancelled") :: ctx)
-              "interrupted")
-   | _ -> ());
-  stats
+let run_delta ?options ?provenance ?support ?telemetry ?journal ?cancel ?on_new
+    ?on_agg ?rule_ids ?agg_init ?(wholesale = fun _ -> false) program db ~seed =
+  chase (Seeded { seed; wholesale; on_new }) ?options ?provenance ?support
+    ?telemetry ?journal ?cancel ?on_agg ?rule_ids ?agg_init program db
 
 (* Human-readable planning report: what [run] would decide for
    [program] over the current contents of [db] — the strata in
@@ -2747,20 +2377,7 @@ let run_delta ?(options = default_options) ?provenance ?support
 let pp_plan_report ?(options = default_options) ppf (program : Rule.program) db
     =
   let analysis = Analysis.stratify program in
-  let stratum_of pred =
-    Option.value ~default:0
-      (Analysis.SMap.find_opt pred analysis.Analysis.stratum_of)
-  in
-  let rules =
-    List.map
-      (fun r -> if options.reorder_body then reorder_rule ~db r else r)
-      program.Rule.rules
-  in
-  let rule_stratum (r : Rule.rule) =
-    List.fold_left
-      (fun acc (a : Rule.atom) -> max acc (stratum_of a.Rule.pred))
-      0 r.Rule.head
-  in
+  let rule_strata = Analysis.rule_strata analysis program in
   let count = Database.count db in
   List.iteri
     (fun s preds ->
@@ -2771,9 +2388,10 @@ let pp_plan_report ?(options = default_options) ppf (program : Rule.program) db
       Format.fprintf ppf "stratum %d%s: %s@." s
         (if recursive then " (recursive)" else "")
         (String.concat ", " preds);
-      List.iter
-        (fun (r : Rule.rule) ->
-          if rule_stratum r = s then begin
+      List.iteri
+        (fun j (r : Rule.rule) ->
+          if rule_strata.(j) = s then begin
+            let r = if options.reorder_body then reorder_rule db r else r in
             Format.fprintf ppf "  %a@." Rule.pp_rule r;
             if not recursive then
               Format.fprintf ppf "    single round (non-recursive stratum)@."
@@ -2801,7 +2419,7 @@ let pp_plan_report ?(options = default_options) ppf (program : Rule.program) db
                   | _ -> ())
                 r.Rule.body
           end)
-        rules)
+        program.Rule.rules)
     analysis.Analysis.strata
 
 let run_program ?options ?provenance ?support ?telemetry ?journal ?cancel

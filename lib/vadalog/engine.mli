@@ -23,12 +23,16 @@ type options = {
           consistently across the head (homomorphism); [false] falls
           back to syntactic equality *)
   reorder_body : bool;
-      (** opt-in greedy join ordering of rule bodies (most-anchored atom
-          first, then smaller predicates); rules with aggregates keep
-          their written order. Off by default: bodies evaluate exactly
-          as written, which hand-tuned programs (and the generated SSST
-          mappings and views) rely on; turn on for ad-hoc queries with
-          unknown selectivities (ABL-4 quantifies both sides) *)
+      (** opt-in rewrite of every rule body into the planner's greedy
+          order ({!Planner.plan_rule} without a delta literal, from the
+          cardinalities at run start), applied once; rules with
+          aggregates keep their written order. Off by default because
+          the rewrite is visible: the written order defines emission
+          order, so it changes fact insertion order and labeled-null
+          numbering (the fixpoint is the same up to null renaming).
+          ABL-4: it rescues a cross-product-first body by two to three
+          orders of magnitude and costs the Company-KG materialization
+          nothing *)
   provenance : bool;
       (** retain the derivation support graph after the chase and return
           it in {!stats.support}, so facts can be explained
@@ -174,10 +178,10 @@ val pp_derivation_tree :
     it in place. Pass a fresh support to {!run} for the initial chase
     and the {e same} one to every subsequent {!run_delta} over that
     database; recording must cover the whole life of the
-    materialization or DRed's completeness argument breaks. Version-2
-    snapshots serialize the support recorded so far, so a resumed run
-    keeps recording into the caller's support and the result is
-    maintainable and explainable exactly as if never interrupted. *)
+    materialization or DRed's completeness argument breaks. Snapshots
+    serialize the support recorded so far, so a resumed run keeps
+    recording into the caller's support and the result is maintainable
+    and explainable exactly as if never interrupted. *)
 
 module ProvTbl : Hashtbl.S with type key = string * Kgm_common.Value.t list
 (** Fact-keyed hash tables, consistent with
@@ -370,9 +374,9 @@ val run :
     {!agg_event}); pure observation, like [journal]. [rule_ids]
     overrides the {e recording} id of each rule (positional): support
     entries, suppressed firings and aggregate state are keyed by
-    [rule_ids.(i)] instead of [i]. Maintenance layers slicing a larger
-    pipeline into sub-programs pass the rules' pipeline-wide ids so
-    the shared support stays unambiguous. Raises [Kgm_error.Error]:
+    [rule_ids.(i)] instead of [i]. Maintenance layers chasing one phase
+    of a larger pipeline pass the rules' pipeline-wide ids so the
+    shared support stays unambiguous. Raises [Kgm_error.Error]:
     [Validate] on unsafe or unstratifiable programs (or unwarded ones
     when [check_wardedness]), [Reason] on exceeded budgets (with the
     offending rule and round — and the final checkpoint path, when one
@@ -429,36 +433,44 @@ val run_delta :
   ?cancel:Kgm_resilience.Token.t ->
   ?on_new:(string -> Database.fact -> unit) ->
   ?on_agg:(agg_event -> unit) -> ?rule_ids:int array ->
-  ?agg_init:(int * agg_state) list ->
+  ?agg_init:(int * agg_state) list -> ?wholesale:(int -> bool) ->
   Rule.program -> Database.t ->
   seed:(string * Database.fact list) list -> stats
-(** Seeded semi-naive pass for incremental maintenance. [on_agg] and
-    [rule_ids] as in {!run}; [agg_init] installs saturated
-    monotonic-aggregate accumulators (keyed by recording id) before
-    the pass, so new contributions extend the old totals — required
-    whenever [program] contains a monotonic aggregate, otherwise the
-    pass would re-count from empty groups. Precondition:
-    [db] already holds a chase fixpoint of [program] plus a batch of
-    new extensional facts, and [seed] lists exactly the facts that are
-    new since that fixpoint (already present in [db]; they are {e not}
-    re-inserted). Runs {e only} delta rounds — no round-0 full
-    evaluation: per stratum, the first round ranges over the seeds
-    plus whatever earlier strata of this same pass derived, later
-    rounds over the stratum's own delta exactly as in {!run}. By
-    semi-naive completeness this derives precisely the consequences of
-    the seeds, at a cost proportional to the delta rather than the
-    database. The planner's delta-first plans, the worker pool, the
-    schedule-independent merge order and the budget/deadline machinery
-    are shared with {!run}, so derived facts, their insertion order
-    and labeled-null numbering are identical at every [jobs] value and
-    with the planner on or off. Delta-first plans and their hash
-    indexes are used here {e unconditionally} — [options.planner] only
-    ablates {!run}. Seeded passes are delta rounds by construction;
-    probing the whole closure per seed through written-order plans made
-    planner-off maintenance slower than a re-chase (0.32–0.36×), and
-    since the planner is pure scheduling there is nothing to ablate. [program]'s fact list is ignored;
-    checkpointing is not supported here ({!Incremental} states are
-    cheap to rebuild from a fresh chase). *)
+(** A seeded entry into {!run}'s chase loop, for incremental
+    maintenance. Precondition: [db] already holds a chase fixpoint of
+    [program] plus a batch of new extensional facts, and [seed] lists
+    exactly the facts that are new since that fixpoint (already present
+    in [db]; they are {e not} re-inserted, and [program]'s fact list is
+    ignored).
+
+    The loop is {!run}'s; only each stratum's first round differs. A
+    stratum [s] with [wholesale s] (default: none) starts with round 0,
+    a full evaluation of its rules over the store — a maintenance layer
+    names the strata whose derived facts it discarded (stratified
+    negation or aggregation in the update's reach). Every other stratum
+    starts with a delta round over the seeds plus whatever earlier
+    strata of this same pass derived. Later rounds range over the
+    stratum's own delta either way. By semi-naive completeness this
+    derives precisely the consequences of the seeds, at a cost
+    proportional to the delta rather than the database.
+
+    Derived facts, their insertion order and labeled-null numbering are
+    identical at every [jobs] value and with the planner on or off: a
+    seeded pass always plans (delta-first plans and their hash indexes)
+    and always stops a non-recursive stratum after one round, whatever
+    [options.planner] says — written-order plans probe the whole
+    closure once per seed fact, and planning is pure scheduling, so
+    [options.planner] only ablates {!run}. [on_new] observes every
+    fact the pass adds; [on_agg] and [rule_ids] as in {!run};
+    [agg_init] installs saturated monotonic-aggregate accumulators
+    (keyed by recording id) before the pass, so new contributions
+    extend the old totals — required whenever [program] contains a
+    monotonic aggregate outside the wholesale strata, otherwise the
+    pass would re-count from empty groups. Checkpointing is not
+    supported here ({!Incremental} states are cheap to rebuild from a
+    fresh chase). The journal's [run.start]/[run.end] carry
+    [mode = "delta"] and the seed count; the span is
+    [engine.run_delta]. *)
 
 val query : Database.t -> string -> Database.fact list
 (** Facts of a predicate (insertion order). *)

@@ -53,7 +53,8 @@
     closure reaches a rule with stratified negation or aggregation,
     that rule's {e stratum} is marked {e wholesale}: its derived facts
     are force-deleted through the cone and the stratum is re-derived
-    with {!Engine.run} on top of the already-maintained lower strata —
+    by round 0 of the phase's one seeded pass ({!Engine.run_delta}'s
+    [?wholesale]) on top of the already-maintained lower strata —
     never from scratch. Strata below and beside the mark keep the DRed
     path above; [Monotonic] aggregates (the paper's [msum]) keep it
     too, through counting evidence. A full re-chase survives only for
@@ -130,6 +131,9 @@ type state = {
   mutable support : Engine.support;
   edb_set : phase_edb;
   mutable edb_order : (string * Database.fact) list;  (* reverse load order *)
+  mutable torn : bool;
+      (** a {!maintain} raised mid-repair: the store matches neither the
+          pre- nor the post-batch EDB, so the next batch re-chases *)
 }
 
 type update_stats = {
@@ -287,16 +291,28 @@ let record_agg_event st = function
 let phase_rule_ids (m : phase_meta) =
   Array.init (Array.length m.pm_rules) (fun j -> m.pm_rid_base + j)
 
+(* Chase [phases] (the state's pipeline, possibly facts-stripped) in
+   order on [db], recording into [support] and the aggregate logs. *)
+let run_phases ?telemetry ?journal ~options st ~support db phases =
+  List.mapi
+    (fun i ph ->
+      Engine.run ~options ~support ?telemetry ?journal
+        ~on_agg:(record_agg_event st) ~rule_ids:(phase_rule_ids st.metas.(i))
+        ph db)
+    phases
+  |> function
+  | s :: rest -> List.fold_left Engine.merge_stats s rest
+  | [] -> invalid_arg "Incremental.chase_phases: empty pipeline"
+
 let chase_phases ?(options = Engine.default_options) ?telemetry ?journal ~db
     phases =
-  if phases = [] then invalid_arg "Incremental.chase_phases: empty pipeline";
   let metas = build_metas phases in
   let st =
     { phases; options; metas; agg_tbl = Hashtbl.create 16;
       idx_parent = Engine.ProvTbl.create 256;
       idx_head = Engine.ProvTbl.create 256; db;
       support = Engine.create_support ();
-      edb_set = Engine.ProvTbl.create 256; edb_order = [] }
+      edb_set = Engine.ProvTbl.create 256; edb_order = []; torn = false }
   in
   register_agg_logs st;
   (* the EDB is everything loaded rather than derived: facts already in
@@ -308,20 +324,8 @@ let chase_phases ?(options = Engine.default_options) ?telemetry ?journal ~db
     (fun (ph : Rule.program) ->
       List.iter (fun (p, args) -> ignore (edb_note st p (Array.of_list args))) ph.Rule.facts)
     phases;
-  let stats = ref None in
-  List.iteri
-    (fun i ph ->
-      let s =
-        Engine.run ~options ~support:st.support ?telemetry ?journal
-          ~on_agg:(record_agg_event st) ~rule_ids:(phase_rule_ids metas.(i)) ph
-          db
-      in
-      stats :=
-        (match !stats with
-         | None -> Some s
-         | Some a -> Some (Engine.merge_stats a s)))
-    phases;
-  (st, Option.get !stats)
+  (st,
+   run_phases ?telemetry ?journal ~options st ~support:st.support db phases)
 
 let chase ?options ?telemetry ?journal ?(db = Database.create ()) program =
   chase_phases ?options ?telemetry ?journal ~db [ program ]
@@ -485,6 +489,12 @@ let plan_update st updated =
     pl_fallback =
       (not st.options.Engine.semi_naive) || !unprofiled || !noncounting_hit }
 
+(* The engine options of a repair. A budget stop (deadline, facts,
+   rounds) under [`Partial] would hand back a half-repaired store as a
+   normal return, so a repair always runs under [`Raise] and
+   {!atomically} undoes the batch instead. *)
+let repair_options st = { st.options with Engine.on_limit = `Raise }
+
 (* Full re-chase against the updated EDB: fresh database, fresh
    support, the EDB replayed in its original load order (determinism of
    null numbering is then up to {!canonical_facts}, since the global
@@ -495,30 +505,56 @@ let rechase ?telemetry ?journal st =
   let ordered = edb_facts st in
   List.iter (fun (p, f) -> ignore (Database.add db' p f)) ordered;
   register_agg_logs st;
-  List.iteri
-    (fun i (ph : Rule.program) ->
-      ignore
-        (Engine.run ~options:st.options ~support:support' ?telemetry ?journal
-           ~on_agg:(record_agg_event st)
-           ~rule_ids:(phase_rule_ids st.metas.(i))
-           { ph with Rule.facts = [] } db'))
-    st.phases;
+  ignore
+    (run_phases ?telemetry ?journal ~options:(repair_options st) st
+       ~support:support' db'
+       (List.map (fun (ph : Rule.program) -> { ph with Rule.facts = [] })
+          st.phases));
   st.db <- db';
   st.support <- support';
   st.edb_order <- List.rev ordered
 
-(* Saturated accumulators for a plain replay segment: every monotonic
-   rule of the segment needs one, or {!Engine.run_delta} would re-count
-   from empty groups. The live [lg_state] tables are handed over
-   directly — the engine then mutates them in place, which is exactly
-   what keeps them current for the next maintain. *)
-let agg_init_for st (m : phase_meta) js =
+(* Saturated accumulators for a phase's seeded pass: every monotonic
+   rule of the phase needs one, or {!Engine.run_delta} would re-count
+   from empty groups (a wholesale rule's was reset to empty, which is
+   exactly where its round 0 must start). The live [lg_state] tables
+   are handed over directly — the engine then mutates them in place,
+   which is exactly what keeps them current for the next maintain. *)
+let agg_init_for st (m : phase_meta) =
   List.filter_map
-    (fun j ->
-      match Hashtbl.find_opt st.agg_tbl (m.pm_rid_base + j) with
-      | None -> None
-      | Some log -> Some (m.pm_rid_base + j, log.lg_state))
-    js
+    (fun rid ->
+      Option.map
+        (fun log -> (rid, log.lg_state))
+        (Hashtbl.find_opt st.agg_tbl rid))
+    (Array.to_list (phase_rule_ids m))
+
+(* All-or-nothing batches: the (filtered) [retracts] leave the EDB
+   here and [f] adds the inserts through [note]. When [f] raises
+   mid-repair, those edits are undone and the session is marked torn,
+   so the next batch re-chases instead of building on a half-repaired
+   store. *)
+let atomically st ~retracts f =
+  let edb_order = st.edb_order in
+  List.iter (fun (p, f) -> Engine.ProvTbl.remove st.edb_set (key p f)) retracts;
+  let noted = ref [] in
+  let note p fact =
+    let fresh = edb_note st p fact in
+    if fresh then noted := (p, fact) :: !noted;
+    fresh
+  in
+  match f note with
+  | stats -> stats
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      List.iter
+        (fun (p, f) -> Engine.ProvTbl.remove st.edb_set (key p f))
+        !noted;
+      List.iter
+        (fun (p, f) -> Engine.ProvTbl.replace st.edb_set (key p f) ())
+        retracts;
+      st.edb_order <- edb_order;
+      st.torn <- true;
+      Printexc.raise_with_backtrace e bt
 
 (* ------------------------------------------------------------------ *)
 
@@ -537,16 +573,12 @@ let maintain ?(telemetry = Kgm_telemetry.null)
   let updated =
     List.sort_uniq String.compare (List.map fst (inserts @ retracts))
   in
-  let plan = plan_update st updated in
-  let fallback = updated <> [] && plan.pl_fallback in
-  if fallback then begin
-    List.iter (fun (p, f) -> Engine.ProvTbl.remove st.edb_set (key p f)) retracts;
+  let by_rechase note =
     let inserted =
-      List.fold_left
-        (fun n (p, f) -> if edb_note st p f then n + 1 else n)
-        0 inserts
+      List.fold_left (fun n (p, f) -> if note p f then n + 1 else n) 0 inserts
     in
     rechase ~telemetry ~journal st;
+    st.torn <- false;
     Kgm_telemetry.count telemetry "incremental.fallback";
     Kgm_telemetry.count telemetry ~by:inserted "incremental.inserts";
     Kgm_telemetry.count telemetry ~by:(List.length retracts)
@@ -564,10 +596,14 @@ let maintain ?(telemetry = Kgm_telemetry.null)
           ("retracted", J.Int stats.u_retracted);
           ("elapsed_s", J.Float stats.u_elapsed_s) ];
     stats
-  end
+  in
+  atomically st ~retracts @@ fun note ->
+  if st.torn then by_rechase note
+  else
+  let plan = plan_update st updated in
+  if updated <> [] && plan.pl_fallback then by_rechase note
   else begin
     let sup = st.support in
-    List.iter (fun (p, f) -> Engine.ProvTbl.remove st.edb_set (key p f)) retracts;
     let affected = plan.pl_affected in
     (* -------- wholesale strata: forced overdeletion -------- *)
     (* every derived fact of a marked stratum's head predicates is
@@ -987,7 +1023,7 @@ let maintain ?(telemetry = Kgm_telemetry.null)
     let inserted = ref 0 in
     List.iter
       (fun (p, f) ->
-        if edb_note st p f then begin
+        if note p f then begin
           incr inserted;
           if Database.add st.db p f then push_seed p f
           (* else: the fact was already derived; it is now also
@@ -1002,11 +1038,12 @@ let maintain ?(telemetry = Kgm_telemetry.null)
         (fun p -> (p, List.rev !(Hashtbl.find seed_tbl p)))
         !seed_order
     in
-    (* -------- replay: plain strata as seeded semi-naive deltas,
-       wholesale strata re-derived on the maintained lower strata ---- *)
+    (* -------- one seeded engine pass per relevant phase: plain strata
+       start from the seeds, wholesale strata re-derive on the
+       maintained lower strata, and every later stratum also sees what
+       the pass itself derived -------- *)
     let derived = ref 0 and rounds = ref 0 in
-    let any_wholesale = plan.pl_n_marked > 0 in
-    if seed <> [] || any_wholesale then begin
+    if seed <> [] || plan.pl_n_marked > 0 then begin
       (* later phases must also see what earlier phases of this same
          batch derived, exactly as they would in a fresh pipeline *)
       let extra = ref [] in
@@ -1016,79 +1053,32 @@ let maintain ?(telemetry = Kgm_telemetry.null)
         extra := (p, f) :: !extra;
         Hashtbl.replace reach p ()
       in
-      let on_agg = record_agg_event st in
       List.iteri
         (fun i (ph : Rule.program) ->
           let m = st.metas.(i) in
           let marked = plan.pl_marked.(i) in
-          let phase_wholesale = Array.exists Fun.id marked in
+          let phase_seed =
+            seed @ List.rev_map (fun (p, f) -> (p, [ f ])) !extra
+          in
           (* a phase the update cannot reach derives nothing new: skip
              it instead of scanning every rule against the seeds *)
           let relevant =
-            phase_wholesale
-            || Array.exists
-                 (fun (r : Rule.rule) ->
-                   List.exists (Hashtbl.mem reach) (rule_body_preds r))
-                 m.pm_rules
+            Array.exists Fun.id marked
+            || (phase_seed <> []
+                && Array.exists
+                     (fun (r : Rule.rule) ->
+                       List.exists (Hashtbl.mem reach) (rule_body_preds r))
+                     m.pm_rules)
           in
           if relevant then begin
-            let n = m.pm_n_strata in
-            let s = ref 0 in
-            while !s < n do
-              let flag = marked.(!s) in
-              let e = ref (!s + 1) in
-              while !e < n && marked.(!e) = flag do incr e done;
-              let js = ref [] in
-              Array.iteri
-                (fun j _ ->
-                  let sj = m.pm_rule_strata.(j) in
-                  if sj >= !s && sj < !e then js := j :: !js)
-                m.pm_rules;
-              let js = List.rev !js in
-              if js <> [] then begin
-                let rules = List.map (fun j -> m.pm_rules.(j)) js in
-                let rule_ids =
-                  Array.of_list (List.map (fun j -> m.pm_rid_base + j) js)
-                in
-                let sub = { ph with Rule.rules; Rule.facts = [] } in
-                if flag then begin
-                  let stats =
-                    Engine.run ~options:st.options ~support:sup ~telemetry
-                      ~journal ~on_agg ~rule_ids sub st.db
-                  in
-                  derived := !derived + stats.Engine.new_facts;
-                  rounds := !rounds + stats.Engine.rounds;
-                  (* the rerun stratum's contents are (potentially) new
-                     to every downstream consumer *)
-                  let hps =
-                    List.sort_uniq String.compare
-                      (List.concat_map rule_head_preds rules)
-                  in
-                  List.iter
-                    (fun pred ->
-                      List.iter (fun f -> on_new pred f)
-                        (Database.facts st.db pred))
-                    hps
-                end
-                else begin
-                  let phase_seed =
-                    seed
-                    @ (List.rev !extra |> List.map (fun (p, f) -> (p, [ f ])))
-                  in
-                  if phase_seed <> [] then begin
-                    let agg_init = agg_init_for st m js in
-                    let stats =
-                      Engine.run_delta ~options:st.options ~support:sup
-                        ~telemetry ~journal ~on_new ~on_agg ~rule_ids ~agg_init
-                        sub st.db ~seed:phase_seed
-                    in
-                    derived := !derived + stats.Engine.new_facts;
-                    rounds := !rounds + stats.Engine.rounds
-                  end
-                end
-              end;
-              s := !e
-            done
+            let stats =
+              Engine.run_delta ~options:(repair_options st) ~support:sup
+                ~telemetry ~journal ~on_new ~on_agg:(record_agg_event st)
+                ~rule_ids:(phase_rule_ids m) ~agg_init:(agg_init_for st m)
+                ~wholesale:(Array.get marked) ph st.db ~seed:phase_seed
+            in
+            derived := !derived + stats.Engine.new_facts;
+            rounds := !rounds + stats.Engine.rounds
           end)
         st.phases
     end;

@@ -23,9 +23,10 @@
     strata that contain them. A stratum the update reaches through
     stratified negation or [Stratified] aggregation is marked
     {e wholesale} — its derived facts are force-deleted through the
-    cone and the stratum is re-derived with {!Engine.run} on top of
-    the already-maintained lower strata, never from scratch — while
-    every other stratum keeps the DRed path. [Monotonic] aggregates
+    cone and the stratum is re-derived by a full round inside the
+    phase's one seeded pass ({!Engine.run_delta} with [?wholesale]),
+    on top of the already-maintained lower strata, never from scratch
+    — while every other stratum keeps the DRed path. [Monotonic] aggregates
     (the paper's [msum]) are maintained by {e counting}: the chase
     records every distinct contribution (weight and body parents, even
     sub-threshold ones) per group, so a retraction refolds the group's
@@ -107,11 +108,21 @@ val maintain :
     materialization. Retractions of facts not currently extensional are
     ignored (a derived fact cannot be retracted — it would be
     rederived); inserts already extensional are ignored. Retractions
-    are applied before inserts, so a batch may move a fact. Emits
-    [incremental.*] telemetry counters mirroring {!update_stats}; an
-    enabled [journal] additionally records [maintain.start], [dred.cone]
-    (overdeletion cone / rederivation / deletion sizes) and
-    [maintain.end] events around the seeded pass's own event stream. *)
+    are applied before inserts, so a batch may move a fact. Each phase
+    the batch can reach gets exactly one {!Engine.run_delta} pass.
+    Emits [incremental.*] telemetry counters mirroring {!update_stats};
+    an enabled [journal] additionally records [maintain.start],
+    [dred.cone] (overdeletion cone / rederivation / deletion sizes) and
+    [maintain.end] events around the seeded passes' own event streams.
+
+    A batch is all-or-nothing: if the repair raises (an exhausted
+    worker retry, a [round] fault) or a budget ([deadline_s],
+    [max_facts], [max_rounds]) stops it, the exception propagates with the EDB ({!edb_facts}) exactly as
+    before the batch, and the next [maintain] — whatever its batch —
+    re-chases ([u_fallback]) before anything builds on the
+    half-repaired store. A repair runs under [on_limit = `Raise]
+    whatever the state's options say: a [`Partial] stop would leave a
+    half-repaired store behind a normal return. *)
 
 val canonical_facts : Database.t -> (string * Database.fact list) list
 (** The database contents in canonical form: predicates sorted, facts

@@ -9,9 +9,10 @@
     keeps per-chunk work proportional to the chunk size, so counters
     stay chunking-invariant.
 
-    After the delta, [plan_rule] greedily picks, at each step, the
-    unused positive literal with the smallest estimated candidate
-    count, and flushes negations, conditions and assignments as soon as
+    After the delta (if any — without one the plan orders the whole
+    body), [plan_rule] greedily picks, at each step, the unused
+    positive literal with the smallest estimated candidate count, and
+    flushes negations, conditions and assignments as soon as
     their variables are bound (exactly the readiness rule of the
     engine's written-order evaluation, so a plan never evaluates a
     non-atom literal earlier than its inputs).
@@ -88,7 +89,7 @@ let estimate ~card ~anchors =
   done;
   !e
 
-let plan_rule ~count ~delta_lit (r : Rule.rule) =
+let plan_rule ~count ?delta_lit (r : Rule.rule) =
   let items = Array.of_list r.Rule.body in
   let n = Array.length items in
   let used = Array.make n false in
@@ -107,7 +108,7 @@ let plan_rule ~count ~delta_lit (r : Rule.rule) =
   let add i =
     used.(i) <- true;
     (match items.(i) with
-     | Rule.Pos a when i <> delta_lit ->
+     | Rule.Pos a when delta_lit <> Some i ->
          (* the delta literal ranges over the chunk, not the store *)
          let pattern = bound_pattern a in
          if pattern <> [] then patterns := (a.Rule.pred, pattern) :: !patterns
@@ -135,7 +136,7 @@ let plan_rule ~count ~delta_lit (r : Rule.rule) =
     done
   in
   (* the delta leads unconditionally (see the header comment) *)
-  add delta_lit;
+  Option.iter add delta_lit;
   flush_ready ();
   let continue = ref true in
   while !continue do

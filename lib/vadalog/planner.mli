@@ -28,14 +28,16 @@ val written : delta_lit:int -> Rule.rule -> plan
     so the engine prepares the right indexes with the planner off.
     The identity on bodies whose delta literal is already first. *)
 
-val plan_rule : count:(string -> int) -> delta_lit:int -> Rule.rule -> plan
+val plan_rule : count:(string -> int) -> ?delta_lit:int -> Rule.rule -> plan
 (** [plan_rule ~count ~delta_lit r]: join order for the round evaluating
     body literal [delta_lit] of [r] over the round's delta, with [count]
     giving live predicate cardinalities. The delta literal always leads
     — its facts are the round's novelty, and a literal evaluated outside
     the delta loop would be re-scanned once per worker chunk, making
     probe counters depend on the chunking — then the remaining positive
-    literals follow greedily most-selective-first. Estimates are
+    literals follow greedily most-selective-first. Without [delta_lit]
+    the greedy order covers the whole body: the engine's [reorder_body]
+    applies that plan once, as a rewrite of the written body. Estimates are
     integral (cardinality / 4 per bound position, floored at 1) and ties
     keep the written order, so plans are deterministic. Negations,
     conditions and assignments run as soon as their variables are bound,

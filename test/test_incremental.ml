@@ -2,8 +2,9 @@
    delete-and-rederive retraction, labeled-null death, suppressed-firing
    re-fire, stratum-aware maintenance through negation and stratified
    aggregation, counting maintenance of monotonic aggregates, the
-   narrowed fallback gate, and the determinism matrix (jobs × planner ×
-   checkpoint/resume × maintained-vs-rechased). *)
+   narrowed fallback gate, one seeded engine pass per phase,
+   all-or-nothing batches, and the determinism matrix (jobs × planner
+   × checkpoint/resume × maintained-vs-rechased). *)
 
 open Kgm_common
 module V = Kgm_vadalog
@@ -400,6 +401,132 @@ let test_two_phase_skip () =
   check Alcotest.int "w(z) derived" 2 (V.Database.count (I.db st) "w");
   check Alcotest.int "one engine run" 1 (List.length !runs2)
 
+let test_start_modes_matrix () =
+  (* one phase whose strata run plain (linked) -> stratified negation
+     (lonely, re-derived wholesale) -> plain recursive (tour, reading
+     the negation's output): the seeded pass starts each stratum in its
+     own mode, and the recursive stratum above the wholesale one is
+     seeded with what the pass itself derived *)
+  let src =
+    {| node(a). node(b). node(c). node(d). node(e).
+       edge(a, b). edge(b, c).
+       next(c, d). next(d, e). next(e, a). next(a, b).
+       linked(X) :- edge(X, Y).
+       linked(Y) :- edge(X, Y).
+       lonely(X) :- node(X), not linked(X).
+       tour(X, Y) :- lonely(X), next(X, Y).
+       tour(X, Z) :- tour(X, Y), next(Y, Z). |}
+  in
+  let program = V.Parser.parse_program src in
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun planner ->
+          let options = opts ~jobs ~planner () in
+          let tag = Printf.sprintf "%s (jobs=%d planner=%b)" in
+          let st, _ = I.chase ~options program in
+          (* a retraction that makes c lonely, then an insert that
+             links d and e *)
+          List.iter
+            (fun (name, inserts, retracts) ->
+              let journal = Kgm_telemetry.Journal.create () in
+              let modes = ref [] in
+              Kgm_telemetry.Journal.tap journal (fun ev ->
+                  if ev.Kgm_telemetry.Journal.ev_type = "run.start" then
+                    modes :=
+                      Option.value ~default:"?"
+                        (Kgm_telemetry.Journal.str_field ev "mode")
+                      :: !modes);
+              let u = I.maintain ~journal st ~inserts ~retracts in
+              check Alcotest.bool (tag (name ^ ": no fallback") jobs planner)
+                false u.I.u_fallback;
+              check Alcotest.bool (tag (name ^ ": wholesale") jobs planner)
+                true (u.I.u_strata >= 1);
+              check
+                (Alcotest.list Alcotest.string)
+                (tag (name ^ ": one seeded pass") jobs planner)
+                [ "delta" ] !modes;
+              let db2 = rechased st program options in
+              check Alcotest.bool
+                (tag (name ^ ": maintained = rechased") jobs planner)
+                true
+                (I.equal_facts (I.db st) db2))
+            [ ("retract", [], pfacts "edge(b, c).");
+              ("insert", pfacts "edge(d, e).", []) ];
+          check Alcotest.int (tag "c alone is lonely: its tour" jobs planner) 4
+            (V.Database.count (I.db st) "tour"))
+        [ true; false ])
+    [ 1; 2 ]
+
+let show_facts facts =
+  List.map
+    (fun (p, f) ->
+      Printf.sprintf "%s(%s)" p
+        (String.concat ", " (Array.to_list (Array.map Value.to_string f))))
+    facts
+
+let test_failed_batch_is_atomic () =
+  (* a batch whose repair cannot finish must leave the EDB as it found
+     it, and the next batch must repair the half-maintained store with
+     a re-chase. Two ways to fail: an engine pass that raises after DRed
+     already deleted (every worker attempt faults, so the retries run
+     out), and a round budget under [`Partial], which every other
+     engine caller gets back as a normal, partial return *)
+  let undone name ~options src ~fail ~next ~after =
+    let program = V.Parser.parse_program src in
+    let st, stats = I.chase ~options program in
+    check Alcotest.bool (name ^ ": the chase completes") true
+      (stats.V.Engine.stopped = None);
+    let edb_before = show_facts (I.edb_facts st) in
+    let raised =
+      match fail st with
+      | _ -> false
+      | exception (Kgm_resilience.Fault _ | Kgm_error.Error _) -> true
+    in
+    check Alcotest.bool (name ^ ": the batch raised") true raised;
+    check
+      (Alcotest.list Alcotest.string)
+      (name ^ ": EDB as before the batch") edb_before
+      (show_facts (I.edb_facts st));
+    let u = I.maintain st ~inserts:next ~retracts:[] in
+    check Alcotest.bool (name ^ ": next batch re-chases") true u.I.u_fallback;
+    check Alcotest.bool (name ^ ": equal to re-chase") true
+      (I.equal_facts (I.db st) (rechased st program (opts ())));
+    let u2 = I.maintain st ~inserts:[] ~retracts:after in
+    check Alcotest.bool (name ^ ": repaired: incremental again") false
+      u2.I.u_fallback;
+    check Alcotest.bool (name ^ ": still equal to re-chase") true
+      (I.equal_facts (I.db st) (rechased st program (opts ())))
+  in
+  let reach =
+    {| reach(X, Y) :- edge(X, Y).
+       reach(X, Z) :- reach(X, Y), edge(Y, Z). |}
+  in
+  undone "worker fault" ~options:(opts ())
+    ("edge(a, b). edge(b, c). edge(c, d). edge(d, e). " ^ reach)
+    ~fail:(fun st ->
+      (* with_spec hands a KGM_FAULTS run of the suite its own
+         configuration and draw stream back afterwards *)
+      Kgm_resilience.Faults.with_spec "worker:1.0,seed=1" (fun () ->
+          ignore
+            (I.maintain st ~inserts:(pfacts "edge(e, f).")
+               ~retracts:(pfacts "edge(b, c)."))))
+    ~next:(pfacts "edge(e, a).")
+    ~after:(pfacts "edge(c, d).");
+  (* the initial chase and both repairs fit in 3 rounds; propagating
+     reach along the inserted chain takes 5 *)
+  undone "round budget under Partial"
+    ~options:
+      { (opts ()) with V.Engine.max_rounds = 3; on_limit = `Partial }
+    ("edge(a, b). " ^ reach)
+    ~fail:(fun st ->
+      ignore
+        (I.maintain st
+           ~inserts:(pfacts "edge(b, c). edge(c, d). edge(d, e). edge(e, f).")
+           ~retracts:[]))
+    ~next:(pfacts "edge(x, y).")
+    ~after:(pfacts "edge(a, b).")
+
 let test_lib_is_gettimeofday_free () =
   (* satellite guard: maintenance timing (and the rest of lib/) must use
      the monotonic Kgm_telemetry clock, never the wall clock *)
@@ -566,6 +693,10 @@ let suite =
       test_fallback_negative_weight;
     Alcotest.test_case "irrelevant phase is skipped" `Quick
       test_two_phase_skip;
+    Alcotest.test_case "start modes across one pass" `Quick
+      test_start_modes_matrix;
+    Alcotest.test_case "failed batch is undone" `Quick
+      test_failed_batch_is_atomic;
     Alcotest.test_case "lib/ is wall-clock free" `Quick
       test_lib_is_gettimeofday_free;
     Alcotest.test_case "jobs × planner matrix" `Quick test_mixed_batch_matrix;

@@ -3,7 +3,7 @@
    escapes), worker-local scratch ids, and the invariants downstream of
    the dictionary — CSV import and SQL export are unchanged by
    interning, and the v3 snapshot format round-trips an interned
-   database (with a v2 boxed-fact snapshot still readable). *)
+   database. *)
 
 open Kgm_common
 module V = Kgm_vadalog
@@ -219,72 +219,10 @@ let test_snapshot_v3_roundtrip () =
         [ 1; 2 ])
     snaps
 
-(* Structural mirror of the engine's v2 snapshot payload (facts as
-   boxed value arrays, no dictionary). Marshal is shape-based, so the
-   empty/None tails need no type agreement with the engine's internal
-   counter, aggregate and support types. *)
-type v2_payload = {
-  q_fingerprint : string;
-  q_stratum : int;
-  q_round0_done : bool;
-  q_rounds : int;
-  q_deltas : int list;
-  q_added : int;
-  q_nulls : int;
-  q_facts : (string * Value.t array list) list;
-  q_delta : (string * Value.t array list) list;
-  q_ctrs : int array;
-  q_agg : (int * int) list;
-  q_prov : int option;
-  q_sup : int option;
-}
-
-let test_snapshot_v2_compat () =
-  let src = "p(1, 2). p(2, 3). q(X, Z) :- p(X, Y), p(Y, Z)." in
-  let program = V.Parser.parse_program src in
-  let ref_db = V.Database.create () in
-  ignore (V.Engine.run ~options:(jobs 1) program ref_db);
-  (* hand-write a v2 snapshot as taken right after the facts were
-     loaded, before any round ran; the loader must re-intern its boxed
-     facts. The null floor just has to be a safe over-approximation. *)
-  let payload =
-    { q_fingerprint =
-        Digest.to_hex (Digest.string (V.Rule.program_to_string program));
-      q_stratum = 0;
-      q_round0_done = false;
-      q_rounds = 0;
-      q_deltas = [];
-      q_added = 0;
-      q_nulls = 1_000_000;
-      q_facts =
-        [ ("p",
-           [ [| Value.Int 1; Value.Int 2 |]; [| Value.Int 2; Value.Int 3 |] ])
-        ];
-      q_delta = [];
-      q_ctrs = [||];
-      q_agg = [];
-      q_prov = None;
-      q_sup = None }
-  in
-  let dir = fresh_dir "v2" in
-  let path = R.Snapshot.path ~dir ~kind:"chase-chase" ~seq:1 in
-  R.Snapshot.save ~kind:"chase-chase" ~version:2 ~path payload;
-  List.iter
-    (fun n ->
-      let db = V.Database.create () in
-      ignore (V.Engine.run ~options:(jobs n) ~resume_from:path program db);
-      check Alcotest.bool
-        (Printf.sprintf "v2 resume (jobs=%d) equals fresh" n)
-        true
-        (Test_parallel.canon ref_db = Test_parallel.canon db))
-    [ 1; 2 ]
-
 let suite =
   [ ("intern/resolve bijection on hostile values", `Quick, test_bijection);
     ("scratch ids are negative, stable, isolated", `Quick, test_scratch);
     ("csv import unchanged by interning", `Quick, test_csv_import_unchanged);
     ("sql export unchanged by interning", `Quick, test_sql_export_unchanged);
     ("v3 snapshot round-trips an interned db", `Quick,
-     test_snapshot_v3_roundtrip);
-    ("v2 boxed-fact snapshot still resumes", `Quick, test_snapshot_v2_compat)
-  ]
+     test_snapshot_v3_roundtrip) ]

@@ -2,8 +2,8 @@
    (JSONL journal), the Prometheus text exporter, and fact-level
    explanation over the derivation support — including the load-bearing
    property that explanation output is bit-identical across jobs values,
-   planner on/off and checkpoint/resume, and that version-2 snapshots
-   carry the support while version-1 snapshots are cleanly rejected. *)
+   planner on/off and checkpoint/resume, and that version-3 snapshots
+   carry the support while older versions are cleanly rejected. *)
 
 open Kgm_common
 module T = Kgm_telemetry
@@ -402,7 +402,7 @@ let test_explain_cycle_bounded () =
    | None -> Alcotest.fail "cyclic support must produce a Cycle node")
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot version: v2 carries support, v1 is rejected *)
+(* Snapshot version: v3 resumes with support, v1 and v2 are rejected *)
 
 let test_snapshot_v1_rejected () =
   let dir = fresh_dir "v1_reject" in
@@ -413,31 +413,37 @@ let test_snapshot_v1_rejected () =
     | Some p -> p
     | None -> Alcotest.fail "no snapshot written"
   in
-  (* rewrite the header's version line (line 3) from 2 to 1: the exact
-     file a pre-support build would have produced modulo payload *)
+  ignore (support_of (snd (run_control ~resume_from:path ())));
+  (* rewrite the header's version line (line 3) from 3 to 1 and to 2:
+     the exact files older builds would have produced modulo payload *)
   let ic = open_in_bin path in
   let n = in_channel_length ic in
   let content = really_input_string ic n in
   close_in ic;
-  let v1 =
-    match String.index_opt content '\n' with
-    | None -> Alcotest.fail "malformed snapshot"
-    | Some i1 ->
-        let i2 = String.index_from content (i1 + 1) '\n' in
-        let i3 = String.index_from content (i2 + 1) '\n' in
-        String.sub content 0 (i2 + 1)
-        ^ "1"
-        ^ String.sub content i3 (n - i3)
-  in
-  let v1_path = Filename.concat dir "chase-chase-999999.snap" in
-  let oc = open_out_bin v1_path in
-  output_string oc v1;
-  close_out oc;
-  match run_control ~resume_from:v1_path () with
-  | _ -> Alcotest.fail "v1 snapshot must be rejected"
-  | exception Kgm_error.Error err ->
-      check Alcotest.bool "storage-stage error" true
-        (err.Kgm_error.stage = Kgm_error.Storage)
+  List.iter
+    (fun v ->
+      let old =
+        match String.index_opt content '\n' with
+        | None -> Alcotest.fail "malformed snapshot"
+        | Some i1 ->
+            let i2 = String.index_from content (i1 + 1) '\n' in
+            let i3 = String.index_from content (i2 + 1) '\n' in
+            String.sub content 0 (i2 + 1) ^ v ^ String.sub content i3 (n - i3)
+      in
+      let old_path =
+        Filename.concat dir (Printf.sprintf "chase-chase-99999%s.snap" v)
+      in
+      let oc = open_out_bin old_path in
+      output_string oc old;
+      close_out oc;
+      match run_control ~resume_from:old_path () with
+      | _ -> Alcotest.failf "v%s snapshot must be rejected" v
+      | exception Kgm_error.Error err ->
+          check Alcotest.bool
+            (Printf.sprintf "v%s: storage-stage error" v)
+            true
+            (err.Kgm_error.stage = Kgm_error.Storage))
+    [ "1"; "2" ]
 
 let suite =
   [ Alcotest.test_case "journal: JSONL round-trip." `Quick
@@ -456,5 +462,5 @@ let suite =
       `Quick test_explain_determinism;
     Alcotest.test_case "explain: cyclic ownership stays bounded." `Quick
       test_explain_cycle_bounded;
-    Alcotest.test_case "snapshot: v1 rejected, v2 resumes with support."
+    Alcotest.test_case "snapshot: only v3 resumes."
       `Quick test_snapshot_v1_rejected ]

@@ -110,6 +110,24 @@ let test_faults_deterministic () =
   R.Faults.configure "x:0.5,seed=9";
   let c2 = draw_faults "x" 200 in
   check Alcotest.int "seeded replay" c1 c2;
+  (* with_spec: a nested configuration, then the outer one draws on
+     from where it stopped, also when the nested body raises *)
+  R.Faults.reset ();
+  R.Faults.configure "x:0.5,seed=9";
+  let first = draw_faults "x" 100 in
+  R.Faults.with_spec "y:1.0,seed=1" (fun () ->
+      check
+        Alcotest.(list (pair string (float 1e-9)))
+        "nested sites" [ ("y", 1.0) ] (R.Faults.sites ());
+      check Alcotest.int "outer site unarmed inside" 0 (draw_faults "x" 50));
+  (match R.Faults.with_spec "y:1.0" (fun () -> R.Faults.inject "y") with
+  | exception R.Fault _ -> ()
+  | () -> Alcotest.fail "expected the nested fault");
+  check
+    Alcotest.(list (pair string (float 1e-9)))
+    "outer sites back" [ ("x", 0.5) ] (R.Faults.sites ());
+  check Alcotest.int "outer draw stream resumes" c1
+    (first + draw_faults "x" 100);
   R.Faults.reset ();
   (match R.Faults.configure "not a spec" with
   | exception Kgm_error.Error e ->
