@@ -47,43 +47,42 @@ let () =
     (Kgmodel.Conformance.is_conformant schema data);
 
   (* 3. audit trail: explain one control relationship on the Example 4.2
-     relational encoding with provenance enabled *)
-  let prov = Kgm_vadalog.Engine.create_provenance () in
-  let db = Kgm_vadalog.Database.create () in
-  let module DG = Kgm_algo.Digraph in
-  for v = o.Kgm_finance.Generator.n_persons to DG.n o.Kgm_finance.Generator.graph - 1 do
-    ignore (Kgm_vadalog.Database.add db "company" [| Value.Int v |])
-  done;
-  for x = 0 to DG.n o.Kgm_finance.Generator.graph - 1 do
-    ignore
-      (Kgm_finance.Generator.fold_owned o x
-         (fun () y w ->
-           ignore
-             (Kgm_vadalog.Database.add db "own"
-                [| Value.Int x; Value.Int y; Value.Float w |]))
-         ())
-  done;
+     relational encoding, chased with its derivation support recorded *)
+  let db = Kgm_finance.Control.vadalog_db o in
   let program =
     Kgm_vadalog.Parser.parse_program Kgm_finance.Control.vadalog_program
   in
-  ignore (Kgm_vadalog.Engine.run ~provenance:prov program db);
+  let options =
+    { Kgm_vadalog.Engine.default_options with
+      Kgm_vadalog.Engine.provenance = true }
+  in
+  let stats = Kgm_vadalog.Engine.run ~options program db in
+  let sup = Option.get stats.Kgm_vadalog.Engine.support in
   let indirect =
-    List.find_opt
+    List.find_map
       (fun f ->
         match f with
         | [| Value.Int x; Value.Int y |] when x <> y -> (
-            match Kgm_vadalog.Engine.explain prov "controls" f with
-            | Some d -> List.exists (fun (p, _) -> p = "controls") d.Kgm_vadalog.Engine.parents
-            | None -> false)
-        | _ -> false)
+            let t =
+              Kgm_vadalog.Engine.explain_tree sup program "controls" f
+            in
+            match t.Kgm_vadalog.Engine.et_node with
+            | Kgm_vadalog.Engine.Derived d
+              when List.exists
+                     (fun p -> p.Kgm_vadalog.Engine.et_pred = "controls")
+                     d.Kgm_vadalog.Engine.ed_premises ->
+                Some t
+            | _ -> None)
+        | _ -> None)
       (Kgm_vadalog.Engine.query db "controls")
   in
   (match indirect with
-   | Some f ->
+   | Some t ->
        Format.printf "3. audit trail for controls(%s):@.%a@."
-         (String.concat ", " (Array.to_list (Array.map Value.to_string f)))
-         (Kgm_vadalog.Engine.pp_derivation_tree prov)
-         ("controls", f)
+         (String.concat ", "
+            (Array.to_list
+               (Array.map Value.to_string t.Kgm_vadalog.Engine.et_fact)))
+         Kgm_vadalog.Engine.pp_explain_tree t
    | None -> Format.printf "3. no indirect control in this network@.");
 
   (* 4. as-of analysis over the validity timeline *)

@@ -84,9 +84,9 @@ controls(X, X) :- company(X).
 controls(X, Y) :- controls(X, Z), own(Z, Y, W), V = sum(W, <Z>), V > 0.5.
 |}
 
-(** Run the Example 4.2 Vadalog program on the ownership network and
-    return the non-reflexive control pairs. *)
-let via_vadalog ?options (o : Generator.ownership) =
+(** The ownership network as the company/own facts of the Example 4.2
+    Vadalog program. *)
+let vadalog_db (o : Generator.ownership) =
   let module V = Kgm_vadalog in
   let db = V.Database.create () in
   let n = DG.n o.Generator.graph in
@@ -103,6 +103,13 @@ let via_vadalog ?options (o : Generator.ownership) =
                    Kgm_common.Value.Float w |]))
          ())
   done;
+  db
+
+(** Run the Example 4.2 Vadalog program on the ownership network and
+    return the non-reflexive control pairs. *)
+let via_vadalog ?options (o : Generator.ownership) =
+  let module V = Kgm_vadalog in
+  let db = vadalog_db o in
   let program = V.Parser.parse_program vadalog_program in
   ignore (V.Engine.run ?options program db);
   List.filter_map

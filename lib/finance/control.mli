@@ -31,6 +31,10 @@ val metalog_sigma : string
 val vadalog_program : string
 (** The Vadalog encoding of Example 4.2 over company/1 and own/3. *)
 
+val vadalog_db : Generator.ownership -> Kgm_vadalog.Database.t
+(** A fresh database holding the network as the company/1 and own/3
+    facts {!vadalog_program} reads. *)
+
 val via_vadalog :
   ?options:Kgm_vadalog.Engine.options -> Generator.ownership ->
   (int * int) list

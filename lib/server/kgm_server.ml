@@ -344,11 +344,24 @@ let read_request ~idle_s ~draining conn =
     match parse_head_lines (String.sub (Buffer.contents buf) 0 head_end) with
     | None -> `Err "empty request"
     | Some (first, headers) -> (
+        (* content-length is 1*DIGIT: not the signs, [0x]/[0o]/[0b]
+           prefixes and [_] separators [int_of_string] also reads, and
+           repeated headers must agree — otherwise this server would
+           frame a body no other HTTP peer would *)
+        let decimal v =
+          if v <> "" && String.for_all (fun c -> '0' <= c && c <= '9') v then
+            Option.value (int_of_string_opt v) ~default:(-1)
+          else -1
+        in
         let clen =
-          match List.assoc_opt "content-length" headers with
-          | Some v -> (
-              match int_of_string_opt v with Some n -> n | None -> -1)
-          | None -> 0
+          match
+            List.filter_map
+              (fun (k, v) ->
+                if k = "content-length" then Some (decimal v) else None)
+              headers
+          with
+          | [] -> 0
+          | n :: rest -> if List.for_all (( = ) n) rest then n else -1
         in
         if clen < 0 || clen > max_body then `Err "bad content-length"
         else

@@ -331,6 +331,15 @@ let indexed_patterns t pred =
       Hashtbl.fold (fun positions _ acc -> positions :: acc) s.indexes []
       |> List.sort compare
 
+(* [f] over one index group, as long as it is now; returns that length *)
+let iter_group s (ps : postings) f =
+  let n = ps.p_len in
+  for i = 0 to n - 1 do
+    let seq = ps.p_seq.(i) in
+    f seq s.arr.(seq)
+  done;
+  n
+
 (** [iter_matches_i t pred positions key f] calls [f seq ifact] for
     every fact whose ids at [positions] equal [key], in ascending
     insertion order ([seq] is the fact's per-predicate insertion
@@ -339,46 +348,37 @@ let indexed_patterns t pred =
     is built, when the store is unfrozen), but the whole predicate on
     the frozen missing-index path, where the probe degrades to a linear
     scan — the honest probe cost the engine's [rs_probes] counter
-    reports. *)
+    reports. The group is the one at call time: facts [f] inserts are
+    neither visited nor counted. *)
 let iter_matches_i t pred positions key f =
   match Hashtbl.find_opt t.preds pred with
   | None -> 0
   | Some s ->
+      let n = s.count in
       if positions = [] then begin
-        for i = 0 to s.count - 1 do
+        for i = 0 to n - 1 do
           f i s.arr.(i)
         done;
-        s.count
+        n
       end
       else begin
         match Hashtbl.find_opt s.indexes positions with
         | Some idx -> (
             match IKeyTbl.find_opt idx key with
-            | Some ps ->
-                for i = 0 to ps.p_len - 1 do
-                  let seq = ps.p_seq.(i) in
-                  f seq s.arr.(seq)
-                done;
-                ps.p_len
+            | Some ps -> iter_group s ps f
             | None -> 0)
         | None ->
             if t.frozen then begin
-              for i = 0 to s.count - 1 do
+              for i = 0 to n - 1 do
                 match index_key positions s.arr.(i) with
                 | Some k when IKey.equal k key -> f i s.arr.(i)
                 | _ -> ()
               done;
-              s.count
+              n
             end
             else begin
-              let idx = build_index s positions in
-              match IKeyTbl.find_opt idx key with
-              | Some ps ->
-                  for i = 0 to ps.p_len - 1 do
-                    let seq = ps.p_seq.(i) in
-                    f seq s.arr.(seq)
-                  done;
-                  ps.p_len
+              match IKeyTbl.find_opt (build_index s positions) key with
+              | Some ps -> iter_group s ps f
               | None -> 0
             end
       end

@@ -17,9 +17,6 @@ module J = Kgm_telemetry.Json
 type options = {
   semi_naive : bool;        (** ABL-2: false = naive re-evaluation *)
   restricted_chase : bool;  (** ABL-1: false = oblivious chase *)
-  isomorphic_nulls : bool;  (** match nulls up to renaming in the
-                                satisfaction check (Vadalog-style
-                                termination for warded programs) *)
   reorder_body : bool;      (** ABL-4: greedy join ordering of bodies *)
   provenance : bool;        (** retain the derivation support graph after
                                 the chase (in {!stats.support}) so facts
@@ -61,7 +58,6 @@ let default_jobs =
 let default_options =
   { semi_naive = true;
     restricted_chase = true;
-    isomorphic_nulls = true;
     reorder_body = false;
     provenance = false;
     planner = true;
@@ -110,14 +106,6 @@ type rule_stats = {
   rs_time_s : float;       (** monotonic time spent evaluating the rule *)
 }
 
-(* ------------------------------------------------------------------ *)
-(* Provenance: the first derivation recorded for each derived fact      *)
-
-type derivation = {
-  via_rule : string;                       (* pp of the firing rule *)
-  parents : (string * Value.t array) list; (* body facts that matched *)
-}
-
 (* keyed consistently with Value.equal/Value.hash, like the fact store *)
 module ProvTbl = Hashtbl.Make (struct
   type t = string * Value.t list
@@ -126,40 +114,16 @@ module ProvTbl = Hashtbl.Make (struct
   let hash (p, k) = Hashtbl.hash (p, List.map Value.hash k)
 end)
 
-type provenance = derivation ProvTbl.t
-
-let create_provenance () : provenance = ProvTbl.create 256
-
-let explain (prov : provenance) pred fact =
-  ProvTbl.find_opt prov (pred, Array.to_list fact)
-
-let rec pp_derivation_tree (prov : provenance) ppf (pred, fact) =
-  let pp_fact ppf (p, f) =
-    Format.fprintf ppf "%s(%s)" p
-      (String.concat ", " (Array.to_list (Array.map Value.to_string f)))
-  in
-  Format.fprintf ppf "@[<v 2>%a" pp_fact (pred, fact);
-  (match explain prov pred fact with
-   | Some d ->
-       Format.fprintf ppf "  <- %s" d.via_rule;
-       List.iter
-         (fun (p, f) ->
-           Format.fprintf ppf "@,%a" (pp_derivation_tree prov) (p, f))
-         d.parents
-   | None -> Format.fprintf ppf "  (ground)");
-  Format.fprintf ppf "@]"
-
 (* ------------------------------------------------------------------ *)
-(* Derivation support: the full multiset of derivations, for DRed.
-
-   Provenance above records the FIRST derivation of each fact — enough
-   to explain it, not enough to maintain it: delete-and-rederive needs
-   every derivation (a fact whose first derivation dies may survive
-   through an alternative one), the nulls each firing invented (a
-   null's creating derivation dying retracts the null and everything
-   carrying it), and the restricted-chase checks that SUPPRESSED an
-   invention (when the homomorphic image that satisfied the check dies,
-   the suppressed firing must be re-attempted — it may now invent).
+(* Derivation support: the full multiset of derivations — the one
+   record that both explains a fact ([explain_tree] renders its first
+   derivation) and maintains it. Delete-and-rederive needs every
+   derivation (a fact whose first derivation dies may survive through
+   an alternative one), the nulls each firing invented (a null's
+   creating derivation dying retracts the null and everything carrying
+   it), and the restricted-chase checks that SUPPRESSED an invention
+   (when the homomorphic image that satisfied the check dies, the
+   suppressed firing must be re-attempted — it may now invent).
    [Incremental] drives all of this; the structure is transparent in
    the interface because the maintenance layer walks and prunes it
    in place. *)
@@ -413,7 +377,6 @@ module IKeyTbl = Database.IKeyTbl
 type group_state = {
   seen : unit KeyTbl.t;  (* contributor/dedup keys *)
   mutable acc : Value.t option;
-  mutable n : int;
 }
 
 type agg_state = group_state KeyTbl.t
@@ -465,6 +428,28 @@ let agg_step op acc v =
   | Rule.Pack, None -> Value.List [ v ]
   | Rule.Pack, Some (Value.List l) -> Value.List (l @ [ v ])
   | Rule.Pack, Some a -> Value.List [ a; v ]
+
+(* One contribution to a grouped aggregate: find or create group [gkey]
+   of [state], then fold the contribution keyed [ckey] into it unless
+   that key was folded before. [weight] is evaluated only for an unseen
+   key; the result is the group and the folded weight, [None] for a
+   seen key. *)
+let agg_contribute op (state : agg_state) gkey ckey weight =
+  let g =
+    match KeyTbl.find_opt state gkey with
+    | Some g -> g
+    | None ->
+        let g = { seen = KeyTbl.create 8; acc = None } in
+        KeyTbl.add state gkey g;
+        g
+  in
+  if KeyTbl.mem g.seen ckey then None
+  else begin
+    KeyTbl.add g.seen ckey ();
+    let w = weight () in
+    g.acc <- Some (agg_step op g.acc w);
+    Some (g, w)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Prepared rules.
@@ -528,7 +513,12 @@ type prepared = {
      bound by an earlier literal. Built eagerly by the parallel path
      before freezing the database. A pattern the prediction misses only
      costs a linear scan on the frozen store, never a crash. *)
-  cbody : clit list;   (* body compiled against the dictionary *)
+  cbody : clit array;  (* body compiled against the dictionary *)
+  pos_ord : int array;
+  (* written Pos ordinal of each body literal (-1 for the others): the
+     slot its matched fact's insertion sequence takes in the merge sort
+     key *)
+  n_pos : int;         (* positive body literals: the sort key's length *)
   cheads : catom list; (* head atoms, likewise *)
 }
 
@@ -590,15 +580,21 @@ let prepare ?rid dict rule_id (r : Rule.rule) =
     in
     find 0 r.Rule.body
   in
+  (* the prefix of a stratified aggregate is enumerated before any
+     group exists: no aggregate may precede it, and no second
+     stratified one may follow *)
   (match strat_agg_index with
    | Some i ->
-       let extra =
-         List.exists
-           (function Rule.Agg g -> g.Rule.mode = Rule.Stratified | _ -> false)
-           (List.filteri (fun j _ -> j > i) r.Rule.body)
-       in
-       if extra then
-         Kgm_error.validate_error "at most one stratified aggregate per rule"
+       List.iteri
+         (fun j lit ->
+           match lit with
+           | Rule.Agg g when j < i || (j > i && g.Rule.mode = Rule.Stratified)
+             ->
+               Kgm_error.validate_error
+                 "a stratified aggregate must be the first aggregate of its \
+                  rule and the only stratified one"
+           | _ -> ())
+         r.Rule.body
    | None -> ());
   let existentials = Rule.existential_vars r in
   let has_agg =
@@ -636,6 +632,17 @@ let prepare ?rid dict rule_id (r : Rule.rule) =
         here)
       r.Rule.body
   in
+  let n_pos = ref 0 in
+  let pos_ord =
+    Array.of_list
+      (List.map
+         (function
+           | Rule.Pos _ ->
+               incr n_pos;
+               !n_pos - 1
+           | _ -> -1)
+         r.Rule.body)
+  in
   { rule = r;
     rule_id;
     rid = (match rid with Some id -> id | None -> rule_id);
@@ -651,7 +658,9 @@ let prepare ?rid dict rule_id (r : Rule.rule) =
     has_agg;
     needed_vars;
     index_patterns;
-    cbody = List.map (compile_lit dict) r.Rule.body;
+    cbody = Array.of_list (List.map (compile_lit dict) r.Rule.body);
+    pos_ord;
+    n_pos = !n_pos;
     cheads = List.map (compile_atom dict) r.Rule.head }
 
 (* ------------------------------------------------------------------ *)
@@ -676,7 +685,6 @@ type run_state = {
   opts : options;
   mutable added : int;
   agg_states : (int, agg_state) Hashtbl.t; (* rid -> state *)
-  prov : provenance option;
   sup : support option;  (* full derivation support (DRed maintenance) *)
   on_agg : (agg_event -> unit) option;
   (* group keys of the aggregate literals on the current evaluation
@@ -684,16 +692,17 @@ type run_state = {
      group that produced them. Aggregate rules only run sequentially
      (has_agg), so a plain mutable field is safe. *)
   mutable agg_notes : (int * Value.t list) list;
-  (* facts matched so far on the current evaluation path. The scan path
-     pushes/pops once per matched candidate at EVERY join level — tens
-     of millions of times per round on probe-heavy joins — so it uses a
+  (* facts matched so far on the current evaluation path. While support
+     is recorded, the walker pushes/pops once per matched candidate at
+     EVERY join level, on workers as on the sequential path — tens of
+     millions of times per round on probe-heavy joins — so it uses a
      manually-grown stack instead of list cells: a cons here would churn
      the minor heap enough to show up as whole-run overhead. *)
   mutable trail_preds : string array;
   mutable trail_facts : Database.ifact array;
   mutable trail_len : int;
-  (* worker-merge path only: parents restored wholesale from a
-     collected candidate (the stack is empty there) *)
+  (* merge sweep only: the parents a worker collected with a candidate
+     (the stack is empty there) *)
   mutable fact_trail : (string * Database.ifact) list;
   (* worker-local ids for values first computed on this domain while
      the dictionary is frozen (Assign results, mostly); re-interned
@@ -829,58 +838,6 @@ let dg_lookup dg ~arity positions key =
   in
   match IKeyTbl.find_opt tbl key with Some r -> !r | None -> []
 
-(* Enumerate facts matching atom under env; call k for each extension.
-   All comparisons are id equality. Candidate lists are materialized
-   before iterating (the continuation may add facts to the live store
-   mid-iteration; a snapshot keeps the enumeration stable, exactly as
-   the pre-interning code did). *)
-let match_atom st env (a : catom) ~facts_override k =
-  let args = a.ca_args in
-  let n = Array.length args in
-  (* bound positions and their key ids *)
-  let positions = ref [] and key = ref [] in
-  for i = n - 1 downto 0 do
-    match cterm_id env args.(i) with
-    | Some id ->
-        positions := i :: !positions;
-        key := id :: !key
-    | None -> ()
-  done;
-  let each (fact : Database.ifact) =
-    if Array.length fact = n then begin
-      let mark = env_mark env in
-      let ok = ref true in
-      (try
-         for i = 0 to n - 1 do
-           match args.(i) with
-           | CConst id -> if id <> fact.(i) then raise Exit
-           | CVar x ->
-               (match env_lookup env x with
-                | Some id -> if id <> fact.(i) then raise Exit
-                | None -> env_bind env x fact.(i))
-         done
-       with Exit -> ok := false);
-      if !ok then begin
-        if Option.is_some st.prov || Option.is_some st.sup then begin
-          trail_push st a.ca_pred fact;
-          k ();
-          st.trail_len <- st.trail_len - 1
-        end
-        else k ()
-      end;
-      env_undo env mark
-    end
-  in
-  match facts_override with
-  | Some dg ->
-      let group = dg_lookup dg ~arity:n !positions !key in
-      st.cur.c_probes <- st.cur.c_probes + List.length group;
-      List.iter (fun (_, fact) -> each fact) group
-  | None ->
-      let candidates = Database.lookup_i st.db a.ca_pred !positions !key in
-      st.cur.c_probes <- st.cur.c_probes + List.length candidates;
-      List.iter each candidates
-
 let ground_atom env (a : catom) : Database.ifact =
   Array.map
     (fun t ->
@@ -892,13 +849,13 @@ let ground_atom env (a : catom) : Database.ifact =
 (* Does the head have a homomorphic image in the database under env?
    Backtracking over head atoms; existential vars accumulate bindings.
 
-   With [isomorphic_nulls] (the default, mirroring the Vadalog System's
-   termination strategy for warded programs), labeled nulls bound in the
-   body are matched {e up to consistent renaming onto other nulls}: the
-   head is considered satisfied when an image exists in which each body
-   null maps to some null, the same one at every occurrence. This is
-   what makes chases like [mgr(X,M) :- emp(X). emp(M) :- mgr(X,M).]
-   terminate while preserving certain answers over null-free facts. *)
+   Mirroring the Vadalog System's termination strategy for warded
+   programs, labeled nulls bound in the body are matched {e up to
+   consistent renaming}: the head is considered satisfied when an image
+   exists in which each body null maps to some term, the same one at
+   every occurrence. This is what makes chases like
+   [mgr(X,M) :- emp(X). emp(M) :- mgr(X,M).] terminate while preserving
+   certain answers over null-free facts. *)
 (* Returns [Some image] — the database facts forming the satisfying
    homomorphic image, one per head atom — or [None] when no image
    exists. The maintenance layer records the image with the suppressed
@@ -907,7 +864,6 @@ let ground_atom env (a : catom) : Database.ifact =
 let head_satisfied st env (prep : prepared) =
   let ex_env : (string, int) Hashtbl.t = Hashtbl.create 4 in
   let null_map : (int, int) Hashtbl.t = Hashtbl.create 4 in
-  let iso = st.opts.isomorphic_nulls in
   let rec go = function
     | [] -> Some []
     | (a : catom) :: rest ->
@@ -920,10 +876,10 @@ let head_satisfied st env (prep : prepared) =
            existential without an image yet. *)
         let requirement t =
           match t with
-          | CConst id -> if iso && id_is_null st id then `Flex id else `Rigid id
+          | CConst id -> if id_is_null st id then `Flex id else `Rigid id
           | CVar x ->
               (match env_lookup env x with
-               | Some id -> if iso && id_is_null st id then `Flex id else `Rigid id
+               | Some id -> if id_is_null st id then `Flex id else `Rigid id
                | None ->
                    (match Hashtbl.find_opt ex_env x with
                     | Some id -> `Rigid id
@@ -992,16 +948,6 @@ let fire st env (prep : prepared) ~on_new =
       raise (Stop_chase (`Facts, false))
     end
   in
-  let record pred (fact : Database.fact) =
-    match st.prov with
-    | Some prov ->
-        let key = (pred, Array.to_list fact) in
-        if not (ProvTbl.mem prov key) then
-          ProvTbl.add prov key
-            { via_rule = Format.asprintf "%a" Rule.pp_rule prep.rule;
-              parents = List.rev (resolve_parents st (trail_parents st)) }
-    | None -> ()
-  in
   (* support records EVERY derivation — including re-derivations of a
      fact already present: DRed needs the alternatives a fact may
      survive a retraction through *)
@@ -1030,11 +976,8 @@ let fire st env (prep : prepared) ~on_new =
       budget_check ();
       (* maintenance layers stay value-based: resolve once, at the
          recording boundary, off the hot dedup path *)
-      if Option.is_some st.prov || Option.is_some st.sup
-         || Option.is_some st.on_agg
-      then begin
+      if Option.is_some st.sup || Option.is_some st.on_agg then begin
         let fact = resolve_ifact st ifact in
-        record a.ca_pred fact;
         (match st.sup with
          | Some sup -> support_index_fact sup a.ca_pred fact
          | None -> ());
@@ -1083,112 +1026,168 @@ let fire st env (prep : prepared) ~on_new =
     end
   end
 
-(* Evaluate literals from position [i]; [delta] optionally designates a
-   literal index whose atom must range over the given fact list.
-   [emit] is called (under the complete bindings) once per satisfied
-   body: the sequential path fires the head on the spot, the worker
-   path records a candidate for the merge phase. *)
-let rec eval_literals st env (prep : prepared) body i ~delta ~emit =
-  match body with
-  | [] -> emit ()
-  | lit :: rest -> (
-      let continue () = eval_literals st env prep rest (i + 1) ~delta ~emit in
-      match lit with
-      | CPos a ->
-          let facts_override =
-            match delta with
-            | Some (j, fl) when j = i -> Some fl
-            | _ -> None
-          in
-          match_atom st env a ~facts_override (fun () -> continue ())
-      | CNeg a ->
-          let fact = ground_atom env a in
-          (* a fact holding a worker-local scratch id cannot be stored:
-             [mem_i] is false, i.e. the negated atom correctly fails to
-             block *)
-          if not (Database.mem_i st.db a.ca_pred fact) then continue ()
-      | CCond e -> if Expr.truthy_fn (env_value st env) e then continue ()
-      | CAssign (x, e) ->
-          let v = Expr.eval_fn (env_value st env) e in
-          let id = value_id st v in
-          (match env_lookup env x with
-           | Some id' -> if id = id' then continue ()
-           | None ->
-               let mark = env_mark env in
-               env_bind env x id;
-               continue ();
-               env_undo env mark)
-      | CAgg g when g.Rule.mode = Rule.Monotonic ->
-          (* aggregate state is checkpointed, so its keys stay
-             value-level; aggregates only run on the sequential path *)
-          let gv = List.assoc i prep.group_vars in
-          let group_key =
-            List.map
-              (fun v ->
-                match env_value st env v with
-                | Some value -> value
-                | None -> Kgm_error.reason_error "unbound group variable %s" v)
-              gv
-          in
-          let contrib_key =
-            List.map
-              (fun v ->
-                match env_value st env v with
-                | Some value -> value
-                | None -> Kgm_error.reason_error "unbound contributor %s" v)
-              g.Rule.contributors
-          in
-          let state =
-            match Hashtbl.find_opt st.agg_states prep.rid with
-            | Some s -> s
-            | None ->
-                let s = KeyTbl.create 64 in
-                Hashtbl.add st.agg_states prep.rid s;
-                s
-          in
-          let group =
-            match KeyTbl.find_opt state group_key with
-            | Some gstate -> gstate
-            | None ->
-                let gstate = { seen = KeyTbl.create 16; acc = None; n = 0 } in
-                KeyTbl.add state group_key gstate;
-                gstate
-          in
-          if not (KeyTbl.mem group.seen contrib_key) then begin
-            KeyTbl.add group.seen contrib_key ();
-            let w = Expr.eval_fn (env_value st env) g.Rule.weight in
-            group.acc <- Some (agg_step g.Rule.op group.acc w);
-            group.n <- group.n + 1;
-            (match st.on_agg with
-             | Some f ->
-                 f (Agg_contrib
-                      { ac_rule = prep.rid; ac_group = group_key;
-                        ac_key = contrib_key; ac_weight = w;
-                        ac_parents = resolve_parents st (trail_parents st) })
-             | None -> ());
-            let mark = env_mark env in
-            env_bind env g.Rule.result (value_id st (Option.get group.acc));
-            (match st.on_agg with
-             | Some _ ->
-                 st.agg_notes <- (prep.rid, group_key) :: st.agg_notes;
-                 Fun.protect
-                   ~finally:(fun () -> st.agg_notes <- List.tl st.agg_notes)
-                   continue
-             | None -> continue ());
-            env_undo env mark
-          end
-      | CAgg _ ->
-          Kgm_error.reason_error
-            "stratified aggregate not handled inline (engine bug)")
+(* Bind the variables of [args] from position [i] on to [fact] under
+   [env], checking constants and already-bound variables; bindings made
+   before a mismatch are left for the caller's [env_undo]. Called once
+   per examined fact, so it allocates no closure. *)
+let rec unify env args (fact : Database.ifact) i =
+  i >= Array.length args
+  || (match args.(i) with
+      | CConst id -> id = fact.(i)
+      | CVar x -> (
+          match env_lookup env x with
+          | Some id -> id = fact.(i)
+          | None ->
+              env_bind env x fact.(i);
+              true))
+     && unify env args fact (i + 1)
 
-(* Stratified-aggregate rule: enumerate prefix, group, then run suffix
-   per group with only the group variables (plus result) in scope. *)
-let eval_stratified st (prep : prepared) agg_i ~on_new =
+(* A monotonic aggregate literal (body index [j]): fold this match's
+   contribution into its group and, when the contribution is new,
+   continue under the running total. Aggregate state is checkpointed,
+   so its keys stay value-level; aggregate rules only run on the
+   sequential path. *)
+let monotonic st env (prep : prepared) j (g : Rule.aggregate) continue =
+  let values what vars =
+    List.map
+      (fun v ->
+        match env_value st env v with
+        | Some value -> value
+        | None -> Kgm_error.reason_error "unbound %s %s" what v)
+      vars
+  in
+  let group_key = values "group variable" (List.assoc j prep.group_vars) in
+  let contrib_key = values "contributor" g.Rule.contributors in
+  let state =
+    match Hashtbl.find_opt st.agg_states prep.rid with
+    | Some s -> s
+    | None ->
+        let s = KeyTbl.create 64 in
+        Hashtbl.add st.agg_states prep.rid s;
+        s
+  in
+  match
+    agg_contribute g.Rule.op state group_key contrib_key (fun () ->
+        Expr.eval_fn (env_value st env) g.Rule.weight)
+  with
+  | None -> ()
+  | Some (group, w) ->
+      (match st.on_agg with
+       | Some f ->
+           f (Agg_contrib
+                { ac_rule = prep.rid; ac_group = group_key;
+                  ac_key = contrib_key; ac_weight = w;
+                  ac_parents = resolve_parents st (trail_parents st) })
+       | None -> ());
+      let mark = env_mark env in
+      env_bind env g.Rule.result (value_id st (Option.get group.acc));
+      (match st.on_agg with
+       | Some _ ->
+           st.agg_notes <- (prep.rid, group_key) :: st.agg_notes;
+           Fun.protect
+             ~finally:(fun () -> st.agg_notes <- List.tl st.agg_notes)
+             continue
+       | None -> continue ());
+      env_undo env mark
+
+(* The body walker: the one evaluator of rule bodies. It walks [order]
+   — body literal indices: the written order for round 0, aggregate
+   rules and naive rounds, a plan for pool work items, a stratified
+   aggregate's prefix and then its suffix — under [env], calling [emit]
+   once per satisfied body. Positive literals probe the store through
+   [Database.iter_matches_i], except [delta = Some (j, dg)], whose
+   literal [j] ranges over the round's delta [dg]. Each match writes
+   the matched fact's insertion sequence (its delta index, for the
+   delta literal) into [keyv] at the literal's written Pos ordinal — the
+   worker path's merge sort key — and, while support is recorded,
+   pushes the fact onto [st]'s trail, from which [fire] or the worker's
+   candidate takes the derivation's parents.
+
+   On the live store a firing may append to a predicate that an outer
+   literal is still enumerating: [iter_matches_i] visits the group as
+   of the probe, so later facts wait for the next round's delta, as
+   they would from a snapshot. *)
+let walk st env (prep : prepared) ~order ~delta ~keyv ~emit =
   let body = prep.cbody in
-  let prefix = List.filteri (fun j _ -> j < agg_i) body in
-  let suffix = List.filteri (fun j _ -> j > agg_i) body in
+  let record = Option.is_some st.sup in
+  let rec go = function
+    | [] -> emit ()
+    | j :: rest -> (
+        let continue () = go rest in
+        match body.(j) with
+        | CPos a ->
+            let args = a.ca_args in
+            let n = Array.length args in
+            (* bound positions and their key ids *)
+            let positions = ref [] and key = ref [] in
+            for i = n - 1 downto 0 do
+              match cterm_id env args.(i) with
+              | Some id ->
+                  positions := i :: !positions;
+                  key := id :: !key
+              | None -> ()
+            done;
+            let ord = prep.pos_ord.(j) in
+            let try_fact seq (fact : Database.ifact) =
+              if Array.length fact = n then begin
+                let mark = env_mark env in
+                if unify env args fact 0 then begin
+                  keyv.(ord) <- seq;
+                  if record then begin
+                    trail_push st a.ca_pred fact;
+                    continue ();
+                    st.trail_len <- st.trail_len - 1
+                  end
+                  else continue ()
+                end;
+                env_undo env mark
+              end
+            in
+            let examined =
+              match delta with
+              | Some (dj, dg) when dj = j ->
+                  let group = dg_lookup dg ~arity:n !positions !key in
+                  List.iter (fun (i, f) -> try_fact i f) group;
+                  List.length group
+              | _ ->
+                  Database.iter_matches_i st.db a.ca_pred !positions !key
+                    try_fact
+            in
+            st.cur.c_probes <- st.cur.c_probes + examined
+        | CNeg a ->
+            let fact = ground_atom env a in
+            (* a fact holding a worker-local scratch id cannot be
+               stored: [mem_i] is false, i.e. the negated atom correctly
+               fails to block *)
+            if not (Database.mem_i st.db a.ca_pred fact) then continue ()
+        | CCond e -> if Expr.truthy_fn (env_value st env) e then continue ()
+        | CAssign (x, e) ->
+            let v = Expr.eval_fn (env_value st env) e in
+            let id = value_id st v in
+            (match env_lookup env x with
+             | Some id' -> if id = id' then continue ()
+             | None ->
+                 let mark = env_mark env in
+                 env_bind env x id;
+                 continue ();
+                 env_undo env mark)
+        | CAgg g when g.Rule.mode = Rule.Monotonic ->
+            monotonic st env prep j g continue
+        | CAgg _ ->
+            Kgm_error.reason_error
+              "stratified aggregate not handled inline (engine bug)")
+  in
+  go order
+
+(* a fresh merge sort key for one evaluation of [prep] *)
+let sort_key (prep : prepared) = Array.make (max 1 prep.n_pos) 0
+
+(* Stratified-aggregate rule: walk the prefix and fold every match into
+   its group, then walk the suffix per group with only the group
+   variables (plus the result) in scope. *)
+let eval_stratified st (prep : prepared) agg_i ~on_new =
   let g =
-    match List.nth body agg_i with
+    match prep.cbody.(agg_i) with
     | CAgg g -> g
     | _ -> assert false
   in
@@ -1204,32 +1203,11 @@ let eval_stratified st (prep : prepared) agg_i ~on_new =
       (Rule.body_vars
          (List.filteri (fun j _ -> j < agg_i) prep.rule.Rule.body))
   in
+  let keyv = sort_key prep in
   let groups : agg_state = KeyTbl.create 64 in
-  let rec enumerate env lits i k =
-    match lits with
-    | [] -> k ()
-    | lit :: rest -> (
-        let continue () = enumerate env rest (i + 1) k in
-        match lit with
-        | CPos a -> match_atom st env a ~facts_override:None (fun () -> continue ())
-        | CNeg a ->
-            let fact = ground_atom env a in
-            if not (Database.mem_i st.db a.ca_pred fact) then continue ()
-        | CCond e -> if Expr.truthy_fn (env_value st env) e then continue ()
-        | CAssign (x, e) ->
-            let v = Expr.eval_fn (env_value st env) e in
-            let id = value_id st v in
-            (match env_lookup env x with
-             | Some id' -> if id = id' then continue ()
-             | None ->
-                 let mark = env_mark env in
-                 env_bind env x id;
-                 continue ();
-                 env_undo env mark)
-        | CAgg _ -> Kgm_error.reason_error "nested aggregate")
-  in
   let env = env_create () in
-  enumerate env prefix 0 (fun () ->
+  walk st env prep ~order:(List.init agg_i Fun.id) ~delta:None ~keyv
+    ~emit:(fun () ->
       let group_key =
         List.map (fun v -> Option.get (env_value st env v)) gv
       in
@@ -1242,20 +1220,13 @@ let eval_stratified st (prep : prepared) agg_i ~on_new =
             (fun v -> Option.value ~default:(Value.Null 0) (env_value st env v))
             prefix_vars
       in
-      let group =
-        match KeyTbl.find_opt groups group_key with
-        | Some gr -> gr
-        | None ->
-            let gr = { seen = KeyTbl.create 16; acc = None; n = 0 } in
-            KeyTbl.add groups group_key gr;
-            gr
-      in
-      if not (KeyTbl.mem group.seen dedup_key) then begin
-        KeyTbl.add group.seen dedup_key ();
-        let w = Expr.eval_fn (env_value st env) g.Rule.weight in
-        group.acc <- Some (agg_step g.Rule.op group.acc w)
-      end);
+      ignore
+        (agg_contribute g.Rule.op groups group_key dedup_key (fun () ->
+             Expr.eval_fn (env_value st env) g.Rule.weight)));
   (* per group: bind group vars + result, then run the suffix and head *)
+  let suffix =
+    List.init (Array.length prep.cbody - agg_i - 1) (fun k -> agg_i + 1 + k)
+  in
   KeyTbl.iter
     (fun group_key group ->
       match group.acc with
@@ -1265,7 +1236,7 @@ let eval_stratified st (prep : prepared) agg_i ~on_new =
           List.iter2 (fun v value -> env_bind env v (value_id st value)) gv
             group_key;
           env_bind env g.Rule.result (value_id st acc);
-          eval_literals st env prep suffix (agg_i + 1) ~delta:None
+          walk st env prep ~order:suffix ~delta:None ~keyv
             ~emit:(fun () -> fire st env prep ~on_new))
     groups
 
@@ -1308,7 +1279,9 @@ let eval_rule st (prep : prepared) ~delta ~on_new =
           if delta = None then eval_stratified st prep agg_i ~on_new
       | None ->
           let env = env_create () in
-          eval_literals st env prep prep.cbody 0 ~delta
+          walk st env prep
+            ~order:(List.init (Array.length prep.cbody) Fun.id)
+            ~delta ~keyv:(sort_key prep)
             ~emit:(fun () -> fire st env prep ~on_new))
 
 (* ------------------------------------------------------------------ *)
@@ -1319,7 +1292,7 @@ let eval_rule st (prep : prepared) ~delta ~on_new =
    {e frozen as of the round start} and only record candidate head
    bindings; a sequential merge phase re-fires each candidate against
    the live store: dedup, the restricted-chase homomorphism check,
-   labeled-null invention, provenance and delta recording all happen
+   labeled-null invention, support and delta recording all happen
    there.
 
    Merge order: each candidate carries the vector of fact insertion
@@ -1387,99 +1360,16 @@ type work_result = {
    subset of work items the workers had managed to evaluate. *)
 exception Round_aborted
 
-(* Body evaluation in plan order against the frozen store. Mirrors
-   [eval_literals]/[match_atom] exactly on what matches and what counts
-   as a probe; additionally records, per positive literal, the insertion
-   sequence of the matched fact into [keyv] (at the literal's written
-   Pos ordinal) and — when provenance is on — the matched fact into
-   [slots], from which the emit callback assembles the candidate. *)
-let eval_planned st env (prep : prepared) ~order ~delta_lit ~dg ~keyv ~pos_ord
-    ~slots ~emit =
-  let body = Array.of_list prep.cbody in
-  let rec go = function
-    | [] -> emit ()
-    | j :: rest -> (
-        let continue () = go rest in
-        match body.(j) with
-        | CPos a ->
-            let args = a.ca_args in
-            let n = Array.length args in
-            let positions = ref [] and key = ref [] in
-            for i = n - 1 downto 0 do
-              match cterm_id env args.(i) with
-              | Some id ->
-                  positions := i :: !positions;
-                  key := id :: !key
-              | None -> ()
-            done;
-            let ord = pos_ord.(j) in
-            let try_fact seq (fact : Database.ifact) =
-              if Array.length fact = n then begin
-                let mark = env_mark env in
-                let ok = ref true in
-                (try
-                   for i = 0 to n - 1 do
-                     match args.(i) with
-                     | CConst id -> if id <> fact.(i) then raise Exit
-                     | CVar x ->
-                         (match env_lookup env x with
-                          | Some id -> if id <> fact.(i) then raise Exit
-                          | None -> env_bind env x fact.(i))
-                   done
-                 with Exit -> ok := false);
-                if !ok then begin
-                  keyv.(ord) <- seq;
-                  (match slots with
-                   | Some sl -> sl.(ord) <- (a.ca_pred, fact)
-                   | None -> ());
-                  go rest
-                end;
-                env_undo env mark
-              end
-            in
-            if j = delta_lit then begin
-              let group = dg_lookup dg ~arity:n !positions !key in
-              st.cur.c_probes <- st.cur.c_probes + List.length group;
-              List.iter (fun (i, f) -> try_fact i f) group
-            end
-            else
-              let examined =
-                Database.iter_matches_i st.db a.ca_pred !positions !key
-                  try_fact
-              in
-              st.cur.c_probes <- st.cur.c_probes + examined
-        | CNeg a ->
-            (* a ground id from the worker's scratch table cannot name a
-               stored value, so [mem_i] correctly reports absence *)
-            let fact = ground_atom env a in
-            if not (Database.mem_i st.db a.ca_pred fact) then continue ()
-        | CCond e -> if Expr.truthy_fn (env_value st env) e then continue ()
-        | CAssign (x, e) ->
-            let v = Expr.eval_fn (env_value st env) e in
-            let id = value_id st v in
-            (match env_lookup env x with
-             | Some id' -> if id = id' then continue ()
-             | None ->
-                 let mark = env_mark env in
-                 env_bind env x id;
-                 continue ();
-                 env_undo env mark)
-        | CAgg _ ->
-            Kgm_error.reason_error "aggregate rule on the worker pool (engine bug)")
-  in
-  go order
-
 (* Runs on a worker domain: read-only on the frozen database, all
-   mutable state (env, counters, trail, delta index) is local to the
-   item. *)
+   mutable state (env, counters, trail, sort key, delta index) is local
+   to the item. *)
 let eval_work_item (main : run_state) (w : work_item) : work_result =
   let t0 = Kgm_telemetry.Clock.now () in
   let ctr = fresh_ctr () in
   let st =
     { db = main.db; opts = main.opts; added = 0;
       agg_states = Hashtbl.create 1;
-      prov = main.prov;  (* only consulted as a capture-the-trail flag *)
-      sup = main.sup;    (* likewise *)
+      sup = main.sup;  (* only consulted as a capture-the-trail flag *)
       on_agg = None; agg_notes = [];  (* aggregates never run on workers *)
       trail_preds = [||]; trail_facts = [||]; trail_len = 0;
       fact_trail = [];
@@ -1489,30 +1379,11 @@ let eval_work_item (main : run_state) (w : work_item) : work_result =
       ctrs = [||]; cur = ctr; round = main.round; trip_rule = None }
   in
   let prep = w.w_prep in
-  (* written Pos ordinal of each body literal: the slot its matched
-     fact's insertion sequence occupies in the sort-key vector *)
-  let body = prep.cbody in
-  let pos_ord = Array.make (List.length body) (-1) in
-  let n_pos = ref 0 in
-  List.iteri
-    (fun i lit ->
-      match lit with
-      | CPos _ ->
-          pos_ord.(i) <- !n_pos;
-          incr n_pos
-      | _ -> ())
-    body;
-  let keyv = Array.make (max 1 !n_pos) 0 in
-  let slots =
-    if Option.is_some main.prov || Option.is_some main.sup then
-      Some (Array.make (max 1 !n_pos) ("", [||]))
-    else None
-  in
+  let keyv = sort_key prep in
   let dg = delta_group ~offset:w.w_offset w.w_facts in
   let buf = ref [] in
   let env = env_create () in
-  eval_planned st env prep ~order:w.w_order ~delta_lit:w.w_lit ~dg ~keyv
-    ~pos_ord ~slots
+  walk st env prep ~order:w.w_order ~delta:(Some (w.w_lit, dg)) ~keyv
     ~emit:(fun () ->
       let vals =
         Array.map
@@ -1530,20 +1401,15 @@ let eval_work_item (main : run_state) (w : work_item) : work_result =
           if id < 0 && not (List.mem_assoc id !spill) then
             spill := (id, Intern.Scratch.resolve st.sc id) :: !spill)
         vals;
-      let parents =
-        match slots with
-        | Some sl -> Array.fold_left (fun acc s -> s :: acc) [] sl
-        | None -> []
-      in
       buf :=
-        { cd_vals = vals; cd_key = Array.copy keyv; cd_parents = parents;
-          cd_spill = List.rev !spill }
+        { cd_vals = vals; cd_key = Array.copy keyv;
+          cd_parents = trail_parents st; cd_spill = List.rev !spill }
         :: !buf);
   { wr_cands = List.rev !buf; wr_probes = ctr.c_probes;
     wr_time = Kgm_telemetry.Clock.now () -. t0 }
 
 (* Merge phase: rebind a candidate's head variables and fire as usual
-   (chase check, null invention, provenance) against the live store. *)
+   (chase check, null invention, support) against the live store. *)
 let fire_candidate st env (prep : prepared) cand ~on_new =
   let mark = env_mark env in
   (* sequential: re-intern the worker's scratch values (in the
@@ -1778,7 +1644,7 @@ let eval_delta_round st pool (rules : prepared list) ~use_planner ~cancel
    engine serializes its complete semi-naive state to a versioned
    snapshot: the fact store in per-predicate insertion order, the
    current delta, the global null counter, per-rule counters, aggregate
-   states, provenance, and the (stratum, round) position. Resuming
+   states, derivation support, and the (stratum, round) position. Resuming
    restores all of it and re-enters the strata loop at the saved
    position, so a resumed run replays the exact rounds an uninterrupted
    run would have executed — facts, null numbering and per-rule counters
@@ -1798,11 +1664,14 @@ let checkpoint ?(every = default_checkpoint_every) ?(keep = 0)
     ?(label = "chase") dir =
   { ck_dir = dir; ck_every = max 1 every; ck_label = label; ck_keep = keep }
 
-(* v3: facts and deltas are stored as interned [int array]s together
+(* v4: facts and deltas are stored as interned [int array]s together
    with the dictionary (p_dict); loading re-interns the dictionary into
-   the target database and remaps the ids. Any other version is
-   rejected by [Snapshot.load]'s version check. *)
-let ck_version = 3
+   the target database and remaps the ids. v4 dropped v3's
+   first-derivation table from the payload; any other version is
+   rejected by [Snapshot.load]'s version check, so an old file fails
+   with a Storage error instead of being unmarshalled as the wrong
+   type. *)
+let ck_version = 4
 let ck_kind label = "chase-" ^ label
 
 let latest_checkpoint ?(label = "chase") dir =
@@ -1826,7 +1695,6 @@ type ck_payload = {
   p_delta : (string * Database.ifact list) list;
   p_ctrs : rule_ctr array;
   p_agg : (int * agg_state) list;
-  p_prov : ((string * Value.t list) * derivation) list option;
   p_sup : support option;
       (* the full derivation support, so a resumed run stays
          incrementally maintainable and explain-able. Pure data
@@ -1890,7 +1758,7 @@ type start =
       on_new : (string -> Database.fact -> unit) option;
     }
 
-let chase start ?(options = default_options) ?provenance ?support
+let chase start ?(options = default_options) ?support
     ?(telemetry = Kgm_telemetry.null)
     ?(journal = Kgm_telemetry.Journal.null)
     ?(cancel = Kgm_resilience.Token.none) ?checkpoint ?resume_from ?on_agg
@@ -1973,7 +1841,7 @@ let chase start ?(options = default_options) ?provenance ?support
   let n_rules = List.length program.Rule.rules in
   let st =
     { db; opts = options; added = 0; agg_states = Hashtbl.create 16;
-      prov = provenance; sup = support; on_agg; agg_notes = [];
+      sup = support; on_agg; agg_notes = [];
       trail_preds = [||]; trail_facts = [||]; trail_len = 0; fact_trail = [];
       sc = Intern.Scratch.create ();
       tele = telemetry; jr = journal;
@@ -1991,7 +1859,7 @@ let chase start ?(options = default_options) ?provenance ?support
    | Some p ->
        (* replay the snapshot: facts in insertion order (dedup against
           whatever the caller pre-loaded), exact null counter, counters,
-          aggregate, provenance and support state *)
+          aggregate and support state *)
        List.iter
          (fun (pred, facts) ->
            List.iter (fun f -> ignore (Database.add_i db pred f)) facts)
@@ -2002,13 +1870,6 @@ let chase start ?(options = default_options) ?provenance ?support
          (fun i c -> if i < Array.length st.ctrs then st.ctrs.(i) <- c)
          p.p_ctrs;
        List.iter (fun (id, s) -> Hashtbl.replace st.agg_states id s) p.p_agg;
-       (match provenance, p.p_prov with
-        | Some prov, Some entries ->
-            List.iter
-              (fun (k, d) ->
-                if not (ProvTbl.mem prov k) then ProvTbl.add prov k d)
-              entries
-        | _ -> ());
        (match support, p.p_sup with
         | Some into, Some src -> support_absorb ~into src
         | _ -> ()));
@@ -2087,10 +1948,6 @@ let chase start ?(options = default_options) ?provenance ?support
             p_agg =
               Hashtbl.fold (fun id s acc -> (id, s) :: acc) st.agg_states []
               |> List.sort compare;
-            p_prov =
-              Option.map
-                (fun prov -> ProvTbl.fold (fun k d acc -> (k, d) :: acc) prov [])
-                st.prov;
             p_sup = st.sup }
         in
         let path =
@@ -2358,15 +2215,15 @@ let chase start ?(options = default_options) ?provenance ?support
    | _ -> ());
   stats
 
-let run ?options ?provenance ?support ?telemetry ?journal ?cancel ?checkpoint
-    ?resume_from ?on_agg ?rule_ids program db =
-  chase Full ?options ?provenance ?support ?telemetry ?journal ?cancel
-    ?checkpoint ?resume_from ?on_agg ?rule_ids program db
+let run ?options ?support ?telemetry ?journal ?cancel ?checkpoint ?resume_from
+    ?on_agg ?rule_ids program db =
+  chase Full ?options ?support ?telemetry ?journal ?cancel ?checkpoint
+    ?resume_from ?on_agg ?rule_ids program db
 
-let run_delta ?options ?provenance ?support ?telemetry ?journal ?cancel ?on_new
-    ?on_agg ?rule_ids ?agg_init ?(wholesale = fun _ -> false) program db ~seed =
-  chase (Seeded { seed; wholesale; on_new }) ?options ?provenance ?support
-    ?telemetry ?journal ?cancel ?on_agg ?rule_ids ?agg_init program db
+let run_delta ?options ?support ?telemetry ?journal ?cancel ?on_new ?on_agg
+    ?rule_ids ?agg_init ?(wholesale = fun _ -> false) program db ~seed =
+  chase (Seeded { seed; wholesale; on_new }) ?options ?support ?telemetry
+    ?journal ?cancel ?on_agg ?rule_ids ?agg_init program db
 
 (* Human-readable planning report: what [run] would decide for
    [program] over the current contents of [db] — the strata in
@@ -2422,12 +2279,12 @@ let pp_plan_report ?(options = default_options) ppf (program : Rule.program) db
         program.Rule.rules)
     analysis.Analysis.strata
 
-let run_program ?options ?provenance ?support ?telemetry ?journal ?cancel
-    ?checkpoint ?resume_from program =
+let run_program ?options ?support ?telemetry ?journal ?cancel ?checkpoint
+    ?resume_from program =
   let db = Database.create () in
   let stats =
-    run ?options ?provenance ?support ?telemetry ?journal ?cancel ?checkpoint
-      ?resume_from program db
+    run ?options ?support ?telemetry ?journal ?cancel ?checkpoint ?resume_from
+      program db
   in
   (db, stats)
 

@@ -18,10 +18,6 @@ type options = {
       (** check head satisfaction before inventing nulls; [false] =
           oblivious chase (ABL-1), which diverges on existential
           recursion — pair it with a [max_facts] budget *)
-  isomorphic_nulls : bool;
-      (** in the satisfaction check, a labeled null may map to any term,
-          consistently across the head (homomorphism); [false] falls
-          back to syntactic equality *)
   reorder_body : bool;
       (** opt-in rewrite of every rule body into the planner's greedy
           order ({!Planner.plan_rule} without a delta literal, from the
@@ -37,9 +33,10 @@ type options = {
       (** retain the derivation support graph after the chase and return
           it in {!stats.support}, so facts can be explained
           ({!explain_tree}) without the caller allocating a {!support}
-          up front. Passing [?support] explicitly implies it. Off by
-          default: recording costs memory proportional to the number of
-          derivations (see DESIGN.md §11 for the cost model) *)
+          up front. Passing [?support] explicitly implies it. This is
+          the one way to explain a fact. Off by default: recording costs
+          memory proportional to the number of derivations (see
+          DESIGN.md §11 for the cost model) *)
   planner : bool;
       (** cost-aware chase planning (on by default). Non-recursive
           strata (no dependency edge inside their SCC group) complete
@@ -62,7 +59,7 @@ type options = {
   jobs : int;
       (** worker domains for semi-naive delta rounds (1 = fully
           sequential). Body matching runs on a frozen snapshot of the
-          store; firing (dedup, chase check, null invention, provenance)
+          store; firing (dedup, chase check, null invention, support)
           stays sequential in a schedule-independent order, so results —
           including labeled-null numbering and per-rule statistics — are
           identical for every jobs value *)
@@ -138,32 +135,11 @@ type rule_stats = {
   rs_time_s : float;       (** monotonic time evaluating the rule *)
 }
 
-(** {1 Provenance} *)
+(** {1 Derivation support (explanation and incremental maintenance)}
 
-type derivation = {
-  via_rule : string;  (** the firing rule, pretty-printed *)
-  parents : (string * Kgm_common.Value.t array) list;
-      (** the body facts that matched when the fact was first derived *)
-}
-
-type provenance
-
-val create_provenance : unit -> provenance
-(** Pass to {!run} to record the first derivation of every derived
-    fact. *)
-
-val explain : provenance -> string -> Database.fact -> derivation option
-(** [None] for ground (loaded) facts. *)
-
-val pp_derivation_tree :
-  provenance -> Format.formatter -> string * Database.fact -> unit
-(** The whole derivation tree down to ground facts. *)
-
-(** {1 Derivation support (incremental maintenance)}
-
-    {!provenance} records the {e first} derivation of each fact —
-    enough to explain it, not enough to maintain it. A [support]
-    records the full derivation structure delete-and-rederive needs:
+    A [support] is the engine's one record of derivations: it explains
+    a fact ({!explain_tree} renders its first derivation) and holds the
+    full derivation structure delete-and-rederive needs:
     every derivation of every derived fact (a fact whose first
     derivation dies may survive through an alternative one), the
     labeled nulls each firing invented (a null's creating derivation
@@ -241,7 +217,6 @@ val fact_nulls : Database.fact -> int list
 type group_state = {
   seen : unit Database.KeyTbl.t;  (** contributor/dedup keys *)
   mutable acc : Kgm_common.Value.t option;  (** running accumulator *)
-  mutable n : int;  (** distinct contributions folded into [acc] *)
 }
 (** Per-group accumulator of a monotonic aggregate, exactly as the
     engine keeps it across rounds (and checkpoints it). *)
@@ -268,12 +243,17 @@ type agg_event =
           emitted on re-derivations of existing facts too, like
           support recording *)
 
-val agg_step :
-  Rule.agg_op -> Kgm_common.Value.t option -> Kgm_common.Value.t ->
-  Kgm_common.Value.t
-(** One accumulator step — [agg_step op acc v] folds [v] into [acc]
-    exactly as the engine does, so a maintenance layer can rebuild a
-    {!group_state} from surviving contributions. *)
+val agg_contribute :
+  Rule.agg_op -> agg_state -> Kgm_common.Value.t list ->
+  Kgm_common.Value.t list -> (unit -> Kgm_common.Value.t) ->
+  (group_state * Kgm_common.Value.t) option
+(** [agg_contribute op state gkey ckey weight] — one contribution,
+    exactly as the engine folds it: find or create group [gkey] of
+    [state], then, unless [ckey] is already in its [seen] set, add it
+    and fold [weight ()] into the accumulator. Returns the group and
+    the folded weight, or [None] for a seen key ([weight] is then not
+    called). A maintenance layer rebuilds a group from surviving
+    contributions with it. *)
 
 type stats = {
   rounds : int;      (** fixpoint rounds across all strata *)
@@ -361,7 +341,7 @@ val explain_tree_to_string : explain_tree -> string
 (** {1 Running programs} *)
 
 val run :
-  ?options:options -> ?provenance:provenance -> ?support:support ->
+  ?options:options -> ?support:support ->
   ?telemetry:Kgm_telemetry.t -> ?journal:Kgm_telemetry.Journal.t ->
   ?cancel:Kgm_resilience.Token.t ->
   ?checkpoint:checkpoint -> ?resume_from:string ->
@@ -420,7 +400,7 @@ val pp_plan_report :
     only; nothing is evaluated and the database is not modified. *)
 
 val run_program :
-  ?options:options -> ?provenance:provenance -> ?support:support ->
+  ?options:options -> ?support:support ->
   ?telemetry:Kgm_telemetry.t -> ?journal:Kgm_telemetry.Journal.t ->
   ?cancel:Kgm_resilience.Token.t ->
   ?checkpoint:checkpoint -> ?resume_from:string ->
@@ -428,7 +408,7 @@ val run_program :
 (** [run] on a fresh database. *)
 
 val run_delta :
-  ?options:options -> ?provenance:provenance -> ?support:support ->
+  ?options:options -> ?support:support ->
   ?telemetry:Kgm_telemetry.t -> ?journal:Kgm_telemetry.Journal.t ->
   ?cancel:Kgm_resilience.Token.t ->
   ?on_new:(string -> Database.fact -> unit) ->

@@ -226,16 +226,6 @@ let log_group log gkey =
       Database.KeyTbl.add log.lg_groups gkey g;
       g
 
-let state_group log gkey =
-  match Database.KeyTbl.find_opt log.lg_state gkey with
-  | Some gs -> gs
-  | None ->
-      let gs =
-        { Engine.seen = Database.KeyTbl.create 8; acc = None; n = 0 }
-      in
-      Database.KeyTbl.add log.lg_state gkey gs;
-      gs
-
 let value_negative = function
   | Value.Int n -> n < 0
   | Value.Float f -> f < 0.0
@@ -263,15 +253,9 @@ let record_agg_event st = function
            (* replica accumulator: when the engine runs on [lg_state]
               itself (a delta pass seeded through [agg_init]), its
               seen-set already holds the key and this is a no-op *)
-           let gs = state_group log ac_group in
-           if not (Database.KeyTbl.mem gs.Engine.seen ac_key) then begin
-             Database.KeyTbl.add gs.Engine.seen ac_key ();
-             gs.Engine.acc <-
-               Some
-                 (Engine.agg_step log.lg_profile.Analysis.ap_agg.Rule.op
-                    gs.Engine.acc ac_weight);
-             gs.Engine.n <- gs.Engine.n + 1
-           end;
+           ignore
+             (Engine.agg_contribute log.lg_profile.Analysis.ap_agg.Rule.op
+                log.lg_state ac_group ac_key (fun () -> ac_weight));
            let entry = (log, ac_group, g) in
            List.iter
              (fun (p, f) -> index_add st.idx_parent (key p f) entry)
@@ -739,21 +723,17 @@ let maintain ?(telemetry = Kgm_telemetry.null)
       (not g.gl_touched) || g.gl_pass_true
       ||
       let prof = log.lg_profile in
-      let seen = Database.KeyTbl.create 16 in
-      let acc = ref None in
+      let refold = Database.KeyTbl.create 1 in
       List.iter
         (fun (ckey, w, parents) ->
-          if
-            (not (Database.KeyTbl.mem seen ckey))
-            && List.for_all (fun (p, f) -> fact_alive p f) parents
-          then begin
-            Database.KeyTbl.add seen ckey ();
-            acc := Some (Engine.agg_step prof.Analysis.ap_agg.Rule.op !acc w)
-          end)
+          if List.for_all (fun (p, f) -> fact_alive p f) parents then
+            ignore
+              (Engine.agg_contribute prof.Analysis.ap_agg.Rule.op refold gkey
+                 ckey (fun () -> w)))
         (List.rev g.gl_contribs);
-      match !acc with
-      | None -> false
-      | Some total ->
+      match Database.KeyTbl.find_opt refold gkey with
+      | None | Some { Engine.acc = None; _ } -> false
+      | Some { Engine.acc = Some total; _ } ->
           let lookup v =
             if v = prof.Analysis.ap_agg.Rule.result then Some total
             else
@@ -871,21 +851,15 @@ let maintain ?(telemetry = Kgm_telemetry.null)
                    parents))
             g.gl_contribs;
         (* resync the live accumulator with the survivors, in the
-           chronological order a re-chase would fold them *)
+           chronological order a re-chase would fold them; a group left
+           without survivors stays removed *)
         let op = log.lg_profile.Analysis.ap_agg.Rule.op in
-        let gs =
-          { Engine.seen = Database.KeyTbl.create 8; acc = None; n = 0 }
-        in
+        Database.KeyTbl.remove log.lg_state gkey;
         List.iter
           (fun (ckey, w, _) ->
-            if not (Database.KeyTbl.mem gs.Engine.seen ckey) then begin
-              Database.KeyTbl.add gs.Engine.seen ckey ();
-              gs.Engine.acc <- Some (Engine.agg_step op gs.Engine.acc w);
-              gs.Engine.n <- gs.Engine.n + 1
-            end)
-          (List.rev g.gl_contribs);
-        if gs.Engine.n = 0 then Database.KeyTbl.remove log.lg_state gkey
-        else Database.KeyTbl.replace log.lg_state gkey gs)
+            ignore
+              (Engine.agg_contribute op log.lg_state gkey ckey (fun () -> w)))
+          (List.rev g.gl_contribs))
       !touched;
     if Journal.enabled journal then
       Journal.emit journal "dred.cone"

@@ -140,8 +140,8 @@ let test_sql_export_unchanged () =
   | _ -> Alcotest.fail "resolve changed the constructor"
 
 (* ------------------------------------------------------------------ *)
-(* Snapshots. v3 stores facts as interned int arrays plus the
-   dictionary; resuming from one must reproduce the uninterrupted run
+(* Snapshots. Since v3 they store facts as interned int arrays plus
+   the dictionary; resuming from one must reproduce the uninterrupted run
    bit for bit even when the dictionary is full of hostile values. *)
 
 let fresh_dir =

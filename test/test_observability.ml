@@ -2,7 +2,7 @@
    (JSONL journal), the Prometheus text exporter, and fact-level
    explanation over the derivation support — including the load-bearing
    property that explanation output is bit-identical across jobs values,
-   planner on/off and checkpoint/resume, and that version-3 snapshots
+   planner on/off and checkpoint/resume, and that version-4 snapshots
    carry the support while older versions are cleanly rejected. *)
 
 open Kgm_common
@@ -402,7 +402,7 @@ let test_explain_cycle_bounded () =
    | None -> Alcotest.fail "cyclic support must produce a Cycle node")
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot version: v3 resumes with support, v1 and v2 are rejected *)
+(* Snapshot version: v4 resumes with support, v1 to v3 are rejected *)
 
 let test_snapshot_v1_rejected () =
   let dir = fresh_dir "v1_reject" in
@@ -414,7 +414,7 @@ let test_snapshot_v1_rejected () =
     | None -> Alcotest.fail "no snapshot written"
   in
   ignore (support_of (snd (run_control ~resume_from:path ())));
-  (* rewrite the header's version line (line 3) from 3 to 1 and to 2:
+  (* rewrite the header's version line (line 3) from 4 to 1, 2 and 3:
      the exact files older builds would have produced modulo payload *)
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -443,7 +443,7 @@ let test_snapshot_v1_rejected () =
             (Printf.sprintf "v%s: storage-stage error" v)
             true
             (err.Kgm_error.stage = Kgm_error.Storage))
-    [ "1"; "2" ]
+    [ "1"; "2"; "3" ]
 
 let suite =
   [ Alcotest.test_case "journal: JSONL round-trip." `Quick
@@ -462,5 +462,5 @@ let suite =
       `Quick test_explain_determinism;
     Alcotest.test_case "explain: cyclic ownership stays bounded." `Quick
       test_explain_cycle_bounded;
-    Alcotest.test_case "snapshot: only v3 resumes."
+    Alcotest.test_case "snapshot: only v4 resumes."
       `Quick test_snapshot_v1_rejected ]

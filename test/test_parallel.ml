@@ -222,13 +222,12 @@ let check_jobs_invariant name src =
   check Alcotest.bool (name ^ ": per-rule counters") true
     (rule_counters s1 = rule_counters s4)
 
-let test_determinism_warded () =
-  check_jobs_invariant "warded"
-    {| emp(e0). emp(e1). emp(e2).
-       mgr(X, M) :- emp(X).
-       emp(M) :- mgr(X, M). |}
+let warded_src =
+  {| emp(e0). emp(e1). emp(e2).
+     mgr(X, M) :- emp(X).
+     emp(M) :- mgr(X, M). |}
 
-let test_determinism_tc () =
+let tc_src =
   let buf = Buffer.create 1024 in
   for i = 1 to 39 do
     Buffer.add_string buf (Printf.sprintf "edge(%d, %d). " i (i + 1))
@@ -236,16 +235,23 @@ let test_determinism_tc () =
   Buffer.add_string buf "edge(40, 1). ";
   Buffer.add_string buf
     "tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z).";
-  check_jobs_invariant "transitive closure" (Buffer.contents buf)
+  Buffer.contents buf
+
+let negagg_src =
+  {| e(1, 2, 0.6). e(2, 3, 0.3). e(1, 3, 0.4). e(3, 4, 0.9).
+     r(X, Y) :- e(X, Y, W).
+     r(X, Z) :- r(X, Y), e(Y, Z, W).
+     blocked(4).
+     open(X, Y) :- r(X, Y), not blocked(Y).
+     deg(X, S) :- e(X, Y, W), S = dsum(W, <Y>). |}
+
+let test_determinism_warded () = check_jobs_invariant "warded" warded_src
+
+let test_determinism_tc () =
+  check_jobs_invariant "transitive closure" tc_src
 
 let test_determinism_negation_aggregation () =
-  check_jobs_invariant "negation + aggregation"
-    {| e(1, 2, 0.6). e(2, 3, 0.3). e(1, 3, 0.4). e(3, 4, 0.9).
-       r(X, Y) :- e(X, Y, W).
-       r(X, Z) :- r(X, Y), e(Y, Z, W).
-       blocked(4).
-       open(X, Y) :- r(X, Y), not blocked(Y).
-       deg(X, S) :- e(X, Y, W), S = dsum(W, <Y>). |}
+  check_jobs_invariant "negation + aggregation" negagg_src
 
 let test_determinism_control () =
   (* Example 4.2 (recursion through a monotonic aggregate) on a
@@ -255,6 +261,101 @@ let test_determinism_control () =
   let p4 = Kgm_finance.Control.via_vadalog ~options:(options_jobs 4) o in
   check Alcotest.bool "control pairs" true (p1 = p4);
   check Alcotest.bool "nonempty" true (p1 <> [])
+
+(* ------------------------------------------------------------------ *)
+(* Cross-version pins. The matrices above compare configurations of one
+   build with each other; these digests compare builds. Each pins (a)
+   the canonical facts — per-predicate insertion order, nulls renamed by
+   first appearance — and (b) rounds, delta sizes, new facts and the
+   per-rule counters, for the four determinism programs with the
+   planner on and off. Neither depends on [jobs], so the suite's
+   KGM_JOBS setting runs them unchanged. An engine change that moves a
+   digest changes observable chase output: re-pin only deliberately,
+   with the reason stated. *)
+
+(* the Example 4.2 chase of [test_determinism_control], with its stats *)
+let run_control options =
+  let db =
+    Kgm_finance.Control.vadalog_db (Kgm_finance.Generator.generate ~n:150 ())
+  in
+  let program = V.Parser.parse_program Kgm_finance.Control.vadalog_program in
+  let stats = V.Engine.run ~options program db in
+  (db, stats)
+
+let pin_texts (db, (stats : V.Engine.stats)) =
+  let facts =
+    List.concat_map
+      (fun (pred, fs) ->
+        List.map
+          (fun f ->
+            Printf.sprintf "%s(%s)\n" pred
+              (String.concat ", " (List.map Value.to_string f)))
+          fs)
+      (canon db)
+  in
+  let counters =
+    List.map
+      (fun (label, (fi, ma, pr, nu, hi, mi)) ->
+        Printf.sprintf "%s %d %d %d %d %d %d\n" label fi ma pr nu hi mi)
+      (rule_counters stats)
+  in
+  ( String.concat "" facts,
+    Printf.sprintf "rounds %d\ndeltas %s\nnew %d\n%s" stats.V.Engine.rounds
+      (String.concat " " (List.map string_of_int stats.V.Engine.delta_sizes))
+      stats.V.Engine.new_facts (String.concat "" counters) )
+
+(* (program, planner, facts digest, stats digest), computed at the
+   commit that introduced the pins *)
+let pins =
+  [ ("warded", true,
+     "f70df88e646daedea45ecc30344b7ef9",
+     "d77cc2aad9e9dcd71bf4a255b497474c");
+    ("warded", false,
+     "f70df88e646daedea45ecc30344b7ef9",
+     "d77cc2aad9e9dcd71bf4a255b497474c");
+    ("tc", true,
+     "e5c9f734b9075cd4bfed934a4654a0cd",
+     "e01e306ce672cceee2475709b114314c");
+    ("tc", false,
+     "e5c9f734b9075cd4bfed934a4654a0cd",
+     "e01e306ce672cceee2475709b114314c");
+    ("negagg", true,
+     "5f87341984597e03e45dd0d2522827d1",
+     "07d5ece3354b59562cac17308c776d94");
+    ("negagg", false,
+     "5f87341984597e03e45dd0d2522827d1",
+     "1ccd7ba8cd55d57107301e26feb8f1e9");
+    ("control", true,
+     "e9a7b0de514cbb41625dcb2964df57ef",
+     "8dddb3ba4168d51189062ec4a3add8e5");
+    ("control", false,
+     "e9a7b0de514cbb41625dcb2964df57ef",
+     "8dddb3ba4168d51189062ec4a3add8e5") ]
+
+let test_pinned_digests () =
+  List.iter
+    (fun (name, planner, want_facts, want_stats) ->
+      let options = { V.Engine.default_options with V.Engine.planner } in
+      let result =
+        match name with
+        | "warded" -> run ~options warded_src
+        | "tc" -> run ~options tc_src
+        | "negagg" -> run ~options negagg_src
+        | _ -> run_control options
+      in
+      let facts, stats = pin_texts result in
+      let label = Printf.sprintf "%s planner=%b" name planner in
+      let pin what want text =
+        let got = Digest.to_hex (Digest.string text) in
+        if got <> want then begin
+          Printf.printf "--- %s %s: md5 %s, canonical text:\n%s---\n" label
+            what got text;
+          Alcotest.failf "%s: %s digest %s, pinned %s" label what got want
+        end
+      in
+      pin "facts" want_facts facts;
+      pin "stats" want_stats stats)
+    pins
 
 (* ------------------------------------------------------------------ *)
 (* Service pools: the streaming sibling of run — items from many
@@ -411,6 +512,8 @@ let suite =
       test_determinism_negation_aggregation;
     Alcotest.test_case "jobs-determinism: company control." `Quick
       test_determinism_control;
+    Alcotest.test_case "pinned chase digests across versions." `Quick
+      test_pinned_digests;
     Alcotest.test_case "service pool: stream, drain, shutdown." `Quick
       test_service_pool;
     Alcotest.test_case "service pool: handler errors survive." `Quick

@@ -165,7 +165,34 @@ let test_iter_matches_seq_and_examined () =
         incr matches)
   in
   check Alcotest.int "scan matches" 1 !matches;
-  check Alcotest.int "scan examines everything" 5 examined
+  check Alcotest.int "scan examines everything" 5 examined;
+  (* a live store whose callback inserts a fact under the probed key:
+     the probe visits, and counts as examined, exactly the group as of
+     the call — over a full scan, an existing index and one built by the
+     probe itself *)
+  List.iter
+    (fun (positions, key, prepared, group) ->
+      let db = V.Database.create () in
+      List.iter
+        (fun (a, b) -> ignore (V.Database.add db "e" (f a b)))
+        [ (1, 10); (2, 20); (1, 11) ];
+      if prepared then V.Database.prepare_index db "e" positions;
+      let visited = ref 0 and next = ref 100 in
+      let examined =
+        V.Database.iter_matches db "e" positions key (fun _ _ ->
+            incr visited;
+            incr next;
+            ignore (V.Database.add db "e" (f 1 !next)))
+      in
+      let what =
+        Printf.sprintf "live probe on [%s]%s"
+          (String.concat ";" (List.map string_of_int positions))
+          (if prepared then " (indexed)" else "")
+      in
+      check Alcotest.int (what ^ ": visited") group !visited;
+      check Alcotest.int (what ^ ": examined") group examined)
+    [ ([], [], false, 3); ([ 0 ], [ Value.Int 1 ], true, 2);
+      ([ 0 ], [ Value.Int 1 ], false, 2) ]
 
 let test_copy_preserves_frozen_and_indexes () =
   let db = V.Database.create () in

@@ -642,6 +642,41 @@ let test_slowloris () =
              check Alcotest.bool "bounded by io_timeout_s" true (dt < 2.5);
              expect_eof fd)))
 
+(* content-length is 1*DIGIT: every other form OCaml's int_of_string
+   reads as the right length (4, the body's), and a second header
+   disagreeing with the first, is a framing error — 400, then close *)
+let test_strict_content_length () =
+  ignore
+    (with_server (fun _srv sock ->
+         let status lengths =
+           let fd = raw_connect sock in
+           Fun.protect
+             ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+             (fun () ->
+               write_all fd
+                 (Printf.sprintf "POST /query HTTP/1.1\r\nhost: t\r\n%s\r\nedge"
+                    (String.concat ""
+                       (List.map (Printf.sprintf "content-length: %s\r\n")
+                          lengths)));
+               let s, h, _, _ = read_framed fd "" in
+               if s = 400 then begin
+                 check
+                   Alcotest.(option string)
+                   "bad content-length closes" (Some "close")
+                   (List.assoc_opt "connection" h);
+                 expect_eof fd
+               end;
+               s)
+         in
+         List.iter
+           (fun (lengths, want) ->
+             check Alcotest.int
+               ("content-length " ^ String.concat " + " lengths)
+               want (status lengths))
+           [ ([ "0x4" ], 400); ([ "0_4" ], 400); ([ "+4" ], 400);
+             ([ "0b100" ], 400); ([ "0o4" ], 400); ([ "4"; "5" ], 400);
+             ([ "4" ], 200); ([ "4"; "4" ], 200) ]))
+
 (* drain while a pipelined pair is buffered: both requests are
    answered, then the connection closes instead of waiting for more *)
 let test_keepalive_drain () =
@@ -701,5 +736,7 @@ let suite =
       test_request_cap;
     Alcotest.test_case "slowloris: partial head times out." `Quick
       test_slowloris;
+    Alcotest.test_case "content-length: decimal digits only." `Quick
+      test_strict_content_length;
     Alcotest.test_case "keep-alive x drain: pipeline finishes, then close."
       `Quick test_keepalive_drain ]

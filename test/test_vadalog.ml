@@ -483,38 +483,46 @@ let suite =
 (* Provenance and @output *)
 
 let test_provenance () =
-  let prov = V.Engine.create_provenance () in
   let p = V.Parser.parse_program
       {| edge(a, b). edge(b, c).
          tc(X, Y) :- edge(X, Y).
          tc(X, Z) :- tc(X, Y), edge(Y, Z). |}
   in
-  let db, _ = V.Engine.run_program ~provenance:prov p in
-  ignore db;
+  let options = { V.Engine.default_options with V.Engine.provenance = true } in
+  let _, stats = V.Engine.run_program ~options p in
+  let sup = Option.get stats.V.Engine.support in
+  let explain pred a b =
+    V.Engine.explain_tree sup p pred [| Value.string a; Value.string b |]
+  in
+  let derivation (t : V.Engine.explain_tree) =
+    match t.V.Engine.et_node with
+    | V.Engine.Derived d -> d
+    | _ -> Alcotest.fail "missing derivation"
+  in
+  let premises t = (derivation t).V.Engine.ed_premises in
   (* ground facts have no derivation *)
   check Alcotest.bool "ground" true
-    (V.Engine.explain prov "edge" [| Value.string "a"; Value.string "b" |] = None);
+    ((explain "edge" "a" "b").V.Engine.et_node = V.Engine.Ground);
   (* one-step derivation *)
-  (match V.Engine.explain prov "tc" [| Value.string "a"; Value.string "b" |] with
-   | Some d ->
-       check Alcotest.int "one parent" 1 (List.length d.V.Engine.parents);
-       check Alcotest.bool "via base rule" true
-         (String.length d.V.Engine.via_rule > 0)
-   | None -> Alcotest.fail "missing derivation");
+  let d = derivation (explain "tc" "a" "b") in
+  check Alcotest.int "one parent" 1 (List.length d.V.Engine.ed_premises);
+  check Alcotest.bool "via base rule" true
+    (String.length d.V.Engine.ed_rule > 0);
   (* two-step derivation: parents are tc(a,b) and edge(b,c) *)
-  (match V.Engine.explain prov "tc" [| Value.string "a"; Value.string "c" |] with
-   | Some d ->
-       let names = List.map fst d.V.Engine.parents |> List.sort compare in
-       check (Alcotest.list Alcotest.string) "parents" [ "edge"; "tc" ] names
-   | None -> Alcotest.fail "missing derivation");
-  (* the tree renders down to ground facts *)
-  let tree =
-    Format.asprintf "%a"
-      (V.Engine.pp_derivation_tree prov)
-      ("tc", [| Value.string "a"; Value.string "c" |])
+  let names =
+    List.map (fun t -> t.V.Engine.et_pred) (premises (explain "tc" "a" "c"))
+    |> List.sort compare
   in
-  check Alcotest.bool "tree mentions ground" true
-    (String.length tree > 40)
+  check (Alcotest.list Alcotest.string) "parents" [ "edge"; "tc" ] names;
+  (* the tree renders down to ground facts *)
+  let tree = V.Engine.explain_tree_to_string (explain "tc" "a" "c") in
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  check Alcotest.bool "tree reaches a ground fact" true
+    (contains tree "(ground)")
 
 let test_outputs_annotation () =
   let p = V.Parser.parse_program
