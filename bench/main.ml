@@ -1197,9 +1197,12 @@ let observability_bench () =
      keepalive — persistent connections, one request in flight
      pipelined — persistent connections, depth-16 pipelining
      contended — keepalive while a writer streams update batches that
-                 only touch a scratch chain: every batch re-publishes
-                 a fresh million-fact epoch, query answers must stay
-                 bit-identical across workers x epochs
+                 only touch a scratch chain: every batch publishes a
+                 new epoch of the million-fact store, query answers
+                 must stay bit-identical across workers x epochs, and
+                 each /update round trip is timed (update_p50_ms:
+                 update-to-visible, which publishing by replay keeps
+                 independent of n)
 
    The CI guard over BENCH_server.json asserts keep-alive beats close,
    contended within 10% of keepalive on req/s and p99, identical
@@ -1401,6 +1404,8 @@ let server_bench () =
       digests )
   in
   let batches = Atomic.make 0 in
+  (* /update round trips of the contended phases (one writer thread) *)
+  let update_lats = ref [] in
   let under_stream f =
     let stop = Atomic.make false in
     let writer =
@@ -1413,11 +1418,13 @@ let server_bench () =
                 Printf.sprintf "+own(%d, %d, 0.6).\n" scratch (scratch + 1)
               else Printf.sprintf "-own(%d, %d, 0.6).\n" scratch (scratch + 1)
             in
+            let t0 = Unix.gettimeofday () in
             let code, _ =
               Kgm_server.Client.request ~body ~sock ~meth:"POST"
                 ~path:"/update" ()
             in
             if code = 200 then begin
+              update_lats := (Unix.gettimeofday () -. t0) :: !update_lats;
               incr k;
               Atomic.incr batches
             end;
@@ -1502,6 +1509,12 @@ let server_bench () =
     |> List.fold_left Float.max neg_infinity
   in
   let ct_p50_delta = paired 1 3 (fun (_, ka, _) (_, ct, _) -> ct -. ka) in
+  let update_samples = List.length !update_lats in
+  let update_p50 =
+    match List.sort Float.compare !update_lats with
+    | [] -> nan
+    | xs -> 1e3 *. List.nth xs (update_samples / 2)
+  in
   let ct_p99_delta = paired 1 3 (fun (_, _, ka) (_, _, ct) -> ct -. ka) in
   say
     "@.%d clients x %d point queries per phase, median of %d reps;@.\
@@ -1519,12 +1532,13 @@ let server_bench () =
     "@.keep-alive speedup: %.2fx (%.2fx pipelined); contended keeps@.\
      %.0f%% of keep-alive req/s (p50 %+.3f ms, p99 %+.3f ms);@.\
      answers identical across clients, phases and epochs: %b;@.\
-     %d update batches published (epoch %d), %d shed, %d faults.@."
+     %d update batches published (epoch %d), %d shed, %d faults;@.\
+     update round trip p50 %.3f ms over %d batches.@."
     speedup_ka speedup_pl
     (100. *. ct_req_ratio)
     ct_p50_delta ct_p99_delta !all_identical applied
     stats.Kgm_server.st_epoch stats.Kgm_server.st_shed
-    stats.Kgm_server.st_faults;
+    stats.Kgm_server.st_faults update_p50 update_samples;
   let oc = open_out "BENCH_server.json" in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n  \"experiment\": \"server-throughput\",\n";
@@ -1553,6 +1567,8 @@ let server_bench () =
   p "  \"contended_p99_delta_ms\": %.4f,\n" ct_p99_delta;
   p "  \"identical_answers\": %b,\n" !all_identical;
   p "  \"update_batches\": %d,\n" applied;
+  p "  \"update_p50_ms\": %.4f,\n" update_p50;
+  p "  \"update_samples\": %d,\n" update_samples;
   p "  \"epoch\": %d,\n" stats.Kgm_server.st_epoch;
   p "  \"shed\": %d,\n" stats.Kgm_server.st_shed;
   p "  \"published_every_batch\": %b\n}\n" published;

@@ -626,10 +626,12 @@ let serve_cmd =
   let state_dir =
     Arg.(value & opt (some string) None
          & info [ "state-dir" ] ~docv:"DIR"
-             ~doc:"Persist session snapshots to $(docv): one is written \
-                   at startup, after update batches and at drain, and \
-                   the newest valid one is recovered from on restart \
-                   (corrupt or foreign generations are skipped).")
+             ~doc:"Persist the session to $(docv): a base snapshot is \
+                   written at startup and at drain, and every update \
+                   batch is appended to the base's log before it is \
+                   acknowledged. Restart recovers the newest valid base \
+                   plus its log (corrupt or foreign generations are \
+                   skipped).")
   in
   let workers =
     Arg.(value & opt int 4
@@ -646,12 +648,6 @@ let serve_cmd =
          & info [ "keep" ] ~docv:"K"
              ~doc:"Session snapshot generations retained in --state-dir.")
   in
-  let snapshot_every =
-    Arg.(value & opt int 1
-         & info [ "snapshot-every" ] ~docv:"N"
-             ~doc:"Write a session snapshot every $(docv) applied update \
-                   batches (always at drain).")
-  in
   let request_deadline =
     Arg.(value & opt (some float) None
          & info [ "request-deadline" ] ~docv:"SECONDS"
@@ -666,7 +662,7 @@ let serve_cmd =
                    request in flight.")
   in
   let max_requests =
-    Arg.(value & opt int 10_000
+    Arg.(value & opt int 100_000
          & info [ "max-requests" ] ~docv:"N"
              ~doc:"Requests served on one connection before the server \
                    answers connection: close.")
@@ -677,9 +673,9 @@ let serve_cmd =
              ~doc:"Expose POST /slow (a cancellable sleep) — for drain \
                    and overload testing only.")
   in
-  let run file sock state_dir workers queue keep snapshot_every
-      request_deadline idle_timeout max_requests debug_endpoints jobs trace
-      metrics journal metrics_out =
+  let run file sock state_dir workers queue keep request_deadline
+      idle_timeout max_requests debug_endpoints jobs trace metrics journal
+      metrics_out =
     handle (fun () ->
         with_observability ~trace ~metrics ~journal ~metrics_out
           ~progress:false ~deadline:None
@@ -710,12 +706,6 @@ let serve_cmd =
                 stats.Kgm_vadalog.Engine.new_facts
                 stats.Kgm_vadalog.Engine.rounds
                 stats.Kgm_vadalog.Engine.elapsed_s;
-              (* an immediate generation 0, so a crash before the first
-                 update can still recover *)
-              (match state_dir with
-               | Some dir ->
-                   ignore (Kgm_server.save_session ~dir ~keep ~epoch:0 st)
-               | None -> ());
               (st, 0)
         in
         let cfg =
@@ -723,7 +713,7 @@ let serve_cmd =
             default_deadline_s = request_deadline; io_timeout_s = 10.;
             idle_timeout_s = idle_timeout;
             max_requests_per_conn = max_requests;
-            state_dir; keep; snapshot_every; debug_endpoints }
+            state_dir; keep; debug_endpoints }
         in
         let srv =
           Kgm_server.create ~telemetry:tele ~journal:jr ~epoch cfg ~session
@@ -754,7 +744,7 @@ let serve_cmd =
              update batches, graceful drain on SIGINT/SIGTERM, crash \
              recovery from --state-dir.")
     Term.(const run $ file $ sock $ state_dir $ workers $ queue $ keep
-          $ snapshot_every $ request_deadline $ idle_timeout $ max_requests
+          $ request_deadline $ idle_timeout $ max_requests
           $ debug_endpoints $ jobs_arg $ trace_arg $ metrics_arg
           $ journal_arg $ metrics_out_arg)
 

@@ -380,3 +380,87 @@ module Snapshot = struct
         doomed
     end
 end
+
+(* ------------------------------------------------------------------ *)
+
+module Framed = struct
+  (* One record: a header line [seq len payload-md5 header-md5] and
+     [len] payload bytes. The header digest (over the first three
+     fields) makes a flipped length a detectable corruption rather than
+     a plausible torn tail; the payload digest does the same for the
+     body. Only the last record of a file may fail either check and be
+     dropped as torn — a crash mid-append leaves exactly that. *)
+
+  type writer = { w_path : string; w_oc : out_channel }
+
+  let create ~path =
+    let dir = Filename.dirname path in
+    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    { w_path = path;
+      w_oc =
+        open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644
+          path }
+
+  let writer_path w = w.w_path
+  let close w = close_out_noerr w.w_oc
+
+  let head_digest fields = String.sub (Digest.to_hex (Digest.string fields)) 0 8
+
+  let append w ~seq payload =
+    Faults.inject "checkpoint_write";
+    let fields =
+      Printf.sprintf "%d %d %s" seq (String.length payload)
+        (Digest.to_hex (Digest.string payload))
+    in
+    let head = fields ^ " " ^ head_digest fields ^ "\n" in
+    output_string w.w_oc head;
+    output_string w.w_oc payload;
+    flush w.w_oc;
+    String.length head + String.length payload
+
+  let read ~path =
+    if not (Sys.file_exists path) then []
+    else begin
+      let ic = open_in_bin path in
+      let s =
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () -> really_input_string ic (in_channel_length ic))
+      in
+      let n = String.length s in
+      let corrupt what =
+        Kgm_error.raise_error_ctx Kgm_error.Storage [ ("log", path) ]
+          "log record %s" what
+      in
+      let header line =
+        match String.split_on_char ' ' line with
+        | [ seq; len; digest; check ] -> (
+            let fields = String.concat " " [ seq; len; digest ] in
+            match (int_of_string_opt seq, int_of_string_opt len) with
+            | Some seq, Some len when len >= 0 && head_digest fields = check ->
+                Some (seq, len, digest)
+            | _ -> None)
+        | _ -> None
+      in
+      let rec go pos acc =
+        if pos >= n then List.rev acc
+        else
+          match String.index_from_opt s pos '\n' with
+          | None -> List.rev acc (* torn header *)
+          | Some nl -> (
+              let last = nl + 1 >= n in
+              match header (String.sub s pos (nl - pos)) with
+              | None -> if last then List.rev acc else corrupt "header corrupt"
+              | Some (seq, len, digest) ->
+                  let start = nl + 1 in
+                  if start + len > n then List.rev acc (* torn payload *)
+                  else
+                    let payload = String.sub s start len in
+                    if Digest.to_hex (Digest.string payload) = digest then
+                      go (start + len) ((seq, payload) :: acc)
+                    else if start + len >= n then List.rev acc
+                    else corrupt "payload corrupt (digest mismatch)")
+      in
+      go 0 []
+    end
+end

@@ -185,3 +185,38 @@ module Snapshot : sig
       digest-valid snapshot. Files that cannot be removed are skipped
       silently (a reader may have the directory open). *)
 end
+
+(** {1 Framed logs} *)
+
+module Framed : sig
+  (** Append-only files of framed records, the incremental companion of
+      a {!Snapshot}: a snapshot is a base, a log holds what happened
+      after it. Each record carries a sequence number, its length and
+      digests of its header and payload, and is flushed as it is
+      written (no fsync, like {!Snapshot.save}).
+
+      Reading tolerates exactly what a crash mid-append leaves behind: a
+      {e torn last record} (short, or failing a digest at the end of the
+      file) is dropped. A record failing a check anywhere before the
+      tail is corruption and fails the whole read. *)
+
+  type writer
+
+  val create : path:string -> writer
+  (** Start an empty log (truncating any file there); creates [dir] if
+      missing (one level). *)
+
+  val writer_path : writer -> string
+  val close : writer -> unit
+
+  val append : writer -> seq:int -> string -> int
+  (** Write and flush one record; returns the bytes written. Calls
+      {!Faults.inject}["checkpoint_write"] first, so an injected fault
+      writes nothing. A writer that raised may have left a partial
+      record: append nothing more to that file. *)
+
+  val read : path:string -> (int * string) list
+  (** The complete records, in file order, as [(seq, payload)]; [[]]
+      for a missing file. Raises [Kgm_error.Error] ([Storage]) when a
+      record before the tail fails its header or payload digest. *)
+end

@@ -1,16 +1,23 @@
 (* Kgm_server — the long-lived reasoning daemon behind `kgmodel serve`.
 
    One Incremental.state (the master materialization, mutated only
-   under [writer_mu]) feeds an Atomic.t of frozen database epochs.
-   Readers load the current epoch with one atomic read and answer
-   against it — no reader ever blocks on a writer, and every response
-   is stamped with the epoch id it was computed from. The wire
-   protocol is a hand-rolled HTTP/1.1 subset over a Unix-domain
-   socket — persistent connections with pipelining (bytes read past
-   one request's content-length carry over into the next), a
-   per-connection idle timeout and request cap, `connection: close`
-   only on demand, cap, or drain — enough for curl, the bundled
-   Client and the chaos harness, with no external dependency.
+   under [writer_mu]) and two physical stores that take turns: the
+   master, which [maintain] mutates and which records its writes, and
+   its twin, frozen and published in an Atomic.t as the current epoch.
+   Publishing freezes the master and swaps it in; the retired store,
+   once its readers are gone, is thawed, brought up to date by
+   replaying the master's change log, and becomes the next master —
+   O(batch), not O(store). Readers load the current epoch with one
+   atomic read, pin it while they evaluate, and answer against it — no
+   reader ever blocks on a writer, and every response is stamped with
+   the epoch id it was computed from. Each applied batch is appended to
+   the session log before it is acknowledged. The wire protocol is a
+   hand-rolled HTTP/1.1 subset over a Unix-domain socket — persistent
+   connections with pipelining (bytes read past one request's
+   content-length carry over into the next), a per-connection idle
+   timeout and request cap, `connection: close` only on demand, cap,
+   or drain — enough for curl, the bundled Client and the chaos
+   harness, with no external dependency.
 
    Threading: one acceptor thread (select with a short timeout so it
    notices the drain flag) feeding a pool of N reader *domains*
@@ -113,6 +120,10 @@ let fingerprint phases =
        (String.concat "\n%%phase%%\n"
           (List.map (fun ph -> R.program_to_string (strip ph)) phases)))
 
+(* A generation is a base snapshot plus the log of the batches applied
+   after it, [session-SEQ.snap] and [session-SEQ.log] *)
+let session_log base = Filename.remove_extension base ^ ".log"
+
 let save_session ~dir ~keep ~epoch st =
   let blob =
     { sb_fingerprint = fingerprint (Inc.phases st);
@@ -121,8 +132,43 @@ let save_session ~dir ~keep ~epoch st =
   in
   let path = Snapshot.path ~dir ~kind:session_kind ~seq:epoch in
   Snapshot.save ~kind:session_kind ~version:session_version ~path blob;
-  ignore (Snapshot.gc ~dir ~kind:session_kind ~keep);
+  List.iter
+    (fun old -> try Sys.remove (session_log old) with Sys_error _ -> ())
+    (Snapshot.gc ~dir ~kind:session_kind ~keep);
   path
+
+(* one logged batch, as [maintain] received it *)
+type session_record =
+  (string * Kgm_common.Value.t array) list
+  * (string * Kgm_common.Value.t array) list
+
+(* the base EDB with the records' batches applied in order, with
+   [maintain]'s semantics: retractions of non-EDB facts and inserts of
+   EDB facts are ignored, retractions go first, and a fact sits at its
+   latest insertion *)
+let replay_edb edb records =
+  if records = [] then edb
+  else begin
+    let tbl = DB.KeyTbl.create (List.length edb) in
+    let stamp = ref 0 in
+    let key (p, f) = Kgm_common.Value.String p :: Array.to_list f in
+    let add pf =
+      let k = key pf in
+      if not (DB.KeyTbl.mem tbl k) then begin
+        DB.KeyTbl.replace tbl k (!stamp, pf);
+        incr stamp
+      end
+    in
+    List.iter add edb;
+    List.iter
+      (fun ((inserts, retracts) : session_record) ->
+        List.iter (fun pf -> DB.KeyTbl.remove tbl (key pf)) retracts;
+        List.iter add inserts)
+      records;
+    DB.KeyTbl.fold (fun _ e acc -> e :: acc) tbl []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd
+  end
 
 let recover ?options ?telemetry ?journal ~dir phases =
   if phases = [] then invalid_arg "Kgm_server.recover: empty pipeline";
@@ -140,10 +186,23 @@ let recover ?options ?telemetry ?journal ~dir phases =
             Err.raise_error_ctx Err.Storage
               [ ("path", path) ]
               "session snapshot was written by a different program";
+          (* the complete records that continue the base, epoch by
+             epoch; the log's torn tail, if any, is already gone *)
+          let rec consecutive epoch = function
+            | (seq, payload) :: rest when seq = epoch + 1 ->
+                let r : session_record = Marshal.from_string payload 0 in
+                let epoch, rs = consecutive seq rest in
+                (epoch, r :: rs)
+            | _ -> (epoch, [])
+          in
+          let epoch, records =
+            consecutive blob.sb_epoch
+              (Kgm_resilience.Framed.read ~path:(session_log path))
+          in
           let db = DB.create () in
           List.iter
             (fun (pred, fact) -> ignore (DB.add db pred fact))
-            blob.sb_edb;
+            (replay_edb blob.sb_edb records);
           (* facts-stripped phases: the snapshot's EDB already contains
              the program's inline facts, including any later retracted
              by updates — re-adding them from the rule text would
@@ -152,13 +211,14 @@ let recover ?options ?telemetry ?journal ~dir phases =
             Inc.chase_phases ?options ?telemetry ?journal ~db
               (List.map strip phases)
           in
-          (st, blob.sb_epoch)
+          (st, epoch, List.length records)
         with
-        | st, epoch ->
+        | st, epoch, records ->
             if Journal.enabled jr then
               Journal.emit jr "server.recover"
                 [ ("path", J.Str path);
                   ("epoch", J.Int epoch);
+                  ("records", J.Int records);
                   ("facts", J.Int (DB.total (Inc.db st))) ];
             Some (st, epoch, path)
         | exception Err.Error e ->
@@ -531,7 +591,6 @@ type config = {
   max_requests_per_conn : int;
   state_dir : string option;
   keep : int;
-  snapshot_every : int;
   debug_endpoints : bool;
 }
 
@@ -542,17 +601,28 @@ let default_config ~sock =
     default_deadline_s = None;
     io_timeout_s = 10.;
     idle_timeout_s = 5.;
-    max_requests_per_conn = 10_000;
+    max_requests_per_conn = 100_000;
     state_dir = None;
     keep = 3;
-    snapshot_every = 1;
     debug_endpoints = false }
 
 (* an epoch pairs the frozen snapshot with its side-car index cache:
    patterns first seen at query time (after the publish-time
    preparation) are built once per epoch instead of linear-scanned per
-   request *)
-type epoch = { ep_id : int; ep_db : DB.t; ep_cache : DB.index_cache }
+   request. [ep_pins] counts the /query evaluations reading [ep_db]
+   right now: the writer thaws a retired epoch's store only once its
+   pins drain to zero. *)
+type epoch = {
+  ep_id : int;
+  ep_db : DB.t;
+  ep_cache : DB.index_cache;
+  ep_facts : int;  (* DB.total at publish *)
+  ep_pins : int Atomic.t;
+}
+
+let make_epoch id db =
+  { ep_id = id; ep_db = db; ep_cache = DB.cache_create ();
+    ep_facts = DB.total db; ep_pins = Atomic.make 0 }
 
 type stats = {
   st_epoch : int;
@@ -579,6 +649,15 @@ type t = {
   epoch : epoch Atomic.t;
   mutable epoch_ctr : int;  (* under writer_mu *)
   writer_mu : Mutex.t;
+  (* the store last handed to the session, recording its writes; the
+     session holding another one means a re-chase replaced it. Under
+     writer_mu, like the persistence state below *)
+  mutable master : DB.t;
+  (* the current generation's log; [None] makes the next persist write
+     a base *)
+  mutable log_w : Kgm_resilience.Framed.writer option;
+  mutable log_bytes : int;
+  mutable base_bytes : int;
   patterns_mu : Mutex.t;
   patterns : (string * int list, unit) Hashtbl.t;  (* query surface *)
   qp_mu : Mutex.t;
@@ -605,32 +684,31 @@ type t = {
   c_faults : int Atomic.t;
 }
 
-let freeze_copy db =
-  let c = DB.copy db in
-  if not (DB.is_frozen c) then DB.freeze c;
-  c
-
 let create ?(telemetry = Kgm_telemetry.null)
     ?(journal = Journal.null) ?(epoch = 0) cfg ~session =
   let cfg =
     { cfg with
       workers = max 1 cfg.workers;
       queue_capacity = max 1 cfg.queue_capacity;
-      max_requests_per_conn = max 1 cfg.max_requests_per_conn;
-      snapshot_every = max 1 cfg.snapshot_every }
+      max_requests_per_conn = max 1 cfg.max_requests_per_conn }
   in
+  (* the initial twin: one of the three times a store is copied *)
+  let master = Inc.db session in
+  let twin = DB.copy master in
+  DB.freeze twin;
+  DB.record master true;
   let t =
     { cfg;
       session;
       tele = telemetry;
       jr = journal;
-      epoch =
-        Atomic.make
-          { ep_id = epoch;
-            ep_db = freeze_copy (Inc.db session);
-            ep_cache = DB.cache_create () };
+      epoch = Atomic.make (make_epoch epoch twin);
       epoch_ctr = epoch;
       writer_mu = Mutex.create ();
+      master;
+      log_w = None;
+      log_bytes = 0;
+      base_bytes = 0;
       patterns_mu = Mutex.create ();
       patterns = Hashtbl.create 16;
       qp_mu = Mutex.create ();
@@ -708,56 +786,168 @@ let registered_patterns t =
   Mutex.unlock t.patterns_mu;
   ps
 
-(* publish the master as a fresh frozen epoch. Under writer_mu. Every
-   probe pattern the query surface has used so far is index-prepared on
-   the copy *before* it freezes, so readers of the new epoch never pay
-   the frozen-store linear-scan fallback for a known pattern. The
+let timed t name f =
+  let t0 = Kgm_telemetry.Clock.now () in
+  let r = f () in
+  Kgm_telemetry.observe t.tele name (Kgm_telemetry.Clock.now () -. t0);
+  r
+
+(* A /query's hold on the current epoch: pin, then re-read — a reader
+   that lost the race with a swap unpins and takes the new epoch, so a
+   retired epoch's pin count only falls *)
+let rec pin t =
+  let ep = Atomic.get t.epoch in
+  Atomic.incr ep.ep_pins;
+  if Atomic.get t.epoch == ep then ep
+  else begin
+    Atomic.decr ep.ep_pins;
+    pin t
+  end
+
+(* the writer's wait for a retired epoch's readers: a growing sleep,
+   never a spin; bounded by the longest evaluation in flight *)
+let await_readers ep =
+  let rec wait d =
+    if Atomic.get ep.ep_pins > 0 then begin
+      Unix.sleepf d;
+      wait (Float.min 1e-3 (2. *. d))
+    end
+  in
+  wait 2e-5
+
+(* Publish the master as epoch [t.epoch_ctr]. Under writer_mu. Every
+   probe pattern the query surface has used so far is index-prepared
+   on the master *before* it freezes, so readers of the new epoch never
+   pay the frozen-store linear-scan fallback for a known pattern. The
    "swap" fault site is transient: wrapped in the retry loop, bounded
-   by the drain token. A publish that exhausts its retries leaves the
-   previous epoch visible — readers stay consistent, the next
-   successful swap publishes everything since. *)
+   by the drain token. A swap that exhausts its retries thaws the
+   master and leaves the previous epoch visible — readers stay
+   consistent, the master's change log stays pending and the next
+   successful publish replays everything since.
+
+   After the swap the retired store waits for its readers, is thawed,
+   and replays the master's change log, which makes it an identical
+   twin: it becomes the next master. When a re-chase replaced the
+   session's store (a fallback, or the batch after one that raised),
+   the retired store is unrelated to it and the next master is a copy
+   instead. *)
 let publish t =
-  let db = DB.copy (Inc.db t.session) in
-  if DB.is_frozen db then DB.thaw db;
+  let db = Inc.db t.session in
   List.iter
     (fun (pred, positions) -> DB.prepare_index db pred positions)
     (registered_patterns t);
   DB.freeze db;
-  t.epoch_ctr <- t.epoch_ctr + 1;
-  let id = t.epoch_ctr in
-  Retry.with_backoff ~attempts:4 ~base_s:0.001 ~cancel:t.drain_tok
-    ~on_retry:(fun ~attempt:_ _ -> Atomic.incr t.c_faults)
-    (fun () ->
-      Faults.inject "swap";
-      Atomic.set t.epoch { ep_id = id; ep_db = db; ep_cache = DB.cache_create () });
+  let ep = make_epoch t.epoch_ctr db in
+  let retired = Atomic.get t.epoch in
+  (match
+     Retry.with_backoff ~attempts:4 ~base_s:0.001 ~cancel:t.drain_tok
+       ~on_retry:(fun ~attempt:_ _ -> Atomic.incr t.c_faults)
+       (fun () ->
+         Faults.inject "swap";
+         Atomic.set t.epoch ep)
+   with
+  | () -> ()
+  | exception e ->
+      DB.thaw db;
+      raise e);
+  await_readers retired;
+  let next, replayed, copied =
+    if db == t.master then begin
+      let twin = retired.ep_db in
+      DB.thaw twin;
+      let n = DB.replay db ~into:twin in
+      (twin, n, 0)
+    end
+    else begin
+      let c = DB.copy db in
+      DB.thaw c;
+      (c, 0, DB.total c)
+    end
+  in
+  DB.record db false;
+  DB.record next true;
+  Inc.swap_db t.session next;
+  t.master <- next;
   if Journal.enabled t.jr then
     Journal.emit t.jr "server.swap"
-      [ ("epoch", J.Int id); ("facts", J.Int (DB.total db)) ]
+      [ ("epoch", J.Int ep.ep_id);
+        ("facts", J.Int ep.ep_facts);
+        ("replayed", J.Int replayed);
+        ("copied", J.Int copied) ]
 
-(* write a session snapshot; failures are absorbed (journaled and
-   counted) — a persistence hiccup must not fail the update that
-   triggered it, and drain must complete regardless *)
-let try_snapshot t =
+(* ---- persistence: a base per generation, a record per batch ---- *)
+
+let checkpoint_event t kind path bytes =
+  if Journal.enabled t.jr then
+    Journal.emit t.jr "server.checkpoint"
+      [ ("path", J.Str path);
+        ("epoch", J.Int t.epoch_ctr);
+        ("kind", J.Str kind);
+        ("bytes", J.Int bytes) ]
+
+(* persistence failures are absorbed (journaled and counted) — a
+   persistence hiccup must not fail the update that triggered it, and
+   drain must complete regardless *)
+let checkpoint_failed t e =
+  Atomic.incr t.c_faults;
+  if Journal.enabled t.jr then
+    Journal.emit t.jr "server.checkpoint.fail"
+      [ ("error", J.Str (Printexc.to_string e)) ]
+
+let close_log t =
+  Option.iter Kgm_resilience.Framed.close t.log_w;
+  t.log_w <- None
+
+(* a new generation at the current epoch: base snapshot, empty log *)
+let write_base t dir =
+  close_log t;
+  match
+    Retry.with_backoff ~attempts:4 ~base_s:0.002
+      ~on_retry:(fun ~attempt:_ _ -> Atomic.incr t.c_faults)
+      (fun () ->
+        save_session ~dir ~keep:t.cfg.keep ~epoch:t.epoch_ctr t.session)
+  with
+  | path ->
+      t.base_bytes <- (Unix.stat path).Unix.st_size;
+      t.log_bytes <- 0;
+      (* a log of the same epoch can only hold a torn tail past this
+         base (a recovery stopped there): it restarts empty *)
+      t.log_w <- Some (Kgm_resilience.Framed.create ~path:(session_log path));
+      checkpoint_event t "base" path t.base_bytes
+  | exception e -> checkpoint_failed t e
+
+(* Persist the session at [t.epoch_ctr]: append [batch] to the
+   generation's log — flushed before the batch is acknowledged — or,
+   with no batch (start, drain), no open log (a failed append or base)
+   or a log grown past its base, write a new base. Under writer_mu. *)
+let persist ?batch t =
   match t.cfg.state_dir with
-  | None -> None
-  | Some dir -> (
-      match
-        Retry.with_backoff ~attempts:4 ~base_s:0.002
-          ~on_retry:(fun ~attempt:_ _ -> Atomic.incr t.c_faults)
-          (fun () ->
-            save_session ~dir ~keep:t.cfg.keep ~epoch:t.epoch_ctr t.session)
-      with
-      | path ->
-          if Journal.enabled t.jr then
-            Journal.emit t.jr "server.checkpoint"
-              [ ("path", J.Str path); ("epoch", J.Int t.epoch_ctr) ];
-          Some path
-      | exception e ->
-          Atomic.incr t.c_faults;
-          if Journal.enabled t.jr then
-            Journal.emit t.jr "server.checkpoint.fail"
-              [ ("error", J.Str (Printexc.to_string e)) ];
-          None)
+  | None -> ()
+  | Some dir ->
+      timed t "server.persist" @@ fun () ->
+      let appended =
+        match (batch, t.log_w) with
+        | Some (b : session_record), Some w when t.log_bytes <= t.base_bytes
+          -> (
+            match
+              Kgm_resilience.Framed.append w ~seq:t.epoch_ctr
+                (Marshal.to_string b [])
+            with
+            | bytes ->
+                t.log_bytes <- t.log_bytes + bytes;
+                checkpoint_event t "append"
+                  (Kgm_resilience.Framed.writer_path w)
+                  bytes;
+                true
+            | exception e ->
+                (* the log may end in a partial record now: never append
+                   to it again *)
+                checkpoint_failed t e;
+                close_log t;
+                false)
+        | _ -> false
+      in
+      if not appended then write_base t dir
 
 (* ---- request routing (worker threads) ---- *)
 
@@ -768,13 +958,16 @@ let handle_update t body =
   let inserts, retracts = Batch.split batch in
   with_lock t.writer_mu (fun () ->
       let u =
-        Inc.maintain ~telemetry:t.tele ~journal:t.jr t.session ~inserts
-          ~retracts
+        timed t "server.maintain" (fun () ->
+            Inc.maintain ~telemetry:t.tele ~journal:t.jr t.session ~inserts
+              ~retracts)
       in
+      t.epoch_ctr <- t.epoch_ctr + 1;
       Atomic.incr t.c_updates;
-      publish t;
-      if Atomic.get t.c_updates mod t.cfg.snapshot_every = 0 then
-        ignore (try_snapshot t);
+      (* durable before visible: an epoch a reader saw is never one a
+         crash can lose *)
+      persist t ~batch:(inserts, retracts);
+      timed t "server.publish" (fun () -> publish t);
       ok
         (Printf.sprintf
            "ok epoch=%d inserted=%d retracted=%d derived=%d deleted=%d \
@@ -819,7 +1012,7 @@ let handle_status t =
        "epoch: %d\nfacts: %d\nrequests: %d\nconnections: %d\nshed: %d\n\
         errors: %d\nupdates: %d\nqueue_depth: %d\ninflight: %d\n\
         faults_absorbed: %d\nworkers: %d\nqueue_capacity: %d\ndraining: %b\n"
-       ep.ep_id (DB.total ep.ep_db) s.st_requests s.st_conns s.st_shed
+       ep.ep_id ep.ep_facts s.st_requests s.st_conns s.st_shed
        s.st_errors s.st_updates s.st_queue_depth s.st_inflight s.st_faults
        t.cfg.workers t.cfg.queue_capacity (draining t))
 
@@ -883,15 +1076,20 @@ let route t req =
                   Hashtbl.replace t.qp_cache req.body q);
             q
       in
-      let ep = Atomic.get t.epoch in
       let buf = Buffer.create 1024 in
       let poll () =
         Token.check tok;
         Token.check t.drain_tok
       in
+      (* pinned only while evaluating into the buffer: a slow client
+         never holds back the writer *)
+      let ep = pin t in
       let n =
-        eval_query ~poll ~register:(register_pattern t) ~cache:ep.ep_cache
-          ep.ep_db q buf
+        Fun.protect
+          ~finally:(fun () -> Atomic.decr ep.ep_pins)
+          (fun () ->
+            eval_query ~poll ~register:(register_pattern t)
+              ~cache:ep.ep_cache ep.ep_db q buf)
       in
       ( 200,
         [ ("x-kgm-epoch", string_of_int ep.ep_id);
@@ -1078,6 +1276,10 @@ let start t =
   if Atomic.exchange t.started true then
     invalid_arg "Kgm_server.start: already started";
   tune_runtime_for_serving ();
+  (* a fresh generation before the first request: a crash before the
+     first update recovers, and the log never continues one a recovery
+     read (it may end in a torn record) *)
+  with_lock t.writer_mu (fun () -> persist t);
   (try Unix.unlink t.cfg.sock with Unix.Unix_error _ -> ());
   let lfd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
   (try
@@ -1138,9 +1340,11 @@ let run_until_drained t =
   Atomic.set t.stop_shed true;
   with_lock t.shed_mu (fun () -> Condition.broadcast t.shed_cond);
   (match t.shed_thread with Some th -> Thread.join th | None -> ());
-  (* 3. final checkpoint — absorbed on failure: drain always exits *)
+  (* 3. final base — absorbed on failure: drain always exits *)
   absorb_drain_fault t;
-  ignore (try_snapshot t);
+  with_lock t.writer_mu (fun () ->
+      persist t;
+      close_log t);
   let s = stats t in
   if Journal.enabled t.jr then
     Journal.emit t.jr "server.drain.done"

@@ -5,12 +5,17 @@
     and query it while extensional updates stream in (Sec. 6); this
     module is that serving layer. A server owns one
     {!Kgm_vadalog.Incremental.state} (the {e master} materialization)
-    and publishes read-only {e epochs} of it: after every applied
-    update batch the repaired database is copied, frozen and swapped
-    into an [Atomic.t]. Readers grab the current epoch with one atomic
-    load — they never block on a writer, never observe a half-applied
-    batch, and each request is answered against exactly one epoch
-    (stamped into the [x-kgm-epoch] response header).
+    and publishes read-only {e epochs} of it. Two physical stores take
+    turns: {!Kgm_vadalog.Incremental.maintain} repairs the master while
+    readers answer from its frozen twin; publishing freezes the master
+    and swaps it into an [Atomic.t], then replays the master's change
+    log onto the retired store once its readers are done, and that
+    store becomes the next master — every step from batch to visible
+    epoch costs O(batch). Readers grab the current epoch with one
+    atomic load and pin it while they evaluate — they never block on a
+    writer, never observe a half-applied batch, and each request is
+    answered against exactly one epoch (stamped into the [x-kgm-epoch]
+    response header).
 
     The wire protocol is minimal HTTP/1.1 over a Unix-domain socket
     with {e persistent connections}: responses default to
@@ -42,12 +47,18 @@
     - {e Graceful drain}: {!drain} (wired to SIGINT/SIGTERM by the
       CLI, safe to call from a signal handler) stops admission,
       cancels or finishes in-flight work, sheds the queue with
-      [503 draining], writes a final session snapshot and lets
+      [503 draining], writes a final base snapshot and lets
       {!run_until_drained} return — exit 0, state on disk.
-    - {e Crash recovery}: {!recover} restarts from the newest session
-      snapshot whose digest and program fingerprint check out,
-      falling back generation by generation past corrupt or foreign
-      files; {!save_session} rotates generations with
+    - {e Persistence}: a session {e generation} is a base snapshot
+      ({!save_session}) plus an append-only log of the batches applied
+      after it. Every batch is appended — epoch, length, digest — and
+      flushed before it is acknowledged and before its epoch is
+      published. A new base is written at start, at drain, after a
+      failed append, and once the log outgrows its base.
+    - {e Crash recovery}: {!recover} restarts from the newest base whose
+      digest and program fingerprint check out plus its log's complete
+      records, falling back generation by generation past corrupt or
+      foreign files; {!save_session} rotates generations with
       {!Kgm_resilience.Snapshot.gc} so the directory stays bounded
       without ever deleting the generation recovery needs.
     - {e Fault injection}: the ["accept"], ["request"], ["swap"] and
@@ -58,9 +69,9 @@
       completes).
 
     An epoch swap that exhausts its retries leaves the master updated
-    but the previous epoch visible; readers simply keep answering
-    against the older consistent snapshot until the next successful
-    swap publishes everything since. *)
+    (and the batch logged) but the previous epoch visible; readers
+    simply keep answering against the older consistent snapshot until
+    the next successful swap publishes everything since. *)
 
 (** Update batches — the shared text format of [kgmodel serve]'s
     [POST /update] and [kgmodel reason --update]. One fact per line;
@@ -106,21 +117,19 @@ type config = {
                               state and re-balances long-lived clients
                               across readers *)
   state_dir : string option;
-                          (** session snapshot directory; [None]
-                              disables persistence *)
-  keep : int;             (** snapshot generations retained (>= 1
-                              effective); see
-                              {!Kgm_resilience.Snapshot.gc} *)
-  snapshot_every : int;   (** write a session snapshot every N applied
-                              update batches (and always at drain) *)
+                          (** session generations (base snapshots and
+                              their batch logs); [None] disables
+                              persistence *)
+  keep : int;             (** generations retained (>= 1 effective);
+                              see {!Kgm_resilience.Snapshot.gc} *)
   debug_endpoints : bool; (** expose [POST /slow] (a cancellable sleep)
                               — for drain/overload tests only *)
 }
 
 val default_config : sock:string -> config
 (** 4 workers, queue 64, no default deadline, 10 s IO timeout, 5 s
-    idle timeout, 10000 requests per connection, no persistence,
-    keep 3, snapshot every batch, debug off. *)
+    idle timeout, 100000 requests per connection, no persistence,
+    keep 3, debug off. *)
 
 (** {1 Server lifecycle} *)
 
@@ -148,8 +157,12 @@ val create :
   config -> session:Kgm_vadalog.Incremental.state -> t
 (** Wrap a chased (or recovered) session. [epoch] seeds the epoch
     counter — pass the recovered epoch so ids keep ascending across
-    restarts. Registers [server.*] gauges on [telemetry] (sampled at
-    [/metrics] export). Does not touch the network. *)
+    restarts. Makes the initial twin (a {!Kgm_vadalog.Database.copy}
+    of the session's store) and starts the session's store recording
+    its writes. Registers [server.*] gauges on [telemetry] (sampled at
+    [/metrics] export); the write path observes the [server.maintain],
+    [server.publish] and [server.persist] histograms there. Does not
+    touch the network. *)
 
 val tune_runtime_for_serving : unit -> unit
 (** Raise the minor-heap size to a serving-friendly arena (4M words;
@@ -162,7 +175,8 @@ val tune_runtime_for_serving : unit -> unit
     too. *)
 
 val start : t -> unit
-(** Bind the socket and spawn the acceptor thread, the shed thread
+(** Write a base generation (when [state_dir] is set), bind the socket
+    and spawn the acceptor thread, the shed thread
     (which answers [503] off the accept path so a slow doomed client
     never stalls accepts) and the reader domain pool. Tunes the
     runtime via {!tune_runtime_for_serving}. Raises
@@ -179,8 +193,8 @@ val draining : t -> bool
 val run_until_drained : t -> stats
 (** Block until {!drain} is requested, then: stop admission, unlink
     the socket, cancel in-flight work past the grace of one request,
-    shed the queue with [503 draining], join every thread, write the
-    final session snapshot (when [state_dir] is set), and return the
+    shed the queue with [503 draining], join every thread, write a
+    final base generation (when [state_dir] is set), and return the
     final statistics. ["drain"]-site faults along the way are absorbed
     and counted — drain always completes. *)
 
@@ -196,12 +210,17 @@ val fingerprint : Kgm_vadalog.Rule.program list -> string
 val save_session :
   dir:string -> keep:int -> epoch:int ->
   Kgm_vadalog.Incremental.state -> string
-(** Snapshot the session's extensional facts (kind ["session"],
-    version 3, sequence = [epoch]) with atomic-rename and digest
-    protection, then rotate old generations ({!Kgm_resilience.Snapshot.gc}
-    with [keep]); returns the path written. The derived facts are not
-    stored — recovery re-chases, which is what makes the snapshot
-    small and the restore verifiable. *)
+(** Start a generation: snapshot the session's extensional facts as its
+    base (kind ["session"], version 3, sequence = [epoch]) with
+    atomic-rename and digest protection, then rotate old generations,
+    bases and logs together ({!Kgm_resilience.Snapshot.gc} with
+    [keep]); returns the base's path. The batches applied after the
+    base go to its log ([session-EPOCH.log], a
+    {!Kgm_resilience.Framed} log), which the server starts when it
+    writes the base; a base without a log is a generation with no
+    batches. The derived facts are not stored — recovery
+    re-chases, which is what makes the snapshot small and the restore
+    verifiable. *)
 
 val recover :
   ?options:Kgm_vadalog.Engine.options ->
@@ -209,16 +228,20 @@ val recover :
   ?journal:Kgm_telemetry.Journal.t ->
   dir:string -> Kgm_vadalog.Rule.program list ->
   (Kgm_vadalog.Incremental.state * int * string) option
-(** Walk the ["session"] snapshots in [dir] newest-first; for the
-    first one that loads (magic, kind, version and payload digest all
-    valid) {e and} matches {!fingerprint} of the given phases, rebuild
-    the EDB and re-chase the facts-stripped phases, returning
-    [(session, epoch, path)]. Rejected generations are journaled
+(** Walk the generations in [dir] newest-first; for the first whose
+    base loads (magic, kind, version and payload digest all valid),
+    matches {!fingerprint} of the given phases {e and} whose log reads
+    cleanly, replay the log's complete records with consecutive epochs
+    into the base's EDB, re-chase the facts-stripped phases once, and
+    return [(session, epoch, base path)] — [epoch] is the last record
+    replayed, or the base's. A torn last record is dropped (a crash
+    mid-append leaves one); a record failing its digest before the
+    tail rejects the generation. Rejected generations are journaled
     ([server.recover.reject]) and skipped; [None] when no generation
     survives. The restored materialization equals the lost one up to
     the canonical renaming of labeled nulls
-    ({!Kgm_vadalog.Incremental.canonical_facts}); null-free
-    workloads restore bit-identically. *)
+    ({!Kgm_vadalog.Incremental.canonical_facts}); null-free workloads
+    restore bit-identically. *)
 
 (** {1 Client} *)
 

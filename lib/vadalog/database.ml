@@ -14,9 +14,13 @@
     Facts live in per-predicate append-order buffers (doubling arrays),
     so insertion order is the storage order: probes and {!facts} never
     reverse a list, and every fact carries an insertion sequence number
-    that the engine uses as a deterministic sort key. The dedup table is
-    keyed on the [int array] fact itself — no list key is allocated per
-    {!add}/{!mem} probe.
+    (its slot) that the engine uses as a deterministic sort key. The
+    dedup table is keyed on the [int array] fact itself — no list key
+    is allocated per {!add}/{!mem} probe. Removal tombstones a slot and
+    drops the fact from the dedup set and its index postings, so
+    survivors keep their relative order; a store compacts (renumbering
+    its slots densely) only once its dead slots outnumber its live
+    facts.
 
     For the parallel chase the store can be {!freeze}-frozen: a frozen
     database rejects writes and never mutates on {!lookup} (a missing
@@ -24,7 +28,11 @@
     probe key containing a value absent from the dictionary simply has
     no matches), so any number of domains may read it — and the
     read-only dictionary — concurrently. {!prepare_index} builds the
-    indexes a query plan will need {e before} the parallel section. *)
+    indexes a query plan will need {e before} the parallel section.
+
+    A store can also {!record} its successful writes into a change log,
+    which {!replay} applies to a twin — how the server turns a retired
+    epoch into the next master in O(batch). *)
 
 open Kgm_common
 
@@ -91,23 +99,35 @@ let postings_add ps seq =
   ps.p_seq.(ps.p_len) <- seq;
   ps.p_len <- ps.p_len + 1
 
+(* slots of removed facts hold this array (compared physically) *)
+let tomb : ifact = Array.make 1 (-1)
+
 type pred_store = {
-  mutable arr : ifact array;  (* arr.(0 .. count-1) in insertion order *)
-  mutable count : int;
-  seqs : int IFactTbl.t;      (* dedup set: fact -> insertion sequence *)
+  mutable arr : ifact array;  (* slots 0 .. len-1 in insertion order *)
+  mutable len : int;          (* slots in use, live or dead *)
+  mutable count : int;        (* live facts *)
+  seqs : int IFactTbl.t;      (* dedup set: live fact -> its slot *)
   indexes : (int list, postings IKeyTbl.t) Hashtbl.t;
 }
+
+(* one successful write of a recording store, replayable on its twin *)
+type change = Added of string * ifact | Removed of string * ifact
 
 type t = {
   preds : (string, pred_store) Hashtbl.t;
   dict : Intern.t;
   mutable total : int;
   mutable frozen : bool;
+  mutable recording : bool;
+  mutable changes : change list;  (* reverse order *)
 }
 
 let create ?dict () =
   let dict = match dict with Some d -> d | None -> Intern.create () in
-  { preds = Hashtbl.create 64; dict; total = 0; frozen = false }
+  { preds = Hashtbl.create 64; dict; total = 0; frozen = false;
+    recording = false; changes = [] }
+
+let note_change t c = if t.recording then t.changes <- c :: t.changes
 
 let dict t = t.dict
 let intern_fact t (f : fact) : ifact = Array.map (Intern.intern t.dict) f
@@ -144,7 +164,8 @@ let store t pred =
   | Some s -> s
   | None ->
       let s =
-        { arr = [||]; count = 0; seqs = IFactTbl.create 256; indexes = Hashtbl.create 4 }
+        { arr = [||]; len = 0; count = 0; seqs = IFactTbl.create 256;
+          indexes = Hashtbl.create 4 }
       in
       Hashtbl.add t.preds pred s;
       s
@@ -169,14 +190,36 @@ let index_insert idx positions fact seq =
           IKeyTbl.add idx k ps)
 
 let buffer_append s fact =
-  if s.count = Array.length s.arr then begin
-    let cap = max 16 (2 * s.count) in
-    let a = Array.make cap [||] in
-    Array.blit s.arr 0 a 0 s.count;
+  if s.len = Array.length s.arr then begin
+    let cap = max 16 (2 * s.len) in
+    let a = Array.make cap tomb in
+    Array.blit s.arr 0 a 0 s.len;
     s.arr <- a
   end;
-  s.arr.(s.count) <- fact;
+  s.arr.(s.len) <- fact;
+  s.len <- s.len + 1;
   s.count <- s.count + 1
+
+(* [f slot fact] over the live slots below [len], in slot order *)
+let iter_live s len f =
+  for i = 0 to len - 1 do
+    let fact = s.arr.(i) in
+    if fact != tomb then f i fact
+  done
+
+(* append without the fault site or the change log: the shared step of
+   [add_i] and [replay] *)
+let insert t pred (fact : ifact) =
+  let s = store t pred in
+  if IFactTbl.mem s.seqs fact then false
+  else begin
+    let seq = s.len in
+    IFactTbl.add s.seqs fact seq;
+    buffer_append s fact;
+    t.total <- t.total + 1;
+    Hashtbl.iter (fun positions idx -> index_insert idx positions fact seq) s.indexes;
+    true
+  end
 
 (** [add_i t pred ifact] inserts an already-interned fact; returns
     [true] when it is new. *)
@@ -186,16 +229,9 @@ let add_i t pred (fact : ifact) =
      checkpoint/resume tests need to provoke (one ref read when fault
      injection is off) *)
   Kgm_resilience.Faults.inject "db_insert";
-  let s = store t pred in
-  if IFactTbl.mem s.seqs fact then false
-  else begin
-    let seq = s.count in
-    IFactTbl.add s.seqs fact seq;
-    buffer_append s fact;
-    t.total <- t.total + 1;
-    Hashtbl.iter (fun positions idx -> index_insert idx positions fact seq) s.indexes;
-    true
-  end
+  let fresh = insert t pred fact in
+  if fresh then note_change t (Added (pred, fact));
+  fresh
 
 (** [add t pred fact] returns [true] when the fact is new. *)
 let add t pred fact =
@@ -210,15 +246,24 @@ let mem_i t pred (fact : ifact) =
 let mem t pred fact =
   match find_fact t fact with Some f -> mem_i t pred f | None -> false
 
+(* live facts of a store in slot order, mapped *)
+let live_list s f =
+  let acc = ref [] in
+  for i = s.len - 1 downto 0 do
+    let fact = s.arr.(i) in
+    if fact != tomb then acc := f fact :: !acc
+  done;
+  !acc
+
 let facts_i t pred =
   match Hashtbl.find_opt t.preds pred with
   | None -> []
-  | Some s -> List.init s.count (fun i -> s.arr.(i))
+  | Some s -> live_list s Fun.id
 
 let facts t pred =
   match Hashtbl.find_opt t.preds pred with
   | None -> []
-  | Some s -> List.init s.count (fun i -> resolve_fact t s.arr.(i))
+  | Some s -> live_list s (resolve_fact t)
 
 let count t pred =
   match Hashtbl.find_opt t.preds pred with Some s -> s.count | None -> 0
@@ -228,90 +273,112 @@ let total t = t.total
 let predicates t =
   Hashtbl.fold (fun p _ acc -> p :: acc) t.preds [] |> List.sort String.compare
 
-let build_index s positions =
+let build_detached s positions =
   let idx = IKeyTbl.create (max 64 s.count) in
-  for i = 0 to s.count - 1 do
-    index_insert idx positions s.arr.(i) i
-  done;
+  iter_live s s.len (fun i fact -> index_insert idx positions fact i);
+  idx
+
+let build_index s positions =
+  let idx = build_detached s positions in
   Hashtbl.add s.indexes positions idx;
   idx
 
+(* drop [seq] from the ascending postings of [fact]'s key: a binary
+   search and a shift within the one group *)
+let index_remove idx positions fact seq =
+  match index_key positions fact with
+  | None -> ()
+  | Some k -> (
+      match IKeyTbl.find_opt idx k with
+      | None -> ()
+      | Some ps ->
+          let rec find lo hi =
+            if lo >= hi then lo
+            else
+              let mid = (lo + hi) / 2 in
+              if ps.p_seq.(mid) < seq then find (mid + 1) hi else find lo mid
+          in
+          let i = find 0 ps.p_len in
+          if i < ps.p_len && ps.p_seq.(i) = seq then begin
+            Array.blit ps.p_seq (i + 1) ps.p_seq i (ps.p_len - i - 1);
+            ps.p_len <- ps.p_len - 1;
+            if ps.p_len = 0 then IKeyTbl.remove idx k
+          end)
+
+(* survivors renumbered densely from 0 in slot order, every index
+   pattern rebuilt over them *)
+let compact s =
+  let live = Array.make (max 16 s.count) tomb in
+  let n = ref 0 in
+  iter_live s s.len (fun _ fact ->
+      live.(!n) <- fact;
+      IFactTbl.replace s.seqs fact !n;
+      incr n);
+  s.arr <- live;
+  s.len <- !n;
+  let patterns = Hashtbl.fold (fun positions _ acc -> positions :: acc) s.indexes [] in
+  Hashtbl.reset s.indexes;
+  List.iter (fun positions -> ignore (build_index s positions)) patterns
+
+(* tombstone one live fact; the store compacts once its dead slots
+   outnumber its live facts, and an emptied predicate disappears *)
+let remove_i t pred (fact : ifact) =
+  match Hashtbl.find_opt t.preds pred with
+  | None -> false
+  | Some s -> (
+      match IFactTbl.find_opt s.seqs fact with
+      | None -> false
+      | Some seq ->
+          let fact = s.arr.(seq) in
+          IFactTbl.remove s.seqs fact;
+          s.arr.(seq) <- tomb;
+          s.count <- s.count - 1;
+          t.total <- t.total - 1;
+          Hashtbl.iter (fun positions idx -> index_remove idx positions fact seq) s.indexes;
+          if s.count = 0 then
+            (* no ghost store: [predicates] (and the maintenance layer's
+               canonical forms) must agree with a database into which
+               only the survivors were inserted *)
+            Hashtbl.remove t.preds pred
+          else if s.len - s.count > s.count then compact s;
+          true)
+
 (** [remove_batch t facts] deletes every listed (pred, fact) pair that
-    is present and returns how many were removed. Each affected
-    predicate store is rebuilt in one sweep: survivors keep their
-    relative order and are renumbered densely from 0, and the store's
-    index patterns are rebuilt over the survivors — so after a removal
-    the store is indistinguishable from one into which only the
-    survivors were ever inserted, which is what the incremental
-    maintenance layer's determinism argument needs. Duplicates in
-    [facts] are counted once. Raises [Invalid_argument] when frozen.
-    (The dictionary is append-only: ids of removed facts stay interned,
-    which is harmless — membership is decided by the dedup set.) *)
+    is present and returns how many were removed; duplicates count
+    once. Each removal touches only its fact's slot, dedup entry and
+    index groups (see {!remove_i}). Raises [Invalid_argument] when
+    frozen. (The dictionary is append-only: ids of removed facts stay
+    interned, which is harmless — membership is decided by the dedup
+    set.) *)
 let remove_batch ?on_remove t facts =
   if t.frozen then invalid_arg "Database.remove_batch: database is frozen";
-  (* group the doomed facts per predicate, dedup'd via a probe table *)
-  let by_pred : (string, unit IFactTbl.t) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (pred, fact) ->
+  List.fold_left
+    (fun removed (pred, fact) ->
       match find_fact t fact with
-      | None -> ()
-      | Some ifact ->
-          if mem_i t pred ifact then begin
-            let set =
-              match Hashtbl.find_opt by_pred pred with
-              | Some s -> s
-              | None ->
-                  let s = IFactTbl.create 16 in
-                  Hashtbl.add by_pred pred s;
-                  s
-            in
-            IFactTbl.replace set ifact ()
-          end)
-    facts;
-  let notify pred ifact =
-    match on_remove with
-    | Some f -> f pred (resolve_fact t ifact)
-    | None -> ()
-  in
-  let removed = ref 0 in
-  Hashtbl.iter
-    (fun pred doomed ->
-      match Hashtbl.find_opt t.preds pred with
-      | None -> ()
-      | Some s ->
-          let patterns =
-            Hashtbl.fold (fun positions _ acc -> positions :: acc) s.indexes []
-          in
-          let old_arr = s.arr and old_count = s.count in
-          s.arr <- [||];
-          s.count <- 0;
-          IFactTbl.reset s.seqs;
-          Hashtbl.reset s.indexes;
-          for i = 0 to old_count - 1 do
-            let fact = old_arr.(i) in
-            if IFactTbl.mem doomed fact then begin
-              incr removed;
-              t.total <- t.total - 1;
-              notify pred fact
-            end
-            else begin
-              let seq = s.count in
-              IFactTbl.add s.seqs fact seq;
-              buffer_append s fact
-            end
-          done;
-          if s.count = 0 then
-            (* a predicate emptied by the sweep disappears entirely:
-               keeping a ghost store would make [predicates] (and the
-               maintenance layer's canonical forms) disagree with a
-               database into which only the survivors were inserted *)
-            Hashtbl.remove t.preds pred
-          else
-            List.iter
-              (fun positions -> ignore (build_index s positions))
-              patterns)
-    by_pred;
-  !removed
+      | Some ifact when remove_i t pred ifact ->
+          note_change t (Removed (pred, ifact));
+          Option.iter (fun f -> f pred fact) on_remove;
+          removed + 1
+      | _ -> removed)
+    0 facts
+
+(* ---- change log ---- *)
+
+let record t on =
+  t.recording <- on;
+  t.changes <- []
+
+let replay t ~into =
+  if into.frozen then invalid_arg "Database.replay: target is frozen";
+  if into.dict != t.dict then invalid_arg "Database.replay: foreign dictionary";
+  let changes = List.rev t.changes in
+  t.changes <- [];
+  List.iter
+    (function
+      | Added (pred, fact) -> ignore (insert into pred fact)
+      | Removed (pred, fact) -> ignore (remove_i into pred fact))
+    changes;
+  List.length changes
 
 let freeze t = t.frozen <- true
 let thaw t = t.frozen <- false
@@ -354,12 +421,10 @@ let iter_matches_i t pred positions key f =
   match Hashtbl.find_opt t.preds pred with
   | None -> 0
   | Some s ->
-      let n = s.count in
+      let live = s.count in
       if positions = [] then begin
-        for i = 0 to n - 1 do
-          f i s.arr.(i)
-        done;
-        n
+        iter_live s s.len f;
+        live
       end
       else begin
         match Hashtbl.find_opt s.indexes positions with
@@ -369,12 +434,11 @@ let iter_matches_i t pred positions key f =
             | None -> 0)
         | None ->
             if t.frozen then begin
-              for i = 0 to n - 1 do
-                match index_key positions s.arr.(i) with
-                | Some k when IKey.equal k key -> f i s.arr.(i)
-                | _ -> ()
-              done;
-              n
+              iter_live s s.len (fun i fact ->
+                  match index_key positions fact with
+                  | Some k when IKey.equal k key -> f i fact
+                  | _ -> ());
+              live
             end
             else begin
               match IKeyTbl.find_opt (build_index s positions) key with
@@ -437,14 +501,6 @@ let cached_patterns c =
   Mutex.unlock c.ic_mu;
   List.sort compare ps
 
-(* build the pattern's index without attaching it to the store *)
-let build_detached s positions =
-  let idx = IKeyTbl.create (max 64 s.count) in
-  for i = 0 to s.count - 1 do
-    index_insert idx positions s.arr.(i) i
-  done;
-  idx
-
 let cache_index c t pred positions =
   match Hashtbl.find_opt t.preds pred with
   | None -> None
@@ -494,9 +550,7 @@ let copy t =
   let t' = create ~dict:t.dict () in
   Hashtbl.iter
     (fun pred s ->
-      for i = 0 to s.count - 1 do
-        ignore (add_i t' pred (Array.copy s.arr.(i)))
-      done;
+      iter_live s s.len (fun _ fact -> ignore (insert t' pred (Array.copy fact)));
       (* carry the source's index patterns over: a frozen copy could
          otherwise never build them and would linear-scan every probe *)
       Hashtbl.iter (fun positions _ -> prepare_index t' pred positions) s.indexes)

@@ -33,8 +33,11 @@ val create : ?dict:Intern.t -> unit -> t
     by either side are visible to both). Default: a private one. *)
 
 val dict : t -> Intern.t
-(** The database's dictionary. Append to it only on sequential paths —
-    never while the database is frozen for a parallel round. *)
+(** The database's dictionary, shared by every {!copy} (and so by every
+    epoch a server publishes). One writer may append to it while any
+    number of domains read it ({!Kgm_common.Intern}); within a chase,
+    append only on sequential paths — never while the database is
+    frozen for a parallel round. *)
 
 val intern_fact : t -> fact -> ifact
 (** Encode a fact, interning any values not yet in the dictionary.
@@ -96,15 +99,20 @@ val iter_matches :
 (** [iter_matches db pred positions key f] calls [f seq fact] on exactly
     the facts {!lookup} would return, in the same (insertion) order,
     without allocating a result list. [seq] is the fact's per-predicate
-    insertion sequence number (dense from 0), strictly ascending over
-    the calls — the engine's deterministic join-order sort key.
+    insertion sequence number (its slot), strictly ascending over the
+    calls — the engine's deterministic join-order sort key. Sequence
+    numbers start at 0 and are dense until a {!remove_batch}: removed
+    facts leave gaps until the store compacts, and compaction renumbers
+    the survivors densely in the same order, so only the relative order
+    of [seq]s carries meaning.
 
     Returns the number of facts {e examined} to answer the probe: the
     index-group length when an index serves it (or is built first, on an
-    unfrozen store), but the predicate's whole cardinality on the frozen
-    missing-index path, where the probe degrades to a linear scan. The
-    engine charges this to its [rs_probes] counter, so un-prepared
-    probe patterns show up as the full scans they really are. *)
+    unfrozen store), but the predicate's whole (live) cardinality on the
+    frozen missing-index path, where the probe degrades to a linear
+    scan. The engine charges this to its [rs_probes] counter, so
+    un-prepared probe patterns show up as the full scans they really
+    are. *)
 
 val iter_matches_i :
   t -> string -> int list -> int list -> (int -> ifact -> unit) -> int
@@ -115,19 +123,46 @@ val remove_batch :
   ?on_remove:(string -> fact -> unit) -> t -> (string * fact) list -> int
 (** [remove_batch t facts] deletes every listed (pred, fact) pair that
     is present; returns how many facts were removed (duplicates counted
-    once). Affected predicate stores are rebuilt in one sweep: the
-    survivors keep their relative insertion order, are renumbered
-    densely from 0, and the predicate's index patterns are rebuilt over
-    them — afterwards the store is indistinguishable from one into
-    which only the survivors were ever inserted (in particular, a
-    predicate emptied by the sweep vanishes from {!predicates}). This is the deletion
-    primitive of the incremental maintenance layer
-    ({!Kgm_vadalog.Incremental}); it is batch-oriented because DRed
-    removes a whole overdeletion cone at once. [on_remove] is called
-    once per fact actually removed, in sweep order — maintenance
-    layers use it to keep derived state (aggregate group logs, caches)
-    in step with the store. Raises [Invalid_argument] on a frozen
-    database. *)
+    once). A removal tombstones the fact's slot and drops the fact from
+    the dedup set and from its index postings — it touches nothing but
+    the fact and its index groups. Survivors keep their relative
+    insertion order, so {!facts}, every probe's matches and the
+    engine's sort keys are exactly as if only the survivors had ever
+    been inserted; only the {e values} of sequence numbers differ (gaps
+    remain until the store compacts). A store compacts — renumbers its
+    survivors densely and rebuilds its indexes — only when its dead
+    slots outnumber its live facts, so removal is amortized O(1) per
+    fact plus its index groups; {!count} and {!total} always count live
+    facts. A predicate emptied by the removal vanishes from
+    {!predicates}. This is the deletion primitive of the incremental
+    maintenance layer ({!Kgm_vadalog.Incremental}); it is
+    batch-oriented because DRed removes a whole overdeletion cone at
+    once. [on_remove] is called once per fact actually removed, in
+    [facts] order — maintenance layers use it to keep derived state
+    (aggregate group logs, caches) in step with the store. Raises
+    [Invalid_argument] on a frozen database. *)
+
+(** {1 Change log (twin stores)}
+
+    A serving layer keeps two physical stores that take turns: while
+    readers answer from one (frozen), the writer mutates the other.
+    With {!record} on, a store logs every successful {!add}/{!add_i}
+    and every fact {!remove_batch} removed, in order; {!replay} applies
+    that log to a twin holding the same facts as the recorder held
+    when its log was last cleared, which leaves the twin with the same
+    facts in the same per-predicate order — in time proportional to the
+    log, not the store. *)
+
+val record : t -> bool -> unit
+(** Start ([true]) or stop ([false]) recording; either way the log
+    restarts empty. Off by default, and {!copy} does not record. *)
+
+val replay : t -> into:t -> int
+(** [replay src ~into] applies [src]'s recorded operations to [into], in
+    order, then clears [src]'s log; returns how many were applied. The
+    replay is not itself recorded (the target's own log is untouched)
+    and does not fire the ["db_insert"] fault site. [into] must share
+    [src]'s dictionary and be unfrozen (else [Invalid_argument]). *)
 
 (** {1 Freezing (parallel read phases)}
 
@@ -183,10 +218,11 @@ val iter_matches_cached :
 
 val copy : t -> t
 (** Deep copy of the stores — the dictionary is {e shared}, so ids stay
-    stable across copies. Facts are copied in insertion order, the
-    source's index patterns are rebuilt eagerly, and the frozen flag
-    carries over (a copy of a frozen snapshot is itself a read-only
-    snapshot). *)
+    stable across copies. Live facts are copied in insertion order
+    (densely renumbered), the source's index patterns are rebuilt
+    eagerly, and the frozen flag carries over (a copy of a frozen
+    snapshot is itself a read-only snapshot). The copy does not record
+    ({!record}) and does not fire the ["db_insert"] fault site. *)
 
 val pp : Format.formatter -> t -> unit
 (** Every fact as [pred(v1, ..., vn).] lines, predicates sorted. *)

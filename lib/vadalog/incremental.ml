@@ -34,7 +34,7 @@
        An at-risk null is alive iff all parents of its creating
        derivation are alive.}
     {- {e Deletion.} Cone minus alive is removed in one
-       {!Database.remove_batch} sweep (survivors keep their relative
+       {!Database.remove_batch} call (survivors keep their relative
        order — the determinism invariant); the [on_remove] hook keeps
        the aggregate group logs in step, and the support is pruned:
        entries of dead facts, entries of surviving facts that consumed
@@ -66,8 +66,6 @@
 open Kgm_common
 module Journal = Kgm_telemetry.Journal
 module J = Kgm_telemetry.Json
-
-type phase_edb = unit Engine.ProvTbl.t
 
 (* -------- aggregate contribution logs (counting maintenance) -------- *)
 
@@ -129,8 +127,12 @@ type state = {
       (** aggregate head fact -> the groups that derived it *)
   mutable db : Database.t;
   mutable support : Engine.support;
-  edb_set : phase_edb;
-  mutable edb_order : (string * Database.fact) list;  (* reverse load order *)
+  edb_set : (string * Database.fact) Engine.ProvTbl.t;
+      (** EDB fact -> its entry in [edb_order] (compared physically) *)
+  mutable edb_order : (string * Database.fact) list;
+      (** reverse load order; a retracted fact's entry lingers until
+          [edb_compact] drops it, and a re-insertion adds a new entry *)
+  mutable edb_stale : int;  (** entries of [edb_order] no longer current *)
   mutable torn : bool;
       (** a {!maintain} raised mid-repair: the store matches neither the
           pre- nor the post-batch EDB, so the next batch re-chases *)
@@ -156,11 +158,22 @@ let key pred fact = (pred, Array.to_list fact)
 let edb_note st pred fact =
   let k = key pred fact in
   if not (Engine.ProvTbl.mem st.edb_set k) then begin
-    Engine.ProvTbl.add st.edb_set k ();
-    st.edb_order <- (pred, fact) :: st.edb_order;
+    let e = (pred, fact) in
+    Engine.ProvTbl.add st.edb_set k e;
+    st.edb_order <- e :: st.edb_order;
     true
   end
   else false
+
+let edb_current st ((p, f) as e) =
+  match Engine.ProvTbl.find_opt st.edb_set (key p f) with
+  | Some e' -> e' == e
+  | None -> false
+
+(* each fact once, at its latest insertion *)
+let edb_compact st =
+  st.edb_order <- List.filter (edb_current st) st.edb_order;
+  st.edb_stale <- 0
 
 let rule_body_preds (r : Rule.rule) =
   List.filter_map
@@ -296,7 +309,8 @@ let chase_phases ?(options = Engine.default_options) ?telemetry ?journal ~db
       idx_parent = Engine.ProvTbl.create 256;
       idx_head = Engine.ProvTbl.create 256; db;
       support = Engine.create_support ();
-      edb_set = Engine.ProvTbl.create 256; edb_order = []; torn = false }
+      edb_set = Engine.ProvTbl.create 256; edb_order = []; edb_stale = 0;
+      torn = false }
   in
   register_agg_logs st;
   (* the EDB is everything loaded rather than derived: facts already in
@@ -318,9 +332,9 @@ let db st = st.db
 let phases st = st.phases
 let support st = st.support
 
-let edb_facts st =
-  List.rev st.edb_order
-  |> List.filter (fun (p, f) -> Engine.ProvTbl.mem st.edb_set (key p f))
+let edb_facts st = List.rev (List.filter (edb_current st) st.edb_order)
+
+let swap_db st db = st.db <- db
 
 (* ------------------------------------------------------------------ *)
 (* Update planning: the affected closure of the updated predicates,
@@ -496,7 +510,8 @@ let rechase ?telemetry ?journal st =
           st.phases));
   st.db <- db';
   st.support <- support';
-  st.edb_order <- List.rev ordered
+  st.edb_order <- List.rev ordered;
+  st.edb_stale <- 0
 
 (* Saturated accumulators for a phase's seeded pass: every monotonic
    rule of the phase needs one, or {!Engine.run_delta} would re-count
@@ -518,8 +533,19 @@ let agg_init_for st (m : phase_meta) =
    so the next batch re-chases instead of building on a half-repaired
    store. *)
 let atomically st ~retracts f =
-  let edb_order = st.edb_order in
-  List.iter (fun (p, f) -> Engine.ProvTbl.remove st.edb_set (key p f)) retracts;
+  let edb_order = st.edb_order and edb_stale = st.edb_stale in
+  let dropped =
+    List.filter_map
+      (fun (p, f) ->
+        let k = key p f in
+        Option.map (fun e -> (k, e)) (Engine.ProvTbl.find_opt st.edb_set k))
+      retracts
+  in
+  List.iter
+    (fun (k, _) ->
+      Engine.ProvTbl.remove st.edb_set k;
+      st.edb_stale <- st.edb_stale + 1)
+    dropped;
   let noted = ref [] in
   let note p fact =
     let fresh = edb_note st p fact in
@@ -527,16 +553,17 @@ let atomically st ~retracts f =
     fresh
   in
   match f note with
-  | stats -> stats
+  | stats ->
+      if st.edb_stale > Engine.ProvTbl.length st.edb_set then edb_compact st;
+      stats
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
       List.iter
         (fun (p, f) -> Engine.ProvTbl.remove st.edb_set (key p f))
         !noted;
-      List.iter
-        (fun (p, f) -> Engine.ProvTbl.replace st.edb_set (key p f) ())
-        retracts;
+      List.iter (fun (k, e) -> Engine.ProvTbl.replace st.edb_set k e) dropped;
       st.edb_order <- edb_order;
+      st.edb_stale <- edb_stale;
       st.torn <- true;
       Printexc.raise_with_backtrace e bt
 

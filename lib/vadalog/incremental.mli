@@ -98,7 +98,17 @@ val support : state -> Engine.support
     explain a fact against the current materialization. *)
 
 val edb_facts : state -> (string * Database.fact) list
-(** The current extensional facts, in load order. *)
+(** The current extensional facts, each once, in load order: a fact
+    retracted and later re-inserted sits at its latest insertion — where
+    maintenance puts it in the store. *)
+
+val swap_db : state -> Database.t -> unit
+(** [swap_db st twin] hands the session a twin of its database: a store
+    holding the same facts in the same per-predicate order (sequence
+    numbers may differ), e.g. one brought up to date by
+    {!Database.replay}. The support, the EDB and the aggregate logs
+    refer to facts by value, so they carry over unchanged; the caller
+    owns the store taken out. Nothing checks that [twin] is a twin. *)
 
 val maintain :
   ?telemetry:Kgm_telemetry.t -> ?journal:Kgm_telemetry.Journal.t -> state ->

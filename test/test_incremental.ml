@@ -664,6 +664,33 @@ let test_equal_facts_null_permutation () =
   ignore (V.Database.add db5 "p" [| Value.String "b"; Value.Null 1 |]);
   check Alcotest.bool "constants rigid" false (I.equal_facts db4 db5)
 
+(* a fact retracted and re-inserted k times is one EDB fact, at its
+   latest insertion: the EDB list grows with the EDB, not with the
+   number of updates, and base snapshots and re-chases read it *)
+let test_edb_reinsert_once () =
+  let st, _ = I.chase (V.Parser.parse_program tc_src) in
+  let moved = pfacts "edge(a, b)." in
+  for _ = 1 to 5 do
+    ignore (I.maintain st ~inserts:[] ~retracts:moved);
+    ignore (I.maintain st ~inserts:moved ~retracts:[])
+  done;
+  let show (p, f) =
+    Printf.sprintf "%s(%s)" p
+      (String.concat ", " (Array.to_list (Array.map Value.to_string f)))
+  in
+  check
+    Alcotest.(list string)
+    "each EDB fact once, re-inserted one last"
+    [ {|edge("b", "c")|}; {|edge("c", "d")|}; {|edge("a", "b")|} ]
+    (List.map show (I.edb_facts st));
+  (* a batch that retracts and re-inserts in one go moves it too *)
+  ignore (I.maintain st ~inserts:(pfacts "edge(b, c).") ~retracts:(pfacts "edge(b, c)."));
+  check
+    Alcotest.(list string)
+    "retract + insert in one batch"
+    [ {|edge("c", "d")|}; {|edge("a", "b")|}; {|edge("b", "c")|} ]
+    (List.map show (I.edb_facts st))
+
 let suite =
   [ Alcotest.test_case "insert only ≡ re-chase" `Quick test_insert_only;
     Alcotest.test_case "retract chain (DRed)" `Quick test_retract_chain;
@@ -697,6 +724,8 @@ let suite =
       test_start_modes_matrix;
     Alcotest.test_case "failed batch is undone" `Quick
       test_failed_batch_is_atomic;
+    Alcotest.test_case "re-inserted EDB fact is kept once" `Quick
+      test_edb_reinsert_once;
     Alcotest.test_case "lib/ is wall-clock free" `Quick
       test_lib_is_gettimeofday_free;
     Alcotest.test_case "jobs × planner matrix" `Quick test_mixed_batch_matrix;

@@ -91,6 +91,50 @@ let test_scratch () =
   (* the scratch table never touched the dictionary *)
   check Alcotest.int "dictionary unchanged" 1 (Intern.length d)
 
+(* One writer interning while a reader domain probes: the server's
+   epochs share the master's dictionary, so reader domains call
+   [find]/[resolve] on every query while [maintain] interns new
+   constants and nulls. Interning 2^18 values crosses several resize
+   thresholds of the id table; an unguarded [Hashtbl.find_opt] racing a
+   resize misses keys that are present (the resize installs its empty
+   bucket array before re-inserting). Every probe of a pre-interned key
+   must still find its id, and every resolve its value. *)
+let test_concurrent_find () =
+  let d = Intern.create () in
+  let n = 10_000 in
+  let ids = Array.init n (fun i -> Intern.intern d (Value.Int i)) in
+  let started = Atomic.make false and stop = Atomic.make false in
+  let reader =
+    Domain.spawn (fun () ->
+        let misses = ref 0 and wrong = ref 0 and sweeps = ref 0 in
+        Atomic.set started true;
+        while not (Atomic.get stop) do
+          for i = 0 to n - 1 do
+            (match Intern.find d (Value.Int i) with
+            | Some id when id = ids.(i) -> ()
+            | Some _ -> incr wrong
+            | None -> incr misses);
+            if not (Value.equal (Intern.resolve d ids.(i)) (Value.Int i)) then
+              incr wrong
+          done;
+          incr sweeps
+        done;
+        (!misses, !wrong, !sweeps))
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  for i = n to n + (1 lsl 18) - 1 do
+    ignore (Intern.intern d (Value.Int i))
+  done;
+  Atomic.set stop true;
+  let misses, wrong, sweeps = Domain.join reader in
+  check Alcotest.int "present keys never missed" 0 misses;
+  check Alcotest.int "ids and values never wrong" 0 wrong;
+  check Alcotest.bool "the reader ran" true (sweeps > 0);
+  check Alcotest.int "every value interned once" (n + (1 lsl 18))
+    (Intern.length d)
+
 (* CSV rows load to the same boxed facts whether the database's
    dictionary is fresh or already populated with unrelated ids — the
    dictionary is invisible to the import path. *)
@@ -222,6 +266,8 @@ let test_snapshot_v3_roundtrip () =
 let suite =
   [ ("intern/resolve bijection on hostile values", `Quick, test_bijection);
     ("scratch ids are negative, stable, isolated", `Quick, test_scratch);
+    ("find/resolve never miss while one writer interns", `Quick,
+     test_concurrent_find);
     ("csv import unchanged by interning", `Quick, test_csv_import_unchanged);
     ("sql export unchanged by interning", `Quick, test_sql_export_unchanged);
     ("v3 snapshot round-trips an interned db", `Quick,

@@ -26,8 +26,8 @@ let fresh_dir =
     (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
     Array.iter
       (fun f ->
-        if Filename.check_suffix f ".snap" then
-          Sys.remove (Filename.concat d f))
+        if Filename.check_suffix f ".snap" || Filename.check_suffix f ".log"
+        then Sys.remove (Filename.concat d f))
       (Sys.readdir d);
     d
 
@@ -51,11 +51,14 @@ let mk_session src =
   st
 
 (* start a server around a fresh session, run [f], always drain *)
-let with_server ?(src = tc_src) ?(cfg = fun c -> c) ?journal f =
-  let session = mk_session src in
+let with_server ?(src = tc_src) ?session ?(cfg = fun c -> c) ?telemetry
+    ?journal f =
+  let session =
+    match session with Some st -> st | None -> mk_session src
+  in
   let sock = fresh_sock () in
   let config = cfg (S.default_config ~sock) in
-  let srv = S.create ?journal { config with S.sock } ~session in
+  let srv = S.create ?telemetry ?journal { config with S.sock } ~session in
   S.start srv;
   if not (S.Client.wait_ready sock) then Alcotest.fail "server never ready";
   let stats = ref None in
@@ -708,6 +711,373 @@ let test_keepalive_drain () =
              expect_eof fd)))
 
 (* ------------------------------------------------------------------ *)
+(* The write path in O(batch): publish by replay onto the twin store,
+   persist by append, and what readers and recovery see of it. *)
+
+(* the Company-KG ownership chains of the serving benchmarks:
+   v0 -> ... -> v4 (own weight 0.6, company/1 on every vertex), a seed
+   on the head of chains 0-3 and of every eighth chain, so reach and
+   control (Ex. 4.2, a monotonic sum) derive only below seeded heads
+   and the chase stays linear in the graph. Chains 0-3 start with
+   their edge 3 missing. *)
+let chain_len = 5
+
+let chain_rules =
+  {|reach(X, Y) :- seed(X), own(X, Y, W), W > 0.0.
+reach(X, Z) :- reach(X, Y), own(Y, Z, W), W > 0.0.
+controls(X, X) :- seed(X).
+controls(X, Y) :- controls(X, Z), own(Z, Y, W), V = sum(W, <Z>), V > 0.5.|}
+
+let chain_session ~facts =
+  let module Value = Kgm_common.Value in
+  let chains = max 8 (facts / ((2 * chain_len) - 1)) in
+  let db = V.Database.create () in
+  for c = 0 to chains - 1 do
+    for i = 0 to chain_len - 1 do
+      let v = (c * chain_len) + i in
+      ignore (V.Database.add db "company" [| Value.Int v |]);
+      if i < chain_len - 1 && not (c < 4 && i = 3) then
+        ignore
+          (V.Database.add db "own"
+             [| Value.Int v; Value.Int (v + 1); Value.Float 0.6 |])
+    done;
+    if c < 4 || c mod 8 = 0 then
+      ignore (V.Database.add db "seed" [| Value.Int (c * chain_len) |])
+  done;
+  fst (Inc.chase ~options ~db (V.Parser.parse_program chain_rules))
+
+(* 8-line batches moving the missing edge of chains 0-3 between
+   positions 3 and 1: the same text, and the same repair, whatever the
+   size of the rest of the graph *)
+let chain_batch k =
+  let edge c i =
+    let v = (c * chain_len) + i in
+    Printf.sprintf "own(%d, %d, 0.6).\n" v (v + 1)
+  in
+  let cut, heal = if k mod 2 = 1 then (1, 3) else (3, 1) in
+  String.concat ""
+    (List.concat_map
+       (fun c -> [ "-" ^ edge c cut; "+" ^ edge c heal ])
+       [ 0; 1; 2; 3 ])
+
+(* every journal event, collected from any domain *)
+let journal_events () =
+  let jr = Kgm_telemetry.Journal.create () in
+  let evs = ref [] in
+  Kgm_telemetry.Journal.tap jr (fun ev -> evs := ev :: !evs);
+  (jr, fun ty ->
+    List.filter (fun ev -> ev.Kgm_telemetry.Journal.ev_type = ty) (List.rev !evs))
+
+let int_field ev k =
+  match Kgm_telemetry.Journal.int_field ev k with
+  | Some n -> n
+  | None -> Alcotest.fail ("journal event without " ^ k)
+
+let update_ok sock body =
+  let code, answer = post sock "/update" body in
+  if code <> 200 then Alcotest.fail ("update answered " ^ answer);
+  answer
+
+(* update-to-visible in O(batch): the same batches against a ten
+   times larger store publish by replaying the same number of
+   operations, copy nothing, and append the same number of bytes *)
+let test_write_path_is_o_batch () =
+  let batches = List.init 4 (fun k -> chain_batch (k + 1)) in
+  let run facts =
+    let jr, events = journal_events () in
+    let telemetry = Kgm_telemetry.create () in
+    let dir = fresh_dir (Printf.sprintf "obatch_%d" facts) in
+    ignore
+      (with_server ~session:(chain_session ~facts) ~telemetry ~journal:jr
+         ~cfg:(fun c -> { c with S.state_dir = Some dir })
+         (fun _srv sock ->
+           List.iter (fun b -> ignore (update_ok sock b)) batches;
+           (* the server times its own write path: one sample per
+              batch, and persist's base at start *)
+           let _, metrics = get sock "/metrics" in
+           let n = List.length batches in
+           List.iter
+             (fun (stage, count) ->
+               let line =
+                 Printf.sprintf "kgm_server_%s_seconds_count %d" stage count
+               in
+               check Alcotest.bool (line ^ " exported") true
+                 (List.mem line (String.split_on_char '\n' metrics)))
+             [ ("maintain", n); ("publish", n); ("persist", n + 1) ]));
+    let appends =
+      List.filter
+        (fun ev -> Kgm_telemetry.Journal.str_field ev "kind" = Some "append")
+        (events "server.checkpoint")
+    in
+    ( List.map (fun ev -> (int_field ev "replayed", int_field ev "copied"))
+        (events "server.swap"),
+      List.map (fun ev -> int_field ev "bytes") appends,
+      List.map (fun ev -> int_field ev "facts") (events "server.swap") )
+  in
+  let small, small_bytes, small_facts = run 20_000 in
+  let large, large_bytes, large_facts = run 200_000 in
+  check Alcotest.int "one swap per batch" (List.length batches)
+    (List.length small);
+  check Alcotest.bool "the large store is ~10x the small one" true
+    (List.hd large_facts > 8 * List.hd small_facts);
+  List.iteri
+    (fun k ((rs, cs), (rl, cl)) ->
+      let tag what = Printf.sprintf "batch %d: %s" (k + 1) what in
+      check Alcotest.int (tag "nothing copied (small)") 0 cs;
+      check Alcotest.int (tag "nothing copied (large)") 0 cl;
+      check Alcotest.bool (tag "the batch's operations replayed") true (rs > 0);
+      check Alcotest.int (tag "same replay at both sizes") rs rl)
+    (List.combine small large);
+  check Alcotest.int "every batch appended (small)" (List.length batches)
+    (List.length small_bytes);
+  check Alcotest.(list int) "same appended bytes at both sizes" small_bytes
+    large_bytes
+
+(* Reader domains query while a writer streams random batches: every
+   answer equals an offline chase of the EDB at the epoch the answer is
+   stamped with *)
+let test_epoch_answers_match_offline () =
+  let module Value = Kgm_common.Value in
+  let vs = [ "a"; "b"; "c"; "d"; "e"; "f" ] in
+  let program = V.Parser.parse_program tc_src in
+  let rules = { program with V.Rule.facts = [] } in
+  let initial =
+    List.map (fun (p, args) -> (p, Array.of_list args)) program.V.Rule.facts
+  in
+  let edbs = Hashtbl.create 64 in
+  Hashtbl.replace edbs 0 initial;
+  (* what the reader threads saw, and what went wrong there: a failed
+     check in a thread would only end that thread *)
+  let seen = ref [] and errors = ref [] and seen_mu = Mutex.create () in
+  let writer_done = Atomic.make false in
+  ignore
+    (with_server
+       ~cfg:(fun c -> { c with S.workers = 3 })
+       (fun _srv sock ->
+         let reader () =
+           let fd = raw_connect sock in
+           Fun.protect
+             ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+             (fun () ->
+               let pending = ref "" in
+               let n = ref 0 in
+               while (not (Atomic.get writer_done)) || !n < 20 do
+                 write_all fd (raw_request "POST" "/query" "path");
+                 let status, headers, body, left = read_framed fd !pending in
+                 pending := left;
+                 incr n;
+                 Mutex.protect seen_mu (fun () ->
+                     match List.assoc_opt "x-kgm-epoch" headers with
+                     | Some e when status = 200 ->
+                         seen := (int_of_string e, sorted_lines body) :: !seen
+                     | _ ->
+                         errors := Printf.sprintf "query answered %d" status :: !errors)
+               done)
+         in
+         let readers = List.init 2 (fun _ -> Thread.create reader ()) in
+         let rng = Random.State.make [| 14 |] in
+         let edb = ref initial in
+         for _ = 1 to 30 do
+           let line () =
+             let x = List.nth vs (Random.State.int rng 6)
+             and y = List.nth vs (Random.State.int rng 6) in
+             let f = ("edge", [| Value.String x; Value.String y |]) in
+             if Random.State.bool rng then (`Ins, f) else (`Ret, f)
+           in
+           let batch = List.init (1 + Random.State.int rng 3) (fun _ -> line ()) in
+           let text =
+             String.concat ""
+               (List.map
+                  (fun (sign, (_, f)) ->
+                    Printf.sprintf "%sedge(%s, %s).\n"
+                      (if sign = `Ins then "+" else "-")
+                      (Value.to_string f.(0)) (Value.to_string f.(1)))
+                  batch)
+           in
+           let answer = update_ok sock text in
+           let epoch = Scanf.sscanf answer "ok epoch=%d" Fun.id in
+           let same (p, f) (q, g) = p = q && Array.for_all2 Value.equal f g in
+           let ins, ret = S.Batch.split batch in
+           let kept = List.filter (fun pf -> not (List.exists (same pf) ret)) !edb in
+           edb :=
+             List.fold_left
+               (fun acc pf -> if List.exists (same pf) acc then acc else acc @ [ pf ])
+               kept ins;
+           Hashtbl.replace edbs epoch !edb;
+           Thread.delay 0.002
+         done;
+         Atomic.set writer_done true;
+         List.iter Thread.join readers));
+  let expected = Hashtbl.create 64 in
+  let offline epoch =
+    match Hashtbl.find_opt expected epoch with
+    | Some lines -> lines
+    | None ->
+        let db = V.Database.create () in
+        List.iter (fun (p, f) -> ignore (V.Database.add db p f)) (Hashtbl.find edbs epoch);
+        ignore (V.Engine.run ~options rules db);
+        let lines =
+          List.map
+            (fun f ->
+              Printf.sprintf "path(%s)."
+                (String.concat ", " (Array.to_list (Array.map Value.to_string f))))
+            (V.Database.facts db "path")
+          |> List.sort compare
+        in
+        Hashtbl.replace expected epoch lines;
+        lines
+  in
+  check Alcotest.(list string) "every query answered" [] !errors;
+  check Alcotest.bool "readers answered from several epochs" true
+    (List.length (List.sort_uniq compare (List.map fst !seen)) > 1);
+  List.iter
+    (fun (epoch, lines) ->
+      check Alcotest.(list string)
+        (Printf.sprintf "answer at epoch %d = offline chase of its EDB" epoch)
+        (offline epoch) lines)
+    !seen
+
+(* a swap that exhausts its retries leaves the previous epoch visible;
+   the master's recorded operations stay pending and the next publish
+   replays them together with its own batch's *)
+let test_failed_swap_replays_later () =
+  let b1 = "+edge(d, e).\n" and b2 = "+edge(e, f).\n" in
+  let replays faulty =
+    let jr, events = journal_events () in
+    ignore
+      (with_server ~journal:jr (fun _srv sock ->
+           (match
+              if faulty then
+                R.Faults.with_spec "swap:1.0" (fun () -> post sock "/update" b1)
+              else post sock "/update" b1
+            with
+           | 200, _ when not faulty -> ()
+           | 500, _ when faulty ->
+               check Alcotest.string "the failed swap left epoch 0 visible"
+                 "0\n" (snd (get sock "/epoch"));
+               check Alcotest.(list string) "and its answers" []
+                 (sorted_lines (snd (post sock "/query" "path(d, X)")))
+           | code, body ->
+               Alcotest.fail (Printf.sprintf "batch 1 answered %d: %s" code body));
+           ignore (update_ok sock b2);
+           check
+             Alcotest.(list string)
+             "both batches visible after the next publish"
+             [ {|path("d", "e").|}; {|path("d", "f").|} ]
+             (sorted_lines (snd (post sock "/query" "path(d, X)")))));
+    List.map (fun ev -> int_field ev "replayed") (events "server.swap")
+  in
+  match (replays false, replays true) with
+  | [ r1; r2 ], [ r ] ->
+      check Alcotest.int "one replay carries both batches' operations"
+        (r1 + r2) r
+  | clean, faulty ->
+      Alcotest.fail
+        (Printf.sprintf "expected 2 clean swaps and 1 after a failed one, got %d and %d"
+           (List.length clean) (List.length faulty))
+
+(* a crash at this instant: every acknowledged batch was flushed, so a
+   copy of the directory is what a kill -9 would leave *)
+let crash_copy dir name =
+  let dst = fresh_dir name in
+  Array.iter
+    (fun f ->
+      let ic = open_in_bin (Filename.concat dir f) in
+      let oc = open_out_bin (Filename.concat dst f) in
+      output_string oc (really_input_string ic (in_channel_length ic));
+      close_in ic;
+      close_out oc)
+    (Sys.readdir dir);
+  dst
+
+let rewrite path f =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let oc = open_out_bin path in
+  output_string oc (f s);
+  close_out oc
+
+(* Recovery from a session abandoned without drain: the acknowledged
+   batches come back from base + log; a torn last record is dropped; a
+   corrupt earlier record rejects its generation for the previous one;
+   a failed append makes the next persist write a base *)
+let test_recover_without_drain () =
+  let facts = 2_000 in
+  let program = V.Parser.parse_program chain_rules in
+  let dir = fresh_dir "nodrain" in
+  (* the expected materialization after each batch, offline *)
+  let reference = chain_session ~facts in
+  let canon_at = Hashtbl.create 8 in
+  Hashtbl.replace canon_at 0 (canon reference);
+  for k = 1 to 6 do
+    let inserts, retracts = S.Batch.split (S.Batch.parse (chain_batch k)) in
+    ignore (Inc.maintain reference ~inserts ~retracts);
+    Hashtbl.replace canon_at k (canon reference)
+  done;
+  let jr, events = journal_events () in
+  let after_two = ref "" and after_six = ref "" in
+  ignore
+    (with_server ~session:(chain_session ~facts) ~journal:jr
+       ~cfg:(fun c -> { c with S.state_dir = Some dir; keep = 3 })
+       (fun _srv sock ->
+         ignore (update_ok sock (chain_batch 1));
+         ignore (update_ok sock (chain_batch 2));
+         after_two := crash_copy dir "nodrain_2";
+         (* every write of batch 3's persist fails: its append, then the
+            base that replaces it *)
+         ignore
+           (R.Faults.with_spec "checkpoint_write:1.0" (fun () ->
+                update_ok sock (chain_batch 3)));
+         List.iter (fun k -> ignore (update_ok sock (chain_batch k))) [ 4; 5; 6 ];
+         after_six := crash_copy dir "nodrain_6"));
+  let kinds =
+    List.map
+      (fun ev ->
+        ( int_field ev "epoch",
+          Option.value ~default:"?" (Kgm_telemetry.Journal.str_field ev "kind") ))
+      (events "server.checkpoint")
+  in
+  check
+    Alcotest.(list (pair int string))
+    "base at start, appends, a base after the failed append, base at drain"
+    [ (0, "base"); (1, "append"); (2, "append"); (4, "base"); (5, "append");
+      (6, "append"); (6, "base") ]
+    kinds;
+  let recovers ?(journal = Kgm_telemetry.Journal.null) what dir epoch =
+    match S.recover ~options ~journal ~dir [ program ] with
+    | Some (st, ep, _) ->
+        check Alcotest.int (what ^ ": epoch") epoch ep;
+        check Alcotest.bool (what ^ ": facts of that epoch") true
+          (canon st = Hashtbl.find canon_at epoch)
+    | None -> Alcotest.fail (what ^ ": nothing recovered")
+  in
+  recovers "abandoned after 2 batches" !after_two 2;
+  recovers "abandoned after 6 batches (one failed append)" !after_six 6;
+  let log4 dir = Filename.concat dir "session-000004.log" in
+  let torn = crash_copy !after_six "nodrain_torn" in
+  rewrite (log4 torn) (fun s -> String.sub s 0 (String.length s - 3));
+  recovers "torn last record" torn 5;
+  let flipped = crash_copy !after_six "nodrain_flip" in
+  (* a byte inside record 5's payload, record 6 after it *)
+  rewrite (log4 flipped) (fun s ->
+      let i = String.index s '\n' + 10 in
+      String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c) s);
+  let jr, events = journal_events () in
+  recovers ~journal:jr "corrupt earlier record" flipped 2;
+  match events "server.recover.reject" with
+  | [ ev ] ->
+      check
+        Alcotest.(option string)
+        "rejected with a storage error on the log"
+        (Some "[storage] log record payload corrupt (digest mismatch)")
+        (Kgm_telemetry.Journal.str_field ev "error")
+  | evs ->
+      Alcotest.fail
+        (Printf.sprintf "expected one rejected generation, got %d"
+           (List.length evs))
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [ Alcotest.test_case "batch: parse + split + errors." `Quick
@@ -739,4 +1109,12 @@ let suite =
     Alcotest.test_case "content-length: decimal digits only." `Quick
       test_strict_content_length;
     Alcotest.test_case "keep-alive x drain: pipeline finishes, then close."
-      `Quick test_keepalive_drain ]
+      `Quick test_keepalive_drain;
+    Alcotest.test_case "write path is O(batch): replay, no copy, append."
+      `Quick test_write_path_is_o_batch;
+    Alcotest.test_case "epoch answers = offline chase of the epoch's EDB."
+      `Quick test_epoch_answers_match_offline;
+    Alcotest.test_case "recovery without drain: log, torn tail, fallback."
+      `Quick test_recover_without_drain;
+    Alcotest.test_case "a failed swap's operations replay at the next one."
+      `Quick test_failed_swap_replays_later ]

@@ -738,3 +738,168 @@ let test_input_sources () =
     (List.length (V.Io_sources.load_inputs p4 (V.Database.create ())))
 
 let suite = suite @ [ ("@input csv/inline sources", `Quick, test_input_sources) ]
+
+(* ------------------------------------------------------------------ *)
+(* The store under removal: random add / remove_batch sequences against
+   a reference list per predicate. Removal tombstones slots and leaves
+   sequence gaps until a compaction, which must never show: facts in
+   insertion order, counts, and every probe's matches in order, over an
+   index kept up to date through the removals, one built afterwards and
+   the frozen linear-scan and side-car paths. A twin fed the recorded
+   operations answers the same. *)
+
+type db_op = Add of string * int * int | Rem of (string * int * int) list
+
+let db_op_gen =
+  QCheck.Gen.(
+    let fact = triple (oneofl [ "p"; "q" ]) (int_bound 5) (int_bound 5) in
+    frequency
+      [ (3, map (fun (p, a, b) -> Add (p, a, b)) fact);
+        (2, map (fun l -> Rem l) (list_size (int_range 1 6) fact)) ])
+
+let show_db_op = function
+  | Add (p, a, b) -> Printf.sprintf "+%s(%d,%d)" p a b
+  | Rem l ->
+      "-["
+      ^ String.concat ";" (List.map (fun (p, a, b) -> Printf.sprintf "%s(%d,%d)" p a b) l)
+      ^ "]"
+
+let db_ops_arb =
+  QCheck.make
+    ~print:(fun ops -> String.concat " " (List.map show_db_op ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 0 80) db_op_gen)
+
+let ifact a b = [| Value.Int a; Value.Int b |]
+
+let prop_store_matches_reference ops =
+  let module D = V.Database in
+  let db = D.create () in
+  let model = Hashtbl.create 2 in
+  let facts_of p = Option.value ~default:[] (Hashtbl.find_opt model p) in
+  (* one fact per predicate first, so an index exists before any removal *)
+  List.iter
+    (fun p ->
+      ignore (D.add db p (ifact 9 9));
+      Hashtbl.replace model p [ (9, 9) ];
+      D.prepare_index db p [ 0 ])
+    [ "p"; "q" ];
+  let twin = D.copy db in
+  D.record db true;
+  let agrees db =
+    let matches p keep = List.filter keep (facts_of p) in
+    let same p got want =
+      List.map (fun f -> (f.(0), f.(1))) got
+      = List.map (fun (a, b) -> (Value.Int a, Value.Int b)) want
+      || QCheck.Test.fail_reportf "%s: probe disagrees with the reference" p
+    in
+    let ascending p positions key =
+      let last = ref (-1) and ok = ref true in
+      ignore
+        (D.iter_matches db p positions key (fun seq _ ->
+             if seq <= !last then ok := false;
+             last := seq));
+      !ok || QCheck.Test.fail_reportf "%s: sequence numbers not ascending" p
+    in
+    List.for_all
+      (fun p ->
+        let want = facts_of p in
+        same p (D.facts db p) want
+        && D.count db p = List.length want
+        && ascending p [] []
+        && List.for_all
+             (fun k ->
+               let key = [ Value.Int k ] in
+               D.freeze db;
+               let cache = D.cache_create () in
+               let scan = D.lookup db p [ 1 ] key in
+               let cached = ref [] in
+               ignore
+                 (D.iter_matches_cached cache db p [ 1 ] key (fun _ f ->
+                      cached := f :: !cached));
+               D.thaw db;
+               same p scan (matches p (fun (_, b) -> b = k))
+               && same p (List.rev !cached) (matches p (fun (_, b) -> b = k))
+               && same p (D.lookup db p [ 0 ] key) (matches p (fun (a, _) -> a = k))
+               && same p
+                    (D.lookup db p [ 0; 1 ] [ Value.Int k; Value.Int k ])
+                    (matches p (fun (a, b) -> a = k && b = k))
+               && ascending p [ 0 ] key)
+             [ 0; 1; 2; 3; 4; 5; 9 ])
+      [ "p"; "q" ]
+    && D.total db = List.length (facts_of "p") + List.length (facts_of "q")
+    && D.predicates db
+       = List.filter (fun p -> facts_of p <> []) [ "p"; "q" ]
+  in
+  let applied = ref 0 in
+  let step = function
+    | Add (p, a, b) ->
+        let known = List.mem (a, b) (facts_of p) in
+        let fresh = D.add db p (ifact a b) in
+        if fresh then begin
+          incr applied;
+          Hashtbl.replace model p (facts_of p @ [ (a, b) ])
+        end;
+        fresh = not known
+    | Rem l ->
+        let doomed = List.sort_uniq compare l in
+        let present =
+          List.filter (fun (p, a, b) -> List.mem (a, b) (facts_of p)) doomed
+        in
+        let removed =
+          D.remove_batch db (List.map (fun (p, a, b) -> (p, ifact a b)) l)
+        in
+        List.iter
+          (fun (p, a, b) ->
+            Hashtbl.replace model p
+              (List.filter (fun f -> f <> (a, b)) (facts_of p)))
+          present;
+        applied := !applied + removed;
+        removed = List.length present
+  in
+  List.for_all (fun op -> step op && agrees db) ops
+  && D.replay db ~into:twin = !applied
+  && D.replay db ~into:twin = 0
+  && agrees twin
+
+let test_store_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"store: add/remove_batch = reference; twin replay"
+       ~count:200 db_ops_arb prop_store_matches_reference)
+
+(* the compaction policy, seen through sequence numbers: removal leaves
+   gaps while dead slots are at most the live facts, and renumbers the
+   survivors densely, in order, once they outnumber them *)
+let test_tombstone_compaction () =
+  let module D = V.Database in
+  let db = D.create () in
+  for i = 0 to 9 do
+    ignore (D.add db "e" [| Value.Int i |])
+  done;
+  D.prepare_index db "e" [ 0 ];
+  let seqs () =
+    let acc = ref [] in
+    ignore (D.iter_matches db "e" [] [] (fun seq f -> acc := (seq, f.(0)) :: !acc));
+    List.rev !acc
+  in
+  let remove is = D.remove_batch db (List.map (fun i -> ("e", [| Value.Int i |])) is) in
+  check Alcotest.int "two removed" 2 (remove [ 1; 3 ]);
+  check
+    Alcotest.(list (pair int string))
+    "gaps, no compaction (2 dead, 8 live)"
+    [ (0, "0"); (2, "2"); (4, "4"); (5, "5"); (6, "6"); (7, "7"); (8, "8"); (9, "9") ]
+    (List.map (fun (s, v) -> (s, Value.to_string v)) (seqs ()));
+  check Alcotest.int "four more removed" 4 (remove [ 0; 2; 4; 5 ]);
+  check
+    Alcotest.(list (pair int string))
+    "compacted once dead slots outnumbered live facts"
+    [ (0, "6"); (1, "7"); (2, "8"); (3, "9") ]
+    (List.map (fun (s, v) -> (s, Value.to_string v)) (seqs ()));
+  check Alcotest.int "count is live facts" 4 (D.count db "e");
+  check Alcotest.(list string) "index follows the renumbering" [ "8" ]
+    (List.map (fun f -> Value.to_string f.(0)) (D.lookup db "e" [ 0 ] [ Value.Int 8 ]))
+
+let suite =
+  suite
+  @ [ test_store_matches_reference;
+      ("tombstones compact only past half dead", `Quick, test_tombstone_compaction) ]
