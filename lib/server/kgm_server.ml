@@ -142,34 +142,6 @@ type session_record =
   (string * Kgm_common.Value.t array) list
   * (string * Kgm_common.Value.t array) list
 
-(* the base EDB with the records' batches applied in order, with
-   [maintain]'s semantics: retractions of non-EDB facts and inserts of
-   EDB facts are ignored, retractions go first, and a fact sits at its
-   latest insertion *)
-let replay_edb edb records =
-  if records = [] then edb
-  else begin
-    let tbl = DB.KeyTbl.create (List.length edb) in
-    let stamp = ref 0 in
-    let key (p, f) = Kgm_common.Value.String p :: Array.to_list f in
-    let add pf =
-      let k = key pf in
-      if not (DB.KeyTbl.mem tbl k) then begin
-        DB.KeyTbl.replace tbl k (!stamp, pf);
-        incr stamp
-      end
-    in
-    List.iter add edb;
-    List.iter
-      (fun ((inserts, retracts) : session_record) ->
-        List.iter (fun pf -> DB.KeyTbl.remove tbl (key pf)) retracts;
-        List.iter add inserts)
-      records;
-    DB.KeyTbl.fold (fun _ e acc -> e :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    |> List.map snd
-  end
-
 let recover ?options ?telemetry ?journal ~dir phases =
   if phases = [] then invalid_arg "Kgm_server.recover: empty pipeline";
   let jr = Option.value journal ~default:Journal.null in
@@ -199,10 +171,14 @@ let recover ?options ?telemetry ?journal ~dir phases =
             consecutive blob.sb_epoch
               (Kgm_resilience.Framed.read ~path:(session_log path))
           in
+          (* the base EDB, then each record's batch applied the way
+             [maintain] commits it *)
           let db = DB.create () in
+          ignore (DB.apply_batch db ~retracts:[] ~inserts:blob.sb_edb);
           List.iter
-            (fun (pred, fact) -> ignore (DB.add db pred fact))
-            (replay_edb blob.sb_edb records);
+            (fun ((inserts, retracts) : session_record) ->
+              ignore (DB.apply_batch db ~retracts ~inserts))
+            records;
           (* facts-stripped phases: the snapshot's EDB already contains
              the program's inline facts, including any later retracted
              by updates — re-adding them from the rule text would

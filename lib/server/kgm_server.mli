@@ -231,8 +231,10 @@ val recover :
 (** Walk the generations in [dir] newest-first; for the first whose
     base loads (magic, kind, version and payload digest all valid),
     matches {!fingerprint} of the given phases {e and} whose log reads
-    cleanly, replay the log's complete records with consecutive epochs
-    into the base's EDB, re-chase the facts-stripped phases once, and
+    cleanly, apply the log's complete records with consecutive epochs
+    to the base's EDB with {!Kgm_vadalog.Database.apply_batch} (as
+    {!Kgm_vadalog.Incremental.maintain} commits a batch), re-chase the
+    facts-stripped phases once, and
     return [(session, epoch, base path)] — [epoch] is the last record
     replayed, or the base's. A torn last record is dropped (a crash
     mid-append leaves one); a record failing its digest before the

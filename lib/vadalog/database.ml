@@ -60,17 +60,27 @@ end
 
 module KeyTbl = Hashtbl.Make (Key)
 
+(* One step of the id-sequence hash: every position is mixed in
+   (xor, multiply, then fold the high bits into the low ones, which are
+   the bits [Hashtbl.Make] picks buckets by). A plain [h * 31 + id]
+   fold keeps the low bits constant for facts whose ids step together:
+   own(v, v+1, w) hashes to [C + 992 * v], and 992 = 32 * 31, so such
+   facts shared 1/32 of the buckets. *)
+let mix h id =
+  let h = (h lxor id) * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 29)
+
 (* Interned probe keys: the values at a pattern's positions, as ids. *)
 module IKey = struct
   type t = int list
 
   let equal = List.equal Int.equal
-  let hash k = List.fold_left (fun h i -> (h * 31) + i) 17 k
+  let hash k = List.fold_left mix 17 k land max_int
 end
 
 module IKeyTbl = Hashtbl.Make (IKey)
 
-(* Interned facts: pointwise int equality, multiplicative hash. *)
+(* Interned facts: pointwise int equality, mixed hash over every id. *)
 module IFact = struct
   type t = int array
 
@@ -81,7 +91,7 @@ module IFact = struct
     let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
     go 0
 
-  let hash f = Array.fold_left (fun h i -> (h * 31) + i) (Array.length f) f
+  let hash f = Array.fold_left mix (Array.length f) f land max_int
 end
 
 module IFactTbl = Hashtbl.Make (IFact)
@@ -380,6 +390,21 @@ let replay t ~into =
     changes;
   List.length changes
 
+let apply_batch t ~retracts ~inserts =
+  let removed = remove_batch t retracts in
+  let inserted =
+    List.fold_left
+      (fun n (pred, fact) ->
+        let fact = intern_fact t fact in
+        if insert t pred fact then begin
+          note_change t (Added (pred, fact));
+          n + 1
+        end
+        else n)
+      0 inserts
+  in
+  (removed, inserted)
+
 let freeze t = t.frozen <- true
 let thaw t = t.frozen <- false
 let is_frozen t = t.frozen
@@ -546,11 +571,12 @@ let iter_matches_cached c t pred positions key f =
 let copy t =
   (* the dictionary is shared: ids remain stable across copies, which
      lets the engine compare and ship interned facts between a store
-     and its frozen snapshot *)
+     and its frozen snapshot. So are the fact arrays: a stored fact is
+     never written to, and [replay] shares them between twins too *)
   let t' = create ~dict:t.dict () in
   Hashtbl.iter
     (fun pred s ->
-      iter_live s s.len (fun _ fact -> ignore (insert t' pred (Array.copy fact)));
+      iter_live s s.len (fun _ fact -> ignore (insert t' pred fact));
       (* carry the source's index patterns over: a frozen copy could
          otherwise never build them and would linear-scan every probe *)
       Hashtbl.iter (fun positions _ -> prepare_index t' pred positions) s.indexes)

@@ -23,8 +23,9 @@ module IKeyTbl : Hashtbl.S with type key = int list
 (** Hash tables keyed by interned probe keys (id tuples). *)
 
 module IFactTbl : Hashtbl.S with type key = ifact
-(** Hash tables keyed by interned facts (pointwise int equality,
-    multiplicative hash over the ids). *)
+(** Hash tables keyed by interned facts (pointwise int equality; the
+    hash mixes every id, so facts whose ids step together still spread
+    over all buckets). *)
 
 type t
 
@@ -164,6 +165,18 @@ val replay : t -> into:t -> int
     and does not fire the ["db_insert"] fault site. [into] must share
     [src]'s dictionary and be unfrozen (else [Invalid_argument]). *)
 
+val apply_batch :
+  t -> retracts:(string * fact) list -> inserts:(string * fact) list ->
+  int * int
+(** [apply_batch t ~retracts ~inserts] is how an update batch changes a
+    fact set: {!remove_batch} the retractions first, then add the
+    inserts, so a fact named by both moves to the end of its predicate
+    and a fact listed twice counts once. Returns [(removed, inserted)],
+    both counting distinct facts. Like {!replay} it does not fire the
+    ["db_insert"] fault site, so on an unfrozen store it cannot raise;
+    a frozen one raises [Invalid_argument] before any change. Recorded
+    like {!add} and {!remove_batch} when {!record} is on. *)
+
 (** {1 Freezing (parallel read phases)}
 
     The restricted-chase engine evaluates rule bodies from several
@@ -217,12 +230,14 @@ val iter_matches_cached :
     unfrozen stores. *)
 
 val copy : t -> t
-(** Deep copy of the stores — the dictionary is {e shared}, so ids stay
-    stable across copies. Live facts are copied in insertion order
-    (densely renumbered), the source's index patterns are rebuilt
-    eagerly, and the frozen flag carries over (a copy of a frozen
-    snapshot is itself a read-only snapshot). The copy does not record
-    ({!record}) and does not fire the ["db_insert"] fault site. *)
+(** Copy of the stores. The dictionary and the fact arrays are
+    {e shared} (a stored fact is never written to), so ids stay stable
+    across copies and a copy costs its tables, not its facts. Live facts
+    are copied in insertion order (densely renumbered), the source's
+    index patterns are rebuilt eagerly, and the frozen flag carries over
+    (a copy of a frozen snapshot is itself a read-only snapshot). The
+    copy does not record ({!record}) and does not fire the
+    ["db_insert"] fault site. *)
 
 val pp : Format.formatter -> t -> unit
 (** Every fact as [pred(v1, ..., vn).] lines, predicates sorted. *)

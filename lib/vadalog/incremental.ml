@@ -127,12 +127,9 @@ type state = {
       (** aggregate head fact -> the groups that derived it *)
   mutable db : Database.t;
   mutable support : Engine.support;
-  edb_set : (string * Database.fact) Engine.ProvTbl.t;
-      (** EDB fact -> its entry in [edb_order] (compared physically) *)
-  mutable edb_order : (string * Database.fact) list;
-      (** reverse load order; a retracted fact's entry lingers until
-          [edb_compact] drops it, and a re-insertion adds a new entry *)
-  mutable edb_stale : int;  (** entries of [edb_order] no longer current *)
+  edb : Database.t;
+      (** the extensional facts, sharing [db]'s dictionary; changed only
+          when a batch commits ({!Database.apply_batch}) *)
   mutable torn : bool;
       (** a {!maintain} raised mid-repair: the store matches neither the
           pre- nor the post-batch EDB, so the next batch re-chases *)
@@ -154,26 +151,6 @@ type update_stats = {
 }
 
 let key pred fact = (pred, Array.to_list fact)
-
-let edb_note st pred fact =
-  let k = key pred fact in
-  if not (Engine.ProvTbl.mem st.edb_set k) then begin
-    let e = (pred, fact) in
-    Engine.ProvTbl.add st.edb_set k e;
-    st.edb_order <- e :: st.edb_order;
-    true
-  end
-  else false
-
-let edb_current st ((p, f) as e) =
-  match Engine.ProvTbl.find_opt st.edb_set (key p f) with
-  | Some e' -> e' == e
-  | None -> false
-
-(* each fact once, at its latest insertion *)
-let edb_compact st =
-  st.edb_order <- List.filter (edb_current st) st.edb_order;
-  st.edb_stale <- 0
 
 let rule_body_preds (r : Rule.rule) =
   List.filter_map
@@ -303,25 +280,23 @@ let run_phases ?telemetry ?journal ~options st ~support db phases =
 
 let chase_phases ?(options = Engine.default_options) ?telemetry ?journal ~db
     phases =
-  let metas = build_metas phases in
-  let st =
-    { phases; options; metas; agg_tbl = Hashtbl.create 16;
-      idx_parent = Engine.ProvTbl.create 256;
-      idx_head = Engine.ProvTbl.create 256; db;
-      support = Engine.create_support ();
-      edb_set = Engine.ProvTbl.create 256; edb_order = []; edb_stale = 0;
-      torn = false }
-  in
-  register_agg_logs st;
   (* the EDB is everything loaded rather than derived: facts already in
      the database plus each phase's own fact list *)
-  List.iter
-    (fun pred -> List.iter (fun f -> ignore (edb_note st pred f)) (Database.facts db pred))
-    (Database.predicates db);
+  let edb = Database.copy db in
   List.iter
     (fun (ph : Rule.program) ->
-      List.iter (fun (p, args) -> ignore (edb_note st p (Array.of_list args))) ph.Rule.facts)
+      ignore
+        (Database.apply_batch edb ~retracts:[]
+           ~inserts:
+             (List.map (fun (p, args) -> (p, Array.of_list args)) ph.Rule.facts)))
     phases;
+  let st =
+    { phases; options; metas = build_metas phases; agg_tbl = Hashtbl.create 16;
+      idx_parent = Engine.ProvTbl.create 256;
+      idx_head = Engine.ProvTbl.create 256; db;
+      support = Engine.create_support (); edb; torn = false }
+  in
+  register_agg_logs st;
   (st,
    run_phases ?telemetry ?journal ~options st ~support:st.support db phases)
 
@@ -332,7 +307,10 @@ let db st = st.db
 let phases st = st.phases
 let support st = st.support
 
-let edb_facts st = List.rev (List.filter (edb_current st) st.edb_order)
+let edb_facts st =
+  List.concat_map
+    (fun p -> List.map (fun f -> (p, f)) (Database.facts st.edb p))
+    (Database.predicates st.edb)
 
 let swap_db st db = st.db <- db
 
@@ -489,29 +467,26 @@ let plan_update st updated =
 
 (* The engine options of a repair. A budget stop (deadline, facts,
    rounds) under [`Partial] would hand back a half-repaired store as a
-   normal return, so a repair always runs under [`Raise] and
-   {!atomically} undoes the batch instead. *)
+   normal return, so a repair always runs under [`Raise], and the batch
+   fails before it commits. *)
 let repair_options st = { st.options with Engine.on_limit = `Raise }
 
-(* Full re-chase against the updated EDB: fresh database, fresh
-   support, the EDB replayed in its original load order (determinism of
-   null numbering is then up to {!canonical_facts}, since the global
-   null counter never rewinds). *)
-let rechase ?telemetry ?journal st =
-  let db' = Database.create () in
-  let support' = Engine.create_support () in
-  let ordered = edb_facts st in
-  List.iter (fun (p, f) -> ignore (Database.add db' p f)) ordered;
+(* Full re-chase against the batch's EDB: a copy of the EDB store (same
+   dictionary, same fact arrays) with the batch applied, chased with
+   fresh support. Null numbering is then up to {!canonical_facts},
+   since the global null counter never rewinds. *)
+let rechase ?telemetry ?journal st ~retracts ~inserts =
+  let db = Database.copy st.edb in
+  ignore (Database.apply_batch db ~retracts ~inserts);
+  let support = Engine.create_support () in
   register_agg_logs st;
   ignore
-    (run_phases ?telemetry ?journal ~options:(repair_options st) st
-       ~support:support' db'
+    (run_phases ?telemetry ?journal ~options:(repair_options st) st ~support
+       db
        (List.map (fun (ph : Rule.program) -> { ph with Rule.facts = [] })
           st.phases));
-  st.db <- db';
-  st.support <- support';
-  st.edb_order <- List.rev ordered;
-  st.edb_stale <- 0
+  st.db <- db;
+  st.support <- support
 
 (* Saturated accumulators for a phase's seeded pass: every monotonic
    rule of the phase needs one, or {!Engine.run_delta} would re-count
@@ -527,45 +502,29 @@ let agg_init_for st (m : phase_meta) =
         (Hashtbl.find_opt st.agg_tbl rid))
     (Array.to_list (phase_rule_ids m))
 
-(* All-or-nothing batches: the (filtered) [retracts] leave the EDB
-   here and [f] adds the inserts through [note]. When [f] raises
-   mid-repair, those edits are undone and the session is marked torn,
-   so the next batch re-chases instead of building on a half-repaired
-   store. *)
-let atomically st ~retracts f =
-  let edb_order = st.edb_order and edb_stale = st.edb_stale in
-  let dropped =
-    List.filter_map
-      (fun (p, f) ->
-        let k = key p f in
-        Option.map (fun e -> (k, e)) (Engine.ProvTbl.find_opt st.edb_set k))
-      retracts
+(* [incremental.*] counters and the [maintain.end] record of one batch;
+   a re-chase has no repair sizes to report *)
+let report telemetry journal u =
+  let count name by = Kgm_telemetry.count telemetry ~by ("incremental." ^ name) in
+  if u.u_fallback then Kgm_telemetry.count telemetry "incremental.fallback";
+  count "inserts" u.u_inserted;
+  count "retracts" u.u_retracted;
+  let sizes =
+    if u.u_fallback then []
+    else
+      [ ("cone", u.u_cone); ("rederived", u.u_rederived);
+        ("deleted", u.u_deleted); ("refired", u.u_refired);
+        ("derived", u.u_derived); ("rounds", u.u_rounds);
+        ("strata", u.u_strata); ("agg_groups", u.u_agg_groups) ]
   in
-  List.iter
-    (fun (k, _) ->
-      Engine.ProvTbl.remove st.edb_set k;
-      st.edb_stale <- st.edb_stale + 1)
-    dropped;
-  let noted = ref [] in
-  let note p fact =
-    let fresh = edb_note st p fact in
-    if fresh then noted := (p, fact) :: !noted;
-    fresh
-  in
-  match f note with
-  | stats ->
-      if st.edb_stale > Engine.ProvTbl.length st.edb_set then edb_compact st;
-      stats
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      List.iter
-        (fun (p, f) -> Engine.ProvTbl.remove st.edb_set (key p f))
-        !noted;
-      List.iter (fun (k, e) -> Engine.ProvTbl.replace st.edb_set k e) dropped;
-      st.edb_order <- edb_order;
-      st.edb_stale <- edb_stale;
-      st.torn <- true;
-      Printexc.raise_with_backtrace e bt
+  List.iter (fun (name, n) -> count name n) sizes;
+  if Journal.enabled journal then
+    Journal.emit journal "maintain.end"
+      ([ ("fallback", J.Bool u.u_fallback);
+         ("inserted", J.Int u.u_inserted);
+         ("retracted", J.Int u.u_retracted) ]
+      @ List.map (fun (k, n) -> (k, J.Int n)) sizes
+      @ [ ("elapsed_s", J.Float u.u_elapsed_s) ])
 
 (* ------------------------------------------------------------------ *)
 
@@ -573,46 +532,34 @@ let maintain ?(telemetry = Kgm_telemetry.null)
     ?(journal = Kgm_telemetry.Journal.null) st ~inserts ~retracts =
   let t0 = Kgm_telemetry.Clock.now () in
   (* retractions only make sense against the EDB; a derived fact would
-     simply be rederived *)
-  let retracts =
-    List.filter (fun (p, f) -> Engine.ProvTbl.mem st.edb_set (key p f)) retracts
-  in
+     simply be rederived. Until the batch commits, a fact is extensional
+     iff the EDB store holds it and [gone] (this batch's retractions,
+     each once) does not *)
+  let retracts = List.filter (fun (p, f) -> Database.mem st.edb p f) retracts in
+  let gone = Database.create ~dict:(Database.dict st.edb) () in
+  ignore (Database.apply_batch gone ~retracts:[] ~inserts:retracts);
+  let is_edb p f = Database.mem st.edb p f && not (Database.mem gone p f) in
   if Journal.enabled journal then
     Journal.emit journal "maintain.start"
       [ ("inserts", J.Int (List.length inserts));
-        ("retracts", J.Int (List.length retracts)) ];
+        ("retracts", J.Int (Database.total gone)) ];
   let updated =
     List.sort_uniq String.compare (List.map fst (inserts @ retracts))
   in
-  let by_rechase note =
-    let inserted =
-      List.fold_left (fun n (p, f) -> if note p f then n + 1 else n) 0 inserts
-    in
-    rechase ~telemetry ~journal st;
+  let by_rechase () =
+    rechase ~telemetry ~journal st ~retracts ~inserts;
     st.torn <- false;
-    Kgm_telemetry.count telemetry "incremental.fallback";
-    Kgm_telemetry.count telemetry ~by:inserted "incremental.inserts";
-    Kgm_telemetry.count telemetry ~by:(List.length retracts)
-      "incremental.retracts";
-    let stats =
-      { u_inserted = inserted; u_retracted = List.length retracts;
-        u_cone = 0; u_rederived = 0; u_deleted = 0; u_refired = 0;
-        u_derived = 0; u_rounds = 0; u_strata = 0; u_agg_groups = 0;
-        u_fallback = true; u_elapsed_s = Kgm_telemetry.Clock.now () -. t0 }
-    in
-    if Journal.enabled journal then
-      Journal.emit journal "maintain.end"
-        [ ("fallback", J.Bool true);
-          ("inserted", J.Int stats.u_inserted);
-          ("retracted", J.Int stats.u_retracted);
-          ("elapsed_s", J.Float stats.u_elapsed_s) ];
-    stats
+    { u_inserted = 0; u_retracted = 0; u_cone = 0; u_rederived = 0;
+      u_deleted = 0; u_refired = 0; u_derived = 0; u_rounds = 0;
+      u_strata = 0; u_agg_groups = 0; u_fallback = true; u_elapsed_s = 0. }
   in
-  atomically st ~retracts @@ fun note ->
-  if st.torn then by_rechase note
+  (* the repair: the store and the support, never the EDB; it returns
+     the batch's repair sizes *)
+  let repair () =
+  if st.torn then by_rechase ()
   else
   let plan = plan_update st updated in
-  if updated <> [] && plan.pl_fallback then by_rechase note
+  if updated <> [] && plan.pl_fallback then by_rechase ()
   else begin
     let sup = st.support in
     let affected = plan.pl_affected in
@@ -631,9 +578,8 @@ let maintain ?(telemetry = Kgm_telemetry.null)
       (fun pred ->
         List.iter
           (fun f ->
-            let k = key pred f in
-            if not (Engine.ProvTbl.mem st.edb_set k) then begin
-              Engine.ProvTbl.replace forced k ();
+            if not (is_edb pred f) then begin
+              Engine.ProvTbl.replace forced (key pred f) ();
               forced_seeds := (pred, f) :: !forced_seeds;
               List.iter
                 (fun (e : Engine.support_entry) ->
@@ -793,7 +739,7 @@ let maintain ?(telemetry = Kgm_telemetry.null)
             && not (Engine.ProvTbl.mem forced k)
           then begin
             let ok =
-              Engine.ProvTbl.mem st.edb_set k
+              is_edb p f
               || (List.for_all null_alive (Engine.fact_nulls f)
                   && (List.exists entry_evidence (Engine.support_entries sup p f)
                       ||
@@ -1005,39 +951,22 @@ let maintain ?(telemetry = Kgm_telemetry.null)
        consed while walking it, so it is now chronological *)
     let refire_parents = !refire_parents in
     (* -------- inserts -------- *)
-    let seed_order = ref [] in
-    let seed_tbl : (string, Database.fact list ref) Hashtbl.t =
-      Hashtbl.create 16
+    (* an insert already in the store (derived, or listed twice) is no
+       seed: its consequences already exist *)
+    let fresh =
+      List.filter
+        (fun (p, f) -> (not (is_edb p f)) && Database.add st.db p f)
+        inserts
     in
-    let seen_seed : unit Engine.ProvTbl.t = Engine.ProvTbl.create 64 in
-    let push_seed p f =
-      let k = key p f in
-      if not (Engine.ProvTbl.mem seen_seed k) then begin
-        Engine.ProvTbl.add seen_seed k ();
-        match Hashtbl.find_opt seed_tbl p with
-        | Some r -> r := f :: !r
-        | None ->
-            Hashtbl.add seed_tbl p (ref [ f ]);
-            seed_order := p :: !seed_order
-      end
-    in
-    let inserted = ref 0 in
-    List.iter
-      (fun (p, f) ->
-        if note p f then begin
-          incr inserted;
-          if Database.add st.db p f then push_seed p f
-          (* else: the fact was already derived; it is now also
-             extensional, but its consequences already exist *)
-        end)
-      inserts;
-    List.iter
-      (fun (p, f) -> if Database.mem st.db p f then push_seed p f)
-      refire_parents;
+    (* the seeds, each once, per predicate in insertion order *)
+    let seeds = Database.create ~dict:(Database.dict st.db) () in
+    ignore
+      (Database.apply_batch seeds ~retracts:[]
+         ~inserts:
+           (fresh
+           @ List.filter (fun (p, f) -> Database.mem st.db p f) refire_parents));
     let seed =
-      List.rev_map
-        (fun p -> (p, List.rev !(Hashtbl.find seed_tbl p)))
-        !seed_order
+      List.map (fun p -> (p, Database.facts seeds p)) (Database.predicates seeds)
     in
     (* -------- one seeded engine pass per relevant phase: plain strata
        start from the seeds, wholesale strata re-derive on the
@@ -1089,43 +1018,32 @@ let maintain ?(telemetry = Kgm_telemetry.null)
         g.gl_touched <- false;
         g.gl_pass_true <- false)
       !touched;
-    let retracted = List.length retracts in
     let cone_n = List.length cone_facts in
-    let stats =
-      { u_inserted = !inserted; u_retracted = retracted; u_cone = cone_n;
-        u_rederived = cone_n - deleted; u_deleted = deleted;
-        u_refired = !refired; u_derived = !derived; u_rounds = !rounds;
-        u_strata = plan.pl_n_marked; u_agg_groups = agg_groups;
-        u_fallback = false;
-        u_elapsed_s = Kgm_telemetry.Clock.now () -. t0 }
-    in
-    Kgm_telemetry.count telemetry ~by:stats.u_inserted "incremental.inserts";
-    Kgm_telemetry.count telemetry ~by:stats.u_retracted "incremental.retracts";
-    Kgm_telemetry.count telemetry ~by:stats.u_cone "incremental.cone";
-    Kgm_telemetry.count telemetry ~by:stats.u_rederived "incremental.rederived";
-    Kgm_telemetry.count telemetry ~by:stats.u_deleted "incremental.deleted";
-    Kgm_telemetry.count telemetry ~by:stats.u_refired "incremental.refired";
-    Kgm_telemetry.count telemetry ~by:stats.u_derived "incremental.derived";
-    Kgm_telemetry.count telemetry ~by:stats.u_rounds "incremental.rounds";
-    Kgm_telemetry.count telemetry ~by:stats.u_strata "incremental.strata";
-    Kgm_telemetry.count telemetry ~by:stats.u_agg_groups
-      "incremental.agg_groups";
-    if Journal.enabled journal then
-      Journal.emit journal "maintain.end"
-        [ ("fallback", J.Bool false);
-          ("inserted", J.Int stats.u_inserted);
-          ("retracted", J.Int stats.u_retracted);
-          ("cone", J.Int stats.u_cone);
-          ("rederived", J.Int stats.u_rederived);
-          ("deleted", J.Int stats.u_deleted);
-          ("refired", J.Int stats.u_refired);
-          ("derived", J.Int stats.u_derived);
-          ("rounds", J.Int stats.u_rounds);
-          ("strata", J.Int stats.u_strata);
-          ("agg_groups", J.Int stats.u_agg_groups);
-          ("elapsed_s", J.Float stats.u_elapsed_s) ];
-    stats
+    { u_inserted = 0; u_retracted = 0; u_cone = cone_n;
+      u_rederived = cone_n - deleted; u_deleted = deleted;
+      u_refired = !refired; u_derived = !derived; u_rounds = !rounds;
+      u_strata = plan.pl_n_marked; u_agg_groups = agg_groups;
+      u_fallback = false; u_elapsed_s = 0. }
   end
+  in
+  match repair () with
+  | exception e ->
+      (* the store may be half-repaired, but the EDB is as before the
+         batch; the next batch re-chases it *)
+      let bt = Printexc.get_raw_backtrace () in
+      st.torn <- true;
+      Printexc.raise_with_backtrace e bt
+  | stats ->
+      (* the commit: after the repair returned, and it cannot raise *)
+      let u_retracted, u_inserted =
+        Database.apply_batch st.edb ~retracts ~inserts
+      in
+      let stats =
+        { stats with u_inserted; u_retracted;
+          u_elapsed_s = Kgm_telemetry.Clock.now () -. t0 }
+      in
+      report telemetry journal stats;
+      stats
 
 (* ------------------------------------------------------------------ *)
 (* Canonical form: null ids are process-global and never rewind, so a

@@ -51,8 +51,9 @@ type state
     always re-fetch it through {!db} rather than caching it. *)
 
 type update_stats = {
-  u_inserted : int;     (** extensional facts actually added (not dups) *)
-  u_retracted : int;    (** extensional facts actually removed *)
+  u_inserted : int;     (** distinct facts the batch added to the EDB *)
+  u_retracted : int;    (** distinct facts the batch removed from the
+                            EDB (a line given twice counts once) *)
   u_cone : int;         (** size of the overdeletion cone *)
   u_rederived : int;    (** cone facts saved by an alternative derivation *)
   u_deleted : int;      (** facts removed from the database *)
@@ -98,9 +99,11 @@ val support : state -> Engine.support
     explain a fact against the current materialization. *)
 
 val edb_facts : state -> (string * Database.fact) list
-(** The current extensional facts, each once, in load order: a fact
-    retracted and later re-inserted sits at its latest insertion — where
-    maintenance puts it in the store. *)
+(** The current extensional facts, each once, per predicate: predicates
+    sorted, each predicate's facts in insertion order, so a fact
+    retracted and later re-inserted sits at its latest insertion —
+    where maintenance puts it in the store. The EDB is one
+    {!Database.t} sharing the store's dictionary. *)
 
 val swap_db : state -> Database.t -> unit
 (** [swap_db st twin] hands the session a twin of its database: a store
@@ -117,22 +120,28 @@ val maintain :
 (** Apply a batch of extensional updates and repair the
     materialization. Retractions of facts not currently extensional are
     ignored (a derived fact cannot be retracted — it would be
-    rederived); inserts already extensional are ignored. Retractions
-    are applied before inserts, so a batch may move a fact. Each phase
-    the batch can reach gets exactly one {!Engine.run_delta} pass.
+    rederived); inserts already extensional are ignored. The batch
+    changes the EDB exactly as {!Database.apply_batch} changes a fact
+    set: retractions before inserts, so a batch may move a fact, and a
+    fact listed twice counts once. Each phase the batch can reach gets
+    exactly one {!Engine.run_delta} pass.
     Emits [incremental.*] telemetry counters mirroring {!update_stats};
     an enabled [journal] additionally records [maintain.start],
     [dred.cone] (overdeletion cone / rederivation / deletion sizes) and
     [maintain.end] events around the seeded passes' own event streams.
 
-    A batch is all-or-nothing: if the repair raises (an exhausted
-    worker retry, a [round] fault) or a budget ([deadline_s],
-    [max_facts], [max_rounds]) stops it, the exception propagates with the EDB ({!edb_facts}) exactly as
-    before the batch, and the next [maintain] — whatever its batch —
-    re-chases ([u_fallback]) before anything builds on the
-    half-repaired store. A repair runs under [on_limit = `Raise]
-    whatever the state's options say: a [`Partial] stop would leave a
-    half-repaired store behind a normal return. *)
+    A batch is all-or-nothing by commit: the repair (DRed, counting,
+    the seeded passes, or a fallback re-chase of a copy of the EDB)
+    never writes the EDB, and only once it has returned is the batch
+    committed to the EDB with {!Database.apply_batch}, which cannot
+    raise. If the repair raises (an exhausted worker retry, a [round]
+    or [db_insert] fault) or a budget ([deadline_s], [max_facts],
+    [max_rounds]) stops it, the exception propagates, the EDB
+    ({!edb_facts}) is untouched — nothing is undone — and the next
+    [maintain], whatever its batch, re-chases ([u_fallback]) before
+    anything builds on the half-repaired store. A repair runs under
+    [on_limit = `Raise] whatever the state's options say: a [`Partial]
+    stop would leave a half-repaired store behind a normal return. *)
 
 val canonical_facts : Database.t -> (string * Database.fact list) list
 (** The database contents in canonical form: predicates sorted, facts

@@ -3,8 +3,9 @@
    re-fire, stratum-aware maintenance through negation and stratified
    aggregation, counting maintenance of monotonic aggregates, the
    narrowed fallback gate, one seeded engine pass per phase,
-   all-or-nothing batches, and the determinism matrix (jobs × planner
-   × checkpoint/resume × maintained-vs-rechased). *)
+   all-or-nothing batches, the determinism matrix (jobs × planner
+   × checkpoint/resume × maintained-vs-rechased), and generated batch
+   streams checked against a list model of the EDB. *)
 
 open Kgm_common
 module V = Kgm_vadalog
@@ -691,6 +692,85 @@ let test_edb_reinsert_once () =
     [ {|edge("c", "d")|}; {|edge("a", "b")|}; {|edge("b", "c")|} ]
     (List.map show (I.edb_facts st))
 
+(* a batch naming an EDB fact twice removes it once and says so, as a
+   batch inserting one twice adds it once; through a re-chase too *)
+let test_duplicate_lines_count_once () =
+  let st, _ = I.chase (V.Parser.parse_program tc_src) in
+  let journal = Kgm_telemetry.Journal.create () in
+  let started = ref [] in
+  Kgm_telemetry.Journal.tap journal (fun ev ->
+      if ev.Kgm_telemetry.Journal.ev_type = "maintain.start" then
+        started := Kgm_telemetry.Journal.int_field ev "retracts" :: !started);
+  let twice = pfacts "edge(a, b). edge(a, b)." in
+  let u = I.maintain ~journal st ~inserts:[] ~retracts:twice in
+  check Alcotest.int "retracted once" 1 u.I.u_retracted;
+  check Alcotest.(list (option int)) "maintain.start counts it once" [ Some 1 ]
+    !started;
+  let u = I.maintain st ~inserts:twice ~retracts:[] in
+  check Alcotest.int "inserted once" 1 u.I.u_inserted;
+  let st, _ =
+    I.chase
+      (V.Parser.parse_program
+         {| own(a, b, 0.3). own(a, c, 0.4).
+            t(X, V) :- own(X, Y, W), V = sum(W, <Y>). |})
+  in
+  let u =
+    I.maintain st ~inserts:[] ~retracts:(pfacts "own(a, b, 0.3). own(a, b, 0.3).")
+  in
+  check Alcotest.bool "re-chased" true u.I.u_fallback;
+  check Alcotest.int "retracted once by the re-chase" 1 u.I.u_retracted
+
+(* Generated batch streams against the list model of the EDB: after
+   every batch, whether or not it raised, the EDB is the model's; a
+   batch that returned reports the model's counts and leaves the store
+   equal to a re-chase of the model, and the batch after one that
+   raised re-chases. *)
+let prop_stream (prog : Gen_batches.program) steps =
+  let module G = Gen_batches in
+  let program = V.Parser.parse_program prog.G.src in
+  let options = opts () in
+  let st, _ = Kgm_resilience.Faults.with_spec "" (fun () -> I.chase ~options program) in
+  let model = ref (G.initial_edb program) and torn = ref false in
+  let fail = QCheck.Test.fail_reportf in
+  List.for_all
+    (fun (lines, fault) ->
+      let inserts, retracts = Kgm_server.Batch.split lines in
+      let text = G.text lines in
+      match G.under fault (fun () -> I.maintain st ~inserts ~retracts) with
+      | exception (Kgm_resilience.Fault _ | Kgm_error.Error _) ->
+          torn := true;
+          G.grouped (I.edb_facts st) = G.grouped !model
+          || fail "a batch that raised changed the EDB:\n%s" text
+      | u ->
+          let edb, retracted, inserted = G.apply !model (inserts, retracts) in
+          let after_raise = !torn in
+          model := edb;
+          torn := false;
+          (u.I.u_fallback || (not after_raise)
+          || fail "the batch after one that raised did not re-chase:\n%s" text)
+          && (u.I.u_inserted = inserted
+             || fail "inserted=%d, model %d:\n%s" u.I.u_inserted inserted text)
+          && (u.I.u_retracted = retracted
+             || fail "retracted=%d, model %d:\n%s" u.I.u_retracted retracted text)
+          && (G.grouped (I.edb_facts st) = G.grouped edb
+             || fail "the EDB differs from the model after:\n%s" text)
+          && (I.equal_facts (I.db st) (G.rechase ~options program edb)
+             || fail "the store differs from a re-chase of the model after:\n%s"
+                  text))
+    steps
+
+let stream_tests =
+  List.map
+    (fun (prog : Gen_batches.program) ->
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 17 |])
+        (QCheck.Test.make
+           ~name:(Printf.sprintf "generated batch streams = list model (%s)" prog.Gen_batches.name)
+           ~count:60
+           (QCheck.make ~print:Gen_batches.show_stream ~shrink:QCheck.Shrink.list
+              (Gen_batches.stream prog))
+           (prop_stream prog)))
+    Gen_batches.programs
+
 let suite =
   [ Alcotest.test_case "insert only ≡ re-chase" `Quick test_insert_only;
     Alcotest.test_case "retract chain (DRed)" `Quick test_retract_chain;
@@ -734,4 +814,7 @@ let suite =
     Alcotest.test_case "canonical null renaming" `Quick
       test_canonical_facts_renames_nulls;
     Alcotest.test_case "equal_facts: cross-fact null permutation" `Quick
-      test_equal_facts_null_permutation ]
+      test_equal_facts_null_permutation;
+    Alcotest.test_case "duplicate batch lines count once" `Quick
+      test_duplicate_lines_count_once ]
+  @ stream_tests

@@ -1077,6 +1077,67 @@ let test_recover_without_drain () =
         (Printf.sprintf "expected one rejected generation, got %d"
            (List.length evs))
 
+(* A generated stream, of the kind the incremental suite checks against
+   its list model, served through /update with a state directory: an
+   acknowledged batch reports the model's counts, a batch that fails
+   changes nothing, and a crash copy of the state directory recovers
+   the live session's facts. An empty batch at the end re-chases a
+   session the last batch may have left torn. *)
+let test_generated_stream_recovers () =
+  let module G = Gen_batches in
+  let program = V.Parser.parse_program G.control.G.src in
+  let steps =
+    QCheck.Gen.generate1 ~rand:(Random.State.make [| 23 |])
+      (QCheck.Gen.list_repeat 16 (G.step G.control))
+  in
+  (* halfway, a batch that fails for sure: its insert is its first write *)
+  let doomed =
+    ([ (`Ins, ("company", [| Kgm_common.Value.String "z" |])) ], Some "db_insert:1.0")
+  in
+  let steps =
+    List.filteri (fun i _ -> i < 8) steps
+    @ (doomed :: List.filteri (fun i _ -> i >= 8) steps)
+  in
+  let dir = fresh_dir "stream" in
+  let session = mk_session G.control.G.src in
+  let model = ref (G.initial_edb program) in
+  let failed = ref 0 and crashed = ref "" and live = ref [] in
+  ignore
+    (with_server ~session
+       ~cfg:(fun c -> { c with S.state_dir = Some dir })
+       (fun _srv sock ->
+         let send ?fault lines =
+           let text = G.text lines in
+           match G.under fault (fun () -> post sock "/update" text) with
+           | 200, answer ->
+               let edb, retracted, inserted = G.apply !model (S.Batch.split lines) in
+               model := edb;
+               check
+                 Alcotest.(pair int int)
+                 ("inserted, retracted by\n" ^ text)
+                 (inserted, retracted)
+                 (Scanf.sscanf answer "ok epoch=%_d inserted=%d retracted=%d"
+                    (fun i r -> (i, r)));
+               true
+           | _ ->
+               incr failed;
+               false
+         in
+         List.iter (fun (lines, fault) -> ignore (send ?fault lines)) steps;
+         let rec settle n = send [] || (n > 1 && settle (n - 1)) in
+         check Alcotest.bool "an empty batch is acknowledged" true (settle 5);
+         check
+           Alcotest.(list string)
+           "the live EDB is the model's" (G.grouped !model)
+           (G.grouped (Inc.edb_facts session));
+         live := canon session;
+         crashed := crash_copy dir "stream_crash"));
+  check Alcotest.bool "some batch of the stream failed" true (!failed > 0);
+  match S.recover ~options ~dir:!crashed [ program ] with
+  | Some (st, _, _) ->
+      check Alcotest.bool "recovered = the live session" true (canon st = !live)
+  | None -> Alcotest.fail "nothing recovered"
+
 (* ------------------------------------------------------------------ *)
 
 let suite =
@@ -1116,5 +1177,7 @@ let suite =
       `Quick test_epoch_answers_match_offline;
     Alcotest.test_case "recovery without drain: log, torn tail, fallback."
       `Quick test_recover_without_drain;
+    Alcotest.test_case "generated stream: counts, failures, crash recovery."
+      `Quick test_generated_stream_recovers;
     Alcotest.test_case "a failed swap's operations replay at the next one."
       `Quick test_failed_swap_replays_later ]

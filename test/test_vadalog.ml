@@ -899,7 +899,29 @@ let test_tombstone_compaction () =
   check Alcotest.(list string) "index follows the renumbering" [ "8" ]
     (List.map (fun f -> Value.to_string f.(0)) (D.lookup db "e" [ 0 ] [ Value.Int 8 ]))
 
+(* facts whose ids step together spread over the buckets: chain-shaped
+   own(v, v+1, w) over consecutive ids, and their two-position probe
+   keys. A [h * 31 + id] fold left the low bits of such hashes
+   constant, so they shared 1/32 of the buckets. *)
+let test_hash_spread () =
+  let module D = V.Database in
+  let facts = D.IFactTbl.create 256 and keys = D.IKeyTbl.create 256 in
+  for v = 0 to 49_999 do
+    D.IFactTbl.replace facts [| 1000 + v; 1001 + v; 7 |] ();
+    D.IKeyTbl.replace keys [ 1000 + v; 1001 + v ] ()
+  done;
+  let bounded what (s : Hashtbl.statistics) =
+    check Alcotest.bool
+      (Printf.sprintf "%s: longest bucket %d <= 16 (%d buckets)" what
+         s.Hashtbl.max_bucket_length s.Hashtbl.num_buckets)
+      true
+      (s.Hashtbl.max_bucket_length <= 16)
+  in
+  bounded "chain-shaped facts" (D.IFactTbl.stats facts);
+  bounded "two-position keys" (D.IKeyTbl.stats keys)
+
 let suite =
   suite
   @ [ test_store_matches_reference;
-      ("tombstones compact only past half dead", `Quick, test_tombstone_compaction) ]
+      ("tombstones compact only past half dead", `Quick, test_tombstone_compaction);
+      ("fact and key hashes spread stepping ids", `Quick, test_hash_spread) ]
