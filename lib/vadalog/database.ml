@@ -360,14 +360,13 @@ let remove_i t pred (fact : ifact) =
     frozen. (The dictionary is append-only: ids of removed facts stay
     interned, which is harmless — membership is decided by the dedup
     set.) *)
-let remove_batch ?on_remove t facts =
+let remove_batch t facts =
   if t.frozen then invalid_arg "Database.remove_batch: database is frozen";
   List.fold_left
     (fun removed (pred, fact) ->
       match find_fact t fact with
       | Some ifact when remove_i t pred ifact ->
           note_change t (Removed (pred, ifact));
-          Option.iter (fun f -> f pred fact) on_remove;
           removed + 1
       | _ -> removed)
     0 facts

@@ -120,8 +120,7 @@ val iter_matches_i :
 (** {!iter_matches} over interned facts and an id-encoded key — the
     engine's hot probe path (no per-fact decoding). *)
 
-val remove_batch :
-  ?on_remove:(string -> fact -> unit) -> t -> (string * fact) list -> int
+val remove_batch : t -> (string * fact) list -> int
 (** [remove_batch t facts] deletes every listed (pred, fact) pair that
     is present; returns how many facts were removed (duplicates counted
     once). A removal tombstones the fact's slot and drops the fact from
@@ -138,10 +137,7 @@ val remove_batch :
     {!predicates}. This is the deletion primitive of the incremental
     maintenance layer ({!Kgm_vadalog.Incremental}); it is
     batch-oriented because DRed removes a whole overdeletion cone at
-    once. [on_remove] is called once per fact actually removed, in
-    [facts] order — maintenance layers use it to keep derived state
-    (aggregate group logs, caches) in step with the store. Raises
-    [Invalid_argument] on a frozen database. *)
+    once. Raises [Invalid_argument] on a frozen database. *)
 
 (** {1 Change log (twin stores)}
 

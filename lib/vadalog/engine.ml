@@ -286,6 +286,9 @@ type stats = {
                            (** the derivation support recorded during the
                                run, when [options.provenance] was on or a
                                [?support] was passed *)
+  negative_sums : int list;  (** recording ids of the monotonic [sum]
+                                 rules that folded a negative weight,
+                                 sorted *)
 }
 
 let merge_stats a b =
@@ -299,7 +302,9 @@ let merge_stats a b =
     per_rule = a.per_rule @ b.per_rule;
     stopped = (match a.stopped with Some _ -> a.stopped | None -> b.stopped);
     support =
-      (match a.support with Some _ -> a.support | None -> b.support) }
+      (match a.support with Some _ -> a.support | None -> b.support);
+    negative_sums =
+      List.sort_uniq Int.compare (a.negative_sums @ b.negative_sums) }
 
 let pp_rule_table ppf stats =
   let active =
@@ -380,28 +385,6 @@ type group_state = {
 }
 
 type agg_state = group_state KeyTbl.t
-
-(* Counting-maintenance observers: a maintenance layer listening on
-   [?on_agg] sees every distinct monotonic-aggregate contribution (with
-   the body facts it came from) and every head fact a group fired —
-   including re-derivations of facts already present. That log is what
-   lets DRed decrement group totals on retraction instead of falling
-   back to a full re-chase. *)
-type agg_event =
-  | Agg_contrib of {
-      ac_rule : int;                 (* recording id of the aggregate rule *)
-      ac_group : Value.t list;       (* group key (group_vars order) *)
-      ac_key : Value.t list;         (* contributor dedup key *)
-      ac_weight : Value.t;           (* the aggregated value *)
-      ac_parents : (string * Database.fact) list;
-          (* body facts matched before the aggregate literal *)
-    }
-  | Agg_head of {
-      ah_rule : int;
-      ah_group : Value.t list;
-      ah_pred : string;
-      ah_fact : Database.fact;
-    }
 
 let agg_step op acc v =
   match op, acc with
@@ -507,12 +490,6 @@ type prepared = {
   (* the non-existential head variables — everything the merge phase
      needs to re-fire a candidate (ground the head, run the
      restricted-chase check, invent nulls for the rest) *)
-  index_patterns : (string * int list) list;
-  (* for each positive body literal, the bound-position pattern its
-     written-order evaluation will probe: constants plus variables
-     bound by an earlier literal. Built eagerly by the parallel path
-     before freezing the database. A pattern the prediction misses only
-     costs a linear scan on the frozen store, never a crash. *)
   cbody : clit array;  (* body compiled against the dictionary *)
   pos_ord : int array;
   (* written Pos ordinal of each body literal (-1 for the others): the
@@ -606,32 +583,6 @@ let prepare ?rid dict rule_id (r : Rule.rule) =
          (fun v -> not (List.mem v existentials))
          (Rule.head_vars r.Rule.head))
   in
-  let index_patterns =
-    let bound = Hashtbl.create 16 in
-    List.concat_map
-      (fun lit ->
-        let here =
-          match lit with
-          | Rule.Pos (a : Rule.atom) ->
-              let pattern =
-                List.mapi
-                  (fun i t ->
-                    match t with
-                    | Term.Const _ -> Some i
-                    | Term.Var x ->
-                        if Hashtbl.mem bound x then Some i else None)
-                  a.Rule.args
-                |> List.filter_map Fun.id
-              in
-              if pattern = [] then [] else [ (a.Rule.pred, pattern) ]
-          | _ -> []
-        in
-        List.iter
-          (fun v -> Hashtbl.replace bound v ())
-          (Rule.literal_body_bound lit);
-        here)
-      r.Rule.body
-  in
   let n_pos = ref 0 in
   let pos_ord =
     Array.of_list
@@ -657,7 +608,6 @@ let prepare ?rid dict rule_id (r : Rule.rule) =
     strat_agg_index;
     has_agg;
     needed_vars;
-    index_patterns;
     cbody = Array.of_list (List.map (compile_lit dict) r.Rule.body);
     pos_ord;
     n_pos = !n_pos;
@@ -686,18 +636,17 @@ type run_state = {
   mutable added : int;
   agg_states : (int, agg_state) Hashtbl.t; (* rid -> state *)
   sup : support option;  (* full derivation support (DRed maintenance) *)
-  on_agg : (agg_event -> unit) option;
-  (* group keys of the aggregate literals on the current evaluation
-     path, innermost first — lets [fire] attribute head facts to the
-     group that produced them. Aggregate rules only run sequentially
-     (has_agg), so a plain mutable field is safe. *)
-  mutable agg_notes : (int * Value.t list) list;
-  (* facts matched so far on the current evaluation path. While support
-     is recorded, the walker pushes/pops once per matched candidate at
-     EVERY join level, on workers as on the sequential path — tens of
-     millions of times per round on probe-heavy joins — so it uses a
-     manually-grown stack instead of list cells: a cons here would churn
-     the minor heap enough to show up as whole-run overhead. *)
+  mutable negative_sums : int list;
+  (* recording ids of the [sum] rules that folded a negative weight,
+     once per such weight *)
+  keep_trail : bool;
+  (* facts matched so far on the current evaluation path, kept while
+     support is recorded (and for {!agg_matches}). The walker then
+     pushes/pops once per matched candidate at EVERY join level, on
+     workers as on the sequential path — tens of millions of times per
+     round on probe-heavy joins — so it uses a manually-grown stack
+     instead of list cells: a cons here would churn the minor heap
+     enough to show up as whole-run overhead. *)
   mutable trail_preds : string array;
   mutable trail_facts : Database.ifact array;
   mutable trail_len : int;
@@ -958,39 +907,24 @@ let fire st env (prep : prepared) ~on_new =
           ~parents:(resolve_parents st (trail_parents st)) ~nulls pred fact
     | None -> ()
   in
-  let notify_agg pred fact =
-    match st.on_agg with
-    | Some f when st.agg_notes <> [] ->
-        List.iter
-          (fun (rid, group) ->
-            f (Agg_head { ah_rule = rid; ah_group = group;
-                          ah_pred = pred; ah_fact = fact }))
-          st.agg_notes
-    | _ -> ()
-  in
   let add_head nulls (a : catom) =
     let ifact = ground_atom env a in
     if Database.add_i st.db a.ca_pred ifact then begin
       st.added <- st.added + 1;
       st.cur.c_firings <- st.cur.c_firings + 1;
       budget_check ();
-      (* maintenance layers stay value-based: resolve once, at the
-         recording boundary, off the hot dedup path *)
-      if Option.is_some st.sup || Option.is_some st.on_agg then begin
-        let fact = resolve_ifact st ifact in
-        (match st.sup with
-         | Some sup -> support_index_fact sup a.ca_pred fact
-         | None -> ());
-        record_support nulls a.ca_pred fact;
-        notify_agg a.ca_pred fact
-      end;
+      (* the support stays value-based: resolve once, at the recording
+         boundary, off the hot dedup path *)
+      (match st.sup with
+       | Some sup ->
+           let fact = resolve_ifact st ifact in
+           support_index_fact sup a.ca_pred fact;
+           record_support nulls a.ca_pred fact
+       | None -> ());
       on_new a.ca_pred ifact
     end
-    else if Option.is_some st.sup || Option.is_some st.on_agg then begin
-      let fact = resolve_ifact st ifact in
-      record_support nulls a.ca_pred fact;
-      notify_agg a.ca_pred fact
-    end
+    else if Option.is_some st.sup then
+      record_support nulls a.ca_pred (resolve_ifact st ifact)
   in
   if prep.existentials = [] then List.iter (add_head []) prep.cheads
   else begin
@@ -1042,12 +976,10 @@ let rec unify env args (fact : Database.ifact) i =
               true))
      && unify env args fact (i + 1)
 
-(* A monotonic aggregate literal (body index [j]): fold this match's
-   contribution into its group and, when the contribution is new,
-   continue under the running total. Aggregate state is checkpointed,
-   so its keys stay value-level; aggregate rules only run on the
-   sequential path. *)
-let monotonic st env (prep : prepared) j (g : Rule.aggregate) continue =
+(* The group and contributor keys of the match at hand, for the
+   aggregate literal [j] of [prep]. Aggregate state is checkpointed, so
+   its keys stay value-level. *)
+let agg_keys st env (prep : prepared) j (g : Rule.aggregate) =
   let values what vars =
     List.map
       (fun v ->
@@ -1056,8 +988,18 @@ let monotonic st env (prep : prepared) j (g : Rule.aggregate) continue =
         | None -> Kgm_error.reason_error "unbound %s %s" what v)
       vars
   in
-  let group_key = values "group variable" (List.assoc j prep.group_vars) in
-  let contrib_key = values "contributor" g.Rule.contributors in
+  ( values "group variable" (List.assoc j prep.group_vars),
+    values "contributor" g.Rule.contributors )
+
+let negative_weight w =
+  match Value.as_float w with Some f -> f < 0. | None -> false
+
+(* A monotonic aggregate literal (body index [j]): fold this match's
+   contribution into its group and, when the contribution is new,
+   continue under the running total. Aggregate rules only run on the
+   sequential path. *)
+let monotonic st env (prep : prepared) j (g : Rule.aggregate) continue =
+  let group_key, contrib_key = agg_keys st env prep j g in
   let state =
     match Hashtbl.find_opt st.agg_states prep.rid with
     | Some s -> s
@@ -1072,22 +1014,11 @@ let monotonic st env (prep : prepared) j (g : Rule.aggregate) continue =
   with
   | None -> ()
   | Some (group, w) ->
-      (match st.on_agg with
-       | Some f ->
-           f (Agg_contrib
-                { ac_rule = prep.rid; ac_group = group_key;
-                  ac_key = contrib_key; ac_weight = w;
-                  ac_parents = resolve_parents st (trail_parents st) })
-       | None -> ());
+      if g.Rule.op = Rule.Sum && negative_weight w then
+        st.negative_sums <- prep.rid :: st.negative_sums;
       let mark = env_mark env in
       env_bind env g.Rule.result (value_id st (Option.get group.acc));
-      (match st.on_agg with
-       | Some _ ->
-           st.agg_notes <- (prep.rid, group_key) :: st.agg_notes;
-           Fun.protect
-             ~finally:(fun () -> st.agg_notes <- List.tl st.agg_notes)
-             continue
-       | None -> continue ());
+      continue ();
       env_undo env mark
 
 (* The body walker: the one evaluator of rule bodies. It walks [order]
@@ -1109,7 +1040,7 @@ let monotonic st env (prep : prepared) j (g : Rule.aggregate) continue =
    they would from a snapshot. *)
 let walk st env (prep : prepared) ~order ~delta ~keyv ~emit =
   let body = prep.cbody in
-  let record = Option.is_some st.sup in
+  let record = st.keep_trail in
   let rec go = function
     | [] -> emit ()
     | j :: rest -> (
@@ -1182,6 +1113,132 @@ let walk st env (prep : prepared) ~order ~delta ~keyv ~emit =
 (* a fresh merge sort key for one evaluation of [prep] *)
 let sort_key (prep : prepared) = Array.make (max 1 prep.n_pos) 0
 
+(* A run state that records, journals and observes nothing: as is, for
+   walks beside the chase loop — a pool work item, read-only on the
+   frozen store (collectors are not domain-safe), or a match listing;
+   the chase loop extends it. *)
+let walk_state db ~keep_trail =
+  { db; opts = default_options; added = 0; agg_states = Hashtbl.create 1;
+    sup = None; negative_sums = []; keep_trail; trail_preds = [||];
+    trail_facts = [||]; trail_len = 0; fact_trail = [];
+    sc = Intern.Scratch.create (); tele = Kgm_telemetry.null;
+    jr = Kgm_telemetry.Journal.null; ctrs = [||]; cur = fresh_ctr (); round = 0;
+    trip_rule = None }
+
+(* ------------------------------------------------------------------ *)
+(* Counting maintenance reads a monotonic aggregate's groups from the
+   store: the prefix matches of its aggregate literal. *)
+
+type agg_match = {
+  am_group : Value.t list;
+  am_key : Value.t list;
+  am_weight : Value.t;
+  am_parents : (string * Database.fact) list;
+}
+
+(* a monotonic aggregate rule compiled against a dictionary *)
+type agg_rule = {
+  ar_dict : Intern.t;
+  ar_prep : prepared;
+  ar_lit : int;
+  ar_agg : Rule.aggregate;
+}
+
+let agg_rule db (r : Rule.rule) =
+  let prep = prepare (Database.dict db) 0 r in
+  let rec find j =
+    if j >= Array.length prep.cbody then
+      invalid_arg "Engine.agg_rule: no monotonic aggregate"
+    else
+      match prep.cbody.(j) with
+      | CAgg g when g.Rule.mode = Rule.Monotonic ->
+          { ar_dict = Database.dict db; ar_prep = prep; ar_lit = j; ar_agg = g }
+      | _ -> find (j + 1)
+  in
+  find 0
+
+(* The matches of the rule's prefix, in the walker's order: through one
+   fact (at every prefix literal it fits, so a match using it twice is
+   listed twice), or of the groups agreeing with a key (a value, or
+   [None] for any, per group variable). A group walk binds only the
+   group variables of the first positive prefix literal and checks the
+   others on each match: its probes are then those of a delta round
+   over that literal, instead of an index on every group variable. *)
+let agg_matches db { ar_dict; ar_prep = prep; ar_lit = j; ar_agg = g } source =
+  if Database.dict db != ar_dict then
+    invalid_arg "Engine.agg_matches: rule compiled for another dictionary";
+  let st = walk_state db ~keep_trail:true in
+  let env = env_create () and keyv = sort_key prep and out = ref [] in
+  let prefix = List.init j Fun.id in
+  let gv = List.assoc j prep.group_vars in
+  (* [key] compared as ids: a value never interned matches nothing *)
+  let list ?delta ?(key = List.map (fun _ -> None) gv) order =
+    let ids = List.map (Option.map (Intern.find (Database.dict db))) key in
+    walk st env prep ~order ~delta ~keyv ~emit:(fun () ->
+        if
+          List.for_all2
+            (fun v -> Option.fold ~none:true ~some:(( = ) (env_lookup env v)))
+            gv ids
+        then begin
+          let am_group, am_key = agg_keys st env prep j g in
+          out :=
+            { am_group; am_key;
+              am_weight = Expr.eval_fn (env_value st env) g.Rule.weight;
+              am_parents = resolve_parents st (trail_parents st) }
+            :: !out
+        end)
+  in
+  (match source with
+   | `Group key ->
+       let anchor =
+         List.find_map
+           (fun i -> match prep.cbody.(i) with CPos a -> Some a.ca_args | _ -> None)
+           prefix
+       in
+       List.iter2
+         (fun v -> function
+           | Some x when Option.fold ~none:false ~some:(Array.mem (CVar v)) anchor ->
+               env_bind env v (value_id st x)
+           | _ -> ())
+         gv key;
+       list ~key prefix
+   | `Fact (pred, fact) ->
+       let ifact = Database.find_fact db fact in
+       Array.iteri
+         (fun i lit ->
+           match (lit, ifact) with
+           | CPos a, Some f when i < j && a.ca_pred = pred ->
+               list ~delta:(i, delta_group [ f ]) (i :: List.filter (( <> ) i) prefix)
+           | _ -> ())
+         prep.cbody);
+  List.rev !out
+
+(* The keys of the groups whose heads include [(pred, fact)]: read off a
+   head atom that binds every group variable, else listed with the
+   values it binds. *)
+let agg_head_groups db ({ ar_prep = prep; ar_lit = j; _ } as ar) (pred, fact) =
+  let gv = List.assoc j prep.group_vars in
+  let st = walk_state db ~keep_trail:false and env = env_create () in
+  let ifact = Database.find_fact db fact in
+  List.concat_map
+    (fun a ->
+      let mark = env_mark env in
+      let key =
+        match ifact with
+        | Some f
+          when a.ca_pred = pred && Array.length a.ca_args = Array.length f
+               && unify env a.ca_args f 0 ->
+            Some (List.map (env_value st env) gv)
+        | _ -> None
+      in
+      env_undo env mark;
+      match key with
+      | None -> []
+      | Some key when List.for_all Option.is_some key -> [ List.map Option.get key ]
+      | Some key -> List.map (fun m -> m.am_group) (agg_matches db ar (`Group key)))
+    prep.cheads
+  |> List.sort_uniq (List.compare Value.compare)
+
 (* Stratified-aggregate rule: walk the prefix and fold every match into
    its group, then walk the suffix per group with only the group
    variables (plus the result) in scope. *)
@@ -1208,12 +1265,9 @@ let eval_stratified st (prep : prepared) agg_i ~on_new =
   let env = env_create () in
   walk st env prep ~order:(List.init agg_i Fun.id) ~delta:None ~keyv
     ~emit:(fun () ->
-      let group_key =
-        List.map (fun v -> Option.get (env_value st env v)) gv
-      in
+      let group_key, contrib_key = agg_keys st env prep agg_i g in
       let dedup_key =
-        if g.Rule.contributors <> [] then
-          List.map (fun v -> Option.get (env_value st env v)) g.Rule.contributors
+        if g.Rule.contributors <> [] then contrib_key
         else
           (* set semantics: one contribution per distinct prefix binding *)
           List.map
@@ -1365,19 +1419,7 @@ exception Round_aborted
    to the item. *)
 let eval_work_item (main : run_state) (w : work_item) : work_result =
   let t0 = Kgm_telemetry.Clock.now () in
-  let ctr = fresh_ctr () in
-  let st =
-    { db = main.db; opts = main.opts; added = 0;
-      agg_states = Hashtbl.create 1;
-      sup = main.sup;  (* only consulted as a capture-the-trail flag *)
-      on_agg = None; agg_notes = [];  (* aggregates never run on workers *)
-      trail_preds = [||]; trail_facts = [||]; trail_len = 0;
-      fact_trail = [];
-      sc = Intern.Scratch.create ();
-      tele = Kgm_telemetry.null;  (* collectors are not domain-safe *)
-      jr = Kgm_telemetry.Journal.null;
-      ctrs = [||]; cur = ctr; round = main.round; trip_rule = None }
-  in
+  let st = walk_state main.db ~keep_trail:main.keep_trail in
   let prep = w.w_prep in
   let keyv = sort_key prep in
   let dg = delta_group ~offset:w.w_offset w.w_facts in
@@ -1405,7 +1447,7 @@ let eval_work_item (main : run_state) (w : work_item) : work_result =
         { cd_vals = vals; cd_key = Array.copy keyv;
           cd_parents = trail_parents st; cd_spill = List.rev !spill }
         :: !buf);
-  { wr_cands = List.rev !buf; wr_probes = ctr.c_probes;
+  { wr_cands = List.rev !buf; wr_probes = st.cur.c_probes;
     wr_time = Kgm_telemetry.Clock.now () -. t0 }
 
 (* Merge phase: rebind a candidate's head variables and fire as usual
@@ -1520,22 +1562,13 @@ let eval_delta_round st pool (rules : prepared list) ~use_planner ~cancel
       (* build exactly the indexes the items will probe: every plan —
          planned or written-order — records its probe patterns along
          its own evaluation order (the delta literal never probes the
-         store). With the planner off the pure written-order
-         predictions are prepared as well. *)
+         store) *)
       Hashtbl.iter
         (fun _ (p : Planner.plan) ->
           List.iter
             (fun (pred, pat) -> Database.prepare_index st.db pred pat)
             p.Planner.patterns)
         plans;
-      if not planner_on then
-        List.iter
-          (fun (prep : prepared) ->
-            if not prep.has_agg then
-              List.iter
-                (fun (pred, pat) -> Database.prepare_index st.db pred pat)
-                prep.index_patterns)
-          rules;
       Database.freeze st.db;
       let t0 = Kgm_telemetry.Clock.now () in
       let results =
@@ -1761,7 +1794,7 @@ type start =
 let chase start ?(options = default_options) ?support
     ?(telemetry = Kgm_telemetry.null)
     ?(journal = Kgm_telemetry.Journal.null)
-    ?(cancel = Kgm_resilience.Token.none) ?checkpoint ?resume_from ?on_agg
+    ?(cancel = Kgm_resilience.Token.none) ?checkpoint ?resume_from
     ?rule_ids ?(agg_init = []) (program : Rule.program) db =
   let seeded, seed, wholesale, on_new =
     match start with
@@ -1840,19 +1873,15 @@ let chase start ?(options = default_options) ?support
       program.Rule.facts;
   let n_rules = List.length program.Rule.rules in
   let st =
-    { db; opts = options; added = 0; agg_states = Hashtbl.create 16;
-      sup = support; on_agg; agg_notes = [];
-      trail_preds = [||]; trail_facts = [||]; trail_len = 0; fact_trail = [];
-      sc = Intern.Scratch.create ();
+    { (walk_state db ~keep_trail:(Option.is_some support)) with
+      opts = options; agg_states = Hashtbl.create 16; sup = support;
       tele = telemetry; jr = journal;
-      ctrs = Array.init (max 1 n_rules) (fun _ -> fresh_ctr ());
-      cur = fresh_ctr ();
-      round = 0; trip_rule = None }
+      ctrs = Array.init (max 1 n_rules) (fun _ -> fresh_ctr ()) }
   in
-  (* counting maintenance: start monotonic aggregates from the caller's
-     saturated accumulators instead of empty groups, so a seeded pass
-     neither re-counts old contributions nor misses thresholds already
-     crossed *)
+  (* monotonic aggregates fold into the caller's accumulators when it
+     passes them: a seeded pass then neither re-counts old contributions
+     nor misses thresholds already crossed, and a maintenance layer
+     owns the tables every later pass extends *)
   List.iter (fun (id, s) -> Hashtbl.replace st.agg_states id s) agg_init;
   (match resume with
    | None -> ()
@@ -2158,7 +2187,8 @@ let chase start ?(options = default_options) ?support
       chase_misses = sum (fun r -> r.rs_chase_misses);
       per_rule;
       stopped = !stopped;
-      support = st.sup }
+      support = st.sup;
+      negative_sums = List.sort_uniq Int.compare st.negative_sums }
   in
   if Journal.enabled journal then
     Journal.emit journal "run.end"
@@ -2216,14 +2246,14 @@ let chase start ?(options = default_options) ?support
   stats
 
 let run ?options ?support ?telemetry ?journal ?cancel ?checkpoint ?resume_from
-    ?on_agg ?rule_ids program db =
+    ?rule_ids ?agg_init program db =
   chase Full ?options ?support ?telemetry ?journal ?cancel ?checkpoint
-    ?resume_from ?on_agg ?rule_ids program db
+    ?resume_from ?rule_ids ?agg_init program db
 
-let run_delta ?options ?support ?telemetry ?journal ?cancel ?on_new ?on_agg
+let run_delta ?options ?support ?telemetry ?journal ?cancel ?on_new
     ?rule_ids ?agg_init ?(wholesale = fun _ -> false) program db ~seed =
   chase (Seeded { seed; wholesale; on_new }) ?options ?support ?telemetry
-    ?journal ?cancel ?on_agg ?rule_ids ?agg_init program db
+    ?journal ?cancel ?rule_ids ?agg_init program db
 
 (* Human-readable planning report: what [run] would decide for
    [program] over the current contents of [db] — the strata in

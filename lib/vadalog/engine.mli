@@ -206,13 +206,13 @@ val fact_nulls : Database.fact -> int list
 (** The labeled-null ids occurring in a fact's tuple (including inside
     list values), sorted and dedup'd. *)
 
-(** {1 Monotonic-aggregate observation}
+(** {1 Monotonic-aggregate state}
 
-    Counting maintenance (DRed through [msum]-style aggregates) needs
-    two things the {!support} graph does not carry: the weight and
-    body facts behind every {e distinct} contribution — including
-    sub-threshold ones, which never fire a head — and the mapping from
-    a group to the head facts it produced. [?on_agg] streams both. *)
+    A monotonic aggregate keeps one accumulator per group across
+    rounds; {!run} and {!run_delta} fold into the caller's tables when
+    given [?agg_init]. Counting maintenance owns those tables and reads
+    everything else about a group from the store: {!agg_matches} lists
+    the matches that feed it. *)
 
 type group_state = {
   seen : unit Database.KeyTbl.t;  (** contributor/dedup keys *)
@@ -224,25 +224,6 @@ type group_state = {
 type agg_state = group_state Database.KeyTbl.t
 (** Group key → accumulator, for one aggregate rule. *)
 
-type agg_event =
-  | Agg_contrib of {
-      ac_rule : int;  (** recording id of the aggregate rule *)
-      ac_group : Kgm_common.Value.t list;  (** group key *)
-      ac_key : Kgm_common.Value.t list;  (** contributor dedup key *)
-      ac_weight : Kgm_common.Value.t;  (** the aggregated value *)
-      ac_parents : (string * Database.fact) list;
-          (** body facts matched before the aggregate literal *)
-    }  (** a distinct contribution was folded into its group *)
-  | Agg_head of {
-      ah_rule : int;
-      ah_group : Kgm_common.Value.t list;
-      ah_pred : string;
-      ah_fact : Database.fact;
-    }
-      (** a head fact was produced under a group's accumulator —
-          emitted on re-derivations of existing facts too, like
-          support recording *)
-
 val agg_contribute :
   Rule.agg_op -> agg_state -> Kgm_common.Value.t list ->
   Kgm_common.Value.t list -> (unit -> Kgm_common.Value.t) ->
@@ -252,8 +233,55 @@ val agg_contribute :
     [state], then, unless [ckey] is already in its [seen] set, add it
     and fold [weight ()] into the accumulator. Returns the group and
     the folded weight, or [None] for a seen key ([weight] is then not
-    called). A maintenance layer rebuilds a group from surviving
-    contributions with it. *)
+    called). A maintenance layer refolds a group from its matches with
+    it. *)
+
+type agg_match = {
+  am_group : Kgm_common.Value.t list;  (** group key *)
+  am_key : Kgm_common.Value.t list;  (** contributor dedup key *)
+  am_weight : Kgm_common.Value.t;  (** the weight this match would fold *)
+  am_parents : (string * Database.fact) list;
+      (** the positive body facts matched before the aggregate literal *)
+}
+(** One match of a monotonic aggregate rule's prefix — the literals
+    before its aggregate literal. *)
+
+val negative_weight : Kgm_common.Value.t -> bool
+(** Whether a numeric weight is below zero: a [sum] that folds one is
+    recorded in {!stats.negative_sums}. *)
+
+type agg_rule
+(** A monotonic aggregate rule compiled against a store's dictionary. *)
+
+val agg_rule : Database.t -> Rule.rule -> agg_rule
+(** [agg_rule db r] compiles [r] for {!agg_matches} over any store
+    sharing [db]'s dictionary. Raises [Invalid_argument] when [r] has
+    no monotonic aggregate. *)
+
+val agg_matches :
+  Database.t -> agg_rule ->
+  [ `Fact of string * Database.fact
+  | `Group of Kgm_common.Value.t option list ] ->
+  agg_match list
+(** [agg_matches db r source] lists the prefix matches of [r]'s
+    monotonic aggregate literal over [db] with the engine's own body
+    walker, in its (written, insertion) order: [`Fact (p, f)] — the
+    matches using [f] at some positive prefix literal (a match using it
+    at two is listed twice); [`Group key] — the matches of the groups
+    whose key agrees with [key] (a value, or [None] for any, per group
+    variable; all values name one group). Nothing is folded or fired,
+    and a fact whose values were never interned has no matches. Under
+    [sum(w, <z>)] a group folds the {e first} match per contributor key
+    it meets, so the list may hold matches the group never folded.
+    Raises [Invalid_argument] when [db] does not share the dictionary
+    [r] was compiled against. *)
+
+val agg_head_groups :
+  Database.t -> agg_rule -> string * Database.fact ->
+  Kgm_common.Value.t list list
+(** The keys of the groups that ground a head atom of the rule to the
+    fact, sorted: read off the head when it binds every group variable,
+    else from {!agg_matches} with the values it binds. *)
 
 type stats = {
   rounds : int;      (** fixpoint rounds across all strata *)
@@ -274,12 +302,16 @@ type stats = {
       (** the derivation support recorded during the run — present when
           [options.provenance] was on or a [?support] was passed (the
           caller's support is returned as-is) *)
+  negative_sums : int list;
+      (** recording ids of the monotonic [sum] rules that folded a
+          negative weight during the run, sorted: their totals are no
+          longer monotone in their contributions *)
 }
 
 val merge_stats : stats -> stats -> stats
 (** Componentwise sum/concatenation — for reporting over multi-pass
     runs (e.g. Algorithm 2's two phases). The first non-[None]
-    [support] wins. *)
+    [support] wins; [negative_sums] is the sorted union. *)
 
 val pp_rule_table : Format.formatter -> stats -> unit
 (** Human-readable per-rule metrics table, busiest rules first; rules
@@ -345,18 +377,20 @@ val run :
   ?telemetry:Kgm_telemetry.t -> ?journal:Kgm_telemetry.Journal.t ->
   ?cancel:Kgm_resilience.Token.t ->
   ?checkpoint:checkpoint -> ?resume_from:string ->
-  ?on_agg:(agg_event -> unit) -> ?rule_ids:int array ->
+  ?rule_ids:int array -> ?agg_init:(int * agg_state) list ->
   Rule.program -> Database.t -> stats
 (** Load the program's facts into the database and chase its rules to
     fixpoint, stratum by stratum.
 
-    [on_agg] observes monotonic-aggregate evaluation (see
-    {!agg_event}); pure observation, like [journal]. [rule_ids]
-    overrides the {e recording} id of each rule (positional): support
-    entries, suppressed firings and aggregate state are keyed by
-    [rule_ids.(i)] instead of [i]. Maintenance layers chasing one phase
-    of a larger pipeline pass the rules' pipeline-wide ids so the
-    shared support stays unambiguous. Raises [Kgm_error.Error]:
+    [rule_ids] overrides the {e recording} id of each rule
+    (positional): support entries, suppressed firings and aggregate
+    state are keyed by [rule_ids.(i)] instead of [i]. Maintenance
+    layers chasing one phase of a larger pipeline pass the rules'
+    pipeline-wide ids so the shared support stays unambiguous.
+    [agg_init] hands the run monotonic-aggregate tables (keyed by
+    recording id) to fold into, in place, instead of fresh ones — a
+    maintenance layer passes the empty tables it keeps for the
+    session. Raises [Kgm_error.Error]:
     [Validate] on unsafe or unstratifiable programs (or unwarded ones
     when [check_wardedness]), [Reason] on exceeded budgets (with the
     offending rule and round — and the final checkpoint path, when one
@@ -411,8 +445,7 @@ val run_delta :
   ?options:options -> ?support:support ->
   ?telemetry:Kgm_telemetry.t -> ?journal:Kgm_telemetry.Journal.t ->
   ?cancel:Kgm_resilience.Token.t ->
-  ?on_new:(string -> Database.fact -> unit) ->
-  ?on_agg:(agg_event -> unit) -> ?rule_ids:int array ->
+  ?on_new:(string -> Database.fact -> unit) -> ?rule_ids:int array ->
   ?agg_init:(int * agg_state) list -> ?wholesale:(int -> bool) ->
   Rule.program -> Database.t ->
   seed:(string * Database.fact list) list -> stats
@@ -441,12 +474,12 @@ val run_delta :
     [options.planner] says — written-order plans probe the whole
     closure once per seed fact, and planning is pure scheduling, so
     [options.planner] only ablates {!run}. [on_new] observes every
-    fact the pass adds; [on_agg] and [rule_ids] as in {!run};
-    [agg_init] installs saturated monotonic-aggregate accumulators
-    (keyed by recording id) before the pass, so new contributions
-    extend the old totals — required whenever [program] contains a
-    monotonic aggregate outside the wholesale strata, otherwise the
-    pass would re-count from empty groups. Checkpointing is not
+    fact the pass adds; [rule_ids] as in {!run}; [agg_init] as in
+    {!run}, but here the tables are the saturated accumulators of the
+    chase being maintained, so new contributions extend the old totals
+    — required whenever [program] contains a monotonic aggregate
+    outside the wholesale strata, otherwise the pass would re-count
+    from empty groups. Checkpointing is not
     supported here ({!Incremental} states are cheap to rebuild from a
     fresh chase). The journal's [run.start]/[run.end] carry
     [mode = "delta"] and the seed count; the span is

@@ -17,29 +17,32 @@
        retracted fact. When a cone fact is an origin parent of a
        labeled null, the null is {e at risk} and every fact carrying
        it joins the cone too (a null is only meaningful while its
-       creating derivation stands). When a cone fact fed a monotonic
-       aggregate, the group it contributed to is {e touched} and the
-       group's head facts join the cone (the group total shrinks, so
-       heads that only ever passed a threshold thanks to the dying
-       contribution must be re-judged — the support graph alone cannot
-       see this, because sub-threshold contributions never fired).}
+       creating derivation stands). When a cone fact feeds a match of
+       a monotonic aggregate ({!Engine.agg_matches}), the match's group
+       is {e touched} and its head facts join the cone (the group total
+       shrinks, so heads that only ever passed a threshold thanks to
+       the dying match must be re-judged — the support graph alone
+       cannot see this, because sub-threshold contributions never
+       fired).}
     {- {e Alive closure.} Inside the cone, compute the least fixpoint
        of: a fact is alive iff it is (still) extensional, or all nulls
        in its tuple are alive and it has sound derivation evidence —
        a recorded non-aggregate derivation with all parents alive, or
-       a touched aggregate group whose {e surviving} contributions
-       still drive its conditions true ({e counting} evidence: the
-       group state is refolded from the contribution log, so evidence
-       reflects the post-retraction totals, not the stale support).
-       An at-risk null is alive iff all parents of its creating
-       derivation are alive.}
+       a group of its head that still passes ({e counting} evidence:
+       a touched group refolded from its matches with all parents
+       alive, an untouched one as its accumulator stands). An at-risk
+       null is alive iff all parents of its creating derivation are
+       alive.}
     {- {e Deletion.} Cone minus alive is removed in one
        {!Database.remove_batch} call (survivors keep their relative
-       order — the determinism invariant); the [on_remove] hook keeps
-       the aggregate group logs in step, and the support is pruned:
+       order — the determinism invariant), and the support is pruned:
        entries of dead facts, entries of surviving facts that consumed
        a dead parent, origin/carrier records of dead nulls, and
-       suppressed-firing records whose parents died.}
+       suppressed-firing records whose parents died. Each touched
+       group's accumulator is refolded from its surviving matches, or,
+       when it now passes with a head missing, dropped and its
+       survivors' parents seeded, so the pass refolds it and fires the
+       head.}
     {- {e Rederivation.} A suppressed restricted-chase firing whose
        witness image died is re-attempted: its parents are seeded into
        the same {!Engine.run_delta} pass as the inserts, so the rule
@@ -60,47 +63,28 @@
     too, through counting evidence. A full re-chase survives only for
     updates the machinery genuinely cannot localize: a non-semi-naive
     engine, a monotonic aggregate outside {!Analysis.monotonic_profiles},
-    or an affected non-counting monotonic rule (order-sensitive
-    accumulators such as [pack] running totals). *)
+    an affected non-counting monotonic rule (order-sensitive
+    accumulators such as [pack] running totals), or an affected [sum]
+    that has met a negative weight. *)
 
 open Kgm_common
 module Journal = Kgm_telemetry.Journal
 module J = Kgm_telemetry.Json
 
-(* -------- aggregate contribution logs (counting maintenance) -------- *)
-
-(** One aggregation group of one monotonic rule: every distinct
-    contribution the engine folded (including sub-threshold ones that
-    never fired) and every head fact the group produced. *)
-type group_log = {
-  mutable gl_contribs :
-    (Value.t list * Value.t * (string * Database.fact) list) list;
-      (** (dedup key, weight, body parents), reverse chronological *)
-  mutable gl_heads : (string * Database.fact) list;  (** reverse chrono *)
-  gl_head_set : unit Engine.ProvTbl.t;
-  mutable gl_touched : bool;  (** scratch, one {!maintain} call *)
-  mutable gl_pass_true : bool;  (** scratch: counting evidence cache *)
-  mutable gl_dirty : bool;  (** scratch: heads pruned during removal *)
-  mutable gl_defunct : bool;
-      (** the log holding this group was reset (wholesale rerun or
-          fallback); persistent index entries pointing here are stale *)
-}
-
+(** One profiled monotonic rule ({!Analysis.monotonic_profiles}). Its
+    accumulators are the only aggregate state a session keeps: every
+    engine pass folds into them ([agg_init]), and everything else about
+    a group is read from the store ({!Engine.agg_matches}). *)
 type agg_log = {
   lg_rid : int;  (** pipeline-global recording id of the rule *)
-  lg_phase : int;
+  lg_rule : Rule.rule;
+  lg_agg : Engine.agg_rule;  (** compiled against the session's dictionary *)
   lg_profile : Analysis.agg_profile;
-  lg_body_preds : string list;
-  lg_head_preds : string list;
-  lg_groups : group_log Database.KeyTbl.t;
   lg_state : Engine.agg_state;
-      (** live accumulators, mirroring the engine's: handed to
-          {!Engine.run_delta} as [agg_init] (which then mutates them in
-          place) and resynced from surviving contributions after a
-          retraction — never refolded wholesale *)
   mutable lg_neg : bool;
-      (** a negative weight was recorded at some point: [sum] counting
-          evidence is then unsound and the fallback gate fires *)
+      (** a [sum] met a negative weight (folded by a pass, or listed
+          by maintenance): counting evidence is then unsound and the
+          fallback gate fires *)
 }
 
 (** Per-phase stratification, computed once at chase time. Recording
@@ -119,12 +103,6 @@ type state = {
   options : Engine.options;
   metas : phase_meta array;
   agg_tbl : (int, agg_log) Hashtbl.t;  (** recording id -> log *)
-  idx_parent : (agg_log * Value.t list * group_log) list ref Engine.ProvTbl.t;
-      (** contribution parent fact -> the groups it feeds; persistent,
-          appended as contributions are recorded, so a maintain pays
-          cone-sized lookups instead of a materialization-sized build *)
-  idx_head : (agg_log * Value.t list * group_log) list ref Engine.ProvTbl.t;
-      (** aggregate head fact -> the groups that derived it *)
   mutable db : Database.t;
   mutable support : Engine.support;
   edb : Database.t;
@@ -179,14 +157,8 @@ let build_metas phases =
   in
   Array.of_list metas
 
+(* fresh, empty logs: before a chase folds into them *)
 let register_agg_logs st =
-  (* anything pointing into the old logs (persistent indexes) is stale *)
-  Hashtbl.iter
-    (fun _ log ->
-      Database.KeyTbl.iter (fun _ g -> g.gl_defunct <- true) log.lg_groups)
-    st.agg_tbl;
-  Engine.ProvTbl.reset st.idx_parent;
-  Engine.ProvTbl.reset st.idx_head;
   Hashtbl.reset st.agg_tbl;
   List.iteri
     (fun i (ph : Rule.program) ->
@@ -196,83 +168,45 @@ let register_agg_logs st =
           let r = m.pm_rules.(prof.Analysis.ap_rule) in
           let rid = m.pm_rid_base + prof.Analysis.ap_rule in
           Hashtbl.replace st.agg_tbl rid
-            { lg_rid = rid; lg_phase = i; lg_profile = prof;
-              lg_body_preds = List.sort_uniq String.compare (rule_body_preds r);
-              lg_head_preds = List.sort_uniq String.compare (rule_head_preds r);
-              lg_groups = Database.KeyTbl.create 16;
-              lg_state = Database.KeyTbl.create 16; lg_neg = false })
+            { lg_rid = rid; lg_rule = r; lg_agg = Engine.agg_rule st.edb r;
+              lg_profile = prof; lg_state = Database.KeyTbl.create 16; lg_neg = false })
         (Analysis.monotonic_profiles ph))
     st.phases
-
-let log_group log gkey =
-  match Database.KeyTbl.find_opt log.lg_groups gkey with
-  | Some g -> g
-  | None ->
-      let g =
-        { gl_contribs = []; gl_heads = [];
-          gl_head_set = Engine.ProvTbl.create 8; gl_touched = false;
-          gl_pass_true = false; gl_dirty = false; gl_defunct = false }
-      in
-      Database.KeyTbl.add log.lg_groups gkey g;
-      g
-
-let value_negative = function
-  | Value.Int n -> n < 0
-  | Value.Float f -> f < 0.0
-  | _ -> false
-
-(* groups of one log are recorded in bursts, so a bucket-head check
-   dedups most repeated (parent, group) pairs; the few that slip
-   through only cost a redundant touch *)
-let index_add tbl k ((_, _, g) as entry) =
-  match Engine.ProvTbl.find_opt tbl k with
-  | Some r -> (
-      match !r with
-      | (_, _, g') :: _ when g' == g -> ()
-      | _ -> r := entry :: !r)
-  | None -> Engine.ProvTbl.add tbl k (ref [ entry ])
-
-let record_agg_event st = function
-  | Engine.Agg_contrib { ac_rule; ac_group; ac_key; ac_weight; ac_parents } ->
-      (match Hashtbl.find_opt st.agg_tbl ac_rule with
-       | None -> ()
-       | Some log ->
-           let g = log_group log ac_group in
-           g.gl_contribs <- (ac_key, ac_weight, ac_parents) :: g.gl_contribs;
-           if value_negative ac_weight then log.lg_neg <- true;
-           (* replica accumulator: when the engine runs on [lg_state]
-              itself (a delta pass seeded through [agg_init]), its
-              seen-set already holds the key and this is a no-op *)
-           ignore
-             (Engine.agg_contribute log.lg_profile.Analysis.ap_agg.Rule.op
-                log.lg_state ac_group ac_key (fun () -> ac_weight));
-           let entry = (log, ac_group, g) in
-           List.iter
-             (fun (p, f) -> index_add st.idx_parent (key p f) entry)
-             ac_parents)
-  | Engine.Agg_head { ah_rule; ah_group; ah_pred; ah_fact } ->
-      (match Hashtbl.find_opt st.agg_tbl ah_rule with
-       | None -> ()
-       | Some log ->
-           let g = log_group log ah_group in
-           let k = key ah_pred ah_fact in
-           if not (Engine.ProvTbl.mem g.gl_head_set k) then begin
-             Engine.ProvTbl.add g.gl_head_set k ();
-             g.gl_heads <- (ah_pred, ah_fact) :: g.gl_heads;
-             index_add st.idx_head k (log, ah_group, g)
-           end)
 
 let phase_rule_ids (m : phase_meta) =
   Array.init (Array.length m.pm_rules) (fun j -> m.pm_rid_base + j)
 
+(* The logs' accumulators for one engine pass over a phase: the engine
+   folds into them in place, which is what keeps them current for the
+   next maintain (a wholesale rule's was reset to empty, which is
+   exactly where its round 0 must start) *)
+let agg_init_for st (m : phase_meta) =
+  List.filter_map
+    (fun rid ->
+      Option.map
+        (fun log -> (rid, log.lg_state))
+        (Hashtbl.find_opt st.agg_tbl rid))
+    (Array.to_list (phase_rule_ids m))
+
+(* one engine pass's negative [sum] weights trip the next batch's gate *)
+let note_negatives st (stats : Engine.stats) =
+  List.iter
+    (fun rid ->
+      Option.iter (fun log -> log.lg_neg <- true) (Hashtbl.find_opt st.agg_tbl rid))
+    stats.Engine.negative_sums
+
 (* Chase [phases] (the state's pipeline, possibly facts-stripped) in
-   order on [db], recording into [support] and the aggregate logs. *)
+   order on [db], recording into [support] and folding into the logs. *)
 let run_phases ?telemetry ?journal ~options st ~support db phases =
   List.mapi
     (fun i ph ->
-      Engine.run ~options ~support ?telemetry ?journal
-        ~on_agg:(record_agg_event st) ~rule_ids:(phase_rule_ids st.metas.(i))
-        ph db)
+      let m = st.metas.(i) in
+      let stats =
+        Engine.run ~options ~support ?telemetry ?journal
+          ~rule_ids:(phase_rule_ids m) ~agg_init:(agg_init_for st m) ph db
+      in
+      note_negatives st stats;
+      stats)
     phases
   |> function
   | s :: rest -> List.fold_left Engine.merge_stats s rest
@@ -292,9 +226,7 @@ let chase_phases ?(options = Engine.default_options) ?telemetry ?journal ~db
     phases;
   let st =
     { phases; options; metas = build_metas phases; agg_tbl = Hashtbl.create 16;
-      idx_parent = Engine.ProvTbl.create 256;
-      idx_head = Engine.ProvTbl.create 256; db;
-      support = Engine.create_support (); edb; torn = false }
+      db; support = Engine.create_support (); edb; torn = false }
   in
   register_agg_logs st;
   (st,
@@ -352,6 +284,7 @@ type plan = {
   pl_wpreds : (string, unit) Hashtbl.t;  (* head preds of marked strata *)
   pl_wholesale_rids : (int, unit) Hashtbl.t;
   pl_n_marked : int;
+  pl_counting : agg_log list;  (* hit logs outside the marked strata *)
   pl_fallback : bool;
 }
 
@@ -426,12 +359,14 @@ let plan_update st updated =
       st.metas
   done;
   (* fallback gate: monotonic aggregates the counting machinery cannot
-     carry. A profiled-but-untouched rule is safe (its accumulators are
-     reinstated verbatim); a touched one must be counting, and a [sum]
-     with a recorded negative weight is not monotone-nondecreasing, so
-     its counting evidence would be unsound. *)
+     carry. A profiled rule the update does not reach is safe (nothing
+     touches its accumulators); a reached one must be counting, and a
+     [sum] that met a negative weight is not monotone-nondecreasing, so
+     its counting evidence would be unsound. The reached counting rules
+     outside the marked strata are the ones [maintain] lists. *)
   let unprofiled = ref false in
   let noncounting_hit = ref false in
+  let counting = ref [] in
   Array.iteri
     (fun i (m : phase_meta) ->
       Array.iteri
@@ -447,21 +382,24 @@ let plan_update st updated =
             match Hashtbl.find_opt st.agg_tbl (m.pm_rid_base + j) with
             | None -> unprofiled := true
             | Some log ->
+                let wholesale = marked.(i).(m.pm_rule_strata.(j)) in
                 let hit =
-                  marked.(i).(m.pm_rule_strata.(j))
-                  || List.exists (Hashtbl.mem affected) log.lg_body_preds
-                  || List.exists (Hashtbl.mem affected) log.lg_head_preds
+                  wholesale
+                  || List.exists (Hashtbl.mem affected) (rule_body_preds r)
+                  || List.exists (Hashtbl.mem affected) (rule_head_preds r)
                 in
                 if
                   hit
                   && ((not log.lg_profile.Analysis.ap_counting)
                       || (log.lg_profile.Analysis.ap_agg.Rule.op = Rule.Sum
                           && log.lg_neg))
-                then noncounting_hit := true)
+                then noncounting_hit := true
+                else if hit && not wholesale then counting := log :: !counting)
         m.pm_rules)
     st.metas;
   { pl_affected = affected; pl_marked = marked; pl_wpreds = wpreds;
     pl_wholesale_rids = wholesale_rids; pl_n_marked = !n_marked;
+    pl_counting = List.rev !counting;
     pl_fallback =
       (not st.options.Engine.semi_naive) || !unprofiled || !noncounting_hit }
 
@@ -488,19 +426,59 @@ let rechase ?telemetry ?journal st ~retracts ~inserts =
   st.db <- db;
   st.support <- support
 
-(* Saturated accumulators for a phase's seeded pass: every monotonic
-   rule of the phase needs one, or {!Engine.run_delta} would re-count
-   from empty groups (a wholesale rule's was reset to empty, which is
-   exactly where its round 0 must start). The live [lg_state] tables
-   are handed over directly — the engine then mutates them in place,
-   which is exactly what keeps them current for the next maintain. *)
-let agg_init_for st (m : phase_meta) =
-  List.filter_map
-    (fun rid ->
-      Option.map
-        (fun log -> (rid, log.lg_state))
-        (Hashtbl.find_opt st.agg_tbl rid))
-    (Array.to_list (phase_rule_ids m))
+(* ------------------------------------------------------------------ *)
+(* Counting maintenance reads a group from the store: its matches
+   ({!Engine.agg_matches}), refolded as the engine folds them. The
+   session keeps nothing per group but the accumulators. *)
+
+(* [log]'s matches from [source]; a negative [sum] weight among them
+   trips the fallback gate *)
+let list_matches st log source =
+  let ms = Engine.agg_matches st.db log.lg_agg source in
+  if
+    log.lg_profile.Analysis.ap_agg.Rule.op = Rule.Sum
+    && List.exists
+         (fun (m : Engine.agg_match) -> Engine.negative_weight m.Engine.am_weight)
+         ms
+  then log.lg_neg <- true;
+  ms
+
+(* the head facts of [log]'s group [gkey]: a counting profile makes
+   every head variable a group variable *)
+let group_heads log gkey =
+  let bound = List.combine log.lg_profile.Analysis.ap_group_vars gkey in
+  List.map
+    (fun (a : Rule.atom) ->
+      ( a.Rule.pred,
+        Array.of_list
+          (List.map
+             (function Term.Const v -> v | Term.Var x -> List.assoc x bound)
+             a.Rule.args) ))
+    log.lg_rule.Rule.head
+
+(* fold [ms] into their groups in [tbl], first match per contributor
+   key, as the engine folds; [tbl] *)
+let refold log tbl (ms : Engine.agg_match list) =
+  List.iter
+    (fun (m : Engine.agg_match) ->
+      ignore
+        (Engine.agg_contribute log.lg_profile.Analysis.ap_agg.Rule.op tbl
+           m.Engine.am_group m.Engine.am_key (fun () -> m.Engine.am_weight)))
+    ms;
+  tbl
+
+(* whether group [gkey] of [tbl] passes [log]'s conditions *)
+let holds log tbl gkey =
+  let prof = log.lg_profile in
+  match Database.KeyTbl.find_opt tbl gkey with
+  | Some { Engine.acc = Some total; _ } -> (
+      let lookup v =
+        if v = prof.Analysis.ap_agg.Rule.result then Some total
+        else List.assoc_opt v (List.combine prof.Analysis.ap_group_vars gkey)
+      in
+      try List.for_all (Expr.truthy_fn lookup) prof.Analysis.ap_conds
+      with Expr.Eval_error _ -> false)
+  | _ -> false
 
 (* [incremental.*] counters and the [maintain.end] record of one batch;
    a re-chase has no repair sizes to report *)
@@ -587,12 +565,9 @@ let maintain ?(telemetry = Kgm_telemetry.null)
                     (fun n ->
                       if not (Hashtbl.mem forced_nulls n) then begin
                         Hashtbl.replace forced_nulls n ();
-                        match Hashtbl.find_opt sup.Engine.sup_null_facts n with
-                        | Some r ->
-                            List.iter
-                              (fun pf -> forced_seeds := pf :: !forced_seeds)
-                              !r
-                        | None -> ()
+                        Option.iter
+                          (fun r -> forced_seeds := List.rev_append !r !forced_seeds)
+                          (Hashtbl.find_opt sup.Engine.sup_null_facts n)
                       end)
                     e.Engine.se_nulls)
                 (Engine.support_entries sup pred f)
@@ -615,16 +590,10 @@ let maintain ?(telemetry = Kgm_telemetry.null)
             | None -> Hashtbl.add parent_nulls k (ref [ n ]))
           parents)
       sup.Engine.sup_null_origin;
-    (* contribution-parent and head indexes over the aggregate logs the
-       update can reach (body or head predicate in the closure) *)
-    (* the persistent contribution-parent / head indexes stand in for a
-       per-batch build; entries into reset logs are skipped via
-       [gl_defunct], wholesale groups via their recording id *)
-    let live_entry (log, _, g) =
-      (not g.gl_defunct)
-      && not (Hashtbl.mem plan.pl_wholesale_rids log.lg_rid)
-    in
-    let touched = ref [] in
+    (* touched groups in touch order, and by rule id and key, each with
+       its matches, listed once *)
+    let touched = ref [] and touched_ids = Database.KeyTbl.create 16 in
+    let gid log gkey = Value.Int log.lg_rid :: gkey in
     let cone : unit Engine.ProvTbl.t = Engine.ProvTbl.create 256 in
     let cone_order = ref [] in
     let risk_nulls : (int, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -638,36 +607,37 @@ let maintain ?(telemetry = Kgm_telemetry.null)
       if Database.mem st.db p f && not (Engine.ProvTbl.mem cone k) then begin
         Engine.ProvTbl.add cone k ();
         cone_order := (p, f) :: !cone_order;
-        (match Engine.ProvTbl.find_opt sup.Engine.sup_children k with
-         | Some r -> List.iter (fun pf -> Queue.add pf queue) !r
-         | None -> ());
-        (* a dying contribution shrinks its group's total: the group's
-           heads must be re-judged, support edges or not *)
-        (match Engine.ProvTbl.find_opt st.idx_parent k with
-         | Some r ->
-             List.iter
-               (fun ((log, gkey, g) as entry) ->
-                 if live_entry entry && not g.gl_touched then begin
-                   g.gl_touched <- true;
-                   touched := (log, gkey, g) :: !touched;
-                   List.iter
-                     (fun pf -> Queue.add pf queue)
-                     (List.rev g.gl_heads)
-                 end)
-               !r
-         | None -> ());
-        match Hashtbl.find_opt parent_nulls k with
-        | None -> ()
-        | Some ns ->
+        let enqueue pf = Queue.add pf queue in
+        Option.iter
+          (fun r -> List.iter enqueue !r)
+          (Engine.ProvTbl.find_opt sup.Engine.sup_children k);
+        (* a dying match shrinks its group's total: the group's heads
+           must be re-judged, support edges or not *)
+        List.iter
+          (fun log ->
+            List.iter
+              (fun (m : Engine.agg_match) ->
+                let gkey = m.Engine.am_group in
+                if not (Database.KeyTbl.mem touched_ids (gid log gkey)) then begin
+                  Database.KeyTbl.add touched_ids (gid log gkey)
+                    (lazy (list_matches st log (`Group (List.map Option.some gkey))));
+                  touched := (log, gkey) :: !touched;
+                  List.iter enqueue (group_heads log gkey)
+                end)
+              (list_matches st log (`Fact (p, f))))
+          plan.pl_counting;
+        Option.iter
+          (fun ns ->
             List.iter
               (fun n ->
                 if not (Hashtbl.mem risk_nulls n) then begin
                   Hashtbl.add risk_nulls n ();
-                  match Hashtbl.find_opt sup.Engine.sup_null_facts n with
-                  | Some r -> List.iter (fun pf -> Queue.add pf queue) !r
-                  | None -> ()
+                  Option.iter
+                    (fun r -> List.iter enqueue !r)
+                    (Hashtbl.find_opt sup.Engine.sup_null_facts n)
                 end)
-              !ns
+              !ns)
+          (Hashtbl.find_opt parent_nulls k)
       end
     done;
     let cone_facts = List.rev !cone_order in
@@ -682,51 +652,32 @@ let maintain ?(telemetry = Kgm_telemetry.null)
       if Engine.ProvTbl.mem cone k then Engine.ProvTbl.mem alive k
       else Database.mem st.db p f
     in
+    let all_alive = List.for_all (fun (p, f) -> fact_alive p f) in
     (* aggregate-rule entries are never deletion evidence: a surviving
        entry says nothing about the group's post-retraction total *)
     let entry_evidence (e : Engine.support_entry) =
       (not (Hashtbl.mem st.agg_tbl e.Engine.se_rule))
-      && List.for_all (fun (p, f) -> fact_alive p f) e.Engine.se_parents
+      && all_alive e.Engine.se_parents
     in
-    (* counting evidence: refold the group's surviving contributions
-       (first surviving occurrence per dedup key, chronological — the
-       order a re-chase would fold them) and re-check the conditions
-       under the final total. Monotone, so a [true] caches. *)
-    let group_passes (log : agg_log) gkey (g : group_log) =
-      (not g.gl_touched) || g.gl_pass_true
-      ||
-      let prof = log.lg_profile in
-      let refold = Database.KeyTbl.create 1 in
-      List.iter
-        (fun (ckey, w, parents) ->
-          if List.for_all (fun (p, f) -> fact_alive p f) parents then
-            ignore
-              (Engine.agg_contribute prof.Analysis.ap_agg.Rule.op refold gkey
-                 ckey (fun () -> w)))
-        (List.rev g.gl_contribs);
-      match Database.KeyTbl.find_opt refold gkey with
-      | None | Some { Engine.acc = None; _ } -> false
-      | Some { Engine.acc = Some total; _ } ->
-          let lookup v =
-            if v = prof.Analysis.ap_agg.Rule.result then Some total
-            else
-              let rec find gvs ks =
-                match (gvs, ks) with
-                | gv :: _, k :: _ when String.equal gv v -> Some k
-                | _ :: gvs, _ :: ks -> find gvs ks
-                | _ -> None
-              in
-              find prof.Analysis.ap_group_vars gkey
-          in
-          let ok =
-            try
-              List.for_all
-                (fun e -> Expr.truthy_fn lookup e)
-                prof.Analysis.ap_conds
-            with Expr.Eval_error _ -> false
-          in
-          if ok then g.gl_pass_true <- true;
-          ok
+    let alive_matches log gkey =
+      List.filter
+        (fun (m : Engine.agg_match) -> all_alive m.Engine.am_parents)
+        (Lazy.force (Database.KeyTbl.find touched_ids (gid log gkey)))
+    in
+    (* counting evidence: a group of a head atom the fact grounds still
+       passes — a touched one refolded from its matches with all parents
+       alive, an untouched one as its accumulator stands *)
+    let counting_evidence p f =
+      List.exists
+        (fun log ->
+          List.exists
+            (fun gkey ->
+              if Database.KeyTbl.mem touched_ids (gid log gkey) then
+                let tbl = Database.KeyTbl.create 1 in
+                holds log (refold log tbl (alive_matches log gkey)) gkey
+              else holds log log.lg_state gkey)
+            (Engine.agg_head_groups st.db log.lg_agg (p, f)))
+        plan.pl_counting
     in
     let changed = ref true in
     while !changed do
@@ -742,14 +693,7 @@ let maintain ?(telemetry = Kgm_telemetry.null)
               is_edb p f
               || (List.for_all null_alive (Engine.fact_nulls f)
                   && (List.exists entry_evidence (Engine.support_entries sup p f)
-                      ||
-                      match Engine.ProvTbl.find_opt st.idx_head k with
-                      | Some r ->
-                          List.exists
-                            (fun ((log, gkey, g) as entry) ->
-                              live_entry entry && group_passes log gkey g)
-                            !r
-                      | None -> false))
+                      || counting_evidence p f))
             in
             if ok then begin
               Engine.ProvTbl.add alive k ();
@@ -767,73 +711,51 @@ let maintain ?(telemetry = Kgm_telemetry.null)
               Option.value ~default:[]
                 (Hashtbl.find_opt sup.Engine.sup_null_origin n)
             in
-            if List.for_all (fun (p, f) -> fact_alive p f) origin then begin
+            if all_alive origin then begin
               Hashtbl.add alive_nulls n ();
               changed := true
             end
           end)
         risk_nulls
     done;
-    let dead_facts =
-      List.filter (fun (p, f) -> not (Engine.ProvTbl.mem alive (key p f))) cone_facts
+    (* every touched group is listed before anything is deleted, so a
+       negative weight the listings meet trips the gate here *)
+    List.iter (fun (log, gkey) -> ignore (alive_matches log gkey)) !touched;
+    if List.exists (fun log -> log.lg_neg) plan.pl_counting then by_rechase ()
+    else
+    let dead (p, f) =
+      let k = key p f in
+      Engine.ProvTbl.mem cone k && not (Engine.ProvTbl.mem alive k)
     in
-    let dead_set : unit Engine.ProvTbl.t = Engine.ProvTbl.create 64 in
-    List.iter (fun (p, f) -> Engine.ProvTbl.replace dead_set (key p f) ()) dead_facts;
+    let dead_facts = List.filter dead cone_facts in
     let dead_nulls =
       Hashtbl.fold
         (fun n () acc -> if Hashtbl.mem alive_nulls n then acc else n :: acc)
         risk_nulls []
     in
-    (* -------- delete + prune support and group logs -------- *)
-    let dirty_groups = ref [] in
-    let on_remove p f =
-      match Engine.ProvTbl.find_opt st.idx_head (key p f) with
-      | None -> ()
-      | Some r ->
-          List.iter
-            (fun (_, _, g) ->
-              let k = key p f in
-              if
-                (not g.gl_defunct) && Engine.ProvTbl.mem g.gl_head_set k
-              then begin
-                Engine.ProvTbl.remove g.gl_head_set k;
-                if not g.gl_dirty then begin
-                  g.gl_dirty <- true;
-                  dirty_groups := g :: !dirty_groups
-                end
-              end)
-            !r
+    (* -------- delete, refold the touched groups, prune the support -------- *)
+    let deleted = Database.remove_batch st.db dead_facts in
+    (* each touched group's accumulator is refolded from its surviving
+       matches; one that now passes with a head missing is dropped
+       instead, and its survivors' parents join the seeds, so the pass
+       refolds it and fires the head *)
+    let regrow =
+      List.concat_map
+        (fun (log, gkey) ->
+          let state = log.lg_state in
+          let ms = alive_matches log gkey in
+          Database.KeyTbl.remove state gkey;
+          let missing (p, f) = not (Database.mem st.db p f) in
+          if
+            holds log (refold log state ms) gkey
+            && List.exists missing (group_heads log gkey)
+          then begin
+            Database.KeyTbl.remove state gkey;
+            List.concat_map (fun (m : Engine.agg_match) -> m.Engine.am_parents) ms
+          end
+          else [])
+        (List.rev !touched)
     in
-    let deleted = Database.remove_batch ~on_remove st.db dead_facts in
-    List.iter
-      (fun g ->
-        g.gl_heads <-
-          List.filter
-            (fun (p, f) -> Engine.ProvTbl.mem g.gl_head_set (key p f))
-            g.gl_heads;
-        g.gl_dirty <- false)
-      !dirty_groups;
-    List.iter
-      (fun (log, gkey, g) ->
-        g.gl_contribs <-
-          List.filter
-            (fun (_, _, parents) ->
-              not
-                (List.exists
-                   (fun (p, f) -> Engine.ProvTbl.mem dead_set (key p f))
-                   parents))
-            g.gl_contribs;
-        (* resync the live accumulator with the survivors, in the
-           chronological order a re-chase would fold them; a group left
-           without survivors stays removed *)
-        let op = log.lg_profile.Analysis.ap_agg.Rule.op in
-        Database.KeyTbl.remove log.lg_state gkey;
-        List.iter
-          (fun (ckey, w, _) ->
-            ignore
-              (Engine.agg_contribute op log.lg_state gkey ckey (fun () -> w)))
-          (List.rev g.gl_contribs))
-      !touched;
     if Journal.enabled journal then
       Journal.emit journal "dred.cone"
         [ ("cone", J.Int (List.length cone_facts));
@@ -848,27 +770,22 @@ let maintain ?(telemetry = Kgm_telemetry.null)
       (fun (p, f) ->
         let k = key p f in
         Engine.ProvTbl.remove sup.Engine.sup_entries k;
-        (match Engine.ProvTbl.find_opt sup.Engine.sup_children k with
-         | None -> ()
-         | Some r ->
-             List.iter
-               (fun (q, g) ->
-                 let kc = key q g in
-                 if not (Engine.ProvTbl.mem dead_set kc) then
-                   match Engine.ProvTbl.find_opt sup.Engine.sup_entries kc with
-                   | None -> ()
-                   | Some er ->
-                       er :=
-                         List.filter
-                           (fun (e : Engine.support_entry) ->
-                             not
-                               (List.exists
-                                  (fun (pp, pf) ->
-                                    Engine.ProvTbl.mem dead_set (key pp pf))
-                                  e.Engine.se_parents))
-                           !er)
-               !r;
-             Engine.ProvTbl.remove sup.Engine.sup_children k))
+        Option.iter
+          (fun r ->
+            List.iter
+              (fun (q, g) ->
+                if not (dead (q, g)) then
+                  Option.iter
+                    (fun er ->
+                      er :=
+                        List.filter
+                          (fun (e : Engine.support_entry) ->
+                            not (List.exists dead e.Engine.se_parents))
+                          !er)
+                    (Engine.ProvTbl.find_opt sup.Engine.sup_entries (key q g)))
+              !r;
+            Engine.ProvTbl.remove sup.Engine.sup_children k)
+          (Engine.ProvTbl.find_opt sup.Engine.sup_children k))
       dead_facts;
     List.iter
       (fun n ->
@@ -877,76 +794,51 @@ let maintain ?(telemetry = Kgm_telemetry.null)
       dead_nulls;
     (* wholesale derivations are void even when their fact survives as
        EDB: drop their entries (the rerun re-records what still holds)
-       and reset their contribution logs *)
+       and empty their accumulators *)
     List.iter
       (fun pred ->
         List.iter
           (fun f ->
-            match Engine.ProvTbl.find_opt sup.Engine.sup_entries (key pred f) with
-            | None -> ()
-            | Some er ->
+            Option.iter
+              (fun er ->
                 er :=
                   List.filter
                     (fun (e : Engine.support_entry) ->
                       not (Hashtbl.mem plan.pl_wholesale_rids e.Engine.se_rule))
                     !er)
+              (Engine.ProvTbl.find_opt sup.Engine.sup_entries (key pred f)))
           (Database.facts st.db pred))
       wholesale_preds;
     Hashtbl.iter
       (fun rid (log : agg_log) ->
-        if Hashtbl.mem plan.pl_wholesale_rids rid then begin
-          Database.KeyTbl.iter
-            (fun _ g -> g.gl_defunct <- true)
-            log.lg_groups;
-          Database.KeyTbl.reset log.lg_groups;
-          Database.KeyTbl.reset log.lg_state
-        end)
+        if Hashtbl.mem plan.pl_wholesale_rids rid then
+          Database.KeyTbl.reset log.lg_state)
       st.agg_tbl;
     (* suppressed firings: wholesale rules re-attempt everything in
        their rerun, so their records just drop; elsewhere, drop the
        ones whose body died and re-attempt the ones whose witness image
        died (chronological recording order, so the seed order — and
        with it null numbering — is deterministic) *)
-    let refire_parents = ref [] in
-    let refired = ref 0 in
-    let kept =
+    let refire_parents = ref [] and refired = ref 0 in
+    sup.Engine.sup_suppressed <-
       List.filter
         (fun (sf : Engine.suppressed_firing) ->
-          let sf_key =
-            ( sf.Engine.sf_rule,
-              List.map (fun (p, f) -> (p, Array.to_list f)) sf.Engine.sf_parents )
+          let live =
+            (not (Hashtbl.mem plan.pl_wholesale_rids sf.Engine.sf_rule))
+            && not (List.exists dead sf.Engine.sf_parents)
           in
-          if Hashtbl.mem plan.pl_wholesale_rids sf.Engine.sf_rule then begin
-            Hashtbl.remove sup.Engine.sup_suppressed_keys sf_key;
-            false
-          end
-          else
-            let parent_dead =
-              List.exists
-                (fun (p, f) -> Engine.ProvTbl.mem dead_set (key p f))
-                sf.Engine.sf_parents
-            in
-            let image_dead =
-              List.exists
-                (fun (p, f) -> Engine.ProvTbl.mem dead_set (key p f))
-                sf.Engine.sf_image
-            in
-            if parent_dead then begin
-              Hashtbl.remove sup.Engine.sup_suppressed_keys sf_key;
-              false
-            end
-            else if image_dead then begin
-              Hashtbl.remove sup.Engine.sup_suppressed_keys sf_key;
-              incr refired;
-              List.iter
-                (fun pf -> refire_parents := pf :: !refire_parents)
-                (List.rev sf.Engine.sf_parents);
-              false
-            end
-            else true)
-        sup.Engine.sup_suppressed
-    in
-    sup.Engine.sup_suppressed <- kept;
+          let refire = live && List.exists dead sf.Engine.sf_image in
+          if refire then begin
+            incr refired;
+            refire_parents := sf.Engine.sf_parents @ !refire_parents
+          end;
+          let keep = live && not refire in
+          if not keep then
+            Hashtbl.remove sup.Engine.sup_suppressed_keys
+              ( sf.Engine.sf_rule,
+                List.map (fun (p, f) -> (p, Array.to_list f)) sf.Engine.sf_parents );
+          keep)
+        sup.Engine.sup_suppressed;
     (* sup_suppressed is in reverse recording order; refire_parents was
        consed while walking it, so it is now chronological *)
     let refire_parents = !refire_parents in
@@ -964,7 +856,9 @@ let maintain ?(telemetry = Kgm_telemetry.null)
       (Database.apply_batch seeds ~retracts:[]
          ~inserts:
            (fresh
-           @ List.filter (fun (p, f) -> Database.mem st.db p f) refire_parents));
+           @ List.filter
+               (fun (p, f) -> Database.mem st.db p f)
+               (refire_parents @ regrow)));
     let seed =
       List.map (fun p -> (p, Database.facts seeds p)) (Database.predicates seeds)
     in
@@ -1003,26 +897,21 @@ let maintain ?(telemetry = Kgm_telemetry.null)
           if relevant then begin
             let stats =
               Engine.run_delta ~options:(repair_options st) ~support:sup
-                ~telemetry ~journal ~on_new ~on_agg:(record_agg_event st)
-                ~rule_ids:(phase_rule_ids m) ~agg_init:(agg_init_for st m)
-                ~wholesale:(Array.get marked) ph st.db ~seed:phase_seed
+                ~telemetry ~journal ~on_new ~rule_ids:(phase_rule_ids m)
+                ~agg_init:(agg_init_for st m) ~wholesale:(Array.get marked) ph
+                st.db ~seed:phase_seed
             in
+            note_negatives st stats;
             derived := !derived + stats.Engine.new_facts;
             rounds := !rounds + stats.Engine.rounds
           end)
         st.phases
     end;
-    let agg_groups = List.length !touched in
-    List.iter
-      (fun (_, _, g) ->
-        g.gl_touched <- false;
-        g.gl_pass_true <- false)
-      !touched;
     let cone_n = List.length cone_facts in
     { u_inserted = 0; u_retracted = 0; u_cone = cone_n;
       u_rederived = cone_n - deleted; u_deleted = deleted;
       u_refired = !refired; u_derived = !derived; u_rounds = !rounds;
-      u_strata = plan.pl_n_marked; u_agg_groups = agg_groups;
+      u_strata = plan.pl_n_marked; u_agg_groups = List.length !touched;
       u_fallback = false; u_elapsed_s = 0. }
   end
   in
@@ -1053,7 +942,8 @@ let maintain ?(telemetry = Kgm_telemetry.null)
    their within-fact repetition pattern — an order computable without
    knowing the renaming. *)
 
-let rec mask_value seen v =
+(* number nulls densely in first-occurrence order, through [seen] *)
+let rec rename seen v =
   match v with
   | Value.Null k ->
       let i =
@@ -1065,32 +955,17 @@ let rec mask_value seen v =
             i
       in
       Value.Null i
-  | Value.List l -> Value.List (List.map (mask_value seen) l)
+  | Value.List l -> Value.List (List.map (rename seen) l)
   | v -> v
 
 let local_pattern (f : Database.fact) =
   let seen = Hashtbl.create 4 in
-  List.map (mask_value seen) (Array.to_list f)
+  List.map (rename seen) (Array.to_list f)
 
 let compare_vlist = List.compare Value.compare
 
 let canonical_facts dbase =
-  let rename : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let rec canon v =
-    match v with
-    | Value.Null k ->
-        let i =
-          match Hashtbl.find_opt rename k with
-          | Some i -> i
-          | None ->
-              let i = Hashtbl.length rename in
-              Hashtbl.add rename k i;
-              i
-        in
-        Value.Null i
-    | Value.List l -> Value.List (List.map canon l)
-    | v -> v
-  in
+  let canon = rename (Hashtbl.create 64) in
   List.map
     (fun pred ->
       let sorted =
@@ -1167,12 +1042,7 @@ let iso_facts a b =
       in
       go 0 []
   in
-  let rec has_null = function
-    | Value.Null _ -> true
-    | Value.List l -> List.exists has_null l
-    | _ -> false
-  in
-  let fact_has_null f = Array.exists has_null f in
+  let fact_has_null f = Engine.fact_nulls f <> [] in
   (* consecutive grouping of a pattern-sorted (pattern, fact) list *)
   let group_null_facts facts =
     facts

@@ -27,21 +27,26 @@
     phase's one seeded pass ({!Engine.run_delta} with [?wholesale]),
     on top of the already-maintained lower strata, never from scratch
     — while every other stratum keeps the DRed path. [Monotonic] aggregates
-    (the paper's [msum]) are maintained by {e counting}: the chase
-    records every distinct contribution (weight and body parents, even
-    sub-threshold ones) per group, so a retraction refolds the group's
-    surviving contributions and only threshold-crossing head facts
-    cascade. A full re-chase ([u_fallback]) survives only for updates
-    the machinery genuinely cannot localize: a non-semi-naive engine,
-    a monotonic aggregate outside {!Analysis.monotonic_profiles}, or
-    an affected non-counting monotonic rule (order-sensitive
-    accumulators such as [pack] running totals, or a [sum] that
-    recorded a negative weight).
+    (the paper's [msum]) are maintained by {e counting}. The state
+    keeps their accumulators, which every engine pass folds into, and
+    nothing else per group: a retraction lists the matches of the
+    groups its cone touches from the store ({!Engine.agg_matches}),
+    refolds them from the surviving matches, and only threshold-crossing
+    head facts cascade. A full re-chase ([u_fallback]) survives only
+    for updates the machinery genuinely cannot localize: a
+    non-semi-naive engine, a monotonic aggregate outside
+    {!Analysis.monotonic_profiles}, or an affected non-counting
+    monotonic rule (order-sensitive accumulators such as [pack]
+    running totals, or a [sum] that met a negative weight).
 
     The repaired database is equal — same facts, labeled nulls
     numbered identically up to the canonical renaming of
     {!canonical_facts} — to a from-scratch chase of the updated EDB, at
-    every [jobs] value and with the planner on or off. *)
+    every [jobs] value and with the planner on or off, with one
+    exception: [sum(w, <z>)] folds the first match per contributor key
+    it meets, so when one contributor has two live matches with
+    different weights, maintenance and a re-chase may meet them in a
+    different order and fold different ones. *)
 
 type state
 (** A maintained materialization. Mutable: {!maintain} repairs it in
@@ -64,7 +69,8 @@ type update_stats = {
                             stratified aggregation in the update's
                             reach); 0 = pure DRed + counting *)
   u_agg_groups : int;   (** monotonic-aggregate groups touched by the
-                            overdeletion cone (counting maintenance) *)
+                            overdeletion cone: a cone fact feeds one of
+                            their matches (counting maintenance) *)
   u_fallback : bool;    (** the batch was served by a full re-chase *)
   u_elapsed_s : float;  (** monotonic wall time of the whole update *)
 }
@@ -109,9 +115,10 @@ val swap_db : state -> Database.t -> unit
 (** [swap_db st twin] hands the session a twin of its database: a store
     holding the same facts in the same per-predicate order (sequence
     numbers may differ), e.g. one brought up to date by
-    {!Database.replay}. The support, the EDB and the aggregate logs
-    refer to facts by value, so they carry over unchanged; the caller
-    owns the store taken out. Nothing checks that [twin] is a twin. *)
+    {!Database.replay}. The support, the EDB and the aggregate
+    accumulators refer to facts by value, so they carry over unchanged;
+    the caller owns the store taken out. [twin] must share the
+    dictionary; nothing else checks that it is a twin. *)
 
 val maintain :
   ?telemetry:Kgm_telemetry.t -> ?journal:Kgm_telemetry.Journal.t -> state ->

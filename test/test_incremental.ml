@@ -307,6 +307,45 @@ let test_control_matrix () =
       check Alcotest.bool "maintained = resumed re-chase" true
         (I.equal_facts (I.db st) db_r)
 
+let test_agg_matches () =
+  (* on the control fixture: group (a, c) has one match per contributor,
+     through controls(a, a) and controls(a, b) *)
+  let program = V.Parser.parse_program control_src in
+  let st, _ = I.chase program in
+  let db = I.db st in
+  let r = V.Engine.agg_rule db (List.nth program.V.Rule.rules 1) in
+  let show source =
+    List.map
+      (fun (m : V.Engine.agg_match) ->
+        let str = function Value.String x -> x | v -> Value.to_string v in
+        let vs l = String.concat "," (List.map str l) in
+        Printf.sprintf "(%s) %s %s <- %s" (vs m.V.Engine.am_group)
+          (vs m.V.Engine.am_key)
+          (Value.to_string m.V.Engine.am_weight)
+          (String.concat " "
+             (List.sort compare
+                (List.map (fun (p, _) -> p) m.V.Engine.am_parents))))
+      (V.Engine.agg_matches db r source)
+  in
+  let a = Value.String "a" and b = Value.String "b" and c = Value.String "c" in
+  let group_ac = [ "(a,c) a 0.3 <- controls own"; "(a,c) b 0.3 <- controls own" ] in
+  check Alcotest.(list string) "group (a, c)" group_ac
+    (show (`Group [ Some a; Some c ]));
+  check Alcotest.(list string) "groups (_, c)"
+    [ "(a,c) a 0.3 <- controls own"; "(b,c) b 0.3 <- controls own";
+      "(a,c) b 0.3 <- controls own" ]
+    (show (`Group [ None; Some c ]));
+  check Alcotest.(list (list string)) "the group of head controls(a, c)"
+    [ [ "a"; "c" ] ]
+    (List.map
+       (List.map (function Value.String x -> x | v -> Value.to_string v))
+       (V.Engine.agg_head_groups db r ("controls", [| a; c |])));
+  check Alcotest.(list string) "through own(b, c, 0.3)"
+    [ "(b,c) b 0.3 <- controls own"; "(a,c) b 0.3 <- controls own" ]
+    (show (`Fact ("own", [| b; c; Value.Float 0.3 |])));
+  check Alcotest.(list string) "an absent fact has no matches" []
+    (show (`Fact ("own", [| c; Value.String "zz"; Value.Float 0.3 |])))
+
 let test_integrated_ownership_update () =
   (* integrated-ownership style: holdings unioned from two registries,
      significance decided by a stratified sum over all of them *)
@@ -366,7 +405,54 @@ let test_fallback_negative_weight () =
   let u = I.maintain st ~inserts:[] ~retracts:(pfacts "own(a, b, 0.9).") in
   check Alcotest.bool "fallback" true u.I.u_fallback;
   let db2 = rechased st program (opts ()) in
+  check Alcotest.bool "equal to re-chase" true (I.equal_facts (I.db st) db2);
+  (* the re-chase folded the negative weight again: an insert-only
+     batch hitting the rule must still fall back *)
+  let u2 = I.maintain st ~inserts:(pfacts "own(a, d, 0.6).") ~retracts:[] in
+  check Alcotest.bool "fallback on insert" true u2.I.u_fallback;
+  let db3 = rechased st program (opts ()) in
+  check Alcotest.bool "insert equal to re-chase" true
+    (I.equal_facts (I.db st) db3)
+
+(* [sum(w, <z>)] folds the first match per contributor key it meets, so
+   a group may hold matches it never folded. When the folded one dies,
+   maintenance must read the others from the store, as a re-chase
+   would fold them. *)
+let test_counting_second_match src ~retract ~expect =
+  let program = V.Parser.parse_program src in
+  let st, _ = I.chase program in
+  let u = I.maintain st ~inserts:[] ~retracts:(pfacts retract) in
+  check Alcotest.bool "no fallback" false u.I.u_fallback;
+  check Alcotest.bool "agg groups touched" true (u.I.u_agg_groups >= 1);
+  List.iter
+    (fun (p, f) ->
+      check Alcotest.bool
+        (Printf.sprintf "%s(%s) holds" p
+           (String.concat ", " (Array.to_list (Array.map Value.to_string f))))
+        true
+        (V.Database.mem (I.db st) p f))
+    (pfacts expect);
+  let db2 = rechased st program (opts ()) in
   check Alcotest.bool "equal to re-chase" true (I.equal_facts (I.db st) db2)
+
+let test_counting_second_match_gains () =
+  (* own(a, b, 0.3) was a's folded stake in b; without it the 0.6 one
+     counts, and a gains b and, through b, c *)
+  test_counting_second_match
+    {| company(a). company(b). company(c).
+       own(a, b, 0.3). own(a, b, 0.6). own(b, c, 0.6).
+       controls(X, X) :- company(X).
+       controls(X, Y) :- controls(X, Z), own(Z, Y, W),
+                         V = sum(W, <Z>), V > 0.5. |}
+    ~retract:"own(a, b, 0.3)." ~expect:"controls(a, b). controls(a, c)."
+
+let test_counting_second_match_keeps () =
+  (* edge(a, b, 1.0) was b's folded weight; edge(a, b, 2.0) keeps the
+     total of group a over the threshold *)
+  test_counting_second_match
+    {| edge(a, b, 1.0). edge(a, b, 2.0). edge(a, c, 0.5).
+       big(X) :- edge(X, Y, W), V = sum(W, <Y>), V > 1.0. |}
+    ~retract:"edge(a, b, 1.0)." ~expect:"big(a)."
 
 let test_two_phase_skip () =
   (* a phase whose body predicates the update cannot reach must not be
@@ -792,12 +878,18 @@ let suite =
       test_control_gains_control;
     Alcotest.test_case "control: jobs × planner × resume matrix" `Quick
       test_control_matrix;
+    Alcotest.test_case "agg_matches: fact and group listings" `Quick
+      test_agg_matches;
     Alcotest.test_case "integrated ownership under update" `Quick
       test_integrated_ownership_update;
     Alcotest.test_case "running-total msum still falls back" `Quick
       test_fallback_running_total;
     Alcotest.test_case "negative-weight sum still falls back" `Quick
       test_fallback_negative_weight;
+    Alcotest.test_case "second stake counts: a gains b, c"
+      `Quick test_counting_second_match_gains;
+    Alcotest.test_case "second weight counts: big(a) stays"
+      `Quick test_counting_second_match_keeps;
     Alcotest.test_case "irrelevant phase is skipped" `Quick
       test_two_phase_skip;
     Alcotest.test_case "start modes across one pass" `Quick
