@@ -117,8 +117,8 @@ let exp2 () =
         ratio)
     [ 200; 400; 800; 1600 ];
   say
-    "@.Shape check: reasoning dominates loading+flushing and the ratio@.\
-     grows with instance size, as in the paper's deployment.@."
+    "@.Ratio = reasoning / (loading + flushing); the paper's is ~10.7 on@.\
+     its production KG and engine (see EXPERIMENTS.md, EXP-2).@."
 
 (* ------------------------------------------------------------------ *)
 
@@ -639,11 +639,11 @@ let parallel () =
         (n, t1, tn, speedup, agree))
       sizes
   in
-  say
-    "@.Note: on a single-core container the parallel path cannot beat@.\
-     jobs=1 (ncores=%d here); the figure of merit is then the overhead@.\
-     of snapshot+merge, which the speedup column reports honestly.@."
-    ncores;
+  if ncores < 2 then
+    say
+      "@.Note: on a single-core container the parallel path cannot beat@.\
+       jobs=1; the figure of merit is then the overhead of@.\
+       snapshot+merge, which the speedup column reports honestly.@.";
   let oc = open_out "BENCH_parallel.json" in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n  \"experiment\": \"parallel-semi-naive\",\n";

@@ -1252,6 +1252,10 @@ let start t =
   if Atomic.exchange t.started true then
     invalid_arg "Kgm_server.start: already started";
   tune_runtime_for_serving ();
+  (* a client that closes before its response is written must cost an
+     EPIPE on its connection (handled by every write), not the process:
+     SIGPIPE's default action would kill the server *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   (* a fresh generation before the first request: a crash before the
      first update recovers, and the log never continues one a recovery
      read (it may end in a torn record) *)
@@ -1471,8 +1475,13 @@ module Client = struct
     write_all c.fd (Buffer.contents b);
     List.map (fun _ -> read_response c) bodies
 
+  (* the server answers 504 at the deadline, so the socket waits a
+     grace second past it: with the IO bounded by the deadline itself,
+     the read could time out just before the 504 arrived *)
   let request ?deadline_s ?(body = "") ~sock ~meth ~path () =
-    let io = match deadline_s with Some d -> Float.max 0.05 d | None -> 30. in
+    let io =
+      match deadline_s with Some d -> Float.max 0.05 d +. 1. | None -> 30.
+    in
     let c = connect ~io_timeout_s:io sock in
     Fun.protect
       ~finally:(fun () -> close c)

@@ -179,7 +179,9 @@ val start : t -> unit
     and spawn the acceptor thread, the shed thread
     (which answers [503] off the accept path so a slow doomed client
     never stalls accepts) and the reader domain pool. Tunes the
-    runtime via {!tune_runtime_for_serving}. Raises
+    runtime via {!tune_runtime_for_serving} and ignores [SIGPIPE]
+    process-wide, so a client that hangs up early costs an [EPIPE] on
+    its own connection instead of killing the process. Raises
     [Unix.Unix_error] if the socket cannot be bound; raises
     [Invalid_argument] if already started. *)
 
@@ -288,8 +290,9 @@ module Client : sig
     ?deadline_s:float -> ?body:string -> sock:string ->
     meth:string -> path:string -> unit -> int * string
   (** One request, one connection ([connection: close]) — {!connect} +
-      {!request_on} + {!close}. [deadline_s] both bounds the socket
-      IO and is forwarded as the [x-kgm-deadline] header. Returns
+      {!request_on} + {!close}. [deadline_s] is forwarded as the
+      [x-kgm-deadline] header and bounds the socket IO one second past
+      it, so the server's [504] at the deadline is received. Returns
       [(status, body)]. Raises [Unix.Unix_error] when the server is
       unreachable or the IO times out. *)
 

@@ -422,61 +422,79 @@ let indexed_patterns t pred =
       Hashtbl.fold (fun positions _ acc -> positions :: acc) s.indexes []
       |> List.sort compare
 
-(* [f] over one index group, as long as it is now; returns that length *)
+(* [f] over one index group, as long as it is now, until [f] returns
+   [true]; returns how many facts it visited *)
 let iter_group s (ps : postings) f =
   let n = ps.p_len in
-  for i = 0 to n - 1 do
-    let seq = ps.p_seq.(i) in
-    f seq s.arr.(seq)
-  done;
-  n
+  let rec go i =
+    if i >= n then n
+    else
+      let seq = ps.p_seq.(i) in
+      if f seq s.arr.(seq) then i + 1 else go (i + 1)
+  in
+  go 0
+
+(* [f] over the live slots below [len] that [keep] accepts, until [f]
+   returns [true]; returns how many live facts it visited *)
+let scan_live s keep f =
+  let len = s.len in
+  let rec go i live =
+    if i >= len then live
+    else
+      let fact = s.arr.(i) in
+      if fact == tomb then go (i + 1) live
+      else if keep fact && f i fact then live + 1
+      else go (i + 1) (live + 1)
+  in
+  go 0 0
+
+(* the index serving [positions], built first on an unfrozen store;
+   [None] for the empty pattern and a frozen store's missing index *)
+let index_for t s positions =
+  if positions = [] then None
+  else
+    match Hashtbl.find_opt s.indexes positions with
+    | Some idx -> Some idx
+    | None -> if t.frozen then None else Some (build_index s positions)
 
 (** [iter_matches_i t pred positions key f] calls [f seq ifact] for
     every fact whose ids at [positions] equal [key], in ascending
     insertion order ([seq] is the fact's per-predicate insertion
-    sequence). Returns the number of facts {e examined} to produce the
-    matches: the index-group length when an index serves the probe (or
-    is built, when the store is unfrozen), but the whole predicate on
-    the frozen missing-index path, where the probe degrades to a linear
-    scan — the honest probe cost the engine's [rs_probes] counter
-    reports. The group is the one at call time: facts [f] inserts are
-    neither visited nor counted. *)
+    sequence), until [f] returns [true]. Returns the number of facts
+    {e examined} to produce the matches: the index-group length when an
+    index serves the probe (or is built, when the store is unfrozen),
+    but the whole predicate on the frozen missing-index path, where the
+    probe degrades to a linear scan — the honest probe cost the engine's
+    [rs_probes] counter reports; a probe that [f] stops counts what it
+    visited up to there. The group is the one at call time: facts [f]
+    inserts are neither visited nor counted. *)
 let iter_matches_i t pred positions key f =
   match Hashtbl.find_opt t.preds pred with
   | None -> 0
-  | Some s ->
-      let live = s.count in
-      if positions = [] then begin
-        iter_live s s.len f;
-        live
-      end
-      else begin
-        match Hashtbl.find_opt s.indexes positions with
+  | Some s -> (
+      if positions = [] then scan_live s (fun _ -> true) f
+      else
+        match index_for t s positions with
         | Some idx -> (
             match IKeyTbl.find_opt idx key with
             | Some ps -> iter_group s ps f
             | None -> 0)
         | None ->
-            if t.frozen then begin
-              iter_live s s.len (fun i fact ->
-                  match index_key positions fact with
-                  | Some k when IKey.equal k key -> f i fact
-                  | _ -> ());
-              live
-            end
-            else begin
-              match IKeyTbl.find_opt (build_index s positions) key with
-              | Some ps -> iter_group s ps f
-              | None -> 0
-            end
-      end
+            scan_live s
+              (fun fact ->
+                match index_key positions fact with
+                | Some k -> IKey.equal k key
+                | None -> false)
+              f)
 
-(** Interned facts whose ids at [positions] equal [key], in insertion
-    order (see {!iter_matches_i} for the index semantics). *)
-let lookup_i t pred positions key =
-  let acc = ref [] in
-  ignore (iter_matches_i t pred positions key (fun _ f -> acc := f :: !acc));
-  List.rev !acc
+let probe_size t pred positions key =
+  match Hashtbl.find_opt t.preds pred with
+  | None -> 0
+  | Some s -> (
+      match index_for t s positions with
+      | Some idx -> (
+          match IKeyTbl.find_opt idx key with Some ps -> ps.p_len | None -> 0)
+      | None -> s.count)
 
 (** Value-level probe: same semantics as {!iter_matches_i} after
     encoding the key through the dictionary. A key containing a value
@@ -486,7 +504,10 @@ let lookup_i t pred positions key =
 let iter_matches t pred positions key f =
   match find_key t key with
   | None -> 0
-  | Some ikey -> iter_matches_i t pred positions ikey (fun seq ifact -> f seq (resolve_fact t ifact))
+  | Some ikey ->
+      iter_matches_i t pred positions ikey (fun seq ifact ->
+          f seq (resolve_fact t ifact);
+          false)
 
 (** Facts whose values at [positions] equal [key], in insertion order.
     Builds (and then maintains) a hash index for the position pattern on

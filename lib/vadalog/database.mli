@@ -92,9 +92,6 @@ val lookup : t -> string -> int list -> Value.t list -> fact list
     a value absent from the dictionary matches nothing (and examines
     nothing) without touching the dictionary. *)
 
-val lookup_i : t -> string -> int list -> int list -> ifact list
-(** {!lookup} over interned facts and an id-encoded key. *)
-
 val iter_matches :
   t -> string -> int list -> Value.t list -> (int -> fact -> unit) -> int
 (** [iter_matches db pred positions key f] calls [f seq fact] on exactly
@@ -116,9 +113,19 @@ val iter_matches :
     are. *)
 
 val iter_matches_i :
-  t -> string -> int list -> int list -> (int -> ifact -> unit) -> int
+  t -> string -> int list -> int list -> (int -> ifact -> bool) -> int
 (** {!iter_matches} over interned facts and an id-encoded key — the
-    engine's hot probe path (no per-fact decoding). *)
+    engine's hot probe path (no per-fact decoding) — whose callback can
+    stop the probe: [f seq ifact] returning [true] ends it after that
+    fact, and the examined count is then what the probe visited up to
+    there (the index-group prefix, or the live facts scanned). *)
+
+val probe_size : t -> string -> int list -> int list -> int
+(** [probe_size t pred positions key]: how many facts {!iter_matches_i}
+    would examine for this probe, without visiting them — the index
+    group's length (the index is built first on an unfrozen store, as a
+    probe would), the predicate's cardinality for the empty pattern and
+    on a frozen store's missing index. *)
 
 val remove_batch : t -> (string * fact) list -> int
 (** [remove_batch t facts] deletes every listed (pred, fact) pair that

@@ -97,7 +97,9 @@ type rule_stats = {
   rs_label : string;       (** short label: head predicates, "p/2,q/3" *)
   rs_firings : int;        (** facts this rule added to the database *)
   rs_matches : int;        (** complete body matches (head instantiations
-                               attempted) *)
+                               attempted; a don't-care literal may count
+                               its first witness only, see
+                               [first_witness]) *)
   rs_probes : int;         (** candidate facts examined while joining *)
   rs_nulls : int;          (** labeled nulls invented *)
   rs_chase_hits : int;     (** restricted-chase checks finding an image
@@ -496,19 +498,22 @@ type prepared = {
      slot its matched fact's insertion sequence takes in the merge sort
      key *)
   n_pos : int;         (* positive body literals: the sort key's length *)
+  local_vars : string list array;
+  (* per body literal, its variables that occur in no other literal and
+     not in the head: the don't-care positions of a positive literal *)
   cheads : catom list; (* head atoms, likewise *)
 }
 
+(* every variable a literal mentions *)
+let literal_vars = function
+  | Rule.Pos a | Rule.Neg a -> Rule.atom_vars a
+  | Rule.Cond e -> Expr.vars e
+  | Rule.Assign (x, e) -> x :: Expr.vars e
+  | Rule.Agg g -> (g.Rule.result :: g.Rule.contributors) @ Expr.vars g.Rule.weight
+
 let vars_after body i =
   let rest = List.filteri (fun j _ -> j > i) body in
-  List.sort_uniq String.compare
-    (List.concat_map
-       (function
-         | Rule.Pos a | Rule.Neg a -> Rule.atom_vars a
-         | Rule.Cond e -> Expr.vars e
-         | Rule.Assign (x, e) -> x :: Expr.vars e
-         | Rule.Agg g -> (g.Rule.result :: g.Rule.contributors) @ Expr.vars g.Rule.weight)
-       rest)
+  List.sort_uniq String.compare (List.concat_map literal_vars rest)
 
 let bound_before body i =
   let prefix = List.filteri (fun j _ -> j < i) body in
@@ -611,6 +616,18 @@ let prepare ?rid dict rule_id (r : Rule.rule) =
     cbody = Array.of_list (List.map (compile_lit dict) r.Rule.body);
     pos_ord;
     n_pos = !n_pos;
+    local_vars =
+      Array.of_list
+        (List.mapi
+           (fun j lit ->
+             let elsewhere =
+               hvars
+               @ List.concat
+                   (List.filteri (fun k _ -> k <> j)
+                      (List.map literal_vars r.Rule.body))
+             in
+             List.filter (fun v -> not (List.mem v elsewhere)) (literal_vars lit))
+           r.Rule.body);
     cheads = List.map (compile_atom dict) r.Rule.head }
 
 (* ------------------------------------------------------------------ *)
@@ -661,6 +678,9 @@ type run_state = {
   jr : Kgm_telemetry.Journal.t;
   ctrs : rule_ctr array;       (* indexed by rule_id *)
   mutable cur : rule_ctr;      (* counters of the rule being evaluated *)
+  mutable examined : int;
+  (* candidate facts the restricted-chase checks tried; a run total,
+     kept out of the per-rule counters (and so out of checkpoints) *)
   mutable round : int;         (* current fixpoint round (for errors) *)
   mutable trip_rule : string option;
                                (* rule that tripped the fact budget, for
@@ -804,87 +824,123 @@ let ground_atom env (a : catom) : Database.ifact =
    exists in which each body null maps to some term, the same one at
    every occurrence. This is what makes chases like
    [mgr(X,M) :- emp(X). emp(M) :- mgr(X,M).] terminate while preserving
-   certain answers over null-free facts. *)
-(* Returns [Some image] — the database facts forming the satisfying
-   homomorphic image, one per head atom — or [None] when no image
-   exists. The maintenance layer records the image with the suppressed
-   firing: should any of its facts later be retracted, the firing is
-   re-attempted (and may then invent). *)
+   certain answers over null-free facts.
+
+   The search visits next, at every step, the remaining head atom whose
+   bound positions select the smallest index group (ties in written
+   order): bound are the rigid ids, the existentials that already have
+   an image and the body nulls already mapped. A body null leading the
+   written first atom would otherwise make every check list every fact
+   of its predicate. Whether an image exists does not depend on the
+   order, so hits and misses do not either; which image is found first
+   may. Candidates are visited in place and the search stops at the
+   first complete image; each one tried counts into [st.examined].
+
+   Returns [Some image] — the database facts forming the satisfying
+   homomorphic image, one per head atom in written order — or [None]
+   when no image exists. The maintenance layer records the image with
+   the suppressed firing: should any of its facts later be retracted,
+   the firing is re-attempted (and may then invent). *)
 let head_satisfied st env (prep : prepared) =
   let ex_env : (string, int) Hashtbl.t = Hashtbl.create 4 in
   let null_map : (int, int) Hashtbl.t = Hashtbl.create 4 in
-  let rec go = function
-    | [] -> Some []
-    | (a : catom) :: rest ->
-        let args = a.ca_args in
-        let n = Array.length args in
-        (* [`Rigid id]: the image is the term's id itself (constants,
-           non-null body bindings, and already-chosen images of
-           existentials); [`Flex id]: a body-bound null, flexible up to
-           the consistent renaming in [null_map]; [`Free x]: an
-           existential without an image yet. *)
-        let requirement t =
-          match t with
-          | CConst id -> if id_is_null st id then `Flex id else `Rigid id
-          | CVar x ->
-              (match env_lookup env x with
-               | Some id -> if id_is_null st id then `Flex id else `Rigid id
-               | None ->
-                   (match Hashtbl.find_opt ex_env x with
-                    | Some id -> `Rigid id
-                    | None -> `Free x))
-        in
-        (* index only on rigid required ids and already-mapped nulls *)
-        let positions = ref [] and key = ref [] in
-        for i = n - 1 downto 0 do
-          match requirement args.(i) with
-          | `Rigid id ->
-              positions := i :: !positions;
-              key := id :: !key
-          | `Flex id ->
-              (match Hashtbl.find_opt null_map id with
-               | Some mapped ->
-                   positions := i :: !positions;
-                   key := mapped :: !key
-               | None -> ())
-          | `Free _ -> ()
-        done;
-        let candidates = Database.lookup_i st.db a.ca_pred !positions !key in
-        let rec try_cands = function
-          | [] -> None
-          | (fact : Database.ifact) :: more ->
-              if Array.length fact <> n then try_cands more
-              else begin
-                let new_ex = ref [] and new_nulls = ref [] in
-                let ok = ref true in
-                (try
-                   for i = 0 to n - 1 do
-                     match requirement args.(i) with
-                     | `Rigid id -> if id <> fact.(i) then raise Exit
-                     | `Flex id ->
-                         (* consistent renaming: one image per null *)
-                         (match Hashtbl.find_opt null_map id with
-                          | Some mapped ->
-                              if mapped <> fact.(i) then raise Exit
-                          | None ->
-                              Hashtbl.add null_map id fact.(i);
-                              new_nulls := id :: !new_nulls)
-                     | `Free x ->
-                         Hashtbl.add ex_env x fact.(i);
-                         new_ex := x :: !new_ex
-                   done
-                 with Exit -> ok := false);
-                match (if !ok then go rest else None) with
-                | Some tl -> Some ((a.ca_pred, fact) :: tl)
-                | None ->
-                    List.iter (Hashtbl.remove ex_env) !new_ex;
-                    List.iter (Hashtbl.remove null_map) !new_nulls;
-                    try_cands more
-              end
-        in
-        try_cands candidates
+  let heads = Array.of_list prep.cheads in
+  let n_heads = Array.length heads in
+  let image = Array.make n_heads ("", [||]) in
+  let placed = Array.make n_heads false in
+  (* [`Rigid id]: the image is the term's id itself (constants, non-null
+     body bindings, and already-chosen images of existentials);
+     [`Flex id]: a body-bound null, flexible up to the consistent
+     renaming in [null_map]; [`Free x]: an existential without an image
+     yet. *)
+  let requirement t =
+    match t with
+    | CConst id -> if id_is_null st id then `Flex id else `Rigid id
+    | CVar x ->
+        (match env_lookup env x with
+         | Some id -> if id_is_null st id then `Flex id else `Rigid id
+         | None ->
+             (match Hashtbl.find_opt ex_env x with
+              | Some id -> `Rigid id
+              | None -> `Free x))
   in
-  go prep.cheads
+  (* the positions an image of [a] is fixed at now, with their ids *)
+  let probe (a : catom) =
+    let positions = ref [] and key = ref [] in
+    for i = Array.length a.ca_args - 1 downto 0 do
+      match requirement a.ca_args.(i) with
+      | `Rigid id ->
+          positions := i :: !positions;
+          key := id :: !key
+      | `Flex id ->
+          (match Hashtbl.find_opt null_map id with
+           | Some mapped ->
+               positions := i :: !positions;
+               key := mapped :: !key
+           | None -> ())
+      | `Free _ -> ()
+    done;
+    (!positions, !key)
+  in
+  let rec go placed_n =
+    placed_n = n_heads
+    ||
+    let best = ref (-1) and best_size = ref max_int and best_probe = ref ([], []) in
+    for i = 0 to n_heads - 1 do
+      if (not placed.(i)) && !best_size > 0 then begin
+        let positions, key = probe heads.(i) in
+        let size = Database.probe_size st.db heads.(i).ca_pred positions key in
+        if size < !best_size then begin
+          best := i;
+          best_size := size;
+          best_probe := (positions, key)
+        end
+      end
+    done;
+    let i = !best in
+    let a = heads.(i) in
+    let args = a.ca_args in
+    let n = Array.length args in
+    let positions, key = !best_probe in
+    placed.(i) <- true;
+    let found = ref false in
+    ignore
+      (Database.iter_matches_i st.db a.ca_pred positions key (fun _ fact ->
+           st.examined <- st.examined + 1;
+           if Array.length fact = n then begin
+             let new_ex = ref [] and new_nulls = ref [] in
+             let rec bind p =
+               p >= n
+               || (match requirement args.(p) with
+                   | `Rigid id -> id = fact.(p)
+                   | `Flex id -> (
+                       (* consistent renaming: one image per null *)
+                       match Hashtbl.find_opt null_map id with
+                       | Some mapped -> mapped = fact.(p)
+                       | None ->
+                           Hashtbl.add null_map id fact.(p);
+                           new_nulls := id :: !new_nulls;
+                           true)
+                   | `Free x ->
+                       Hashtbl.add ex_env x fact.(p);
+                       new_ex := x :: !new_ex;
+                       true)
+                  && bind (p + 1)
+             in
+             if bind 0 && go (placed_n + 1) then begin
+               image.(i) <- (a.ca_pred, fact);
+               found := true
+             end
+             else begin
+               List.iter (Hashtbl.remove ex_env) !new_ex;
+               List.iter (Hashtbl.remove null_map) !new_nulls
+             end
+           end;
+           !found));
+    if not !found then placed.(i) <- false;
+    !found
+  in
+  if go 0 then Some (Array.to_list image) else None
 
 let fire st env (prep : prepared) ~on_new =
   st.cur.c_matches <- st.cur.c_matches + 1;
@@ -1037,8 +1093,12 @@ let monotonic st env (prep : prepared) j (g : Rule.aggregate) continue =
    On the live store a firing may append to a predicate that an outer
    literal is still enumerating: [iter_matches_i] visits the group as
    of the probe, so later facts wait for the next round's delta, as
-   they would from a snapshot. *)
-let walk st env (prep : prepared) ~order ~delta ~keyv ~emit =
+   they would from a snapshot.
+
+   A literal [j] with [first.(j)] (see {!first_witness}; [first] may be
+   shorter than the body, [[||]] marks none) stops at its first matching
+   fact. *)
+let walk st env (prep : prepared) ~order ~delta ~first ~keyv ~emit =
   let body = prep.cbody in
   let record = st.keep_trail in
   let rec go = function
@@ -1059,26 +1119,30 @@ let walk st env (prep : prepared) ~order ~delta ~keyv ~emit =
               | None -> ()
             done;
             let ord = prep.pos_ord.(j) in
+            let stop = j < Array.length first && first.(j) in
+            (* true to end the probe: a match of a first-witness literal *)
             let try_fact seq (fact : Database.ifact) =
-              if Array.length fact = n then begin
-                let mark = env_mark env in
-                if unify env args fact 0 then begin
-                  keyv.(ord) <- seq;
-                  if record then begin
-                    trail_push st a.ca_pred fact;
-                    continue ();
-                    st.trail_len <- st.trail_len - 1
-                  end
-                  else continue ()
-                end;
-                env_undo env mark
-              end
+              Array.length fact = n
+              &&
+              let mark = env_mark env in
+              let hit = unify env args fact 0 in
+              if hit then begin
+                keyv.(ord) <- seq;
+                if record then begin
+                  trail_push st a.ca_pred fact;
+                  continue ();
+                  st.trail_len <- st.trail_len - 1
+                end
+                else continue ()
+              end;
+              env_undo env mark;
+              hit && stop
             in
             let examined =
               match delta with
               | Some (dj, dg) when dj = j ->
                   let group = dg_lookup dg ~arity:n !positions !key in
-                  List.iter (fun (i, f) -> try_fact i f) group;
+                  List.iter (fun (i, f) -> ignore (try_fact i f)) group;
                   List.length group
               | _ ->
                   Database.iter_matches_i st.db a.ca_pred !positions !key
@@ -1110,6 +1174,63 @@ let walk st env (prep : prepared) ~order ~delta ~keyv ~emit =
   in
   go order
 
+(* Which literals of a walk stop at their first matching fact, decided
+   once per (rule, walk order, delta literal). A positive literal other
+   than the delta literal qualifies when every variable it does not find
+   bound is a don't-care — one that occurs in no other literal and not
+   in the head (MTV's [_Ma…] fillers, the parser's [_]): its witnesses
+   bind nothing the rest of the walk reads, so each later witness would
+   re-run the same continuation. On the same store, provided
+   - the walk records no derivations ([keep_trail] off: support and the
+     maintenance listings need every alternative derivation);
+   - no later literal of [order] reads, from the live store, a predicate
+     in [live] (what the current stratum derives; [[]] on a frozen
+     store, where nothing changes under the walk) — the delta literal
+     reads the round's delta and does not count;
+   - an existential head is re-checked, not re-invented (the restricted
+     chase).
+   Then a later witness could only re-fire a head already present or
+   already satisfied, or re-offer a contributor key already folded: no
+   fact, null, round or firing moves, only [rs_matches], [rs_chase_hits]
+   and the probes of the skipped continuations. The delta literal never
+   stops early: its chunks differ per pool size, and the counters must
+   not. *)
+let first_witness st (prep : prepared) ~order ~delta_lit ~live =
+  if st.keep_trail || (prep.existentials <> [] && not st.opts.restricted_chase)
+  then [||]
+  else begin
+    let first = Array.make (Array.length prep.cbody) false in
+    let bound = Hashtbl.create 16 in
+    let reads_live k =
+      Some k <> delta_lit
+      &&
+      match prep.cbody.(k) with
+      | CPos a | CNeg a -> List.mem a.ca_pred live
+      | CCond _ | CAssign _ | CAgg _ -> false
+    in
+    let body = Array.of_list prep.rule.Rule.body in
+    let rec go = function
+      | [] -> ()
+      | j :: rest ->
+          (match prep.cbody.(j) with
+           | CPos a when Some j <> delta_lit ->
+               first.(j) <-
+                 Array.for_all
+                   (function
+                     | CConst _ -> true
+                     | CVar x -> Hashtbl.mem bound x || List.mem x prep.local_vars.(j))
+                   a.ca_args
+                 && not (List.exists reads_live rest)
+           | _ -> ());
+          List.iter
+            (fun v -> Hashtbl.replace bound v ())
+            (Rule.literal_body_bound body.(j));
+          go rest
+    in
+    go order;
+    first
+  end
+
 (* a fresh merge sort key for one evaluation of [prep] *)
 let sort_key (prep : prepared) = Array.make (max 1 prep.n_pos) 0
 
@@ -1122,8 +1243,8 @@ let walk_state db ~keep_trail =
     sup = None; negative_sums = []; keep_trail; trail_preds = [||];
     trail_facts = [||]; trail_len = 0; fact_trail = [];
     sc = Intern.Scratch.create (); tele = Kgm_telemetry.null;
-    jr = Kgm_telemetry.Journal.null; ctrs = [||]; cur = fresh_ctr (); round = 0;
-    trip_rule = None }
+    jr = Kgm_telemetry.Journal.null; ctrs = [||]; cur = fresh_ctr ();
+    examined = 0; round = 0; trip_rule = None }
 
 (* ------------------------------------------------------------------ *)
 (* Counting maintenance reads a monotonic aggregate's groups from the
@@ -1174,7 +1295,7 @@ let agg_matches db { ar_dict; ar_prep = prep; ar_lit = j; ar_agg = g } source =
   (* [key] compared as ids: a value never interned matches nothing *)
   let list ?delta ?(key = List.map (fun _ -> None) gv) order =
     let ids = List.map (Option.map (Intern.find (Database.dict db))) key in
-    walk st env prep ~order ~delta ~keyv ~emit:(fun () ->
+    walk st env prep ~order ~delta ~first:[||] ~keyv ~emit:(fun () ->
         if
           List.for_all2
             (fun v -> Option.fold ~none:true ~some:(( = ) (env_lookup env v)))
@@ -1263,8 +1384,8 @@ let eval_stratified st (prep : prepared) agg_i ~on_new =
   let keyv = sort_key prep in
   let groups : agg_state = KeyTbl.create 64 in
   let env = env_create () in
-  walk st env prep ~order:(List.init agg_i Fun.id) ~delta:None ~keyv
-    ~emit:(fun () ->
+  walk st env prep ~order:(List.init agg_i Fun.id) ~delta:None ~first:[||]
+    ~keyv ~emit:(fun () ->
       let group_key, contrib_key = agg_keys st env prep agg_i g in
       let dedup_key =
         if g.Rule.contributors <> [] then contrib_key
@@ -1290,7 +1411,7 @@ let eval_stratified st (prep : prepared) agg_i ~on_new =
           List.iter2 (fun v value -> env_bind env v (value_id st value)) gv
             group_key;
           env_bind env g.Rule.result (value_id st acc);
-          walk st env prep ~order:suffix ~delta:None ~keyv
+          walk st env prep ~order:suffix ~delta:None ~first:[||] ~keyv
             ~emit:(fun () -> fire st env prep ~on_new))
     groups
 
@@ -1326,16 +1447,21 @@ let timed_rule st (prep : prepared) f =
         ("derived", J.Int (st.added - before));
         ("time_s", J.Float (t1 -. t0)) ]
 
-let eval_rule st (prep : prepared) ~delta ~on_new =
+(* one evaluation of [prep] on the live store, in written order; [live]:
+   the predicates the current stratum derives *)
+let eval_rule st (prep : prepared) ~delta ~live ~on_new =
   timed_rule st prep (fun _ ->
       match prep.strat_agg_index with
       | Some agg_i ->
           if delta = None then eval_stratified st prep agg_i ~on_new
       | None ->
           let env = env_create () in
-          walk st env prep
-            ~order:(List.init (Array.length prep.cbody) Fun.id)
-            ~delta ~keyv:(sort_key prep)
+          let order = List.init (Array.length prep.cbody) Fun.id in
+          walk st env prep ~order ~delta
+            ~first:
+              (first_witness st prep ~order
+                 ~delta_lit:(Option.map fst delta) ~live)
+            ~keyv:(sort_key prep)
             ~emit:(fun () -> fire st env prep ~on_new))
 
 (* ------------------------------------------------------------------ *)
@@ -1395,6 +1521,7 @@ type work_item = {
   w_lit : int;                   (* index of the delta-driven literal *)
   w_order : int list;            (* literal evaluation order (a plan, or
                                     the written order) *)
+  w_first : bool array;          (* its first-witness literals *)
   w_weight : int;                (* estimated probe volume, for
                                     heaviest-first pool scheduling *)
   w_facts : Database.ifact list; (* its delta chunk, chronological *)
@@ -1425,8 +1552,8 @@ let eval_work_item (main : run_state) (w : work_item) : work_result =
   let dg = delta_group ~offset:w.w_offset w.w_facts in
   let buf = ref [] in
   let env = env_create () in
-  walk st env prep ~order:w.w_order ~delta:(Some (w.w_lit, dg)) ~keyv
-    ~emit:(fun () ->
+  walk st env prep ~order:w.w_order ~delta:(Some (w.w_lit, dg))
+    ~first:w.w_first ~keyv ~emit:(fun () ->
       let vals =
         Array.map
           (fun v ->
@@ -1478,7 +1605,7 @@ let fire_candidate st env (prep : prepared) cand ~on_new =
   env_undo env mark
 
 let eval_delta_round st pool (rules : prepared list) ~use_planner ~cancel
-    ~tok_status ~retries ~current ~on_new =
+    ~tok_status ~retries ~current ~live ~on_new =
   (* 1. deterministic (rule, literal, chunk) work-item order; results
      are chunking-invariant (the merge sorts each (rule, literal) group
      on insertion-seq vectors), so the chunk size is free to follow the
@@ -1508,6 +1635,11 @@ let eval_delta_round st pool (rules : prepared list) ~use_planner ~cancel
                       else Planner.written ~delta_lit:i prep.rule
                     in
                     Hashtbl.replace plans (prep.rule_id, i) plan;
+                    (* workers walk the frozen store: nothing is live *)
+                    let first =
+                      first_witness st prep ~order:plan.Planner.order
+                        ~delta_lit:(Some i) ~live:[]
+                    in
                     let chunk = Kgm_pool.chunk_size_for pool ~len in
                     let n_chunks = (len + chunk - 1) / chunk in
                     for c = 0 to n_chunks - 1 do
@@ -1515,7 +1647,7 @@ let eval_delta_round st pool (rules : prepared list) ~use_planner ~cancel
                       let sz = min chunk (len - lo) in
                       items :=
                         { w_prep = prep; w_lit = i;
-                          w_order = plan.Planner.order;
+                          w_order = plan.Planner.order; w_first = first;
                           w_weight = plan.Planner.cost * sz;
                           w_facts = Array.to_list (Array.sub facts lo sz);
                           w_offset = lo }
@@ -1637,7 +1769,7 @@ let eval_delta_round st pool (rules : prepared list) ~use_planner ~cancel
                 | Some fl ->
                     eval_rule st prep
                       ~delta:(Some (i, delta_group (List.rev !fl)))
-                      ~on_new
+                      ~live ~on_new
                 | None -> ())
             | _ -> ())
           prep.rule.Rule.body
@@ -2115,12 +2247,13 @@ let chase start ?(options = default_options) ?support
            | _ -> ()
          in
          let full_round _ =
-           List.iter (fun p -> eval_rule st p ~delta:None ~on_new:record)
+           List.iter
+             (fun p -> eval_rule st p ~delta:None ~live:in_stratum ~on_new:record)
              rules_here
          in
          let delta_round current =
            eval_delta_round st pool rules_here ~use_planner:planned ~cancel
-             ~tok_status ~retries ~current ~on_new:record
+             ~tok_status ~retries ~current ~live:in_stratum ~on_new:record
          in
          (* stratification dividend: a non-recursive stratum is an SCC
             group with no internal dependency edge, so none of its rules
@@ -2197,6 +2330,7 @@ let chase start ?(options = default_options) ?support
         ("new_facts", J.Int stats.new_facts);
         ("facts", J.Int (Database.total db));
         ("nulls", J.Int stats.nulls_invented);
+        ("examined", J.Int st.examined);
         ("elapsed_s", J.Float stats.elapsed_s);
         ( "stopped",
           match stats.stopped with
@@ -2209,6 +2343,7 @@ let chase start ?(options = default_options) ?support
       "engine.nulls.invented";
     Kgm_telemetry.count telemetry ~by:stats.chase_hits "engine.chase.hits";
     Kgm_telemetry.count telemetry ~by:stats.chase_misses "engine.chase.misses";
+    Kgm_telemetry.count telemetry ~by:st.examined "engine.chase.examined";
     if !cks_written > 0 then
       Kgm_telemetry.count telemetry ~by:!cks_written
         "resilience.checkpoints.written";

@@ -126,11 +126,29 @@ type rule_stats = {
   rs_label : string;       (** head predicates, e.g. ["controls/2"] *)
   rs_firings : int;        (** facts this rule added to the database *)
   rs_matches : int;        (** complete body matches (head instantiations
-                               attempted) *)
-  rs_probes : int;         (** candidate facts examined while joining *)
+                               attempted). A don't-care literal — its
+                               unbound variables occur nowhere else in
+                               the rule — contributes its first witness
+                               only, unless the pass records support or
+                               a later literal reads, from the live
+                               store, a predicate of the current
+                               stratum: the other witnesses could only
+                               re-fire the same head (DESIGN.md §8). So
+                               this counts the distinct head
+                               instantiations such literals lead to, and
+                               differs between support-recording passes
+                               and plain ones *)
+  rs_probes : int;         (** candidate facts examined while joining
+                               (a probe a first witness stops counts
+                               what it visited) *)
   rs_nulls : int;          (** labeled nulls invented *)
   rs_chase_hits : int;     (** restricted-chase homomorphism checks that
-                               found an image (invention suppressed) *)
+                               found an image (invention suppressed); as
+                               [rs_matches], without the re-checks of
+                               skipped don't-care witnesses. The
+                               candidates the checks tried are the
+                               run-wide telemetry counter
+                               [engine.chase.examined] *)
   rs_chase_misses : int;   (** checks that found none (nulls invented) *)
   rs_time_s : float;       (** monotonic time evaluating the rule *)
 }

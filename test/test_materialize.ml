@@ -282,6 +282,82 @@ let test_agreement_with_native () =
   check Alcotest.int "vadalog = materialized" vadalog materialized
 
 (* ------------------------------------------------------------------ *)
+(* A cross-version pin of Algorithm 2 on a generated Company KG. The
+   engine's fact store is private to [materialize]; what the run leaves
+   behind is the data graph D with the flushed edges and attribute
+   values, and the dictionary with the derived instance elements written
+   back from the V_O facts. D is read back through the PG-to-relational
+   bridge and pinned as canonical facts — per-predicate insertion order,
+   labeled nulls renamed by first appearance — together with the
+   dictionary's per-predicate fact counts, the derived counts and the
+   chase counters that a change of evaluation strategy must not move
+   (rounds, delta sizes, new facts, nulls, and per rule the firings,
+   nulls and chase misses). The dictionary's own facts are not pinned
+   in order: the V_O rule for edge attributes folds a stratified [max]
+   per edge, whose groups are keyed by labeled nulls and fired in hash
+   order, so the ids the write-back gives those elements depend on how
+   many nulls the process invented before (D does not). Re-pin only
+   deliberately, with the reason stated. *)
+
+let alg2_pin_facts = "19d473de358c535acd0574be96ac45a4"
+let alg2_pin_stats = "8e8a3901056d46274dadaa6a86ae4edc"
+
+let alg2_pin_texts jobs =
+  let o = Kgm_finance.Generator.generate ~n:120 ~seed:11 () in
+  let schema, dict, sid, inst = setup () in
+  let d = Kgm_finance.Generator.to_company_graph o in
+  let options = { Kgm_vadalog.Engine.default_options with Kgm_vadalog.Engine.jobs } in
+  let r =
+    Kgmodel.Materialize.materialize ~options ~instances:inst ~schema
+      ~schema_oid:sid ~data:d ~sigma:Kgm_finance.Intensional.full ()
+  in
+  let ls = Kgm_metalog.Label_schema.create () in
+  Kgm_metalog.Label_schema.observe_graph ls d;
+  Kgmodel.Materialize.label_schema_of_supermodel schema ls;
+  let data = Kgm_vadalog.Database.create () in
+  Kgm_metalog.Pg_bridge.load ls d data;
+  let gd = Kgmodel.Dictionary.graph dict in
+  let dls = Kgm_metalog.Label_schema.create () in
+  Kgm_metalog.Label_schema.observe_graph dls gd;
+  let elements = Kgm_vadalog.Database.create () in
+  Kgm_metalog.Pg_bridge.load dls gd elements;
+  let st = r.Kgmodel.Materialize.engine_stats in
+  let module E = Kgm_vadalog.Engine in
+  ( Test_parallel.canon_text data,
+    Printf.sprintf "derived %d %d %d\nrounds %d\ndeltas %s\nnew %d\nnulls %d\nmisses %d\n%s%s"
+      r.derived_nodes r.derived_edges r.derived_attrs st.E.rounds
+      (String.concat " " (List.map string_of_int st.E.delta_sizes))
+      st.E.new_facts st.E.nulls_invented st.E.chase_misses
+      (String.concat ""
+         (List.map
+            (fun (s : E.rule_stats) ->
+              Printf.sprintf "%s %d %d %d\n" s.E.rs_label s.E.rs_firings
+                s.E.rs_nulls s.E.rs_chase_misses)
+            st.E.per_rule))
+      (String.concat ""
+         (List.map
+            (fun p ->
+              Printf.sprintf "dictionary %s %d\n" p
+                (Kgm_vadalog.Database.count elements p))
+            (Kgm_vadalog.Database.predicates elements))) )
+
+let test_alg2_pin () =
+  List.iter
+    (fun jobs ->
+      let facts, stats = alg2_pin_texts jobs in
+      let pin what want text =
+        let got = Digest.to_hex (Digest.string text) in
+        if got <> want then begin
+          Printf.printf "--- jobs=%d %s: md5 %s, canonical text:\n%s---\n" jobs
+            what got text;
+          Alcotest.failf "jobs=%d: %s digest %s, pinned %s" jobs what got want
+        end
+      in
+      pin "facts" alg2_pin_facts facts;
+      pin "stats" alg2_pin_stats stats)
+    [ 1; 2 ]
+
+(* ------------------------------------------------------------------ *)
 (* Incremental sessions: non-monotone refresh must sweep stale graph
    elements (the flush itself is monotone; before this fix, retracting
    a shareholder left the derived CONTROLS edge in the flushed data
@@ -354,6 +430,7 @@ let suite =
     ("derived family nodes", `Quick, test_derived_nodes_families);
     ("close links sigma", `Quick, test_close_links_sigma);
     ("timing report populated", `Quick, test_timing_report);
+    ("Algorithm 2 pinned across versions", `Quick, test_alg2_pin);
     ("refresh sweeps stale graph elements", `Quick,
      test_refresh_sweeps_stale_graph);
     ("EXP-5 agreement (3 encodings)", `Slow, test_agreement_with_native) ]

@@ -282,24 +282,26 @@ let run_control options =
   let stats = V.Engine.run ~options program db in
   (db, stats)
 
+(* [canon] as text, one fact a line *)
+let canon_text db =
+  String.concat ""
+    (List.concat_map
+       (fun (pred, fs) ->
+         List.map
+           (fun f ->
+             Printf.sprintf "%s(%s)\n" pred
+               (String.concat ", " (List.map Value.to_string f)))
+           fs)
+       (canon db))
+
 let pin_texts (db, (stats : V.Engine.stats)) =
-  let facts =
-    List.concat_map
-      (fun (pred, fs) ->
-        List.map
-          (fun f ->
-            Printf.sprintf "%s(%s)\n" pred
-              (String.concat ", " (List.map Value.to_string f)))
-          fs)
-      (canon db)
-  in
   let counters =
     List.map
       (fun (label, (fi, ma, pr, nu, hi, mi)) ->
         Printf.sprintf "%s %d %d %d %d %d %d\n" label fi ma pr nu hi mi)
       (rule_counters stats)
   in
-  ( String.concat "" facts,
+  ( canon_text db,
     Printf.sprintf "rounds %d\ndeltas %s\nnew %d\n%s" stats.V.Engine.rounds
       (String.concat " " (List.map string_of_int stats.V.Engine.delta_sizes))
       stats.V.Engine.new_facts (String.concat "" counters) )

@@ -203,6 +203,26 @@ let test_deadline () =
          check Alcotest.int "deadline trips" 504 code;
          check Alcotest.string "deadline body" "deadline\n" body))
 
+(* a client that hangs up before its answer is written costs the server
+   an EPIPE on that connection, not the process (SIGPIPE would kill it,
+   and with it this test binary) *)
+let test_client_hangup () =
+  ignore
+    (with_server
+       ~cfg:(fun c -> { c with S.debug_endpoints = true })
+       (fun _srv sock ->
+         for _ = 1 to 3 do
+           let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+           Unix.connect fd (ADDR_UNIX sock);
+           let req =
+             "POST /slow HTTP/1.1\r\nhost: kgm\r\ncontent-length: 3\r\n\r\n0.2"
+           in
+           ignore (Unix.write_substring fd req 0 (String.length req));
+           Unix.close fd
+         done;
+         Thread.delay 0.6;
+         check Alcotest.int "still serving" 200 (fst (get sock "/ready"))))
+
 (* ------------------------------------------------------------------ *)
 (* Overload shedding: queue full => immediate 503, never a hang *)
 
@@ -1147,6 +1167,8 @@ let suite =
     Alcotest.test_case "updates swap epochs." `Quick test_update_epochs;
     Alcotest.test_case "per-request deadlines answer 504." `Quick
       test_deadline;
+    Alcotest.test_case "a client hanging up does not stop the server." `Quick
+      test_client_hangup;
     Alcotest.test_case "overload sheds with 503, never hangs." `Quick
       test_overload_shedding;
     Alcotest.test_case "drain matrix: SIGTERM x in-flight x faults." `Quick

@@ -920,8 +920,210 @@ let test_hash_spread () =
   bounded "chain-shaped facts" (D.IFactTbl.stats facts);
   bounded "two-position keys" (D.IKeyTbl.stats keys)
 
+(* a probe can be stopped: [iter_matches_i] then counts what it visited
+   up to the stop; [probe_size] is what a whole probe would examine *)
+let test_probe_stop_and_size () =
+  let module D = V.Database in
+  let db = D.create () in
+  for i = 0 to 9 do
+    ignore (D.add db "e" [| Value.Int (i mod 2); Value.Int i |])
+  done;
+  let id v = Option.get (Intern.find (D.dict db) (Value.Int v)) in
+  let probe ?stop positions key =
+    let seen = ref 0 in
+    let examined =
+      D.iter_matches_i db "e" positions key (fun _ _ ->
+          incr seen;
+          Some !seen = stop)
+    in
+    (examined, !seen)
+  in
+  let pair = Alcotest.(pair int int) in
+  check Alcotest.int "indexed group size" 5 (D.probe_size db "e" [ 0 ] [ id 0 ]);
+  check pair "indexed, whole group" (5, 5) (probe [ 0 ] [ id 0 ]);
+  check pair "indexed, stopped at the second" (2, 2) (probe ~stop:2 [ 0 ] [ id 0 ]);
+  check Alcotest.int "full scan size" 10 (D.probe_size db "e" [] []);
+  check pair "full scan, stopped at the third" (3, 3) (probe ~stop:3 [] []);
+  D.freeze db;
+  check Alcotest.int "frozen missing index: a scan" 10
+    (D.probe_size db "e" [ 1 ] [ id 7 ]);
+  check pair "frozen scan, stopped at the match" (8, 1) (probe ~stop:1 [ 1 ] [ id 7 ]);
+  check pair "frozen scan, whole" (10, 1) (probe [ 1 ] [ id 7 ]);
+  D.thaw db;
+  ignore (D.remove_batch db [ ("e", [| Value.Int 0; Value.Int 0 |]) ]);
+  check pair "tombstones are not examined" (9, 9) (probe [] []);
+  check pair "nor stopped at" (1, 1) (probe ~stop:1 [] []);
+  check Alcotest.int "absent key" 0 (D.probe_size db "e" [ 0 ] [ id 9 ])
+
 let suite =
   suite
   @ [ test_store_matches_reference;
+      ("probes stop early; probe sizes", `Quick, test_probe_stop_and_size);
       ("tombstones compact only past half dead", `Quick, test_tombstone_compaction);
       ("fact and key hashes spread stepping ids", `Quick, test_hash_spread) ]
+
+(* ------------------------------------------------------------------ *)
+(* Chase work in proportion to what it proves: the restricted-chase
+   check visits the most selective head atom first, and a don't-care
+   literal stops at its first witness when nothing could tell the
+   witnesses apart. Neither may move a fact, a null, a round or a
+   firing. *)
+
+let chase_examined tele =
+  Option.value ~default:0
+    (List.assoc_opt "engine.chase.examined" (Kgm_telemetry.counters tele))
+
+let rule_stat (stats : V.Engine.stats) i = List.nth stats.V.Engine.per_rule i
+
+(* n(1..k); every mk fact carries a null C. Both head shapes start with
+   e(C, Z, 1), where only the constant is bound when the check starts
+   (C is an unmapped body null, Z existential): visited in written order,
+   every check lists every e fact. The second rule re-checks the first
+   one's heads (all hits). *)
+let selective_src k =
+  String.concat " " (List.init k (fun i -> Printf.sprintf "n(%d)." (i + 1)))
+  ^ {|
+     mk(X, C) :- n(X).
+     e(C, Z, 1), from(F, C, X, 1) :- mk(X, C).
+     e(C, Z, 1), from(F, C, X, 1) :- mk(X, C), n(X). |}
+
+(* canonical facts of [selective_src 40], computed with the written-order
+   check *)
+let selective_pin = "34c9ff8cd2beba84b1af52d348737646"
+
+let test_selective_head_check () =
+  List.iter
+    (fun k ->
+      let tele = Kgm_telemetry.create () in
+      let db, stats =
+        V.Engine.run_program ~telemetry:tele
+          (V.Parser.parse_program (selective_src k))
+      in
+      let checks = stats.V.Engine.chase_hits + stats.V.Engine.chase_misses in
+      (* mk invents one null per n fact, the first e/from rule two *)
+      check Alcotest.int (Printf.sprintf "k=%d: misses" k) (2 * k)
+        stats.V.Engine.chase_misses;
+      check Alcotest.int (Printf.sprintf "k=%d: hits" k) k
+        stats.V.Engine.chase_hits;
+      let examined = chase_examined tele in
+      (* a hit tries at least one candidate per head atom; the bound
+         is per check, whatever k *)
+      check Alcotest.bool
+        (Printf.sprintf "k=%d: %d candidates for %d checks" k examined checks)
+        true
+        (examined >= 2 * stats.V.Engine.chase_hits && examined <= 2 * checks);
+      if k = 40 then
+        check Alcotest.string "facts as with the written-order check"
+          selective_pin
+          (Digest.to_hex (Digest.string (Test_parallel.canon_text db))))
+    [ 40; 80 ]
+
+(* p(1..3) with k witnesses w(x, 1..k) each. q and r test them with a
+   don't-care; the recursive s rule does too, in delta rounds on the
+   pool. *)
+let witnesses_src k =
+  {| p(1). p(2). p(3). nx(1, 2). nx(2, 3). |}
+  ^ String.concat " "
+      (List.concat_map
+         (fun x -> List.init k (fun i -> Printf.sprintf "w(%d, %d)." x (i + 1)))
+         [ 1; 2; 3 ])
+  ^ {|
+     q(X, C) :- p(X), w(X, _).
+     r(X) :- p(X), w(X, _).
+     s(X) :- p(X), nx(X, _).
+     s(Y) :- s(X), nx(X, Y), w(Y, _). |}
+
+let derived db =
+  List.filter (fun (p, _) -> p <> "w") (Test_parallel.canon db)
+
+let test_dont_care_first_witness () =
+  let run_k ?(provenance = false) ?(jobs = 1) k =
+    let options = { V.Engine.default_options with V.Engine.provenance; jobs } in
+    run ~options (witnesses_src k)
+  in
+  let db1, s1 = run_k 1 in
+  List.iter
+    (fun k ->
+      let db, s = run_k k in
+      List.iter
+        (fun i ->
+          check Alcotest.int
+            (Printf.sprintf "k=%d: rule %d matched" k i)
+            (rule_stat s1 i).V.Engine.rs_matches
+            (rule_stat s i).V.Engine.rs_matches)
+        [ 0; 1; 2; 3 ];
+      check Alcotest.bool (Printf.sprintf "k=%d: facts and nulls" k) true
+        (derived db = derived db1);
+      check Alcotest.int (Printf.sprintf "k=%d: nulls" k)
+        s1.V.Engine.nulls_invented s.V.Engine.nulls_invented;
+      (* every witness enumerated when support is recorded: same store,
+         same rounds, one match per witness *)
+      let dbp, sp = run_k ~provenance:true k in
+      check Alcotest.string (Printf.sprintf "k=%d: as the full enumeration" k)
+        (Test_parallel.canon_text dbp) (Test_parallel.canon_text db);
+      check Alcotest.(list int)
+        (Printf.sprintf "k=%d: delta sizes" k)
+        sp.V.Engine.delta_sizes s.V.Engine.delta_sizes;
+      check Alcotest.int (Printf.sprintf "k=%d: q matched, all witnesses" k)
+        (3 * k) (rule_stat sp 0).V.Engine.rs_matches;
+      check Alcotest.int (Printf.sprintf "k=%d: q hits, all witnesses" k)
+        (3 * (k - 1)) (rule_stat sp 0).V.Engine.rs_chase_hits;
+      check Alcotest.int (Printf.sprintf "k=%d: q hits, first witness" k) 0
+        (rule_stat s 0).V.Engine.rs_chase_hits;
+      (* the oblivious chase invents per match: every witness counts *)
+      let dbo, _ =
+        run
+          ~options:{ V.Engine.default_options with V.Engine.restricted_chase = false }
+          (witnesses_src k)
+      in
+      check Alcotest.int (Printf.sprintf "k=%d: oblivious q facts" k) (3 * k)
+        (V.Database.count dbo "q");
+      (* the pool's chunks do not change what stops *)
+      let _, s2 = run_k ~jobs:2 k in
+      check Alcotest.bool (Printf.sprintf "k=%d: counters at jobs 2" k) true
+        (Test_parallel.rule_counters s = Test_parallel.rule_counters s2))
+    [ 1; 4 ]
+
+(* the don't-care w(X, _) is followed by t(X, Y), which the rule itself
+   derives: in round 0 (live store) each witness re-reads t and finds
+   what the previous one derived, so every witness must be enumerated *)
+let test_dont_care_live_later_literal () =
+  let src =
+    {| a(1). w(1, 10). w(1, 11). w(1, 12). t(1, 0).
+       nx(0, 1). nx(1, 2). nx(2, 3). nx(3, 4). nx(4, 5). nx(5, 6).
+       t(X, Z) :- a(X), w(X, _), t(X, Y), nx(Y, Z). |}
+  in
+  let db, s = run src in
+  let options = { V.Engine.default_options with V.Engine.provenance = true } in
+  let dbp, sp = run ~options src in
+  check Alcotest.int "round 0 derives one fact per witness" 3
+    (List.hd s.V.Engine.delta_sizes);
+  check Alcotest.(list int) "delta sizes as the full enumeration"
+    sp.V.Engine.delta_sizes s.V.Engine.delta_sizes;
+  check Alcotest.int "rounds" sp.V.Engine.rounds s.V.Engine.rounds;
+  check Alcotest.string "facts" (Test_parallel.canon_text dbp) (Test_parallel.canon_text db)
+
+let test_dont_care_support () =
+  let k = 5 in
+  let src =
+    "p(1). "
+    ^ String.concat " " (List.init k (fun i -> Printf.sprintf "w(1, %d)." (i + 1)))
+    ^ " r(X) :- p(X), w(X, _)."
+  in
+  let options = { V.Engine.default_options with V.Engine.provenance = true } in
+  let _, stats = run ~options src in
+  let sup = Option.get stats.V.Engine.support in
+  check Alcotest.int "one support entry per witness" k
+    (List.length (V.Engine.support_entries sup "r" [| Value.Int 1 |]));
+  check Alcotest.int "one match per witness" k
+    (rule_stat stats 0).V.Engine.rs_matches
+
+let suite =
+  suite
+  @ [ ("restricted-chase check: most selective atom first", `Quick,
+       test_selective_head_check);
+      ("don't-care literal: first witness", `Quick, test_dont_care_first_witness);
+      ("don't-care literal: live later literal enumerates", `Quick,
+       test_dont_care_live_later_literal);
+      ("don't-care literal: support keeps every witness", `Quick,
+       test_dont_care_support) ]
