@@ -166,32 +166,12 @@ let report_stopped ~on_limit ~metrics (stats : Kgm_vadalog.Engine.stats) =
         exit 2
       end
 
-(* Run [f] with a collector (enabled only when a flag asks for it), then
-   emit the requested artifacts. *)
-let with_telemetry ~trace ~metrics f =
-  let tele =
-    if trace <> None || metrics then Kgm_telemetry.create ()
-    else Kgm_telemetry.null
-  in
-  let r = f tele in
-  if metrics then print_string (Kgm_telemetry.summary tele);
-  (match trace with
-   | Some file ->
-       (try Kgm_telemetry.write_chrome_trace file tele
-        with Sys_error msg ->
-          Kgm_common.Kgm_error.raise_error_ctx Kgm_common.Kgm_error.Storage
-            [ ("file", file) ]
-            "cannot write trace: %s" msg);
-       Format.printf "trace written to %s@." file
-   | None -> ());
-  r
-
-(* The full observability harness for reasoning commands: the telemetry
-   collector plus the flight recorder, with the derived consumers —
-   live progress line and periodic Prometheus snapshots — attached as
-   journal taps. [f] gets the collector and the journal; each is a
-   no-op unless some flag asked for it (--progress and --metrics-out
-   imply an in-memory journal even without --journal). *)
+(* The observability harness of every command with telemetry flags:
+   the telemetry collector plus the flight recorder, with the derived
+   consumers — live progress line and periodic Prometheus snapshots —
+   attached as journal taps. [f] gets the collector and the journal;
+   each is a no-op unless some flag asked for it (--progress and
+   --metrics-out imply an in-memory journal even without --journal). *)
 let with_observability ~trace ~metrics ~journal ~metrics_out ~progress
     ~deadline f =
   let module Journal = Kgm_telemetry.Journal in
@@ -1071,7 +1051,9 @@ let figures_cmd =
   in
   let run out_dir trace metrics jobs =
     handle (fun () ->
-        with_telemetry ~trace ~metrics @@ fun tele ->
+        with_observability ~trace ~metrics ~journal:None ~metrics_out:None
+          ~progress:false ~deadline:None
+        @@ fun tele _ ->
         let options = options_for_jobs jobs in
         if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
         let write name content =

@@ -1,16 +1,20 @@
 (** A fixed-size pool of OCaml 5 domains with deterministic, ordered
-    results.
+    results, and its long-running sibling {!Service}.
 
     Built only on the stdlib multicore primitives ([Domain], [Mutex],
-    [Condition], [Atomic]); no external dependencies. The pool owns
-    [size - 1] worker domains — the caller's domain is the remaining
-    worker: {!run} drains the queue from the submitting domain too, so a
-    pool of size 1 spawns no domains and degenerates to strictly inline,
-    in-order execution. This makes [size = 1] a zero-overhead identity
-    and guarantees that results never depend on the pool size: tasks may
-    complete in any order, but {!run} returns them in submission order.
+    [Condition], [Atomic]); no external dependencies. Both faces share
+    one core: a queue drained by worker domains under one mutex, with a
+    stop flag and a stop-and-join.
 
-    Tasks must not themselves call {!run} on the same pool (no nested
+    The batch pool owns [size - 1] worker domains — the caller's domain
+    is the remaining worker: {!run_weighted} drains the queue from the
+    submitting domain too. The workers start when a batch first has more
+    than one task, so a pool of size 1, or one that only ever runs
+    single-task batches, starts none and runs strictly inline, in
+    submission order. Results never depend on the pool size: tasks may
+    complete in any order, but come back in submission order.
+
+    Tasks must not themselves submit to the same pool (no nested
     submission); the Vadalog engine uses one flat fan-out per fixpoint
     round.
 
@@ -22,51 +26,77 @@
 
 open Kgm_common
 
-type pool = {
-  size : int;
-  queue : (unit -> unit) Queue.t;
+(* ------------------------------------------------------------------ *)
+(* The core: a queue, its worker domains and their stop-and-join *)
+
+type 'a core = {
+  queue : 'a Queue.t;
   mutex : Mutex.t;
-  nonempty : Condition.t;  (** signalled when tasks arrive or at stop *)
+  nonempty : Condition.t;  (** signalled when items arrive or at stop *)
   mutable stop : bool;
   mutable domains : unit Domain.t list;
 }
 
-let rec worker_loop pool =
-  Mutex.lock pool.mutex;
-  while Queue.is_empty pool.queue && not pool.stop do
-    Condition.wait pool.nonempty pool.mutex
-  done;
-  if Queue.is_empty pool.queue then Mutex.unlock pool.mutex (* stop *)
-  else begin
-    let task = Queue.pop pool.queue in
-    Mutex.unlock pool.mutex;
-    task ();
-    worker_loop pool
-  end
+let core () =
+  { queue = Queue.create (); mutex = Mutex.create ();
+    nonempty = Condition.create (); stop = false; domains = [] }
 
-let create size =
-  let size = max 1 size in
-  let pool =
-    { size; queue = Queue.create (); mutex = Mutex.create ();
-      nonempty = Condition.create (); stop = false; domains = [] }
-  in
-  pool.domains <-
-    List.init (size - 1) (fun _ -> Domain.spawn (fun () -> worker_loop pool));
-  pool
+(* The one worker loop: pop and [handle] items until the queue is empty,
+   then — with [wait] — sleep until more arrive, returning once the core
+   stops. A caller helping with its own batch drains without [wait]. *)
+let rec drain ~wait core handle =
+  Mutex.lock core.mutex;
+  if wait then
+    while Queue.is_empty core.queue && not core.stop do
+      Condition.wait core.nonempty core.mutex
+    done;
+  match Queue.take_opt core.queue with
+  | None -> Mutex.unlock core.mutex
+  | Some item ->
+      Mutex.unlock core.mutex;
+      handle item;
+      drain ~wait core handle
 
+let spawn core n handle =
+  core.domains <-
+    List.init n (fun _ ->
+        Domain.spawn (fun () -> drain ~wait:true core handle))
+
+(* enqueue [items] unless the core stopped; one wake-up per item *)
+let push core items =
+  Mutex.lock core.mutex;
+  let admitted = not core.stop in
+  if admitted then
+    List.iter
+      (fun item ->
+        Queue.add item core.queue;
+        Condition.signal core.nonempty)
+      items;
+  Mutex.unlock core.mutex;
+  admitted
+
+(* stop admission, reclaim whatever was still queued, and join the
+   workers (each finishes the item it is handling first) *)
+let stop core =
+  Mutex.lock core.mutex;
+  core.stop <- true;
+  let leftover = List.of_seq (Queue.to_seq core.queue) in
+  Queue.clear core.queue;
+  Condition.broadcast core.nonempty;
+  Mutex.unlock core.mutex;
+  List.iter Domain.join core.domains;
+  core.domains <- [];
+  leftover
+
+(* ------------------------------------------------------------------ *)
+(* The batch pool *)
+
+type pool = { size : int; tasks : (unit -> unit) core }
+
+let create size = { size = max 1 size; tasks = core () }
 let size pool = pool.size
-
-let shutdown pool =
-  Mutex.lock pool.mutex;
-  pool.stop <- true;
-  Condition.broadcast pool.nonempty;
-  Mutex.unlock pool.mutex;
-  List.iter Domain.join pool.domains;
-  pool.domains <- []
-
-let with_pool size f =
-  let pool = create size in
-  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
+let spawned pool = List.length pool.tasks.domains
+let shutdown pool = ignore (stop pool.tasks)
 
 (* A failing worker task is re-raised on the caller's domain as a
    [Kgm_error] locating the failure: the worker domain that ran it and
@@ -90,17 +120,19 @@ let reraise_wrapped ~chunk ~of_ ~worker_id (e, bt) =
   in
   Printexc.raise_with_backtrace wrapped bt
 
-(* The caller's domain helps drain the queue, then blocks until every
-   task of this batch (including ones stolen by workers) has finished.
-   [enqueue] lists the submission indices in the order they enter the
-   shared queue — the scheduling knob. Results (and the error contract)
-   stay in submission order whatever [enqueue] says. *)
-let run_scheduled (type a) pool ~enqueue (thunks : (unit -> a) array) : a list =
+(* Longest-processing-time-first: starting the heavy tasks early shrinks
+   the tail where one straggler runs alone while the other workers idle.
+   Pure scheduling — the result list (and the error choice) stays in
+   submission order. The caller's domain helps drain the queue, then
+   blocks until every task of this batch (including ones stolen by
+   workers) has finished. *)
+let run_weighted (type a) pool ~weights (thunks : (unit -> a) array) : a list =
   let n = Array.length thunks in
-  if n = 0 then []
-  else if pool.domains = [] then
-    (* inline fast path: no synchronization, strict submission order —
-       but the same error contract as the parallel path *)
+  if Array.length weights <> n then
+    invalid_arg "Kgm_pool.run_weighted: weights/thunks length mismatch";
+  if n <= 1 || pool.size = 1 || pool.tasks.stop then
+    (* inline: no synchronization, strict submission order — but the
+       same error contract as the parallel path *)
     Array.to_list
       (Array.mapi
          (fun i f ->
@@ -111,6 +143,8 @@ let run_scheduled (type a) pool ~enqueue (thunks : (unit -> a) array) : a list =
                (e, Printexc.get_raw_backtrace ()))
          thunks)
   else begin
+    if pool.tasks.domains = [] then
+      spawn pool.tasks (pool.size - 1) (fun task -> task ());
     let results : a option array = Array.make n None in
     (* per-task error slots: the batch always runs to completion and the
        lowest-index error wins, so which worker failed first (a race)
@@ -120,6 +154,7 @@ let run_scheduled (type a) pool ~enqueue (thunks : (unit -> a) array) : a list =
     in
     let remaining = Atomic.make n in
     let finished = Condition.create () in
+    let core = pool.tasks in
     let task i () =
       (try results.(i) <- Some (thunks.(i) ())
        with e ->
@@ -127,30 +162,23 @@ let run_scheduled (type a) pool ~enqueue (thunks : (unit -> a) array) : a list =
            Some
              ( (e, Printexc.get_raw_backtrace ()),
                (Domain.self () :> int) ));
-      Mutex.lock pool.mutex;
+      Mutex.lock core.mutex;
       if Atomic.fetch_and_add remaining (-1) = 1 then
         Condition.broadcast finished;
-      Mutex.unlock pool.mutex
+      Mutex.unlock core.mutex
     in
-    Mutex.lock pool.mutex;
-    Array.iter (fun i -> Queue.add (task i) pool.queue) enqueue;
-    Condition.broadcast pool.nonempty;
-    Mutex.unlock pool.mutex;
-    let rec help () =
-      Mutex.lock pool.mutex;
-      match Queue.take_opt pool.queue with
-      | Some t ->
-          Mutex.unlock pool.mutex;
-          t ();
-          help ()
-      | None -> Mutex.unlock pool.mutex
+    let heaviest_first =
+      List.stable_sort
+        (fun i j -> Int.compare weights.(j) weights.(i))
+        (List.init n Fun.id)
     in
-    help ();
-    Mutex.lock pool.mutex;
+    ignore (push core (List.map task heaviest_first));
+    drain ~wait:false core (fun task -> task ());
+    Mutex.lock core.mutex;
     while Atomic.get remaining > 0 do
-      Condition.wait finished pool.mutex
+      Condition.wait finished core.mutex
     done;
-    Mutex.unlock pool.mutex;
+    Mutex.unlock core.mutex;
     Array.iteri
       (fun i slot ->
         match slot with
@@ -161,35 +189,6 @@ let run_scheduled (type a) pool ~enqueue (thunks : (unit -> a) array) : a list =
       (Array.map (function Some r -> r | None -> assert false) results)
   end
 
-let run pool thunks =
-  run_scheduled pool ~enqueue:(Array.init (Array.length thunks) Fun.id) thunks
-
-(* Longest-processing-time-first: starting the heavy tasks early shrinks
-   the tail where one straggler runs alone while the other workers idle.
-   Pure scheduling — the result list (and the error choice) is the same
-   as [run]'s for independent tasks. *)
-let run_weighted pool ~weights thunks =
-  let n = Array.length thunks in
-  if Array.length weights <> n then
-    invalid_arg "Kgm_pool.run_weighted: weights/thunks length mismatch";
-  let enqueue = Array.init n Fun.id in
-  Array.sort
-    (fun i j ->
-      let c = Int.compare weights.(j) weights.(i) in
-      if c <> 0 then c else Int.compare i j)
-    enqueue;
-  run_scheduled pool ~enqueue thunks
-
-let parallel_chunks pool items ~chunk_size f =
-  let chunk_size = max 1 chunk_size in
-  let n = Array.length items in
-  let n_chunks = (n + chunk_size - 1) / chunk_size in
-  run pool
-    (Array.init n_chunks (fun c ->
-         let lo = c * chunk_size in
-         let chunk = Array.sub items lo (min chunk_size (n - lo)) in
-         fun () -> f chunk))
-
 let chunk_size_for pool ~len =
   (* about four chunks per worker: enough slack for load balancing,
      few enough that per-chunk overhead stays negligible *)
@@ -197,56 +196,23 @@ let chunk_size_for pool ~len =
 
 (* ------------------------------------------------------------------ *)
 
-(* A service pool is the long-running sibling of {!run}: instead of a
-   batch with ordered results, items stream in through {!Service.submit}
-   and are consumed by dedicated worker domains for their side effects
-   (the reasoning server feeds accepted connections through one). No
+(* A service is the long-running face of the core: instead of a batch
+   with ordered results, items stream in through {!Service.submit} and
+   are consumed by dedicated worker domains for their side effects (the
+   reasoning server feeds accepted connections through one). No
    ordering or result contract — a service is a sink. A handler that
    raises does not kill its domain: the exception goes to [on_error]
    (default: swallowed) and the worker moves on. *)
 module Service = struct
-  type 'a t = {
-    queue : 'a Queue.t;
-    mutex : Mutex.t;
-    nonempty : Condition.t;
-    mutable stop : bool;
-    mutable domains : unit Domain.t list;
-    on_error : exn -> unit;
-    handler : 'a -> unit;
-  }
-
-  let rec worker svc =
-    Mutex.lock svc.mutex;
-    while Queue.is_empty svc.queue && not svc.stop do
-      Condition.wait svc.nonempty svc.mutex
-    done;
-    if Queue.is_empty svc.queue then Mutex.unlock svc.mutex (* stopping *)
-    else begin
-      let item = Queue.pop svc.queue in
-      Mutex.unlock svc.mutex;
-      (try svc.handler item with e -> (try svc.on_error e with _ -> ()));
-      worker svc
-    end
+  type 'a t = 'a core
 
   let create ~domains ?(on_error = fun _ -> ()) handler =
-    let svc =
-      { queue = Queue.create (); mutex = Mutex.create ();
-        nonempty = Condition.create (); stop = false; domains = [];
-        on_error; handler }
-    in
-    svc.domains <-
-      List.init (max 1 domains) (fun _ -> Domain.spawn (fun () -> worker svc));
+    let svc = core () in
+    spawn svc (max 1 domains) (fun item ->
+        try handler item with e -> (try on_error e with _ -> ()));
     svc
 
-  let submit svc item =
-    Mutex.lock svc.mutex;
-    let admitted = not svc.stop in
-    if admitted then begin
-      Queue.push item svc.queue;
-      Condition.signal svc.nonempty
-    end;
-    Mutex.unlock svc.mutex;
-    admitted
+  let submit svc item = push svc [ item ]
 
   let pending svc =
     Mutex.lock svc.mutex;
@@ -254,16 +220,5 @@ module Service = struct
     Mutex.unlock svc.mutex;
     n
 
-  (* stop admission, reclaim whatever was still queued, and join the
-     workers (each finishes the item it is processing first) *)
-  let shutdown svc =
-    Mutex.lock svc.mutex;
-    svc.stop <- true;
-    let leftover = List.of_seq (Queue.to_seq svc.queue) in
-    Queue.clear svc.queue;
-    Condition.broadcast svc.nonempty;
-    Mutex.unlock svc.mutex;
-    List.iter Domain.join svc.domains;
-    svc.domains <- [];
-    leftover
+  let shutdown = stop
 end

@@ -481,7 +481,7 @@ let add_fact_line buf pred fact =
    large predicate cannot outlive its budget *)
 let poll_every = 2048
 
-let eval_query ~poll ?register ?cache db q buf =
+let eval_query ~poll ~cache db q buf =
   let n = ref 0 in
   let seen = ref 0 in
   let emit pred fact =
@@ -535,19 +535,12 @@ let eval_query ~poll ?register ?cache db q buf =
                   rest)
           var_groups
       in
-      (* remember the probe pattern so the next epoch publish prepares
-         its index up front; within this epoch the side-car cache turns
-         the repeated frozen-store linear scan into one build *)
-      (match register with
-      | Some f when positions <> [] -> f atom.R.pred positions
-      | _ -> ());
-      let iter =
-        match cache with
-        | Some c -> DB.iter_matches_cached c db
-        | None -> DB.iter_matches db
-      in
+      (* within an epoch the side-car cache turns the repeated
+         frozen-store linear scan into one build; the next publish
+         prepares the patterns it recorded up front *)
       ignore
-        (iter atom.R.pred positions key (fun _seq fact ->
+        (DB.iter_matches_cached cache db atom.R.pred positions key
+           (fun _seq fact ->
              incr seen;
              if !seen land (poll_every - 1) = 0 then poll ();
              if Array.length fact = arity && joins_ok fact then
@@ -613,7 +606,7 @@ type stats = {
 }
 
 (* bound on the publish-time pattern registry, so an adversarial query
-   stream cannot make every epoch copy arbitrarily expensive (patterns
+   stream cannot make every publish arbitrarily expensive (patterns
    past the cap still get the per-epoch cache) *)
 let max_registered_patterns = 512
 
@@ -634,8 +627,9 @@ type t = {
   mutable log_w : Kgm_resilience.Framed.writer option;
   mutable log_bytes : int;
   mutable base_bytes : int;
-  patterns_mu : Mutex.t;
-  patterns : (string * int list, unit) Hashtbl.t;  (* query surface *)
+  (* the query surface: every pattern a retired epoch's cache built,
+     prepared at each publish. Under writer_mu *)
+  patterns : (string * int list, unit) Hashtbl.t;
   qp_mu : Mutex.t;
   qp_cache : (string, query) Hashtbl.t;  (* query text -> parsed *)
   mutable pool : Unix.file_descr Kgm_pool.Service.t option;
@@ -685,7 +679,6 @@ let create ?(telemetry = Kgm_telemetry.null)
       log_w = None;
       log_bytes = 0;
       base_bytes = 0;
-      patterns_mu = Mutex.create ();
       patterns = Hashtbl.create 16;
       qp_mu = Mutex.create ();
       qp_cache = Hashtbl.create 64;
@@ -748,20 +741,6 @@ let stats t =
 let draining t = Atomic.get t.drain_req
 let drain t = Atomic.set t.drain_req true
 
-let register_pattern t pred positions =
-  Mutex.lock t.patterns_mu;
-  if
-    Hashtbl.length t.patterns < max_registered_patterns
-    && not (Hashtbl.mem t.patterns (pred, positions))
-  then Hashtbl.replace t.patterns (pred, positions) ();
-  Mutex.unlock t.patterns_mu
-
-let registered_patterns t =
-  Mutex.lock t.patterns_mu;
-  let ps = Hashtbl.fold (fun k () acc -> k :: acc) t.patterns [] in
-  Mutex.unlock t.patterns_mu;
-  ps
-
 let timed t name f =
   let t0 = Kgm_telemetry.Clock.now () in
   let r = f () in
@@ -791,8 +770,9 @@ let await_readers ep =
   in
   wait 2e-5
 
-(* Publish the master as epoch [t.epoch_ctr]. Under writer_mu. Every
-   probe pattern the query surface has used so far is index-prepared
+(* Publish the master as epoch [t.epoch_ctr]. Under writer_mu. The
+   patterns the outgoing epoch's readers built into its side-car cache
+   join the registry, and every registered pattern is index-prepared
    on the master *before* it freezes, so readers of the new epoch never
    pay the frozen-store linear-scan fallback for a known pattern. The
    "swap" fault site is transient: wrapped in the retry loop, bounded
@@ -809,12 +789,17 @@ let await_readers ep =
    instead. *)
 let publish t =
   let db = Inc.db t.session in
+  let retired = Atomic.get t.epoch in
   List.iter
-    (fun (pred, positions) -> DB.prepare_index db pred positions)
-    (registered_patterns t);
+    (fun p ->
+      if Hashtbl.length t.patterns < max_registered_patterns then
+        Hashtbl.replace t.patterns p ())
+    (DB.cached_patterns retired.ep_cache);
+  Hashtbl.iter
+    (fun (pred, positions) () -> DB.prepare_index db pred positions)
+    t.patterns;
   DB.freeze db;
   let ep = make_epoch t.epoch_ctr db in
-  let retired = Atomic.get t.epoch in
   (match
      Retry.with_backoff ~attempts:4 ~base_s:0.001 ~cancel:t.drain_tok
        ~on_retry:(fun ~attempt:_ _ -> Atomic.incr t.c_faults)
@@ -1064,8 +1049,7 @@ let route t req =
         Fun.protect
           ~finally:(fun () -> Atomic.decr ep.ep_pins)
           (fun () ->
-            eval_query ~poll ~register:(register_pattern t)
-              ~cache:ep.ep_cache ep.ep_db q buf)
+            eval_query ~poll ~cache:ep.ep_cache ep.ep_db q buf)
       in
       ( 200,
         [ ("x-kgm-epoch", string_of_int ep.ep_id);

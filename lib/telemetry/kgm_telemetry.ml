@@ -113,7 +113,6 @@ let make on =
 
 let create () = make true
 let null = make false
-let global = make true
 let enabled t = t.on
 
 let reset t =

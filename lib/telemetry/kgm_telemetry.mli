@@ -75,10 +75,6 @@ val null : t
 
 val enabled : t -> bool
 
-val global : t
-(** A process-global enabled collector, for call sites with no natural
-    place to thread one through (epoch = module load time). *)
-
 val reset : t -> unit
 (** Drop all recorded spans, counters and histograms (epoch kept). *)
 

@@ -30,7 +30,6 @@ type options = {
                                 unplanned engine) *)
   max_facts : int;          (** hard budget; exceeded -> Reason error *)
   max_rounds : int;
-  check_wardedness : bool;  (** reject non-warded programs *)
   jobs : int;               (** domains evaluating semi-naive rounds;
                                 results are identical for every value *)
   deadline_s : float option;
@@ -63,7 +62,6 @@ let default_options =
     planner = true;
     max_facts = 5_000_000;
     max_rounds = 1_000_000;
-    check_wardedness = false;
     jobs = default_jobs;
     deadline_s = None;
     on_limit = `Raise }
@@ -1383,6 +1381,10 @@ let eval_stratified st (prep : prepared) agg_i ~on_new =
   in
   let keyv = sort_key prep in
   let groups : agg_state = KeyTbl.create 64 in
+  (* groups fire in the order the walk first met them, not in hash
+     order: a key holding a labeled null hashes by the null's number,
+     which depends on how many nulls the process invented before *)
+  let first_seen = ref [] in
   let env = env_create () in
   walk st env prep ~order:(List.init agg_i Fun.id) ~delta:None ~first:[||]
     ~keyv ~emit:(fun () ->
@@ -1395,16 +1397,18 @@ let eval_stratified st (prep : prepared) agg_i ~on_new =
             (fun v -> Option.value ~default:(Value.Null 0) (env_value st env v))
             prefix_vars
       in
+      let n = KeyTbl.length groups in
       ignore
         (agg_contribute g.Rule.op groups group_key dedup_key (fun () ->
-             Expr.eval_fn (env_value st env) g.Rule.weight)));
+             Expr.eval_fn (env_value st env) g.Rule.weight));
+      if KeyTbl.length groups > n then first_seen := group_key :: !first_seen);
   (* per group: bind group vars + result, then run the suffix and head *)
   let suffix =
     List.init (Array.length prep.cbody - agg_i - 1) (fun k -> agg_i + 1 + k)
   in
-  KeyTbl.iter
-    (fun group_key group ->
-      match group.acc with
+  List.iter
+    (fun group_key ->
+      match (KeyTbl.find groups group_key).acc with
       | None -> ()
       | Some acc ->
           let env = env_create () in
@@ -1413,7 +1417,7 @@ let eval_stratified st (prep : prepared) agg_i ~on_new =
           env_bind env g.Rule.result (value_id st acc);
           walk st env prep ~order:suffix ~delta:None ~first:[||] ~keyv
             ~emit:(fun () -> fire st env prep ~on_new))
-    groups
+    (List.rev !first_seen)
 
 (* ------------------------------------------------------------------ *)
 
@@ -1949,12 +1953,6 @@ let chase start ?(options = default_options) ?support
    | [] -> ()
    | errs ->
        Kgm_error.validate_error "unsafe program:@ %s" (String.concat "; " errs));
-  if options.check_wardedness then begin
-    let report = Analysis.wardedness program in
-    if not report.Analysis.warded then
-      Kgm_error.validate_error "program is not warded: %s"
-        (String.concat "; " report.Analysis.violations)
-  end;
   let analysis = Analysis.stratify program in
   let fingerprint = lazy (program_fingerprint program) in
   let ck_label =
@@ -2148,8 +2146,9 @@ let chase start ?(options = default_options) ?support
      the round-0 full evaluation covers this; here nothing else would) *)
   let derived : (string * Database.ifact) list ref = ref [] in
   let stopped = ref None in
-  (* one pool for the whole run; with jobs = 1 it spawns no domains and
-     Kgm_pool.run degenerates to an inline loop *)
+  (* one pool for the whole run; it starts its jobs - 1 domains at the
+     first round with more than one work item, so a run with none (or
+     jobs = 1) evaluates every round inline *)
   let pool = Kgm_pool.create (max 1 options.jobs) in
   Fun.protect ~finally:(fun () -> Kgm_pool.shutdown pool) @@ fun () ->
   (try
@@ -2344,6 +2343,8 @@ let chase start ?(options = default_options) ?support
     Kgm_telemetry.count telemetry ~by:stats.chase_hits "engine.chase.hits";
     Kgm_telemetry.count telemetry ~by:stats.chase_misses "engine.chase.misses";
     Kgm_telemetry.count telemetry ~by:st.examined "engine.chase.examined";
+    Kgm_telemetry.count telemetry ~by:(Kgm_pool.spawned pool)
+      "engine.pool.spawned";
     if !cks_written > 0 then
       Kgm_telemetry.count telemetry ~by:!cks_written
         "resilience.checkpoints.written";

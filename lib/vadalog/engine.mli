@@ -54,11 +54,10 @@ type options = {
           written order), the planner never changes observable output. *)
   max_facts : int;   (** hard budget; exceeding it raises a Reason error *)
   max_rounds : int;
-  check_wardedness : bool;
-      (** reject programs that fail {!Analysis.wardedness} *)
   jobs : int;
       (** worker domains for semi-naive delta rounds (1 = fully
-          sequential). Body matching runs on a frozen snapshot of the
+          sequential), started at the first round with more than one
+          work item. Body matching runs on a frozen snapshot of the
           store; firing (dedup, chase check, null invention, support)
           stays sequential in a schedule-independent order, so results —
           including labeled-null numbering and per-rule statistics — are
@@ -409,10 +408,10 @@ val run :
     recording id) to fold into, in place, instead of fresh ones — a
     maintenance layer passes the empty tables it keeps for the
     session. Raises [Kgm_error.Error]:
-    [Validate] on unsafe or unstratifiable programs (or unwarded ones
-    when [check_wardedness]), [Reason] on exceeded budgets (with the
-    offending rule and round — and the final checkpoint path, when one
-    was written — in the error context) unless [on_limit] is [`Partial].
+    [Validate] on unsafe or unstratifiable programs, [Reason] on
+    exceeded budgets (with the offending rule and round — and the final
+    checkpoint path, when one was written — in the error context)
+    unless [on_limit] is [`Partial].
 
     [cancel] is polled cooperatively (round boundaries, pool workers):
     cancelling it stops the run at the previous round boundary, as

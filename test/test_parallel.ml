@@ -18,28 +18,17 @@ let options_jobs jobs = { V.Engine.default_options with V.Engine.jobs }
 (* ------------------------------------------------------------------ *)
 (* The pool *)
 
-let test_pool_chunk_order () =
-  Kgm_pool.with_pool 4 @@ fun pool ->
-  let items = Array.init 100 (fun i -> i) in
-  let sums =
-    Kgm_pool.parallel_chunks pool items ~chunk_size:7 (fun chunk ->
-        Array.fold_left ( + ) 0 chunk)
-  in
-  (* 15 chunks, in slice order, regardless of which domain ran them *)
-  check Alcotest.int "chunks" 15 (List.length sums);
-  check Alcotest.int "total" (99 * 100 / 2) (List.fold_left ( + ) 0 sums);
-  let seq = ref [] in
-  Array.iteri
-    (fun i x ->
-      if i mod 7 = 0 then seq := x :: !seq
-      else match !seq with s :: tl -> seq := (s + x) :: tl | [] -> ())
-    items;
-  check Alcotest.(list int) "slice order" (List.rev !seq) sums
+let with_pool size f =
+  let pool = Kgm_pool.create size in
+  Fun.protect ~finally:(fun () -> Kgm_pool.shutdown pool) (fun () -> f pool)
+
+let run_batch pool thunks =
+  Kgm_pool.run_weighted pool ~weights:(Array.map (fun _ -> 0) thunks) thunks
 
 let test_pool_exception () =
-  Kgm_pool.with_pool 3 @@ fun pool ->
+  with_pool 3 @@ fun pool ->
   (match
-     Kgm_pool.run pool
+     run_batch pool
        [| (fun () -> 1); (fun () -> failwith "boom"); (fun () -> 3) |]
    with
   | exception Kgm_error.Error e ->
@@ -53,11 +42,11 @@ let test_pool_exception () =
   | _ -> Alcotest.fail "expected the worker exception to propagate");
   (* the pool survives a failed batch *)
   check Alcotest.(list int) "reusable" [ 2; 4 ]
-    (Kgm_pool.run pool [| (fun () -> 2); (fun () -> 4) |]);
+    (run_batch pool [| (fun () -> 2); (fun () -> 4) |]);
   (* deterministic propagation: several failures, the lowest submission
      index wins regardless of completion schedule *)
   match
-    Kgm_pool.run pool
+    run_batch pool
       [| (fun () -> failwith "a"); (fun () -> failwith "b"); (fun () -> 3) |]
   with
   | exception Kgm_error.Error e ->
@@ -67,14 +56,36 @@ let test_pool_exception () =
 
 let test_pool_inline () =
   (* size 1 spawns no domains: everything runs inline on the caller *)
-  Kgm_pool.with_pool 1 @@ fun pool ->
+  with_pool 1 @@ fun pool ->
   check Alcotest.int "size" 1 (Kgm_pool.size pool);
   let caller = Domain.self () in
-  let ran_on =
-    Kgm_pool.run pool (Array.init 5 (fun _ () -> Domain.self ()))
-  in
+  let ran_on = run_batch pool (Array.init 5 (fun _ () -> Domain.self ())) in
   check Alcotest.bool "inline" true
-    (List.for_all (fun d -> d = caller) ran_on)
+    (List.for_all (fun d -> d = caller) ran_on);
+  check Alcotest.int "no domain started" 0 (Kgm_pool.spawned pool)
+
+let test_pool_starts_with_work () =
+  let pool = Kgm_pool.create 4 in
+  for i = 1 to 3 do
+    check Alcotest.(list int) "single task" [ i ]
+      (run_batch pool [| (fun () -> i) |])
+  done;
+  check Alcotest.(list int) "empty batch" [] (run_batch pool [||]);
+  check Alcotest.int "single-task batches start no domain" 0
+    (Kgm_pool.spawned pool);
+  (* heaviest first, results still in submission order *)
+  check Alcotest.(list int) "multi-task batch" [ 0; 1; 2; 3; 4; 5 ]
+    (Kgm_pool.run_weighted pool ~weights:[| 1; 5; 2; 5; 0; 3 |]
+       (Array.init 6 (fun i () -> i)));
+  check Alcotest.int "the first multi-task batch starts size - 1" 3
+    (Kgm_pool.spawned pool);
+  ignore (run_batch pool (Array.init 8 (fun i () -> i)));
+  check Alcotest.int "and no more after" 3 (Kgm_pool.spawned pool);
+  Kgm_pool.shutdown pool;
+  check Alcotest.int "shutdown joins them" 0 (Kgm_pool.spawned pool);
+  check Alcotest.(list int) "after shutdown: inline" [ 1; 2 ]
+    (run_batch pool [| (fun () -> 1); (fun () -> 2) |]);
+  check Alcotest.int "and starts none" 0 (Kgm_pool.spawned pool)
 
 (* ------------------------------------------------------------------ *)
 (* Value identity (satellite fixes the parallel dedup depends on) *)
@@ -307,7 +318,9 @@ let pin_texts (db, (stats : V.Engine.stats)) =
       stats.V.Engine.new_facts (String.concat "" counters) )
 
 (* (program, planner, facts digest, stats digest), computed at the
-   commit that introduced the pins *)
+   commit that introduced the pins. negagg's facts were re-pinned when
+   stratified aggregates began firing their groups in first-seen order
+   (its [dsum] now writes deg for 1, 2, 3 in that order, not 3, 1, 2) *)
 let pins =
   [ ("warded", true,
      "f70df88e646daedea45ecc30344b7ef9",
@@ -322,10 +335,10 @@ let pins =
      "e5c9f734b9075cd4bfed934a4654a0cd",
      "e01e306ce672cceee2475709b114314c");
     ("negagg", true,
-     "5f87341984597e03e45dd0d2522827d1",
+     "03ba303487b7eba8832c3507589f772e",
      "07d5ece3354b59562cac17308c776d94");
     ("negagg", false,
-     "5f87341984597e03e45dd0d2522827d1",
+     "03ba303487b7eba8832c3507589f772e",
      "1ccd7ba8cd55d57107301e26feb8f1e9");
     ("control", true,
      "e9a7b0de514cbb41625dcb2964df57ef",
@@ -359,8 +372,40 @@ let test_pinned_digests () =
       pin "stats" want_stats stats)
     pins
 
+(* The chase's pool starts its domains at the first round with more
+   than one work item. Example 4.2's recursive rule aggregates, so it
+   never reaches the pool and no domain starts even at jobs 4; the
+   transitive closure's delta rounds fan out and start jobs - 1. *)
+let test_engine_spawns_with_work () =
+  let control_src =
+    "company(a). company(b). company(c). company(d). own(a, b, 0.6). \
+     own(b, c, 0.3). own(a, c, 0.3). own(c, d, 0.9). "
+    ^ Kgm_finance.Control.vadalog_program
+  in
+  let spawned jobs src =
+    let telemetry = Kgm_telemetry.create () in
+    let db, _ =
+      V.Engine.run_program ~options:(options_jobs jobs) ~telemetry
+        (V.Parser.parse_program src)
+    in
+    ( List.assoc_opt "engine.pool.spawned" (Kgm_telemetry.counters telemetry),
+      canon_text db )
+  in
+  List.iter
+    (fun (name, src, jobs, want) ->
+      let n1, facts1 = spawned 1 src in
+      let n, facts = spawned jobs src in
+      check Alcotest.(option int) (name ^ ": jobs 1 starts none") (Some 0) n1;
+      check Alcotest.(option int) (name ^ ": domains started") (Some want) n;
+      check Alcotest.string (name ^ ": facts as at jobs 1") facts1 facts)
+    [ ("aggregate-only recursion", control_src, 4, 0);
+      ("transitive closure", tc_src, 2, 1) ];
+  check Alcotest.bool "control through the aggregate" true
+    (List.mem "controls(\"a\", \"c\")"
+       (String.split_on_char '\n' (snd (spawned 1 control_src))))
+
 (* ------------------------------------------------------------------ *)
-(* Service pools: the streaming sibling of run — items from many
+(* Service pools: the streaming face of the pool core — items from many
    producers, dedicated consumer domains, shutdown returns the
    unprocessed remainder *)
 
@@ -490,8 +535,9 @@ let test_index_cache () =
 (* ------------------------------------------------------------------ *)
 
 let suite =
-  [ Alcotest.test_case "pool chunk order." `Quick test_pool_chunk_order;
-    Alcotest.test_case "pool exception propagation." `Quick test_pool_exception;
+  [ Alcotest.test_case "pool exception propagation." `Quick test_pool_exception;
+    Alcotest.test_case "pool starts domains with work." `Quick
+      test_pool_starts_with_work;
     Alcotest.test_case "pool size 1 runs inline." `Quick test_pool_inline;
     Alcotest.test_case "compare ignores oid hints in lists." `Quick
       test_compare_nested_oid_hint;
@@ -514,6 +560,8 @@ let suite =
       test_determinism_negation_aggregation;
     Alcotest.test_case "jobs-determinism: company control." `Quick
       test_determinism_control;
+    Alcotest.test_case "chase starts pool domains only with work." `Quick
+      test_engine_spawns_with_work;
     Alcotest.test_case "pinned chase digests across versions." `Quick
       test_pinned_digests;
     Alcotest.test_case "service pool: stream, drain, shutdown." `Quick

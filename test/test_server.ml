@@ -1158,6 +1158,25 @@ let test_generated_stream_recovers () =
       check Alcotest.bool "recovered = the live session" true (canon st = !live)
   | None -> Alcotest.fail "nothing recovered"
 
+(* A pattern the chase never indexed is built into the epoch's
+   side-car cache by the query that needs it; the next publish
+   prepares it on the master, and the one after on its twin, so after
+   two batches the session's store has the index itself *)
+let test_query_patterns_prepared () =
+  let session = mk_session tc_src in
+  let indexed () = V.Database.indexed_patterns (Inc.db session) "edge" in
+  check Alcotest.bool "the chase never indexed edge(_, Y)" false
+    (List.mem [ 1 ] (indexed ()));
+  ignore
+    (with_server ~session (fun _srv sock ->
+         let _, body = post sock "/query" "edge(X, d)" in
+         check Alcotest.(list string) "answer" [ "edge(\"c\", \"d\")." ]
+           (sorted_lines body);
+         ignore (update_ok sock "+edge(d, e).\n");
+         ignore (update_ok sock "+edge(e, f).\n")));
+  check Alcotest.bool "prepared on the session's store" true
+    (List.mem [ 1 ] (indexed ()))
+
 (* ------------------------------------------------------------------ *)
 
 let suite =
@@ -1202,4 +1221,6 @@ let suite =
     Alcotest.test_case "generated stream: counts, failures, crash recovery."
       `Quick test_generated_stream_recovers;
     Alcotest.test_case "a failed swap's operations replay at the next one."
-      `Quick test_failed_swap_replays_later ]
+      `Quick test_failed_swap_replays_later;
+    Alcotest.test_case "queried patterns are prepared at later publishes."
+      `Quick test_query_patterns_prepared ]

@@ -338,19 +338,6 @@ let test_wardedness_violation () =
   check Alcotest.bool "not warded" false r.V.Analysis.warded;
   check Alcotest.bool "violation reported" true (r.V.Analysis.violations <> [])
 
-let test_check_wardedness_option () =
-  let options = { V.Engine.default_options with V.Engine.check_wardedness = true } in
-  match
-    Kgm_error.guard (fun () ->
-        run ~options
-          {| a(1). b(2).
-             p(X, Y) :- a(X).
-             p2(X, Y) :- b(X).
-             both(Y, Z) :- p(X, Y), p2(W, Z). |})
-  with
-  | Error { Kgm_error.stage = Kgm_error.Validate; _ } -> ()
-  | _ -> Alcotest.fail "expected wardedness rejection"
-
 let test_stratify_structure () =
   let p = V.Parser.parse_program
       {| b(X) :- a(X).
@@ -471,7 +458,6 @@ let suite =
     ("multi-atom heads share existentials", `Quick, test_multi_atom_head);
     ("wardedness: positive case", `Quick, test_wardedness_ok);
     ("wardedness: violation", `Quick, test_wardedness_violation);
-    ("check_wardedness option", `Quick, test_check_wardedness_option);
     ("stratification structure", `Quick, test_stratify_structure);
     ("recursion detection", `Quick, test_recursive_detection);
     ("ABL-2: naive = semi-naive", `Quick, test_naive_equals_semi_naive);
