@@ -54,6 +54,22 @@ let time f =
   let r = f () in
   (r, Kgm_telemetry.Clock.now () -. t0)
 
+(* a positive override from the environment: KGM_BENCH_N (instance
+   size), _REQS, _CLIENTS, _WORKERS *)
+let bench_env name =
+  match Option.bind (Sys.getenv_opt ("KGM_BENCH_" ^ name)) int_of_string_opt with
+  | Some n when n > 0 -> Some n
+  | _ -> None
+
+module J = Kgm_telemetry.Json
+
+(* write an experiment's results as the JSON object [fields] *)
+let write_bench file fields =
+  let oc = open_out file in
+  output_string oc (J.to_string (J.Obj fields) ^ "\n");
+  close_out oc;
+  say "@.results written to %s@." file
+
 (* ------------------------------------------------------------------ *)
 
 let exp1 () =
@@ -605,11 +621,7 @@ let parallel () =
      path; always spawn at least one extra domain so the snapshot+merge
      machinery is what gets measured *)
   let jobs_n = max 2 ncores in
-  let sizes =
-    match Option.bind (Sys.getenv_opt "KGM_BENCH_N") int_of_string_opt with
-    | Some n when n > 0 -> [ n ]
-    | _ -> [ 400; 800; 1600 ]
-  in
+  let sizes = Option.fold ~none:[ 400; 800; 1600 ] ~some:(fun n -> [ n ]) (bench_env "N") in
   say
     "EXP-2 materialization (full Σ) at jobs=1 and jobs=%d@.\
      (Domain.recommended_domain_count = %d on this machine).@.@."
@@ -644,22 +656,18 @@ let parallel () =
       "@.Note: on a single-core container the parallel path cannot beat@.\
        jobs=1; the figure of merit is then the overhead of@.\
        snapshot+merge, which the speedup column reports honestly.@.";
-  let oc = open_out "BENCH_parallel.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n  \"experiment\": \"parallel-semi-naive\",\n";
-  p "  \"workload\": \"exp2-materialization\",\n";
-  p "  \"ncores\": %d,\n  \"jobs\": %d,\n  \"runs\": [\n" ncores jobs_n;
-  List.iteri
-    (fun i (n, t1, tn, speedup, agree) ->
-      p
-        "    { \"n\": %d, \"jobs1_s\": %.6f, \"jobsN_s\": %.6f, \"speedup\": \
-         %.3f, \"agree\": %b }%s\n"
-        n t1 tn speedup agree
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ]\n}\n";
-  close_out oc;
-  say "@.results written to BENCH_parallel.json@."
+  write_bench "BENCH_parallel.json"
+    [ ("experiment", J.Str "parallel-semi-naive");
+      ("workload", J.Str "exp2-materialization");
+      ("ncores", J.Int ncores); ("jobs", J.Int jobs_n);
+      ("runs",
+       J.Arr
+         (List.map
+            (fun (n, t1, tn, speedup, agree) ->
+              J.Obj
+                [ ("n", J.Int n); ("jobs1_s", J.Float t1); ("jobsN_s", J.Float tn);
+                  ("speedup", J.Float speedup); ("agree", J.Bool agree) ])
+            rows)) ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -671,11 +679,7 @@ let parallel () =
    KGM_BENCH_N overrides the instance sizes, as in PAR. *)
 let resilience () =
   header "RES | resilience: checkpoint overhead + crash-then-resume";
-  let sizes =
-    match Option.bind (Sys.getenv_opt "KGM_BENCH_N") int_of_string_opt with
-    | Some n when n > 0 -> [ n ]
-    | _ -> [ 400; 800 ]
-  in
+  let sizes = Option.fold ~none:[ 400; 800 ] ~some:(fun n -> [ n ]) (bench_env "N") in
   let ck_dir = Filename.concat (Filename.get_temp_dir_name ()) "kgm_bench_ck" in
   if not (Sys.file_exists ck_dir) then Unix.mkdir ck_dir 0o755;
   let clean_snapshots () =
@@ -737,23 +741,20 @@ let resilience () =
     "@.Shape check: overhead stays small (acceptance: <= 10%% at the@.\
      default interval) and the resumed run's derived counts match the@.\
      plain run exactly (the bit-for-bit resume invariant, DESIGN.md).@.";
-  let oc = open_out "BENCH_resilience.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n  \"experiment\": \"resilience-checkpoint\",\n";
-  p "  \"workload\": \"exp2-materialization\",\n";
-  p "  \"checkpoint_every\": %d,\n  \"runs\": [\n"
-    Kgm_vadalog.Engine.default_checkpoint_every;
-  List.iteri
-    (fun i (n, t_plain, t_ck, overhead_pct, crashed, equal) ->
-      p
-        "    { \"n\": %d, \"plain_s\": %.6f, \"checkpointed_s\": %.6f, \
-         \"overhead_pct\": %.3f, \"crashed\": %b, \"resume_equal\": %b }%s\n"
-        n t_plain t_ck overhead_pct crashed equal
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ]\n}\n";
-  close_out oc;
-  say "@.results written to BENCH_resilience.json@."
+  write_bench "BENCH_resilience.json"
+    [ ("experiment", J.Str "resilience-checkpoint");
+      ("workload", J.Str "exp2-materialization");
+      ("checkpoint_every", J.Int Kgm_vadalog.Engine.default_checkpoint_every);
+      ("runs",
+       J.Arr
+         (List.map
+            (fun (n, t_plain, t_ck, overhead_pct, crashed, equal) ->
+              J.Obj
+                [ ("n", J.Int n); ("plain_s", J.Float t_plain);
+                  ("checkpointed_s", J.Float t_ck);
+                  ("overhead_pct", J.Float overhead_pct);
+                  ("crashed", J.Bool crashed); ("resume_equal", J.Bool equal) ])
+            rows)) ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -775,11 +776,7 @@ let resilience () =
 let planner_bench () =
   header "PLAN | cost-aware chase planner: on vs off";
   let module V = Kgm_vadalog in
-  let n =
-    match Option.bind (Sys.getenv_opt "KGM_BENCH_N") int_of_string_opt with
-    | Some n when n > 0 -> n
-    | _ -> 2_000
-  in
+  let n = Option.value ~default:2_000 (bench_env "N") in
   let opts ~planner ~jobs = { V.Engine.default_options with planner; jobs } in
   let canon db =
     List.map (fun p -> (p, V.Database.facts db p)) (V.Database.predicates db)
@@ -887,24 +884,21 @@ let planner_bench () =
     "@.Shape check: identical everywhere; probes_on <= probes_off with@.\
      >= 30%% cut on reach-guard-first; rounds_on <= rounds_off with a@.\
      strict cut on exp6-descfrom-star (skipped non-recursive strata).@.";
-  let oc = open_out "BENCH_planner.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n  \"experiment\": \"chase-planner\",\n  \"n\": %d,\n" n;
-  p "  \"workloads\": [\n";
-  List.iteri
-    (fun i
-         (name, rounds_on, rounds_off, p_on, p_off, reduction, t_on, t_off,
-          identical) ->
-      p
-        "    { \"name\": \"%s\", \"rounds_on\": %d, \"rounds_off\": %d, \
-         \"probes_on\": %d, \"probes_off\": %d, \"probe_reduction_pct\": \
-         %.2f, \"on_s\": %.6f, \"off_s\": %.6f, \"identical\": %b }%s\n"
-        name rounds_on rounds_off p_on p_off reduction t_on t_off identical
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ]\n}\n";
-  close_out oc;
-  say "@.results written to BENCH_planner.json@."
+  write_bench "BENCH_planner.json"
+    [ ("experiment", J.Str "chase-planner"); ("n", J.Int n);
+      ("workloads",
+       J.Arr
+         (List.map
+            (fun (name, rounds_on, rounds_off, p_on, p_off, reduction, t_on,
+                  t_off, identical) ->
+              J.Obj
+                [ ("name", J.Str name); ("rounds_on", J.Int rounds_on);
+                  ("rounds_off", J.Int rounds_off); ("probes_on", J.Int p_on);
+                  ("probes_off", J.Int p_off);
+                  ("probe_reduction_pct", J.Float reduction);
+                  ("on_s", J.Float t_on); ("off_s", J.Float t_off);
+                  ("identical", J.Bool identical) ])
+            rows)) ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -923,11 +917,7 @@ let planner_bench () =
 let incremental_bench () =
   header "INC | incremental maintenance (DRed): update latency vs re-chase";
   let module V = Kgm_vadalog in
-  let n =
-    match Option.bind (Sys.getenv_opt "KGM_BENCH_N") int_of_string_opt with
-    | Some n when n > 0 -> n
-    | _ -> 2_000
-  in
+  let n = Option.value ~default:2_000 (bench_env "N") in
   let chains = max 1 (n / 20) and len = 20 in
   let edb =
     List.concat
@@ -1030,30 +1020,28 @@ let incremental_bench () =
      from-scratch chase). Written-order seeded joins used to scan the@.\
      saturated closure once per seed fact, putting planner-off@.\
      insertion at 0.32-0.36x — slower than re-chasing.@.";
-  let oc = open_out "BENCH_incremental.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n  \"experiment\": \"incremental-maintenance\",\n";
-  p "  \"workload\": \"ownership-reach-chains\",\n";
-  p "  \"n\": %d,\n  \"runs\": [\n" n;
-  List.iteri
-    (fun i (jobs, planner, name, (u : V.Incremental.update_stats), t_rechase,
-            speedup, equal) ->
-      p
-        "    { \"jobs\": %d, \"planner\": %b, \"scenario\": \"%s\", \
-         \"maintain_s\": %.6f, \"rechase_s\": %.6f, \"speedup\": %.3f, \
-         \"cone\": %d, \"deleted\": %d, \"rederived\": %d, \"derived\": %d, \
-         \"strata\": %d, \"agg_groups\": %d, \"fallback\": %b, \
-         \"maintained_equal\": %b }%s\n"
-        jobs planner name u.V.Incremental.u_elapsed_s t_rechase speedup
-        u.V.Incremental.u_cone u.V.Incremental.u_deleted
-        u.V.Incremental.u_rederived u.V.Incremental.u_derived
-        u.V.Incremental.u_strata u.V.Incremental.u_agg_groups
-        u.V.Incremental.u_fallback equal
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ]\n}\n";
-  close_out oc;
-  say "@.results written to BENCH_incremental.json@."
+  write_bench "BENCH_incremental.json"
+    [ ("experiment", J.Str "incremental-maintenance");
+      ("workload", J.Str "ownership-reach-chains"); ("n", J.Int n);
+      ("runs",
+       J.Arr
+         (List.map
+            (fun (jobs, planner, name, (u : V.Incremental.update_stats),
+                  t_rechase, speedup, equal) ->
+              J.Obj
+                [ ("jobs", J.Int jobs); ("planner", J.Bool planner);
+                  ("scenario", J.Str name);
+                  ("maintain_s", J.Float u.V.Incremental.u_elapsed_s);
+                  ("rechase_s", J.Float t_rechase); ("speedup", J.Float speedup);
+                  ("cone", J.Int u.V.Incremental.u_cone);
+                  ("deleted", J.Int u.V.Incremental.u_deleted);
+                  ("rederived", J.Int u.V.Incremental.u_rederived);
+                  ("derived", J.Int u.V.Incremental.u_derived);
+                  ("strata", J.Int u.V.Incremental.u_strata);
+                  ("agg_groups", J.Int u.V.Incremental.u_agg_groups);
+                  ("fallback", J.Bool u.V.Incremental.u_fallback);
+                  ("maintained_equal", J.Bool equal) ])
+            rows)) ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -1070,11 +1058,7 @@ let incremental_bench () =
 let observability_bench () =
   header "OBS | flight recorder + provenance: overhead vs plain chase";
   let module V = Kgm_vadalog in
-  let n =
-    match Option.bind (Sys.getenv_opt "KGM_BENCH_N") int_of_string_opt with
-    | Some n when n > 0 -> n
-    | _ -> 2_000
-  in
+  let n = Option.value ~default:2_000 (bench_env "N") in
   let chains = max 1 (n / 20) and len = 20 in
   let reach_prog =
     let buf = Buffer.create (n * 24) in
@@ -1165,18 +1149,15 @@ let observability_bench () =
     "@.Shape check: identical facts either way; overhead <= 10%% — one@.\
      buffered JSONL line per round/batch/plan event and one hash-table@.\
      insert per derivation do not change the asymptotics of the chase.@.";
-  let oc = open_out "BENCH_observability.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n  \"experiment\": \"observability-overhead\",\n";
-  p "  \"workload\": \"ownership-reach-chains\",\n";
-  p "  \"n\": %d,\n  \"reps\": %d,\n" n reps;
-  p "  \"plain_s\": %.6f,\n  \"instrumented_s\": %.6f,\n" t_plain t_instr;
-  p "  \"overhead_pct\": %.2f,\n" overhead_pct;
-  p "  \"journal_events\": %d,\n" events;
-  p "  \"new_facts\": %d,\n" s_plain.V.Engine.new_facts;
-  p "  \"identical\": %b\n}\n" identical;
-  close_out oc;
-  say "@.results written to BENCH_observability.json@."
+  write_bench "BENCH_observability.json"
+    [ ("experiment", J.Str "observability-overhead");
+      ("workload", J.Str "ownership-reach-chains"); ("n", J.Int n);
+      ("reps", J.Int reps); ("plain_s", J.Float t_plain);
+      ("instrumented_s", J.Float t_instr);
+      ("overhead_pct", J.Float overhead_pct);
+      ("journal_events", J.Int events);
+      ("new_facts", J.Int s_plain.V.Engine.new_facts);
+      ("identical", J.Bool identical) ]
 
 (* ------------------------------------------------------------------ *)
 (* SRV: served-query throughput through kgmodel serve's socket at
@@ -1213,30 +1194,10 @@ let server_bench () =
   header "SRV | serve throughput: keep-alive + domain readers at 10^6 facts";
   let module V = Kgm_vadalog in
   let module Inc = Kgm_vadalog.Incremental in
-  let n =
-    match Option.bind (Sys.getenv_opt "KGM_BENCH_N") int_of_string_opt with
-    | Some n when n > 0 -> n
-    | _ -> 1_000_000
-  in
-  let reqs =
-    match Option.bind (Sys.getenv_opt "KGM_BENCH_REQS") int_of_string_opt with
-    | Some r when r > 0 -> r
-    | _ -> 1_000
-  in
-  let clients =
-    match
-      Option.bind (Sys.getenv_opt "KGM_BENCH_CLIENTS") int_of_string_opt
-    with
-    | Some c when c > 0 -> c
-    | _ -> 4
-  in
-  let workers =
-    match
-      Option.bind (Sys.getenv_opt "KGM_BENCH_WORKERS") int_of_string_opt
-    with
-    | Some w when w > 0 -> w
-    | _ -> 4
-  in
+  let n = Option.value ~default:1_000_000 (bench_env "N") in
+  let reqs = Option.value ~default:1_000 (bench_env "REQS") in
+  let clients = Option.value ~default:4 (bench_env "CLIENTS") in
+  let workers = Option.value ~default:4 (bench_env "WORKERS") in
   let reps = 3 in
   (* one chain: 5 company + 4 own EDB = 9 facts; the reach closure is
      derived only for seeded heads (16 queried + scratch), so the
@@ -1539,41 +1500,31 @@ let server_bench () =
     ct_p50_delta ct_p99_delta !all_identical applied
     stats.Kgm_server.st_epoch stats.Kgm_server.st_shed
     stats.Kgm_server.st_faults update_p50 update_samples;
-  let oc = open_out "BENCH_server.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n  \"experiment\": \"server-throughput\",\n";
-  p "  \"workload\": \"company-ownership-chains\",\n";
-  p "  \"n_facts\": %d,\n  \"clients\": %d,\n" n_facts clients;
-  p "  \"requests_per_client\": %d,\n  \"reps\": %d,\n" reqs reps;
-  p "  \"close\": { \"req_s\": %.1f, \"p50_ms\": %.4f, \"p99_ms\": %.4f },\n"
-    close_r close_50 close_99;
-  p
-    "  \"keepalive\": { \"req_s\": %.1f, \"p50_ms\": %.4f, \"p99_ms\": %.4f \
-     },\n"
-    ka_r ka_50 ka_99;
-  p
-    "  \"pipelined\": { \"req_s\": %.1f, \"p50_ms\": %.4f, \"p99_ms\": %.4f \
-     },\n"
-    pl_r pl_50 pl_99;
-  p
-    "  \"contended\": { \"req_s\": %.1f, \"p50_ms\": %.4f, \"p99_ms\": %.4f \
-     },\n"
-    ct_r ct_50 ct_99;
-  p "  \"speedup_keepalive\": %.2f,\n" speedup_ka;
-  p "  \"speedup_pipelined\": %.2f,\n" speedup_pl;
-  p "  \"contended_req_s_ratio\": %.3f,\n" ct_req_ratio;
-  p "  \"contended_req_s_ratio_best\": %.3f,\n" ct_req_ratio_best;
-  p "  \"contended_p50_delta_ms\": %.4f,\n" ct_p50_delta;
-  p "  \"contended_p99_delta_ms\": %.4f,\n" ct_p99_delta;
-  p "  \"identical_answers\": %b,\n" !all_identical;
-  p "  \"update_batches\": %d,\n" applied;
-  p "  \"update_p50_ms\": %.4f,\n" update_p50;
-  p "  \"update_samples\": %d,\n" update_samples;
-  p "  \"epoch\": %d,\n" stats.Kgm_server.st_epoch;
-  p "  \"shed\": %d,\n" stats.Kgm_server.st_shed;
-  p "  \"published_every_batch\": %b\n}\n" published;
-  close_out oc;
-  say "@.results written to BENCH_server.json@."
+  let phase (r, p50, p99) =
+    J.Obj [ ("req_s", J.Float r); ("p50_ms", J.Float p50); ("p99_ms", J.Float p99) ]
+  in
+  write_bench "BENCH_server.json"
+    [ ("experiment", J.Str "server-throughput");
+      ("workload", J.Str "company-ownership-chains");
+      ("n_facts", J.Int n_facts); ("clients", J.Int clients);
+      ("requests_per_client", J.Int reqs); ("reps", J.Int reps);
+      ("close", phase (close_r, close_50, close_99));
+      ("keepalive", phase (ka_r, ka_50, ka_99));
+      ("pipelined", phase (pl_r, pl_50, pl_99));
+      ("contended", phase (ct_r, ct_50, ct_99));
+      ("speedup_keepalive", J.Float speedup_ka);
+      ("speedup_pipelined", J.Float speedup_pl);
+      ("contended_req_s_ratio", J.Float ct_req_ratio);
+      ("contended_req_s_ratio_best", J.Float ct_req_ratio_best);
+      ("contended_p50_delta_ms", J.Float ct_p50_delta);
+      ("contended_p99_delta_ms", J.Float ct_p99_delta);
+      ("identical_answers", J.Bool !all_identical);
+      ("update_batches", J.Int applied);
+      ("update_p50_ms", J.Float update_p50);
+      ("update_samples", J.Int update_samples);
+      ("epoch", J.Int stats.Kgm_server.st_epoch);
+      ("shed", J.Int stats.Kgm_server.st_shed);
+      ("published_every_batch", J.Bool published) ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per experiment *)

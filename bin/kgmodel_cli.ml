@@ -477,14 +477,8 @@ let reason_cmd =
            | None -> ()
            | Some s ->
                let pred, fact =
-                 let s' = String.trim s in
-                 let s' =
-                   if s' <> "" && s'.[String.length s' - 1] = '.' then s'
-                   else s' ^ "."
-                 in
-                 let p = Kgm_vadalog.Parser.parse_program s' in
-                 match p.Kgm_vadalog.Rule.facts with
-                 | [ (pred, args) ] -> (pred, Array.of_list args)
+                 match Kgm_vadalog.Parser.parse_facts s with
+                 | Ok [ pf ] -> pf
                  | _ ->
                      Kgm_common.Kgm_error.raise_error_ctx
                        Kgm_common.Kgm_error.Validate
@@ -495,7 +489,7 @@ let reason_cmd =
                let sup =
                  match stats.Kgm_vadalog.Engine.support with
                  | Some sup -> sup
-                 | None -> Kgm_vadalog.Engine.create_support ()
+                 | None -> Kgm_vadalog.Support.create ()
                in
                if not (Kgm_vadalog.Database.mem db pred fact) then
                  Format.printf "%% not in the database: %s@." (String.trim s);
@@ -577,7 +571,12 @@ let reason_cmd =
                      " [fallback: full re-chase]"
                    else ""))
               ufiles;
-            finish (Kgm_vadalog.Incremental.db st) stats)
+            (* explain against the live support: a fallback re-chase
+               replaces the one the first chase recorded *)
+            finish (Kgm_vadalog.Incremental.db st)
+              { stats with
+                Kgm_vadalog.Engine.support =
+                  Some (Kgm_vadalog.Incremental.support st) })
   in
   Cmd.v (Cmd.info "reason" ~doc:"Run a Vadalog program.")
     Term.(const run $ file $ query $ trace_arg $ metrics_arg $ jobs_arg

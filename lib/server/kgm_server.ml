@@ -63,26 +63,16 @@ module Batch = struct
         | '-' -> (`Ret, String.sub line 1 (String.length line - 1))
         | _ -> (`Ins, line)
       in
-      let rest = String.trim rest in
-      let rest =
-        if rest <> "" && rest.[String.length rest - 1] = '.' then rest
-        else rest ^ "."
-      in
       let reject msg =
         Err.raise_error_ctx Err.Validate
           [ ("line", string_of_int lineno); ("text", line) ]
           "%s" msg
       in
-      let p =
-        try Kgm_vadalog.Parser.parse_program rest
-        with Err.Error e -> reject ("batch: " ^ e.Err.message)
-      in
-      if p.R.rules <> [] then
-        reject "a batch line must be a ground fact, not a rule";
-      if p.R.facts = [] then reject "batch: no fact on this line";
-      List.map
-        (fun (pred, args) -> (sign, (pred, Array.of_list args)))
-        p.R.facts
+      match Kgm_vadalog.Parser.parse_facts rest with
+      | exception Err.Error e -> reject ("batch: " ^ e.Err.message)
+      | Ok facts -> List.map (fun pf -> (sign, pf)) facts
+      | Error `Rule -> reject "a batch line must be a ground fact, not a rule"
+      | Error `No_fact -> reject "batch: no fact on this line"
     end
 
   let parse text =
@@ -654,6 +644,9 @@ type t = {
   c_faults : int Atomic.t;
 }
 
+let queue_depth t =
+  match t.pool with Some p -> Kgm_pool.Service.pending p | None -> 0
+
 let create ?(telemetry = Kgm_telemetry.null)
     ?(journal = Journal.null) ?(epoch = 0) cfg ~session =
   let cfg =
@@ -703,9 +696,6 @@ let create ?(telemetry = Kgm_telemetry.null)
       c_inflight = Atomic.make 0;
       c_faults = Atomic.make 0 }
   in
-  let queue_depth () =
-    match t.pool with Some p -> Kgm_pool.Service.pending p | None -> 0
-  in
   Kgm_telemetry.gauge t.tele "server.epoch" (fun () ->
       (Atomic.get t.epoch).ep_id);
   Kgm_telemetry.gauge t.tele "server.requests" (fun () ->
@@ -719,13 +709,10 @@ let create ?(telemetry = Kgm_telemetry.null)
       Atomic.get t.c_updates);
   Kgm_telemetry.gauge t.tele "server.inflight" (fun () ->
       Atomic.get t.c_inflight);
-  Kgm_telemetry.gauge t.tele "server.queue_depth" queue_depth;
+  Kgm_telemetry.gauge t.tele "server.queue_depth" (fun () -> queue_depth t);
   Kgm_telemetry.gauge t.tele "server.faults_absorbed" (fun () ->
       Atomic.get t.c_faults);
   t
-
-let queue_depth t =
-  match t.pool with Some p -> Kgm_pool.Service.pending p | None -> 0
 
 let stats t =
   { st_epoch = (Atomic.get t.epoch).ep_id;
@@ -938,14 +925,8 @@ let handle_update t body =
            u.Inc.u_agg_groups u.Inc.u_fallback))
 
 let handle_explain t body =
-  let s = String.trim body in
-  let s =
-    if s <> "" && s.[String.length s - 1] = '.' then s else s ^ "."
-  in
-  let p = Kgm_vadalog.Parser.parse_program s in
-  match p.R.facts with
-  | [ (pred, args) ] ->
-      let fact = Array.of_list args in
+  match Kgm_vadalog.Parser.parse_facts body with
+  | Ok [ (pred, fact) ] ->
       with_lock t.writer_mu (fun () ->
           let sup = Inc.support t.session in
           let program =
@@ -956,7 +937,9 @@ let handle_explain t body =
           let buf = Buffer.create 256 in
           if not (DB.mem (Inc.db t.session) pred fact) then
             Buffer.add_string buf
-              (Printf.sprintf "%% not in the database: %s\n" (String.trim s));
+              (Printf.sprintf "%% not in the database: %s\n"
+                 (let s = String.trim body in
+                  if String.ends_with ~suffix:"." s then s else s ^ "."));
           Buffer.add_string buf
             (E.explain_tree_to_string (E.explain_tree sup program pred fact));
           ok (Buffer.contents buf))

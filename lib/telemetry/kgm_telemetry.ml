@@ -217,11 +217,9 @@ let gauges t =
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                           *)
 
-let summary t =
-  let buf = Buffer.create 1024 in
-  let say fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  say "== telemetry summary ==\n";
-  (* spans aggregated by name *)
+(* spans aggregated by name, in first-seen order: (name, count, total
+   seconds) *)
+let span_totals t =
   let agg : (string, int ref * float ref) Hashtbl.t = Hashtbl.create 16 in
   let order = ref [] in
   List.iter
@@ -234,16 +232,26 @@ let summary t =
           Hashtbl.add agg s.sp_name (ref 1, ref s.sp_dur);
           order := s.sp_name :: !order)
     (spans t);
-  if Hashtbl.length agg > 0 then begin
-    say "spans (aggregated by name):\n";
-    say "  %-40s %8s %12s %12s\n" "name" "count" "total s" "mean s";
-    List.iter
-      (fun name ->
-        let n, tot = Hashtbl.find agg name in
-        say "  %-40s %8d %12.6f %12.6f\n" name !n !tot
-          (!tot /. float_of_int !n))
-      (List.rev !order)
-  end;
+  List.rev_map
+    (fun name ->
+      let n, tot = Hashtbl.find agg name in
+      (name, !n, !tot))
+    !order
+
+let summary t =
+  let buf = Buffer.create 1024 in
+  let say fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  say "== telemetry summary ==\n";
+  (match span_totals t with
+   | [] -> ()
+   | totals ->
+       say "spans (aggregated by name):\n";
+       say "  %-40s %8s %12s %12s\n" "name" "count" "total s" "mean s";
+       List.iter
+         (fun (name, n, tot) ->
+           say "  %-40s %8d %12.6f %12.6f\n" name n tot
+             (tot /. float_of_int n))
+         totals);
   (match counters t with
    | [] -> ()
    | cs ->
@@ -280,44 +288,6 @@ let json_escape s =
       | c -> Buffer.add_char buf c)
     s;
   Buffer.contents buf
-
-let chrome_trace ?(process_name = "kgmodel") t =
-  let buf = Buffer.create 4096 in
-  let say fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  say "{\"traceEvents\":[";
-  say
-    "{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"%s\"}}"
-    (json_escape process_name);
-  List.iter
-    (fun s ->
-      say
-        ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"name\":\"%s\",\"cat\":\"%s\",\"ts\":%.3f,\"dur\":%.3f"
-        (json_escape s.sp_name) (json_escape s.sp_cat) (s.sp_start *. 1e6)
-        (s.sp_dur *. 1e6);
-      (match s.sp_args with
-       | [] -> ()
-       | args ->
-           say ",\"args\":{";
-           List.iteri
-             (fun i (k, v) ->
-               say "%s\"%s\":\"%s\"" (if i = 0 then "" else ",")
-                 (json_escape k) (json_escape v))
-             args;
-           say "}");
-      say "}")
-    (spans t);
-  say "],\n\"otherData\":{";
-  List.iteri
-    (fun i (k, v) ->
-      say "%s\"%s\":%d" (if i = 0 then "" else ",") (json_escape k) v)
-    (counters t);
-  say "}}\n";
-  Buffer.contents buf
-
-let write_chrome_trace ?process_name file t =
-  let oc = open_out file in
-  output_string oc (chrome_trace ?process_name t);
-  close_out oc
 
 let sanitize_metric_name s =
   String.map
@@ -371,34 +341,20 @@ let prometheus ?(namespace = "kgm") t =
       say "%s_count %d\n" m s.Histogram.count)
     (histograms t);
   (* spans, aggregated by name: a pair of counters per span name *)
-  let agg : (string, int ref * float ref) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun sp ->
-      match Hashtbl.find_opt agg sp.sp_name with
-      | Some (n, tot) ->
-          incr n;
-          tot := !tot +. sp.sp_dur
-      | None ->
-          Hashtbl.add agg sp.sp_name (ref 1, ref sp.sp_dur);
-          order := sp.sp_name :: !order)
-    (spans t);
-  (match List.rev !order with
+  (match span_totals t with
    | [] -> ()
-   | names ->
+   | totals ->
        say "# TYPE %s_span_total counter\n" ns;
        List.iter
-         (fun name ->
-           let n, _ = Hashtbl.find agg name in
-           say "%s_span_total{span=\"%s\"} %d\n" ns (label_escape name) !n)
-         names;
+         (fun (name, n, _) ->
+           say "%s_span_total{span=\"%s\"} %d\n" ns (label_escape name) n)
+         totals;
        say "# TYPE %s_span_seconds_total counter\n" ns;
        List.iter
-         (fun name ->
-           let _, tot = Hashtbl.find agg name in
+         (fun (name, _, tot) ->
            say "%s_span_seconds_total{span=\"%s\"} %.9f\n" ns
-             (label_escape name) !tot)
-         names);
+             (label_escape name) tot)
+         totals);
   Buffer.contents buf
 
 let write_prometheus ?namespace file t =
@@ -675,6 +631,39 @@ module Json = struct
   let to_float = function Float f -> Some f | Int i -> Some (float_of_int i) | _ -> None
   let to_str = function Str s -> Some s | _ -> None
 end
+
+(* Chrome trace-event format: one complete ("X") event per span, in
+   microseconds, after a process-name metadata event; counters ride in
+   [otherData] *)
+let chrome_trace ?(process_name = "kgmodel") t =
+  let event s =
+    Json.Obj
+      ([ ("ph", Json.Str "X"); ("pid", Json.Int 1); ("tid", Json.Int 1);
+         ("name", Json.Str s.sp_name); ("cat", Json.Str s.sp_cat);
+         ("ts", Json.Float (s.sp_start *. 1e6));
+         ("dur", Json.Float (s.sp_dur *. 1e6)) ]
+      @
+      match s.sp_args with
+      | [] -> []
+      | args -> [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) args)) ])
+  in
+  let meta =
+    Json.Obj
+      [ ("ph", Json.Str "M"); ("pid", Json.Int 1); ("tid", Json.Int 1);
+        ("name", Json.Str "process_name");
+        ("args", Json.Obj [ ("name", Json.Str process_name) ]) ]
+  in
+  Json.to_string
+    (Json.Obj
+       [ ("traceEvents", Json.Arr (meta :: List.map event (spans t)));
+         ("otherData",
+          Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters t))) ])
+  ^ "\n"
+
+let write_chrome_trace ?process_name file t =
+  let oc = open_out file in
+  output_string oc (chrome_trace ?process_name t);
+  close_out oc
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder: a JSONL journal of chase events. Each line is one

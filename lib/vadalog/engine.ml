@@ -106,166 +106,6 @@ type rule_stats = {
   rs_time_s : float;       (** monotonic time spent evaluating the rule *)
 }
 
-(* keyed consistently with Value.equal/Value.hash, like the fact store *)
-module ProvTbl = Hashtbl.Make (struct
-  type t = string * Value.t list
-
-  let equal (p, k) (p', k') = String.equal p p' && List.equal Value.equal k k'
-  let hash (p, k) = Hashtbl.hash (p, List.map Value.hash k)
-end)
-
-(* ------------------------------------------------------------------ *)
-(* Derivation support: the full multiset of derivations — the one
-   record that both explains a fact ([explain_tree] renders its first
-   derivation) and maintains it. Delete-and-rederive needs every
-   derivation (a fact whose first derivation dies may survive through
-   an alternative one), the nulls each firing invented (a null's
-   creating derivation dying retracts the null and everything carrying
-   it), and the restricted-chase checks that SUPPRESSED an invention
-   (when the homomorphic image that satisfied the check dies, the
-   suppressed firing must be re-attempted — it may now invent).
-   [Incremental] drives all of this; the structure is transparent in
-   the interface because the maintenance layer walks and prunes it
-   in place. *)
-
-let fact_equal (a : Database.fact) (b : Database.fact) =
-  Array.length a = Array.length b
-  &&
-  let n = Array.length a in
-  let rec go i = i >= n || (Value.equal a.(i) b.(i) && go (i + 1)) in
-  go 0
-
-let compare_fact (a : Database.fact) (b : Database.fact) =
-  let c = Int.compare (Array.length a) (Array.length b) in
-  if c <> 0 then c
-  else
-    let n = Array.length a in
-    let rec go i =
-      if i >= n then 0
-      else
-        let c = Value.compare a.(i) b.(i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
-
-let parent_equal (p, f) (p', f') = String.equal p p' && fact_equal f f'
-
-let compare_parent (p, f) (p', f') =
-  let c = String.compare p p' in
-  if c <> 0 then c else compare_fact f f'
-
-(* parents are stored sorted and dedup'd: the trail order differs
-   between the sequential and the worker evaluation paths, and DRed
-   only needs the SET of body facts a firing consumed *)
-let canonical_parents ps = List.sort_uniq compare_parent ps
-
-type support_entry = {
-  se_rule : int;  (* rule id within its program (informational) *)
-  se_parents : (string * Database.fact) list;  (* canonical order *)
-  se_nulls : int list;  (* labeled nulls this firing invented *)
-}
-
-type suppressed_firing = {
-  sf_rule : int;
-  sf_parents : (string * Database.fact) list;  (* canonical order *)
-  sf_image : (string * Database.fact) list;
-      (* the homomorphic image that satisfied the head check *)
-}
-
-type support = {
-  sup_entries : support_entry list ref ProvTbl.t;
-      (* derived fact -> its derivations, most recent first *)
-  sup_children : (string * Database.fact) list ref ProvTbl.t;
-      (* body fact -> head facts with an entry consuming it (the
-         reverse edges the overdeletion cone walks); may hold
-         duplicates and stale (pruned) children — consumers dedup *)
-  sup_null_origin : (int, (string * Database.fact) list) Hashtbl.t;
-      (* null id -> parents of its creating derivation *)
-  sup_null_facts : (int, (string * Database.fact) list ref) Hashtbl.t;
-      (* null id -> facts whose tuple carries the null *)
-  mutable sup_suppressed : suppressed_firing list;
-      (* reverse recording order *)
-  sup_suppressed_keys :
-    (int * (string * Value.t list) list, unit) Hashtbl.t;
-}
-
-let create_support () =
-  { sup_entries = ProvTbl.create 1024;
-    sup_children = ProvTbl.create 1024;
-    sup_null_origin = Hashtbl.create 64;
-    sup_null_facts = Hashtbl.create 64;
-    sup_suppressed = [];
-    sup_suppressed_keys = Hashtbl.create 64 }
-
-let rec value_nulls acc = function
-  | Value.Null k -> k :: acc
-  | Value.List l -> List.fold_left value_nulls acc l
-  | _ -> acc
-
-let fact_nulls (f : Database.fact) =
-  Array.fold_left value_nulls [] f |> List.sort_uniq Int.compare
-
-let support_entries sup pred fact =
-  match ProvTbl.find_opt sup.sup_entries (pred, Array.to_list fact) with
-  | Some r -> !r
-  | None -> []
-
-let support_record sup ~rule_id ~parents ~nulls pred fact =
-  let parents = canonical_parents parents in
-  let key = (pred, Array.to_list fact) in
-  let entries =
-    match ProvTbl.find_opt sup.sup_entries key with
-    | Some r -> r
-    | None ->
-        let r = ref [] in
-        ProvTbl.add sup.sup_entries key r;
-        r
-  in
-  let dup =
-    List.exists
-      (fun e ->
-        e.se_rule = rule_id && List.equal parent_equal e.se_parents parents)
-      !entries
-  in
-  if not dup then begin
-    entries :=
-      { se_rule = rule_id; se_parents = parents; se_nulls = nulls } :: !entries;
-    List.iter
-      (fun (pp, pf) ->
-        let ck = (pp, Array.to_list pf) in
-        match ProvTbl.find_opt sup.sup_children ck with
-        | Some r -> r := (pred, fact) :: !r
-        | None -> ProvTbl.add sup.sup_children ck (ref [ (pred, fact) ]))
-      parents;
-    List.iter
-      (fun n ->
-        if not (Hashtbl.mem sup.sup_null_origin n) then
-          Hashtbl.add sup.sup_null_origin n parents)
-      nulls
-  end
-
-(* called once per NEW fact: index which nulls its tuple carries *)
-let support_index_fact sup pred fact =
-  List.iter
-    (fun n ->
-      match Hashtbl.find_opt sup.sup_null_facts n with
-      | Some r -> r := (pred, fact) :: !r
-      | None -> Hashtbl.add sup.sup_null_facts n (ref [ (pred, fact) ]))
-    (fact_nulls fact)
-
-let support_record_suppressed sup ~rule_id ~parents ~image =
-  let parents = canonical_parents parents in
-  let key =
-    (rule_id, List.map (fun (p, f) -> (p, Array.to_list f)) parents)
-  in
-  if not (Hashtbl.mem sup.sup_suppressed_keys key) then begin
-    Hashtbl.add sup.sup_suppressed_keys key ();
-    sup.sup_suppressed <-
-      { sf_rule = rule_id; sf_parents = parents;
-        sf_image = canonical_parents image }
-      :: sup.sup_suppressed
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Run statistics                                                       *)
 
@@ -282,7 +122,7 @@ type stats = {
   stopped : limit option;  (** [Some l] when the run stopped early under
                                [on_limit:`Partial]; the result is a
                                deterministic prefix of the fixpoint *)
-  support : support option;
+  support : Support.t option;
                            (** the derivation support recorded during the
                                run, when [options.provenance] was on or a
                                [?support] was passed *)
@@ -650,7 +490,7 @@ type run_state = {
   opts : options;
   mutable added : int;
   agg_states : (int, agg_state) Hashtbl.t; (* rid -> state *)
-  sup : support option;  (* full derivation support (DRed maintenance) *)
+  sup : Support.t option;  (* full derivation support (DRed maintenance) *)
   mutable negative_sums : int list;
   (* recording ids of the [sum] rules that folded a negative weight,
      once per such weight *)
@@ -951,34 +791,27 @@ let fire st env (prep : prepared) ~on_new =
       raise (Stop_chase (`Facts, false))
     end
   in
-  (* support records EVERY derivation — including re-derivations of a
-     fact already present: DRed needs the alternatives a fact may
-     survive a retraction through *)
-  let record_support nulls pred fact =
-    match st.sup with
-    | Some sup ->
-        support_record sup ~rule_id:prep.rid
-          ~parents:(resolve_parents st (trail_parents st)) ~nulls pred fact
-    | None -> ()
-  in
   let add_head nulls (a : catom) =
     let ifact = ground_atom env a in
-    if Database.add_i st.db a.ca_pred ifact then begin
+    let fresh = Database.add_i st.db a.ca_pred ifact in
+    if fresh then begin
       st.added <- st.added + 1;
       st.cur.c_firings <- st.cur.c_firings + 1;
-      budget_check ();
-      (* the support stays value-based: resolve once, at the recording
-         boundary, off the hot dedup path *)
-      (match st.sup with
-       | Some sup ->
-           let fact = resolve_ifact st ifact in
-           support_index_fact sup a.ca_pred fact;
-           record_support nulls a.ca_pred fact
-       | None -> ());
-      on_new a.ca_pred ifact
-    end
-    else if Option.is_some st.sup then
-      record_support nulls a.ca_pred (resolve_ifact st ifact)
+      budget_check ()
+    end;
+    (* the support records EVERY derivation — including re-derivations
+       of a fact already present: DRed needs the alternatives a fact may
+       survive a retraction through. It stays value-based: resolve once,
+       at the recording boundary, off the hot dedup path *)
+    (match st.sup with
+     | Some sup ->
+         let fact = resolve_ifact st ifact in
+         if fresh then Support.note_fact sup a.ca_pred fact;
+         Support.record sup ~rule_id:prep.rid
+           ~parents:(resolve_parents st (trail_parents st)) ~nulls a.ca_pred
+           fact
+     | None -> ());
+    if fresh then on_new a.ca_pred ifact
   in
   if prep.existentials = [] then List.iter (add_head []) prep.cheads
   else begin
@@ -990,7 +823,7 @@ let fire st env (prep : prepared) ~on_new =
           st.cur.c_hits <- st.cur.c_hits + 1;
           (match st.sup with
            | Some sup ->
-               support_record_suppressed sup ~rule_id:prep.rid
+               Support.record_suppressed sup ~rule_id:prep.rid
                  ~parents:(resolve_parents st (trail_parents st))
                  ~image:(resolve_parents st image)
            | None -> ());
@@ -1833,14 +1666,15 @@ let checkpoint ?(every = default_checkpoint_every) ?(keep = 0)
     ?(label = "chase") dir =
   { ck_dir = dir; ck_every = max 1 every; ck_label = label; ck_keep = keep }
 
-(* v4: facts and deltas are stored as interned [int array]s together
+(* v5: facts and deltas are stored as interned [int array]s together
    with the dictionary (p_dict); loading re-interns the dictionary into
    the target database and remaps the ids. v4 dropped v3's
-   first-derivation table from the payload; any other version is
+   first-derivation table from the payload, v5 the support's null ->
+   creating-parents table (the entries name them); any other version is
    rejected by [Snapshot.load]'s version check, so an old file fails
    with a Storage error instead of being unmarshalled as the wrong
    type. *)
-let ck_version = 4
+let ck_version = 5
 let ck_kind label = "chase-" ^ label
 
 let latest_checkpoint ?(label = "chase") dir =
@@ -1864,40 +1698,13 @@ type ck_payload = {
   p_delta : (string * Database.ifact list) list;
   p_ctrs : rule_ctr array;
   p_agg : (int * agg_state) list;
-  p_sup : support option;
+  p_sup : Support.t option;
       (* the full derivation support, so a resumed run stays
          incrementally maintainable and explain-able. Pure data
          (hashtables, refs, lists of values), so Marshal round-trips
          it; per-fact entry lists are preserved verbatim, which keeps
          explanation output identical across resume. *)
 }
-
-(* Merge a deserialized support into the caller's (normally fresh)
-   support structure. Entry lists and recording order are preserved;
-   duplicates are impossible when [into] is empty and harmless
-   otherwise ([support_record] dedups, and consumers of children lists
-   dedup on their side). *)
-let support_absorb ~(into : support) (src : support) =
-  ProvTbl.iter
-    (fun key entries ->
-      List.iter
-        (fun e ->
-          let pred, vals = key in
-          support_record into ~rule_id:e.se_rule ~parents:e.se_parents
-            ~nulls:e.se_nulls pred (Array.of_list vals))
-        (List.rev !entries))
-    src.sup_entries;
-  Hashtbl.iter
-    (fun n facts ->
-      match Hashtbl.find_opt into.sup_null_facts n with
-      | Some r -> r := !facts @ !r
-      | None -> Hashtbl.add into.sup_null_facts n (ref !facts))
-    src.sup_null_facts;
-  List.iter
-    (fun sf ->
-      support_record_suppressed into ~rule_id:sf.sf_rule
-        ~parents:sf.sf_parents ~image:sf.sf_image)
-    (List.rev src.sup_suppressed)
 
 let program_fingerprint program =
   Digest.to_hex (Digest.string (Rule.program_to_string program))
@@ -1947,7 +1754,7 @@ let chase start ?(options = default_options) ?support
   let support =
     match support with
     | Some _ -> support
-    | None -> if options.provenance then Some (create_support ()) else None
+    | None -> if options.provenance then Some (Support.create ()) else None
   in
   (match Analysis.safety_report program with
    | [] -> ()
@@ -2030,7 +1837,7 @@ let chase start ?(options = default_options) ?support
          p.p_ctrs;
        List.iter (fun (id, s) -> Hashtbl.replace st.agg_states id s) p.p_agg;
        (match support, p.p_sup with
-        | Some into, Some src -> support_absorb ~into src
+        | Some into, Some src -> Support.absorb ~into src
         | _ -> ()));
   let seed =
     List.map (fun (p, fs) -> (p, List.map (Database.intern_fact db) fs)) seed
@@ -2533,20 +2340,17 @@ let head_substitution (r : Rule.rule) pred (fact : Database.fact) =
   in
   Option.value ~default:[] (List.find_map try_atom r.Rule.head)
 
-let explain_tree ?(max_depth = default_explain_depth) (sup : support)
+let explain_tree ?(max_depth = default_explain_depth) (sup : Support.t)
     (program : Rule.program) pred (fact : Database.fact) =
   let rules = Array.of_list program.Rule.rules in
-  let key_equal (p, k) (p', k') =
-    String.equal p p' && List.equal Value.equal k k'
-  in
   let rec go path depth pred fact =
-    let key = (pred, Array.to_list fact) in
     let node =
-      match support_entries sup pred fact with
+      match Support.entries sup pred fact with
       | [] -> Ground
       | entries ->
           if depth >= max_depth then Truncated
-          else if List.exists (key_equal key) path then Cycle
+          else if List.exists (Support.parent_equal (pred, fact)) path then
+            Cycle
           else begin
             (* entries are most-recent-first: the first-recorded
                derivation is the last *)
@@ -2569,7 +2373,7 @@ let explain_tree ?(max_depth = default_explain_depth) (sup : support)
                 ed_nulls = e.se_nulls;
                 ed_premises =
                   List.map
-                    (fun (pp, pf) -> go (key :: path) (depth + 1) pp pf)
+                    (fun (pp, pf) -> go ((pred, fact) :: path) (depth + 1) pp pf)
                     e.se_parents }
           end
     in

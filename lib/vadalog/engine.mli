@@ -32,8 +32,8 @@ type options = {
   provenance : bool;
       (** retain the derivation support graph after the chase and return
           it in {!stats.support}, so facts can be explained
-          ({!explain_tree}) without the caller allocating a {!support}
-          up front. Passing [?support] explicitly implies it. This is
+          ({!explain_tree}) without the caller allocating a
+          {!Support.t} up front. Passing [?support] explicitly implies it. This is
           the one way to explain a fact. Off by default: recording costs
           memory proportional to the number of derivations (see
           DESIGN.md §11 for the cost model) *)
@@ -152,77 +152,6 @@ type rule_stats = {
   rs_time_s : float;       (** monotonic time evaluating the rule *)
 }
 
-(** {1 Derivation support (explanation and incremental maintenance)}
-
-    A [support] is the engine's one record of derivations: it explains
-    a fact ({!explain_tree} renders its first derivation) and holds the
-    full derivation structure delete-and-rederive needs:
-    every derivation of every derived fact (a fact whose first
-    derivation dies may survive through an alternative one), the
-    labeled nulls each firing invented (a null's creating derivation
-    dying retracts the null and every fact carrying it), a reverse
-    (parent → children) edge index for walking overdeletion cones, a
-    null → carrying-facts index, and the restricted-chase checks that
-    {e suppressed} an invention together with the homomorphic image
-    that satisfied them (if the image later dies, the suppressed firing
-    must be re-attempted — it may then invent).
-
-    The representation is transparent: {!Incremental} walks and prunes
-    it in place. Pass a fresh support to {!run} for the initial chase
-    and the {e same} one to every subsequent {!run_delta} over that
-    database; recording must cover the whole life of the
-    materialization or DRed's completeness argument breaks. Snapshots
-    serialize the support recorded so far, so a resumed run keeps
-    recording into the caller's support and the result is maintainable
-    and explainable exactly as if never interrupted. *)
-
-module ProvTbl : Hashtbl.S with type key = string * Kgm_common.Value.t list
-(** Fact-keyed hash tables, consistent with
-    {!Kgm_common.Value.equal}/[hash] (like {!Database.KeyTbl}, plus the
-    predicate name in the key). *)
-
-type support_entry = {
-  se_rule : int;  (** rule id within its program (informational) *)
-  se_parents : (string * Database.fact) list;
-      (** the positive body facts the firing consumed, in canonical
-          (sorted, dedup'd) order — DRed only needs the set *)
-  se_nulls : int list;  (** labeled nulls this firing invented *)
-}
-
-type suppressed_firing = {
-  sf_rule : int;
-  sf_parents : (string * Database.fact) list;  (** canonical order *)
-  sf_image : (string * Database.fact) list;
-      (** the image that satisfied the head check *)
-}
-
-type support = {
-  sup_entries : support_entry list ref ProvTbl.t;
-      (** derived fact → its derivations, most recent first *)
-  sup_children : (string * Database.fact) list ref ProvTbl.t;
-      (** body fact → head facts with an entry consuming it; may hold
-          duplicates and stale (pruned) children — consumers dedup *)
-  sup_null_origin : (int, (string * Database.fact) list) Hashtbl.t;
-      (** null id → parents of its creating derivation *)
-  sup_null_facts : (int, (string * Database.fact) list ref) Hashtbl.t;
-      (** null id → facts whose tuple carries the null *)
-  mutable sup_suppressed : suppressed_firing list;
-      (** reverse recording order *)
-  sup_suppressed_keys :
-    (int * (string * Kgm_common.Value.t list) list, unit) Hashtbl.t;
-      (** dedup keys of [sup_suppressed]; prune alongside it *)
-}
-
-val create_support : unit -> support
-
-val support_entries : support -> string -> Database.fact -> support_entry list
-(** All recorded derivations of a fact, most recent first; [[]] for
-    extensional (loaded) facts. *)
-
-val fact_nulls : Database.fact -> int list
-(** The labeled-null ids occurring in a fact's tuple (including inside
-    list values), sorted and dedup'd. *)
-
 (** {1 Monotonic-aggregate state}
 
     A monotonic aggregate keeps one accumulator per group across
@@ -315,7 +244,7 @@ type stats = {
       (** [Some l] when the run stopped early under [on_limit:`Partial]:
           the database holds a deterministic prefix of the fixpoint and
           [l] names the limiting resource. [None] for complete runs. *)
-  support : support option;
+  support : Support.t option;
       (** the derivation support recorded during the run — present when
           [options.provenance] was on or a [?support] was passed (the
           caller's support is returned as-is) *)
@@ -336,7 +265,7 @@ val pp_rule_table : Format.formatter -> stats -> unit
 
 (** {1 Fact-level explanation}
 
-    Bounded derivation trees over a recorded {!support}: why does this
+    Bounded derivation trees over a recorded {!Support.t}: why does this
     fact hold? At each derived fact the {e first-recorded} derivation
     is expanded — the merge order of the chase is schedule-independent
     and snapshots preserve entry lists verbatim, so the tree (and its
@@ -372,7 +301,7 @@ val default_explain_depth : int
     cyclic ownership graphs stay readable. *)
 
 val explain_tree :
-  ?max_depth:int -> support -> Rule.program -> string -> Database.fact ->
+  ?max_depth:int -> Support.t -> Rule.program -> string -> Database.fact ->
   explain_tree
 (** [explain_tree sup program pred fact] — the bounded derivation tree
     of [fact]. A fact with no recorded derivation (extensional, or
@@ -390,7 +319,7 @@ val explain_tree_to_string : explain_tree -> string
 (** {1 Running programs} *)
 
 val run :
-  ?options:options -> ?support:support ->
+  ?options:options -> ?support:Support.t ->
   ?telemetry:Kgm_telemetry.t -> ?journal:Kgm_telemetry.Journal.t ->
   ?cancel:Kgm_resilience.Token.t ->
   ?checkpoint:checkpoint -> ?resume_from:string ->
@@ -451,7 +380,7 @@ val pp_plan_report :
     only; nothing is evaluated and the database is not modified. *)
 
 val run_program :
-  ?options:options -> ?support:support ->
+  ?options:options -> ?support:Support.t ->
   ?telemetry:Kgm_telemetry.t -> ?journal:Kgm_telemetry.Journal.t ->
   ?cancel:Kgm_resilience.Token.t ->
   ?checkpoint:checkpoint -> ?resume_from:string ->
@@ -459,7 +388,7 @@ val run_program :
 (** [run] on a fresh database. *)
 
 val run_delta :
-  ?options:options -> ?support:support ->
+  ?options:options -> ?support:Support.t ->
   ?telemetry:Kgm_telemetry.t -> ?journal:Kgm_telemetry.Journal.t ->
   ?cancel:Kgm_resilience.Token.t ->
   ?on_new:(string -> Database.fact -> unit) -> ?rule_ids:int array ->

@@ -8,45 +8,47 @@
     delta-first plans and the pool's parallel rounds intact.
 
     Retractions use delete-and-rederive (DRed), recast over the
-    support recorded during the chase:
+    support recorded during the chase. {!maintain} drives four steps;
+    DRed is their skeleton, and wholesale strata and counting plug in
+    at named points:
 
     {ol
-    {- {e Overdeletion cone.} Walk the support's reverse edges
-       ([sup_children]) from the retracted facts: everything reachable
-       has at least one derivation that (transitively) consumed a
-       retracted fact. When a cone fact is an origin parent of a
-       labeled null, the null is {e at risk} and every fact carrying
-       it joins the cone too (a null is only meaningful while its
-       creating derivation stands). When a cone fact feeds a match of
-       a monotonic aggregate ({!Engine.agg_matches}), the match's group
-       is {e touched} and its head facts join the cone (the group total
-       shrinks, so heads that only ever passed a threshold thanks to
-       the dying match must be re-judged — the support graph alone
+    {- [overdelete]: walk the support's reverse edges
+       ({!Support.children}) from the retracted facts: everything
+       reachable has at least one derivation that (transitively)
+       consumed a retracted fact. The nulls a derivation consuming a
+       cone fact invented are {e at risk}, and every fact carrying one
+       joins the cone too (a null is only meaningful while its creating
+       derivation stands). {e Counting:} when a cone fact feeds a match
+       of a monotonic aggregate ({!Engine.agg_matches}), the match's
+       group is {e touched} and its head facts join the cone (the group
+       total shrinks, so heads that only ever passed a threshold thanks
+       to the dying match must be re-judged — the support graph alone
        cannot see this, because sub-threshold contributions never
-       fired).}
-    {- {e Alive closure.} Inside the cone, compute the least fixpoint
-       of: a fact is alive iff it is (still) extensional, or all nulls
-       in its tuple are alive and it has sound derivation evidence —
-       a recorded non-aggregate derivation with all parents alive, or
-       a group of its head that still passes ({e counting} evidence:
-       a touched group refolded from its matches with all parents
-       alive, an untouched one as its accumulator stands). An at-risk
-       null is alive iff all parents of its creating derivation are
-       alive.}
-    {- {e Deletion.} Cone minus alive is removed in one
+       fired). {e Wholesale:} a marked stratum's derived facts, and the
+       nulls they invented, are forced into the cone.}
+    {- [alive]: inside the cone, compute the least fixpoint of: a fact
+       is alive iff it is (still) extensional, or all nulls in its
+       tuple are alive and it has sound derivation evidence — a
+       recorded non-aggregate derivation with all parents alive, or
+       ({e counting}) a group of its head that still passes: a touched
+       group refolded from its matches with all parents alive, an
+       untouched one as its accumulator stands. An at-risk null is
+       alive iff all parents of its creating derivation are alive.}
+    {- [delete]: cone minus alive is removed in one
        {!Database.remove_batch} call (survivors keep their relative
-       order — the determinism invariant), and the support is pruned:
-       entries of dead facts, entries of surviving facts that consumed
-       a dead parent, origin/carrier records of dead nulls, and
-       suppressed-firing records whose parents died. Each touched
-       group's accumulator is refolded from its surviving matches, or,
-       when it now passes with a head missing, dropped and its
-       survivors' parents seeded, so the pass refolds it and fires the
-       head.}
-    {- {e Rederivation.} A suppressed restricted-chase firing whose
-       witness image died is re-attempted: its parents are seeded into
-       the same {!Engine.run_delta} pass as the inserts, so the rule
-       re-fires through the normal machinery and may now invent.}}
+       order — the determinism invariant), and the support is pruned
+       ({!Support.prune}, {!Support.sweep_suppressed}). {e Counting:}
+       each touched group's accumulator is refolded from its surviving
+       matches, or, when it now passes with a head missing, dropped and
+       its survivors' parents seeded, so the pass refolds it and fires
+       the head. {e Wholesale:} the marked rules' entries, accumulators
+       and suppressed firings are void.}
+    {- [reseed]: a suppressed restricted-chase firing whose witness
+       image died is re-attempted: its parents are seeded into the same
+       {!Engine.run_delta} pass as the inserts, so the rule re-fires
+       through the normal machinery and may now invent. {e Wholesale:}
+       a marked stratum is re-derived by round 0 of that pass.}}
 
     {b Stratum-aware non-monotonicity.} Stratified negation and
     [Stratified] aggregation are non-monotone, so support entries
@@ -54,12 +56,10 @@
     only poisons the strata actually containing them. Each phase is
     stratified once ({!Analysis.stratify}); when the update's affected
     closure reaches a rule with stratified negation or aggregation,
-    that rule's {e stratum} is marked {e wholesale}: its derived facts
-    are force-deleted through the cone and the stratum is re-derived
-    by round 0 of the phase's one seeded pass ({!Engine.run_delta}'s
-    [?wholesale]) on top of the already-maintained lower strata —
-    never from scratch. Strata below and beside the mark keep the DRed
-    path above; [Monotonic] aggregates (the paper's [msum]) keep it
+    that rule's {e stratum} is marked {e wholesale} ({!Engine.run_delta}'s
+    [?wholesale]) and re-derived on top of the already-maintained lower
+    strata — never from scratch. Strata below and beside the mark keep
+    the DRed path; [Monotonic] aggregates (the paper's [msum]) keep it
     too, through counting evidence. A full re-chase survives only for
     updates the machinery genuinely cannot localize: a non-semi-naive
     engine, a monotonic aggregate outside {!Analysis.monotonic_profiles},
@@ -104,7 +104,7 @@ type state = {
   metas : phase_meta array;
   agg_tbl : (int, agg_log) Hashtbl.t;  (** recording id -> log *)
   mutable db : Database.t;
-  mutable support : Engine.support;
+  mutable support : Support.t;
   edb : Database.t;
       (** the extensional facts, sharing [db]'s dictionary; changed only
           when a batch commits ({!Database.apply_batch}) *)
@@ -127,8 +127,6 @@ type update_stats = {
   u_fallback : bool;
   u_elapsed_s : float;
 }
-
-let key pred fact = (pred, Array.to_list fact)
 
 let rule_body_preds (r : Rule.rule) =
   List.filter_map
@@ -226,7 +224,7 @@ let chase_phases ?(options = Engine.default_options) ?telemetry ?journal ~db
     phases;
   let st =
     { phases; options; metas = build_metas phases; agg_tbl = Hashtbl.create 16;
-      db; support = Engine.create_support (); edb; torn = false }
+      db; support = Support.create (); edb; torn = false }
   in
   register_agg_logs st;
   (st,
@@ -281,7 +279,7 @@ let close_affected phases affected =
 type plan = {
   pl_affected : (string, unit) Hashtbl.t;
   pl_marked : bool array array;  (* phase -> stratum -> wholesale *)
-  pl_wpreds : (string, unit) Hashtbl.t;  (* head preds of marked strata *)
+  pl_wpreds : string list;  (* head preds of marked strata, sorted *)
   pl_wholesale_rids : (int, unit) Hashtbl.t;
   pl_n_marked : int;
   pl_counting : agg_log list;  (* hit logs outside the marked strata *)
@@ -397,7 +395,9 @@ let plan_update st updated =
                 else if hit && not wholesale then counting := log :: !counting)
         m.pm_rules)
     st.metas;
-  { pl_affected = affected; pl_marked = marked; pl_wpreds = wpreds;
+  { pl_affected = affected; pl_marked = marked;
+    pl_wpreds =
+      List.sort_uniq String.compare (Hashtbl.fold (fun p () acc -> p :: acc) wpreds []);
     pl_wholesale_rids = wholesale_rids; pl_n_marked = !n_marked;
     pl_counting = List.rev !counting;
     pl_fallback =
@@ -416,7 +416,7 @@ let repair_options st = { st.options with Engine.on_limit = `Raise }
 let rechase ?telemetry ?journal st ~retracts ~inserts =
   let db = Database.copy st.edb in
   ignore (Database.apply_batch db ~retracts ~inserts);
-  let support = Engine.create_support () in
+  let support = Support.create () in
   register_agg_logs st;
   ignore
     (run_phases ?telemetry ?journal ~options:(repair_options st) st ~support
@@ -505,6 +505,334 @@ let report telemetry journal u =
       @ [ ("elapsed_s", J.Float u.u_elapsed_s) ])
 
 (* ------------------------------------------------------------------ *)
+(* The repair steps (see the top of this file) *)
+
+(* What [overdelete] found *)
+type cone = {
+  cn_facts : (string * Database.fact) list;  (* discovery order *)
+  cn_mem : unit Support.Tbl.t;
+  cn_forced : unit Support.Tbl.t;  (* wholesale strata's derived facts *)
+  cn_forced_nulls : (int, unit) Hashtbl.t;  (* and the nulls they invented *)
+  cn_risk : (int, (string * Database.fact) list) Hashtbl.t;
+      (* at-risk null -> parents of its creating derivation ([] if forced) *)
+  cn_touched : (agg_log * Value.t list) list;  (* touched groups, touch order *)
+  cn_matches : Engine.agg_match list Lazy.t Database.KeyTbl.t;
+      (* a touched group's matches, by [gid], listed once *)
+}
+
+let gid log gkey = Value.Int log.lg_rid :: gkey
+
+let overdelete st plan ~is_edb retracts =
+  let sup = st.support in
+  (* every derived fact of a marked stratum's head predicates is
+     discarded (the rerun re-derives what still holds), and so is every
+     null those discarded derivations invented *)
+  let forced = Support.Tbl.create 64 and forced_nulls = Hashtbl.create 16 in
+  let forced_seeds = ref [] in
+  List.iter
+    (fun pred ->
+      List.iter
+        (fun f ->
+          if not (is_edb pred f) then begin
+            Support.Tbl.replace forced (Support.key pred f) ();
+            forced_seeds := (pred, f) :: !forced_seeds;
+            List.iter
+              (fun (e : Support.entry) ->
+                List.iter
+                  (fun n ->
+                    if not (Hashtbl.mem forced_nulls n) then begin
+                      Hashtbl.replace forced_nulls n ();
+                      forced_seeds :=
+                        List.rev_append (Support.carriers sup n) !forced_seeds
+                    end)
+                  e.se_nulls)
+              (Support.entries sup pred f)
+          end)
+        (Database.facts st.db pred))
+    plan.pl_wpreds;
+  (* the cone: reverse reachability from the retractions and the forced
+     facts *)
+  let touched = ref [] and matches = Database.KeyTbl.create 16 in
+  let cone = Support.Tbl.create 256 and order = ref [] in
+  let risk = Hashtbl.create 16 in
+  Hashtbl.iter (fun n () -> Hashtbl.replace risk n []) forced_nulls;
+  let queue = Queue.create () in
+  let enqueue pf = Queue.add pf queue in
+  List.iter enqueue retracts;
+  List.iter enqueue (List.rev !forced_seeds);
+  while not (Queue.is_empty queue) do
+    let (p, f) = Queue.pop queue in
+    let k = Support.key p f in
+    if Database.mem st.db p f && not (Support.Tbl.mem cone k) then begin
+      Support.Tbl.add cone k ();
+      order := (p, f) :: !order;
+      let children = Support.children sup p f in
+      List.iter enqueue children;
+      (* a dying match shrinks its group's total: the group's heads
+         must be re-judged, support edges or not *)
+      List.iter
+        (fun log ->
+          List.iter
+            (fun (m : Engine.agg_match) ->
+              let gkey = m.Engine.am_group in
+              if not (Database.KeyTbl.mem matches (gid log gkey)) then begin
+                Database.KeyTbl.add matches (gid log gkey)
+                  (lazy (list_matches st log (`Group (List.map Option.some gkey))));
+                touched := (log, gkey) :: !touched;
+                List.iter enqueue (group_heads log gkey)
+              end)
+            (list_matches st log (`Fact (p, f))))
+        plan.pl_counting;
+      (* the nulls a derivation consuming the fact invented are at risk,
+         and so is every fact carrying them; that entry names the
+         null's creating parents *)
+      if Support.invented sup then
+        List.iter
+          (fun (q, g) ->
+            List.iter
+              (fun (e : Support.entry) ->
+                if
+                  e.se_nulls <> []
+                  && List.exists (Support.parent_equal (p, f)) e.se_parents
+                then
+                  List.iter
+                    (fun n ->
+                      if not (Hashtbl.mem risk n) then begin
+                        Hashtbl.add risk n e.se_parents;
+                        List.iter enqueue (Support.carriers sup n)
+                      end)
+                    e.se_nulls)
+              (Support.entries sup q g))
+          children
+    end
+  done;
+  { cn_facts = List.rev !order; cn_mem = cone; cn_forced = forced;
+    cn_forced_nulls = forced_nulls; cn_risk = risk;
+    cn_touched = List.rev !touched; cn_matches = matches }
+
+(* inside the cone, as [alive] has decided so far; outside, iff stored *)
+let fact_alive st cone alive (p, f) =
+  let k = Support.key p f in
+  if Support.Tbl.mem cone.cn_mem k then Support.Tbl.mem alive k
+  else Database.mem st.db p f
+
+(* touched group [gkey]'s matches with all parents alive *)
+let alive_matches st cone alive log gkey =
+  List.filter
+    (fun (m : Engine.agg_match) ->
+      List.for_all (fact_alive st cone alive) m.Engine.am_parents)
+    (Lazy.force (Database.KeyTbl.find cone.cn_matches (gid log gkey)))
+
+(* The least fixpoint inside the cone: a fact is alive iff extensional,
+   or its nulls are alive and it has DRed or counting evidence; an
+   at-risk null is alive iff all parents of its creating derivation
+   are. Returns the alive facts and nulls. *)
+let alive st plan ~is_edb cone =
+  let alive = Support.Tbl.create 256 and alive_nulls = Hashtbl.create 16 in
+  let null_alive n =
+    (not (Hashtbl.mem cone.cn_risk n)) || Hashtbl.mem alive_nulls n
+  in
+  let all_alive = List.for_all (fact_alive st cone alive) in
+  (* aggregate-rule entries are never deletion evidence: a surviving
+     entry says nothing about the group's post-retraction total *)
+  let entry_evidence (e : Support.entry) =
+    (not (Hashtbl.mem st.agg_tbl e.se_rule)) && all_alive e.se_parents
+  in
+  (* counting evidence: a group of a head atom the fact grounds still
+     passes — a touched one refolded from its matches with all parents
+     alive, an untouched one as its accumulator stands *)
+  let counting_evidence p f =
+    List.exists
+      (fun log ->
+        List.exists
+          (fun gkey ->
+            if Database.KeyTbl.mem cone.cn_matches (gid log gkey) then
+              let tbl = Database.KeyTbl.create 1 in
+              holds log (refold log tbl (alive_matches st cone alive log gkey)) gkey
+            else holds log log.lg_state gkey)
+          (Engine.agg_head_groups st.db log.lg_agg (p, f)))
+      plan.pl_counting
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun (p, f) ->
+        let k = Support.key p f in
+        if
+          (not (Support.Tbl.mem alive k))
+          && (not (Support.Tbl.mem cone.cn_forced k))
+          && (is_edb p f
+             || List.for_all null_alive (Support.fact_nulls f)
+                && (List.exists entry_evidence (Support.entries st.support p f)
+                   || counting_evidence p f))
+        then begin
+          Support.Tbl.add alive k ();
+          changed := true
+        end)
+      cone.cn_facts;
+    Hashtbl.iter
+      (fun n origin ->
+        if
+          (not (Hashtbl.mem alive_nulls n))
+          && (not (Hashtbl.mem cone.cn_forced_nulls n))
+          && all_alive origin
+        then begin
+          Hashtbl.add alive_nulls n ();
+          changed := true
+        end)
+      cone.cn_risk
+  done;
+  (alive, alive_nulls)
+
+(* What [delete] leaves [reseed] *)
+type deletion = {
+  dl_deleted : int;
+  dl_refire : (string * Database.fact) list list;
+      (* parents of the suppressed firings to re-attempt, recording order *)
+  dl_regrow : (string * Database.fact) list;
+      (* surviving parents of the groups to regrow *)
+}
+
+(* The negative-weight gate, then cone minus alive goes in one
+   {!Database.remove_batch} call (survivors keep their relative order —
+   the determinism invariant), the touched groups are refolded, and the
+   support is pruned. [None] when the gate trips: the batch re-chases. *)
+let delete ~journal st plan cone (alive, alive_nulls) =
+  (* every touched group is listed before anything is deleted, so a
+     negative weight the listings meet trips the gate here *)
+  List.iter
+    (fun (log, gkey) -> ignore (alive_matches st cone alive log gkey))
+    cone.cn_touched;
+  if List.exists (fun log -> log.lg_neg) plan.pl_counting then None
+  else begin
+    let dead (p, f) =
+      let k = Support.key p f in
+      Support.Tbl.mem cone.cn_mem k && not (Support.Tbl.mem alive k)
+    in
+    let dead_facts = List.filter dead cone.cn_facts in
+    let dead_nulls =
+      Hashtbl.fold
+        (fun n _ acc -> if Hashtbl.mem alive_nulls n then acc else n :: acc)
+        cone.cn_risk []
+    in
+    let deleted = Database.remove_batch st.db dead_facts in
+    (* each touched group's accumulator is refolded from its surviving
+       matches; one that now passes with a head missing is dropped
+       instead, and its survivors' parents join the seeds, so the pass
+       refolds it and fires the head *)
+    let regrow =
+      List.concat_map
+        (fun (log, gkey) ->
+          let state = log.lg_state in
+          let ms = alive_matches st cone alive log gkey in
+          Database.KeyTbl.remove state gkey;
+          let missing (p, f) = not (Database.mem st.db p f) in
+          if
+            holds log (refold log state ms) gkey
+            && List.exists missing (group_heads log gkey)
+          then begin
+            Database.KeyTbl.remove state gkey;
+            List.concat_map (fun (m : Engine.agg_match) -> m.Engine.am_parents) ms
+          end
+          else [])
+        cone.cn_touched
+    in
+    if Journal.enabled journal then
+      Journal.emit journal "dred.cone"
+        [ ("cone", J.Int (List.length cone.cn_facts));
+          ("rederived", J.Int (List.length cone.cn_facts - deleted));
+          ("deleted", J.Int deleted);
+          ("risk_nulls", J.Int (Hashtbl.length cone.cn_risk));
+          ("dead_nulls", J.Int (List.length dead_nulls));
+          ("forced", J.Int (Support.Tbl.length cone.cn_forced));
+          ("wholesale_strata", J.Int plan.pl_n_marked);
+          ("agg_groups", J.Int (List.length cone.cn_touched)) ];
+    (* wholesale derivations are void even when their fact survives as
+       EDB: their entries drop (the rerun re-records what still holds)
+       and their accumulators empty *)
+    let void = Hashtbl.mem plan.pl_wholesale_rids in
+    Support.prune st.support ~dead dead_facts ~nulls:dead_nulls ~void
+      ~kept:
+        (List.concat_map
+           (fun p -> List.map (fun f -> (p, f)) (Database.facts st.db p))
+           plan.pl_wpreds);
+    Hashtbl.iter
+      (fun rid (log : agg_log) ->
+        if void rid then Database.KeyTbl.reset log.lg_state)
+      st.agg_tbl;
+    (* suppressed firings: wholesale rules re-attempt everything in
+       their rerun, so their records just drop; elsewhere, drop the
+       ones whose body died and re-attempt the ones whose witness image
+       died (chronological recording order, so the seed order — and
+       with it null numbering — is deterministic) *)
+    let refire = Support.sweep_suppressed st.support ~dead ~void in
+    Some { dl_deleted = deleted; dl_refire = refire; dl_regrow = regrow }
+  end
+
+(* Fresh inserts, refire parents and regrow parents seed one seeded
+   engine pass per relevant phase: plain strata start from the seeds,
+   wholesale strata re-derive on the maintained lower strata, and every
+   later stratum also sees what the pass itself derived. Returns the
+   facts derived and the rounds run. *)
+let reseed ~telemetry ~journal st plan ~is_edb ~inserts del =
+  (* an insert already in the store (derived, or listed twice) is no
+     seed: its consequences already exist *)
+  let fresh =
+    List.filter
+      (fun (p, f) -> (not (is_edb p f)) && Database.add st.db p f)
+      inserts
+  in
+  (* the seeds, each once, per predicate in insertion order *)
+  let seeds = Database.create ~dict:(Database.dict st.db) () in
+  ignore
+    (Database.apply_batch seeds ~retracts:[]
+       ~inserts:
+         (fresh
+         @ List.filter
+             (fun (p, f) -> Database.mem st.db p f)
+             (List.concat del.dl_refire @ del.dl_regrow)));
+  let seed =
+    List.map (fun p -> (p, Database.facts seeds p)) (Database.predicates seeds)
+  in
+  (* later phases must also see what earlier phases of this same batch
+     derived, exactly as they would in a fresh pipeline *)
+  let extra = ref [] in
+  let reach = Hashtbl.copy plan.pl_affected in
+  List.iter (fun (p, _) -> Hashtbl.replace reach p ()) seed;
+  let on_new p f =
+    extra := (p, f) :: !extra;
+    Hashtbl.replace reach p ()
+  in
+  let derived = ref 0 and rounds = ref 0 in
+  List.iteri
+    (fun i (ph : Rule.program) ->
+      let m = st.metas.(i) in
+      let marked = plan.pl_marked.(i) in
+      let phase_seed = seed @ List.rev_map (fun (p, f) -> (p, [ f ])) !extra in
+      (* a phase the update cannot reach derives nothing new: skip it
+         instead of scanning every rule against the seeds *)
+      let relevant =
+        Array.exists Fun.id marked
+        || (phase_seed <> []
+            && Array.exists
+                 (fun (r : Rule.rule) ->
+                   List.exists (Hashtbl.mem reach) (rule_body_preds r))
+                 m.pm_rules)
+      in
+      if relevant then begin
+        let stats =
+          Engine.run_delta ~options:(repair_options st) ~support:st.support
+            ~telemetry ~journal ~on_new ~rule_ids:(phase_rule_ids m)
+            ~agg_init:(agg_init_for st m) ~wholesale:(Array.get marked) ph
+            st.db ~seed:phase_seed
+        in
+        note_negatives st stats;
+        derived := !derived + stats.Engine.new_facts;
+        rounds := !rounds + stats.Engine.rounds
+      end)
+    st.phases;
+  (!derived, !rounds)
 
 let maintain ?(telemetry = Kgm_telemetry.null)
     ?(journal = Kgm_telemetry.Journal.null) st ~inserts ~retracts =
@@ -534,386 +862,30 @@ let maintain ?(telemetry = Kgm_telemetry.null)
   (* the repair: the store and the support, never the EDB; it returns
      the batch's repair sizes *)
   let repair () =
-  if st.torn then by_rechase ()
-  else
-  let plan = plan_update st updated in
-  if updated <> [] && plan.pl_fallback then by_rechase ()
-  else begin
-    let sup = st.support in
-    let affected = plan.pl_affected in
-    (* -------- wholesale strata: forced overdeletion -------- *)
-    (* every derived fact of a marked stratum's head predicates is
-       discarded (the rerun re-derives what still holds), and so is
-       every null those discarded derivations invented *)
-    let forced : unit Engine.ProvTbl.t = Engine.ProvTbl.create 64 in
-    let forced_nulls : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-    let forced_seeds = ref [] in
-    let wholesale_preds =
-      List.sort_uniq String.compare
-        (Hashtbl.fold (fun p () acc -> p :: acc) plan.pl_wpreds [])
-    in
-    List.iter
-      (fun pred ->
-        List.iter
-          (fun f ->
-            if not (is_edb pred f) then begin
-              Engine.ProvTbl.replace forced (key pred f) ();
-              forced_seeds := (pred, f) :: !forced_seeds;
-              List.iter
-                (fun (e : Engine.support_entry) ->
-                  List.iter
-                    (fun n ->
-                      if not (Hashtbl.mem forced_nulls n) then begin
-                        Hashtbl.replace forced_nulls n ();
-                        Option.iter
-                          (fun r -> forced_seeds := List.rev_append !r !forced_seeds)
-                          (Hashtbl.find_opt sup.Engine.sup_null_facts n)
-                      end)
-                    e.Engine.se_nulls)
-                (Engine.support_entries sup pred f)
-            end)
-          (Database.facts st.db pred))
-      wholesale_preds;
-    let forced_seeds = List.rev !forced_seeds in
-    (* -------- overdeletion cone (reverse reachability) -------- *)
-    (* origin parent -> nulls it helped create, built once per batch *)
-    let parent_nulls : (string * Value.t list, int list ref) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    Hashtbl.iter
-      (fun n parents ->
-        List.iter
-          (fun (p, f) ->
-            let k = key p f in
-            match Hashtbl.find_opt parent_nulls k with
-            | Some r -> r := n :: !r
-            | None -> Hashtbl.add parent_nulls k (ref [ n ]))
-          parents)
-      sup.Engine.sup_null_origin;
-    (* touched groups in touch order, and by rule id and key, each with
-       its matches, listed once *)
-    let touched = ref [] and touched_ids = Database.KeyTbl.create 16 in
-    let gid log gkey = Value.Int log.lg_rid :: gkey in
-    let cone : unit Engine.ProvTbl.t = Engine.ProvTbl.create 256 in
-    let cone_order = ref [] in
-    let risk_nulls : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-    Hashtbl.iter (fun n () -> Hashtbl.replace risk_nulls n ()) forced_nulls;
-    let queue = Queue.create () in
-    List.iter (fun pf -> Queue.add pf queue) retracts;
-    List.iter (fun pf -> Queue.add pf queue) forced_seeds;
-    while not (Queue.is_empty queue) do
-      let (p, f) = Queue.pop queue in
-      let k = key p f in
-      if Database.mem st.db p f && not (Engine.ProvTbl.mem cone k) then begin
-        Engine.ProvTbl.add cone k ();
-        cone_order := (p, f) :: !cone_order;
-        let enqueue pf = Queue.add pf queue in
-        Option.iter
-          (fun r -> List.iter enqueue !r)
-          (Engine.ProvTbl.find_opt sup.Engine.sup_children k);
-        (* a dying match shrinks its group's total: the group's heads
-           must be re-judged, support edges or not *)
-        List.iter
-          (fun log ->
-            List.iter
-              (fun (m : Engine.agg_match) ->
-                let gkey = m.Engine.am_group in
-                if not (Database.KeyTbl.mem touched_ids (gid log gkey)) then begin
-                  Database.KeyTbl.add touched_ids (gid log gkey)
-                    (lazy (list_matches st log (`Group (List.map Option.some gkey))));
-                  touched := (log, gkey) :: !touched;
-                  List.iter enqueue (group_heads log gkey)
-                end)
-              (list_matches st log (`Fact (p, f))))
-          plan.pl_counting;
-        Option.iter
-          (fun ns ->
-            List.iter
-              (fun n ->
-                if not (Hashtbl.mem risk_nulls n) then begin
-                  Hashtbl.add risk_nulls n ();
-                  Option.iter
-                    (fun r -> List.iter enqueue !r)
-                    (Hashtbl.find_opt sup.Engine.sup_null_facts n)
-                end)
-              !ns)
-          (Hashtbl.find_opt parent_nulls k)
-      end
-    done;
-    let cone_facts = List.rev !cone_order in
-    (* -------- alive closure inside the cone -------- *)
-    let alive : unit Engine.ProvTbl.t = Engine.ProvTbl.create 256 in
-    let alive_nulls : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-    let null_alive n =
-      (not (Hashtbl.mem risk_nulls n)) || Hashtbl.mem alive_nulls n
-    in
-    let fact_alive p f =
-      let k = key p f in
-      if Engine.ProvTbl.mem cone k then Engine.ProvTbl.mem alive k
-      else Database.mem st.db p f
-    in
-    let all_alive = List.for_all (fun (p, f) -> fact_alive p f) in
-    (* aggregate-rule entries are never deletion evidence: a surviving
-       entry says nothing about the group's post-retraction total *)
-    let entry_evidence (e : Engine.support_entry) =
-      (not (Hashtbl.mem st.agg_tbl e.Engine.se_rule))
-      && all_alive e.Engine.se_parents
-    in
-    let alive_matches log gkey =
-      List.filter
-        (fun (m : Engine.agg_match) -> all_alive m.Engine.am_parents)
-        (Lazy.force (Database.KeyTbl.find touched_ids (gid log gkey)))
-    in
-    (* counting evidence: a group of a head atom the fact grounds still
-       passes — a touched one refolded from its matches with all parents
-       alive, an untouched one as its accumulator stands *)
-    let counting_evidence p f =
-      List.exists
-        (fun log ->
-          List.exists
-            (fun gkey ->
-              if Database.KeyTbl.mem touched_ids (gid log gkey) then
-                let tbl = Database.KeyTbl.create 1 in
-                holds log (refold log tbl (alive_matches log gkey)) gkey
-              else holds log log.lg_state gkey)
-            (Engine.agg_head_groups st.db log.lg_agg (p, f)))
-        plan.pl_counting
-    in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      List.iter
-        (fun (p, f) ->
-          let k = key p f in
-          if
-            (not (Engine.ProvTbl.mem alive k))
-            && not (Engine.ProvTbl.mem forced k)
-          then begin
-            let ok =
-              is_edb p f
-              || (List.for_all null_alive (Engine.fact_nulls f)
-                  && (List.exists entry_evidence (Engine.support_entries sup p f)
-                      || counting_evidence p f))
-            in
-            if ok then begin
-              Engine.ProvTbl.add alive k ();
-              changed := true
-            end
-          end)
-        cone_facts;
-      Hashtbl.iter
-        (fun n () ->
-          if
-            (not (Hashtbl.mem alive_nulls n))
-            && not (Hashtbl.mem forced_nulls n)
-          then begin
-            let origin =
-              Option.value ~default:[]
-                (Hashtbl.find_opt sup.Engine.sup_null_origin n)
-            in
-            if all_alive origin then begin
-              Hashtbl.add alive_nulls n ();
-              changed := true
-            end
-          end)
-        risk_nulls
-    done;
-    (* every touched group is listed before anything is deleted, so a
-       negative weight the listings meet trips the gate here *)
-    List.iter (fun (log, gkey) -> ignore (alive_matches log gkey)) !touched;
-    if List.exists (fun log -> log.lg_neg) plan.pl_counting then by_rechase ()
+    if st.torn then by_rechase ()
     else
-    let dead (p, f) =
-      let k = key p f in
-      Engine.ProvTbl.mem cone k && not (Engine.ProvTbl.mem alive k)
-    in
-    let dead_facts = List.filter dead cone_facts in
-    let dead_nulls =
-      Hashtbl.fold
-        (fun n () acc -> if Hashtbl.mem alive_nulls n then acc else n :: acc)
-        risk_nulls []
-    in
-    (* -------- delete, refold the touched groups, prune the support -------- *)
-    let deleted = Database.remove_batch st.db dead_facts in
-    (* each touched group's accumulator is refolded from its surviving
-       matches; one that now passes with a head missing is dropped
-       instead, and its survivors' parents join the seeds, so the pass
-       refolds it and fires the head *)
-    let regrow =
-      List.concat_map
-        (fun (log, gkey) ->
-          let state = log.lg_state in
-          let ms = alive_matches log gkey in
-          Database.KeyTbl.remove state gkey;
-          let missing (p, f) = not (Database.mem st.db p f) in
-          if
-            holds log (refold log state ms) gkey
-            && List.exists missing (group_heads log gkey)
-          then begin
-            Database.KeyTbl.remove state gkey;
-            List.concat_map (fun (m : Engine.agg_match) -> m.Engine.am_parents) ms
-          end
-          else [])
-        (List.rev !touched)
-    in
-    if Journal.enabled journal then
-      Journal.emit journal "dred.cone"
-        [ ("cone", J.Int (List.length cone_facts));
-          ("rederived", J.Int (List.length cone_facts - deleted));
-          ("deleted", J.Int deleted);
-          ("risk_nulls", J.Int (Hashtbl.length risk_nulls));
-          ("dead_nulls", J.Int (List.length dead_nulls));
-          ("forced", J.Int (Engine.ProvTbl.length forced));
-          ("wholesale_strata", J.Int plan.pl_n_marked);
-          ("agg_groups", J.Int (List.length !touched)) ];
-    List.iter
-      (fun (p, f) ->
-        let k = key p f in
-        Engine.ProvTbl.remove sup.Engine.sup_entries k;
-        Option.iter
-          (fun r ->
-            List.iter
-              (fun (q, g) ->
-                if not (dead (q, g)) then
-                  Option.iter
-                    (fun er ->
-                      er :=
-                        List.filter
-                          (fun (e : Engine.support_entry) ->
-                            not (List.exists dead e.Engine.se_parents))
-                          !er)
-                    (Engine.ProvTbl.find_opt sup.Engine.sup_entries (key q g)))
-              !r;
-            Engine.ProvTbl.remove sup.Engine.sup_children k)
-          (Engine.ProvTbl.find_opt sup.Engine.sup_children k))
-      dead_facts;
-    List.iter
-      (fun n ->
-        Hashtbl.remove sup.Engine.sup_null_origin n;
-        Hashtbl.remove sup.Engine.sup_null_facts n)
-      dead_nulls;
-    (* wholesale derivations are void even when their fact survives as
-       EDB: drop their entries (the rerun re-records what still holds)
-       and empty their accumulators *)
-    List.iter
-      (fun pred ->
-        List.iter
-          (fun f ->
-            Option.iter
-              (fun er ->
-                er :=
-                  List.filter
-                    (fun (e : Engine.support_entry) ->
-                      not (Hashtbl.mem plan.pl_wholesale_rids e.Engine.se_rule))
-                    !er)
-              (Engine.ProvTbl.find_opt sup.Engine.sup_entries (key pred f)))
-          (Database.facts st.db pred))
-      wholesale_preds;
-    Hashtbl.iter
-      (fun rid (log : agg_log) ->
-        if Hashtbl.mem plan.pl_wholesale_rids rid then
-          Database.KeyTbl.reset log.lg_state)
-      st.agg_tbl;
-    (* suppressed firings: wholesale rules re-attempt everything in
-       their rerun, so their records just drop; elsewhere, drop the
-       ones whose body died and re-attempt the ones whose witness image
-       died (chronological recording order, so the seed order — and
-       with it null numbering — is deterministic) *)
-    let refire_parents = ref [] and refired = ref 0 in
-    sup.Engine.sup_suppressed <-
-      List.filter
-        (fun (sf : Engine.suppressed_firing) ->
-          let live =
-            (not (Hashtbl.mem plan.pl_wholesale_rids sf.Engine.sf_rule))
-            && not (List.exists dead sf.Engine.sf_parents)
-          in
-          let refire = live && List.exists dead sf.Engine.sf_image in
-          if refire then begin
-            incr refired;
-            refire_parents := sf.Engine.sf_parents @ !refire_parents
-          end;
-          let keep = live && not refire in
-          if not keep then
-            Hashtbl.remove sup.Engine.sup_suppressed_keys
-              ( sf.Engine.sf_rule,
-                List.map (fun (p, f) -> (p, Array.to_list f)) sf.Engine.sf_parents );
-          keep)
-        sup.Engine.sup_suppressed;
-    (* sup_suppressed is in reverse recording order; refire_parents was
-       consed while walking it, so it is now chronological *)
-    let refire_parents = !refire_parents in
-    (* -------- inserts -------- *)
-    (* an insert already in the store (derived, or listed twice) is no
-       seed: its consequences already exist *)
-    let fresh =
-      List.filter
-        (fun (p, f) -> (not (is_edb p f)) && Database.add st.db p f)
-        inserts
-    in
-    (* the seeds, each once, per predicate in insertion order *)
-    let seeds = Database.create ~dict:(Database.dict st.db) () in
-    ignore
-      (Database.apply_batch seeds ~retracts:[]
-         ~inserts:
-           (fresh
-           @ List.filter
-               (fun (p, f) -> Database.mem st.db p f)
-               (refire_parents @ regrow)));
-    let seed =
-      List.map (fun p -> (p, Database.facts seeds p)) (Database.predicates seeds)
-    in
-    (* -------- one seeded engine pass per relevant phase: plain strata
-       start from the seeds, wholesale strata re-derive on the
-       maintained lower strata, and every later stratum also sees what
-       the pass itself derived -------- *)
-    let derived = ref 0 and rounds = ref 0 in
-    if seed <> [] || plan.pl_n_marked > 0 then begin
-      (* later phases must also see what earlier phases of this same
-         batch derived, exactly as they would in a fresh pipeline *)
-      let extra = ref [] in
-      let reach = Hashtbl.copy affected in
-      List.iter (fun (p, _) -> Hashtbl.replace reach p ()) seed;
-      let on_new p f =
-        extra := (p, f) :: !extra;
-        Hashtbl.replace reach p ()
-      in
-      List.iteri
-        (fun i (ph : Rule.program) ->
-          let m = st.metas.(i) in
-          let marked = plan.pl_marked.(i) in
-          let phase_seed =
-            seed @ List.rev_map (fun (p, f) -> (p, [ f ])) !extra
-          in
-          (* a phase the update cannot reach derives nothing new: skip
-             it instead of scanning every rule against the seeds *)
-          let relevant =
-            Array.exists Fun.id marked
-            || (phase_seed <> []
-                && Array.exists
-                     (fun (r : Rule.rule) ->
-                       List.exists (Hashtbl.mem reach) (rule_body_preds r))
-                     m.pm_rules)
-          in
-          if relevant then begin
-            let stats =
-              Engine.run_delta ~options:(repair_options st) ~support:sup
-                ~telemetry ~journal ~on_new ~rule_ids:(phase_rule_ids m)
-                ~agg_init:(agg_init_for st m) ~wholesale:(Array.get marked) ph
-                st.db ~seed:phase_seed
+      let plan = plan_update st updated in
+      if updated <> [] && plan.pl_fallback then by_rechase ()
+      else
+        let cone = overdelete st plan ~is_edb retracts in
+        (* sizes first: nothing of the cone may stay reachable through
+           [reseed]'s engine pass, whose minor collections would promote
+           it *)
+        let cone_n = List.length cone.cn_facts in
+        let groups = List.length cone.cn_touched in
+        match delete ~journal st plan cone (alive st plan ~is_edb cone) with
+        | None -> by_rechase ()
+        | Some del ->
+            let deleted = del.dl_deleted in
+            let refired = List.length del.dl_refire in
+            let derived, rounds =
+              reseed ~telemetry ~journal st plan ~is_edb ~inserts del
             in
-            note_negatives st stats;
-            derived := !derived + stats.Engine.new_facts;
-            rounds := !rounds + stats.Engine.rounds
-          end)
-        st.phases
-    end;
-    let cone_n = List.length cone_facts in
-    { u_inserted = 0; u_retracted = 0; u_cone = cone_n;
-      u_rederived = cone_n - deleted; u_deleted = deleted;
-      u_refired = !refired; u_derived = !derived; u_rounds = !rounds;
-      u_strata = plan.pl_n_marked; u_agg_groups = List.length !touched;
-      u_fallback = false; u_elapsed_s = 0. }
-  end
+            { u_inserted = 0; u_retracted = 0; u_cone = cone_n;
+              u_rederived = cone_n - deleted; u_deleted = deleted;
+              u_refired = refired; u_derived = derived; u_rounds = rounds;
+              u_strata = plan.pl_n_marked; u_agg_groups = groups;
+              u_fallback = false; u_elapsed_s = 0. }
   in
   match repair () with
   | exception e ->
@@ -1042,7 +1014,7 @@ let iso_facts a b =
       in
       go 0 []
   in
-  let fact_has_null f = Engine.fact_nulls f <> [] in
+  let fact_has_null f = Support.fact_nulls f <> [] in
   (* consecutive grouping of a pattern-sorted (pattern, fact) list *)
   let group_null_facts facts =
     facts

@@ -1,7 +1,7 @@
 (** Incremental maintenance of a chased materialization.
 
     A {!state} couples a database with the programs that chased it, the
-    {!Engine.support} recorded while chasing, and the current
+    {!Support.t} recorded while chasing, and the current
     extensional database (EDB): the facts that were {e loaded}, as
     opposed to derived. {!maintain} then repairs the materialization in
     place under a batch of extensional inserts and retractions:
@@ -99,7 +99,7 @@ val db : state -> Database.t
 val phases : state -> Rule.program list
 (** The chased pipeline, in replay order. *)
 
-val support : state -> Engine.support
+val support : state -> Support.t
 (** The live support (provenance edges) backing DRed. Replaced by a
     fallback re-chase, so re-fetch after every {!maintain} — e.g. to
     explain a fact against the current materialization. *)

@@ -378,3 +378,14 @@ let parse_rule src =
   match (parse_program src).Rule.rules with
   | [ r ] -> r
   | rs -> Kgm_error.parse_error "expected exactly one rule, got %d" (List.length rs)
+
+let parse_facts s =
+  let s = String.trim s in
+  let p =
+    parse_program
+      (if s <> "" && s.[String.length s - 1] = '.' then s else s ^ ".")
+  in
+  if p.Rule.rules <> [] then Error `Rule
+  else if p.Rule.facts = [] then Error `No_fact
+  else
+    Ok (List.map (fun (pred, args) -> (pred, Array.of_list args)) p.Rule.facts)

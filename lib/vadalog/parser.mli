@@ -31,3 +31,11 @@ val parse_program : string -> Rule.program
 
 val parse_rule : string -> Rule.rule
 (** Expects exactly one rule. *)
+
+val parse_facts :
+  string ->
+  ((string * Kgm_common.Value.t array) list, [ `Rule | `No_fact ]) result
+(** The ground facts written in [s], fact syntax whose final ['.'] may
+    be left out, as update batches, [/explain] and [reason --explain]
+    read them. [Error] when [s] holds a rule, or no fact. Raises
+    [Kgm_error.Error] ([Parse]) on syntax errors. *)

@@ -716,7 +716,7 @@ let test_canonical_facts_renames_nulls () =
   let c = I.canonical_facts db1 in
   let mgr = List.assoc "mgr" c in
   let null_ids =
-    List.concat_map (fun f -> V.Engine.fact_nulls f) mgr
+    List.concat_map (fun f -> V.Support.fact_nulls f) mgr
     |> List.sort_uniq Int.compare
   in
   check
@@ -857,6 +857,59 @@ let stream_tests =
            (prop_stream prog)))
     Gen_batches.programs
 
+(* Cross-version pins of maintenance. For each generated-stream program,
+   four streams drawn from the program's own fixed seed run with faults
+   off; per batch the text covers every [update_stats] field but the
+   elapsed time, the fields of the batch's [dred.cone] record, and the
+   canonical store (per-predicate insertion order, nulls renamed by
+   first occurrence). None of it depends on [jobs]. A change that moves
+   a digest changes what maintenance observably does: re-pin only
+   deliberately, with the reason stated. *)
+let maintenance_text seed (prog : Gen_batches.program) =
+  Kgm_resilience.Faults.with_spec "" @@ fun () ->
+  let module J = Kgm_telemetry.Json in
+  let program = V.Parser.parse_program prog.Gen_batches.src in
+  let rand = Random.State.make [| seed |] in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun steps ->
+      let journal = Kgm_telemetry.Journal.create () in
+      Kgm_telemetry.Journal.tap journal (fun ev ->
+          if ev.Kgm_telemetry.Journal.ev_type = "dred.cone" then
+            Buffer.add_string buf
+              (J.to_string (J.Obj ev.Kgm_telemetry.Journal.ev_fields) ^ "\n"));
+      let st, _ = I.chase ~options:(opts ()) program in
+      List.iter
+        (fun (lines, _fault) ->
+          let inserts, retracts = Kgm_server.Batch.split lines in
+          let u = I.maintain ~journal st ~inserts ~retracts in
+          Buffer.add_string buf
+            (Printf.sprintf "+%d -%d cone %d rederived %d deleted %d refired %d \
+                             derived %d rounds %d strata %d groups %d fallback %b\n"
+               u.I.u_inserted u.I.u_retracted u.I.u_cone u.I.u_rederived
+               u.I.u_deleted u.I.u_refired u.I.u_derived u.I.u_rounds
+               u.I.u_strata u.I.u_agg_groups u.I.u_fallback);
+          Buffer.add_string buf (Test_parallel.canon_text (I.db st)))
+        steps)
+    (QCheck.Gen.generate ~rand ~n:4 (Gen_batches.stream prog));
+  Buffer.contents buf
+
+(* (program, digest), computed before maintenance was split into steps *)
+let maintenance_pins =
+  [ ("transitive closure", "de8962d0464fa5a126e47c9c282aba58");
+    ("company control", "bcd5809bcc159ed93441d6c2b5978a84");
+    ("negation stratum", "dc8900b371604b8ca5b9290dd417ac7f");
+    ("labeled nulls", "ad93921e76f9e03dd850309567999fd5") ]
+
+let test_maintenance_pins () =
+  List.iteri
+    (fun i (prog : Gen_batches.program) ->
+      check Alcotest.string
+        (prog.Gen_batches.name ^ ": maintenance digest")
+        (List.assoc prog.Gen_batches.name maintenance_pins)
+        (Digest.to_hex (Digest.string (maintenance_text (2201 + i) prog))))
+    Gen_batches.programs
+
 let suite =
   [ Alcotest.test_case "insert only ≡ re-chase" `Quick test_insert_only;
     Alcotest.test_case "retract chain (DRed)" `Quick test_retract_chain;
@@ -908,5 +961,7 @@ let suite =
     Alcotest.test_case "equal_facts: cross-fact null permutation" `Quick
       test_equal_facts_null_permutation;
     Alcotest.test_case "duplicate batch lines count once" `Quick
-      test_duplicate_lines_count_once ]
+      test_duplicate_lines_count_once;
+    Alcotest.test_case "maintenance pins (generated streams)" `Quick
+      test_maintenance_pins ]
   @ stream_tests

@@ -384,17 +384,12 @@ let test_explain_cycle_bounded () =
    | None -> Alcotest.fail "max_depth:1 must truncate the premises");
   (* a support whose first-recorded derivations loop (as DRed pruning
      can leave behind) hits the Cycle guard, not an infinite loop *)
-  let looped = V.Engine.create_support () in
+  let looped = V.Support.create () in
   let fact_bc = control_fact "b" "c" and fact_cb = control_fact "c" "b" in
-  let entry parents =
-    { V.Engine.se_rule = 1; se_parents = parents; se_nulls = [] }
-  in
-  V.Engine.ProvTbl.add looped.V.Engine.sup_entries
-    ("control", Array.to_list fact_bc)
-    (ref [ entry [ ("control", fact_cb) ] ]);
-  V.Engine.ProvTbl.add looped.V.Engine.sup_entries
-    ("control", Array.to_list fact_cb)
-    (ref [ entry [ ("control", fact_bc) ] ]);
+  V.Support.record looped ~rule_id:1 ~parents:[ ("control", fact_cb) ]
+    ~nulls:[] "control" fact_bc;
+  V.Support.record looped ~rule_id:1 ~parents:[ ("control", fact_bc) ]
+    ~nulls:[] "control" fact_cb;
   let t = V.Engine.explain_tree looped program "control" fact_bc in
   (match find_node (fun n -> n.V.Engine.et_node = V.Engine.Cycle) t with
    | Some n ->
@@ -402,7 +397,7 @@ let test_explain_cycle_bounded () =
    | None -> Alcotest.fail "cyclic support must produce a Cycle node")
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot version: v4 resumes with support, v1 to v3 are rejected *)
+(* Snapshot version: v5 resumes with support, v1 to v4 are rejected *)
 
 let test_snapshot_v1_rejected () =
   let dir = fresh_dir "v1_reject" in
@@ -414,7 +409,7 @@ let test_snapshot_v1_rejected () =
     | None -> Alcotest.fail "no snapshot written"
   in
   ignore (support_of (snd (run_control ~resume_from:path ())));
-  (* rewrite the header's version line (line 3) from 4 to 1, 2 and 3:
+  (* rewrite the header's version line (line 3) from 5 to 1, 2, 3 and 4:
      the exact files older builds would have produced modulo payload *)
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -443,7 +438,7 @@ let test_snapshot_v1_rejected () =
             (Printf.sprintf "v%s: storage-stage error" v)
             true
             (err.Kgm_error.stage = Kgm_error.Storage))
-    [ "1"; "2"; "3" ]
+    [ "1"; "2"; "3"; "4" ]
 
 let suite =
   [ Alcotest.test_case "journal: JSONL round-trip." `Quick
@@ -462,5 +457,5 @@ let suite =
       `Quick test_explain_determinism;
     Alcotest.test_case "explain: cyclic ownership stays bounded." `Quick
       test_explain_cycle_bounded;
-    Alcotest.test_case "snapshot: only v4 resumes."
+    Alcotest.test_case "snapshot: only v5 resumes."
       `Quick test_snapshot_v1_rejected ]

@@ -1100,7 +1100,7 @@ let test_dont_care_support () =
   let _, stats = run ~options src in
   let sup = Option.get stats.V.Engine.support in
   check Alcotest.int "one support entry per witness" k
-    (List.length (V.Engine.support_entries sup "r" [| Value.Int 1 |]));
+    (List.length (V.Support.entries sup "r" [| Value.Int 1 |]));
   check Alcotest.int "one match per witness" k
     (rule_stat stats 0).V.Engine.rs_matches
 
