@@ -304,22 +304,42 @@ module Snapshot = struct
     | (_, p) :: _ -> Some p
     | [] -> None
 
-  let save ~kind ~version ~path payload =
+  (* The body streams to the temp file; its digest is then read back
+     from the file and patched into the fixed-width digest line, so no
+     write holds the body in memory. *)
+  let save_with ~kind ~version ~path write =
     Faults.inject "checkpoint_write";
-    let body = Marshal.to_string payload [] in
-    let digest = Digest.to_hex (Digest.string body) in
     let dir = Filename.dirname path in
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
     let tmp = path ^ ".tmp" in
+    let head = Printf.sprintf "%s\n%s\n%d\n" magic kind version in
+    let body_start = String.length head + 33 in
     let oc = open_out_bin tmp in
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
-        Printf.fprintf oc "%s\n%s\n%d\n%s\n" magic kind version digest;
-        output_string oc body);
+        output_string oc head;
+        output_string oc (String.make 32 '0' ^ "\n");
+        write oc;
+        flush oc;
+        let body_len = pos_out oc - body_start in
+        let digest =
+          let ic = open_in_bin tmp in
+          Fun.protect
+            ~finally:(fun () -> close_in_noerr ic)
+            (fun () ->
+              seek_in ic body_start;
+              Digest.to_hex (Digest.channel ic body_len))
+        in
+        seek_out oc (String.length head);
+        output_string oc digest;
+        close_out oc);
     Sys.rename tmp path
 
-  let load ~kind ~version ~path =
+  let save ~kind ~version ~path payload =
+    save_with ~kind ~version ~path (fun oc -> Marshal.to_channel oc payload [])
+
+  let load_with ~kind ~version ~path read =
     if not (Sys.file_exists path) then
       Kgm_error.raise_error_ctx Kgm_error.Storage
         [ ("snapshot", path) ]
@@ -341,22 +361,16 @@ module Snapshot = struct
         if int_of_string_opt v <> Some version then
           fail "snapshot version %s not supported (want %d)" v version;
         let digest = line () in
-        let body =
-          let buf = Buffer.create 65536 in
-          let chunk = Bytes.create 65536 in
-          let rec slurp () =
-            let n = input ic chunk 0 (Bytes.length chunk) in
-            if n > 0 then begin
-              Buffer.add_subbytes buf chunk 0 n;
-              slurp ()
-            end
-          in
-          slurp ();
-          Buffer.contents buf
-        in
-        if Digest.to_hex (Digest.string body) <> digest then
-          fail "snapshot payload corrupt (digest mismatch)";
-        Marshal.from_string body 0)
+        let body_start = pos_in ic in
+        if
+          Digest.to_hex (Digest.channel ic (in_channel_length ic - body_start))
+          <> digest
+        then fail "snapshot payload corrupt (digest mismatch)";
+        seek_in ic body_start;
+        read ic)
+
+  let load ~kind ~version ~path =
+    load_with ~kind ~version ~path Marshal.from_channel
 
   (* Generation rotation: a long-lived writer (periodic engine
      checkpoints, the server's session snapshots) calls this right

@@ -170,11 +170,25 @@ module Snapshot : sig
       leaves the previous snapshot intact. Raises [Sys_error] on IO
       failure. *)
 
+  val save_with :
+    kind:string -> version:int -> path:string -> (out_channel -> unit) -> unit
+  (** {!save} of a body the callback writes to the channel, e.g. one
+      [Marshal] value per chunk: the body streams to the temp file and
+      its digest is read back from it, so the write holds neither the
+      payload nor its image in memory. {!save} is [save_with] of one
+      marshalled value. *)
+
   val load : kind:string -> version:int -> path:string -> 'a
   (** The caller asserts the payload type, as with [Marshal]; the
       kind/version/digest checks are the guard rails. Raises
       [Kgm_error.Error] ([Storage]) on a missing, foreign, corrupt or
       version-mismatched file. *)
+
+  val load_with :
+    kind:string -> version:int -> path:string -> (in_channel -> 'a) -> 'a
+  (** {!load} of a body the callback reads from the channel (positioned
+      at its start), once the header checks and the digest passed —
+      the reader of a {!save_with} body. *)
 
   val gc : dir:string -> kind:string -> keep:int -> string list
   (** Delete all but the newest [keep] generations of the kind in

@@ -96,12 +96,17 @@ end
 
 module IFactTbl = Hashtbl.Make (IFact)
 
-(* Growable array of ascending insertion sequences (index postings). *)
+(* Growable array of ascending insertion sequences (index postings).
+   Most keys of a served store hold one fact: a new key's postings
+   start with one slot and double from two. An index build grows them
+   the same way: counting each group first to size it exactly made a
+   build slower (a second hashing pass, and a write barrier per group
+   when its array is filled in later) than the doublings it saves. *)
 type postings = { mutable p_seq : int array; mutable p_len : int }
 
 let postings_add ps seq =
   if ps.p_len = Array.length ps.p_seq then begin
-    let cap = max 8 (2 * ps.p_len) in
+    let cap = max 2 (2 * ps.p_len) in
     let a = Array.make cap 0 in
     Array.blit ps.p_seq 0 a 0 ps.p_len;
     ps.p_seq <- a
@@ -194,10 +199,7 @@ let index_insert idx positions fact seq =
   | Some k -> (
       match IKeyTbl.find_opt idx k with
       | Some ps -> postings_add ps seq
-      | None ->
-          let ps = { p_seq = Array.make 8 0; p_len = 0 } in
-          postings_add ps seq;
-          IKeyTbl.add idx k ps)
+      | None -> IKeyTbl.add idx k { p_seq = [| seq |]; p_len = 1 })
 
 let buffer_append s fact =
   if s.len = Array.length s.arr then begin

@@ -605,6 +605,19 @@ let cterm_id env = function
   | CConst id -> Some id
   | CVar x -> env_lookup env x
 
+(* the positions of [a] bound under [env] (constants included), with
+   their ids: a probe's pattern and key *)
+let bound_key env (a : catom) =
+  let positions = ref [] and key = ref [] in
+  for i = Array.length a.ca_args - 1 downto 0 do
+    match cterm_id env a.ca_args.(i) with
+    | Some id ->
+        positions := i :: !positions;
+        key := id :: !key
+    | None -> ()
+  done;
+  (!positions, !key)
+
 (* The per-round delta a rule evaluation ranges over, with a lazily
    built hash index per (arity, bound-positions) pattern. A probe's
    group holds exactly the facts the old linear filter (arity guard
@@ -911,7 +924,9 @@ let monotonic st env (prep : prepared) j (g : Rule.aggregate) continue =
 (* The body walker: the one evaluator of rule bodies. It walks [order]
    — body literal indices: the written order for round 0, aggregate
    rules and naive rounds, a plan for pool work items, a stratified
-   aggregate's prefix and then its suffix — under [env], calling [emit]
+   aggregate's prefix and then its suffix, a monotonic aggregate's
+   delta-first prefix and then, per sorted match, its aggregate literal
+   and suffix — under [env], calling [emit]
    once per satisfied body. Positive literals probe the store through
    [Database.iter_matches_i], except [delta = Some (j, dg)], whose
    literal [j] ranges over the round's delta [dg]. Each match writes
@@ -940,15 +955,7 @@ let walk st env (prep : prepared) ~order ~delta ~first ~keyv ~emit =
         | CPos a ->
             let args = a.ca_args in
             let n = Array.length args in
-            (* bound positions and their key ids *)
-            let positions = ref [] and key = ref [] in
-            for i = n - 1 downto 0 do
-              match cterm_id env args.(i) with
-              | Some id ->
-                  positions := i :: !positions;
-                  key := id :: !key
-              | None -> ()
-            done;
+            let positions, key = bound_key env a in
             let ord = prep.pos_ord.(j) in
             let stop = j < Array.length first && first.(j) in
             (* true to end the probe: a match of a first-witness literal *)
@@ -972,11 +979,11 @@ let walk st env (prep : prepared) ~order ~delta ~first ~keyv ~emit =
             let examined =
               match delta with
               | Some (dj, dg) when dj = j ->
-                  let group = dg_lookup dg ~arity:n !positions !key in
+                  let group = dg_lookup dg ~arity:n positions key in
                   List.iter (fun (i, f) -> ignore (try_fact i f)) group;
                   List.length group
               | _ ->
-                  Database.iter_matches_i st.db a.ca_pred !positions !key
+                  Database.iter_matches_i st.db a.ca_pred positions key
                     try_fact
             in
             st.cur.c_probes <- st.cur.c_probes + examined
@@ -1342,8 +1349,7 @@ type candidate = {
 }
 
 (* lexicographic; vectors of one (rule, literal) group share a length *)
-let compare_candidates a b =
-  let ka = a.cd_key and kb = b.cd_key in
+let compare_keys ka kb =
   let n = Array.length ka in
   let rec go i =
     if i >= n then 0
@@ -1352,6 +1358,8 @@ let compare_candidates a b =
       if c <> 0 then c else go (i + 1)
   in
   go 0
+
+let compare_candidates a b = compare_keys a.cd_key b.cd_key
 
 type work_item = {
   w_prep : prepared;
@@ -1440,6 +1448,196 @@ let fire_candidate st env (prep : prepared) cand ~on_new =
   fire st env prep ~on_new;
   st.fact_trail <- [];
   env_undo env mark
+
+(* ------------------------------------------------------------------ *)
+(* Delta-first aggregate rounds.
+
+   A monotonic-aggregate rule evaluates a delta round in written order
+   on the live store: when the delta literal is not its first positive
+   literal, the walk scans that outer literal whole — every [controls]
+   fact, for a batch that seeds one [own] fact. Such a round may instead
+   collect the matches of the aggregate's prefix (the literals before
+   it) delta-first, in the planner's order, sort them on their written
+   insertion-seq vectors and replay the aggregate literal and the
+   suffix from each, in that order, firing as the written walk does.
+
+   Nothing observable moves when
+   - no prefix literal but the outermost positive one [o] reads what
+     the stratum derives ([live]): the written walk probes [o] once,
+     before anything fires, and reads the round delta at the delta
+     literal, so every prefix literal it reads holds still under it and
+     it meets exactly the matches a collection made before firing
+     meets, emitting them in the order of their vectors;
+   - the prefix assigns nothing: the collection interns no value the
+     written walk would intern between firings.
+   First-witness flags for the collection's order may keep fewer
+   witnesses of a don't-care literal than the written walk meets; the
+   surplus ones re-offer a contributor key already folded and stop at
+   the aggregate, and the sort puts the lowest witness, the one the
+   written walk folds, first. Facts, insertion order, nulls, support
+   entries and accumulators are the written walk's; only the probes
+   fall. The replay pushes the prefix facts onto the trail in written
+   order, so a recorded derivation names the same parents.
+
+   The collection pays a probe per delta fact and literal, so it runs
+   only when that is estimated cheaper than the written walk's outer
+   scan ({!delta_first_cheaper}): a delta as large as the store it
+   joins is cheaper walked in written order. *)
+
+(* [Some (j, o)] when a delta round of [prep] over literal [dlit] may
+   collect delta-first: [j] its first aggregate literal (monotonic,
+   after [dlit]), [o] its outermost positive literal (not [dlit]) *)
+let delta_first_prefix (prep : prepared) ~dlit ~live =
+  let n = Array.length prep.cbody in
+  let rec find p k =
+    if k >= n then None else if p prep.cbody.(k) then Some k else find p (k + 1)
+  in
+  match
+    ( prep.strat_agg_index,
+      find (function CAgg _ -> true | _ -> false) 0,
+      find (function CPos _ -> true | _ -> false) 0 )
+  with
+  | None, Some j, Some o when o < dlit && dlit < j ->
+      let still k =
+        match prep.cbody.(k) with
+        | CAssign _ -> false
+        | CPos a | CNeg a -> k = o || k = dlit || not (List.mem a.ca_pred live)
+        | CCond _ | CAgg _ -> true
+      in
+      if List.for_all still (List.init j Fun.id) then Some (j, o) else None
+  | _ -> None
+
+(* The collection's estimated probe volume against [limit], the written
+   walk's outer scan: per delta fact, one for the fact and, for every
+   other positive prefix literal, the index group its constants and the
+   delta literal's bindings select ({!Database.probe_size}) — the whole
+   predicate where they select nothing, an overestimate for literals
+   bound through others. Literals the delta leaves unbound are charged
+   first, so a round that cannot win builds no index to find out; the
+   sum stops once it reaches [limit]. *)
+let delta_first_cheaper st (prep : prepared) ~dlit ~j ~limit (dg : delta_group) =
+  let da = match prep.cbody.(dlit) with CPos a -> a | _ -> assert false in
+  let dvars =
+    Array.fold_left
+      (fun acc t -> match t with CVar x -> x :: acc | CConst _ -> acc)
+      [] da.ca_args
+  in
+  let selected (a : catom) =
+    Array.exists
+      (function CConst _ -> true | CVar x -> List.mem x dvars)
+      a.ca_args
+  in
+  let others =
+    List.filter_map
+      (fun k ->
+        match prep.cbody.(k) with
+        | CPos a when k <> dlit -> Some a
+        | _ -> None)
+      (List.init j Fun.id)
+  in
+  let unbound, bound = List.partition (fun a -> not (selected a)) others in
+  let per_fact =
+    List.fold_left (fun acc a -> acc + Database.count st.db a.ca_pred) 1 unbound
+  in
+  let env = env_create () in
+  let rec go cost = function
+    | [] -> cost < limit
+    | (_, (f : Database.ifact)) :: rest ->
+        let cost = cost + per_fact in
+        if cost >= limit then false
+        else if Array.length f <> Array.length da.ca_args then go cost rest
+        else begin
+          let mark = env_mark env in
+          let cost =
+            if unify env da.ca_args f 0 then
+              List.fold_left
+                (fun cost (a : catom) ->
+                  let positions, key = bound_key env a in
+                  cost + Database.probe_size st.db a.ca_pred positions key)
+                cost bound
+            else cost
+          in
+          env_undo env mark;
+          go cost rest
+        end
+  in
+  go 0 dg.dg_facts
+
+(* One delta round of [prep] over literal [dlit], delta-first, when
+   {!delta_first_prefix} allows it and {!delta_first_cheaper} says so;
+   [false], leaving the round to the written walk, otherwise *)
+let eval_agg_delta_first st (prep : prepared) ~dlit ~live (dg : delta_group)
+    ~on_new =
+  match delta_first_prefix prep ~dlit ~live with
+  | None -> false
+  | Some (j, o) ->
+      let n = Array.length prep.cbody in
+      let written = List.init n Fun.id in
+      let first_written =
+        first_witness st prep ~order:written ~delta_lit:(Some dlit) ~live
+      in
+      let outer = match prep.cbody.(o) with CPos a -> a | _ -> assert false in
+      (* the written walk's outer scan: nothing is bound at [o] but its
+         constants, and a first-witness [o] stops at one fact *)
+      let limit =
+        if o < Array.length first_written && first_written.(o) then 1
+        else
+          let positions, key = bound_key (env_create ()) outer in
+          Database.probe_size st.db outer.ca_pred positions key
+      in
+      delta_first_cheaper st prep ~dlit ~j ~limit dg
+      && begin
+        let prefix = List.filteri (fun k _ -> k < j) prep.rule.Rule.body in
+        let plan =
+          Planner.plan_rule
+            ~count:(fun p -> Database.count st.db p)
+            ~delta_lit:dlit
+            { prep.rule with Rule.body = prefix }
+        in
+        let vars = Array.of_list (Rule.body_vars prefix) in
+        let atoms =
+          List.filter_map
+            (fun k -> match prep.cbody.(k) with CPos a -> Some a | _ -> None)
+            (List.init j Fun.id)
+        in
+        let n_atoms = List.length atoms in
+        timed_rule st prep (fun _ ->
+            let env = env_create () and keyv = sort_key prep in
+            let matches = ref [] in
+            walk st env prep ~order:plan.Planner.order ~delta:(Some (dlit, dg))
+              ~first:
+                (first_witness st prep ~order:plan.Planner.order
+                   ~delta_lit:(Some dlit) ~live:[])
+              ~keyv
+              ~emit:(fun () ->
+                let ids =
+                  Array.map
+                    (fun v ->
+                      match env_lookup env v with
+                      | Some id -> id
+                      | None ->
+                          Kgm_error.reason_error "unbound prefix variable %s" v)
+                    vars
+                in
+                matches := (Array.copy keyv, ids) :: !matches);
+            let matches = Array.of_list !matches in
+            Array.sort (fun (a, _) (b, _) -> compare_keys a b) matches;
+            let suffix = List.init (n - j) (fun k -> j + k) in
+            Array.iter
+              (fun (_, ids) ->
+                let mark = env_mark env in
+                Array.iteri (fun k id -> env_bind env vars.(k) id) ids;
+                if st.keep_trail then
+                  List.iter
+                    (fun a -> trail_push st a.ca_pred (ground_atom env a))
+                    atoms;
+                walk st env prep ~order:suffix ~delta:None ~first:first_written
+                  ~keyv ~emit:(fun () -> fire st env prep ~on_new);
+                if st.keep_trail then st.trail_len <- st.trail_len - n_atoms;
+                env_undo env mark)
+              matches);
+        true
+      end
 
 let eval_delta_round st pool (rules : prepared list) ~use_planner ~cancel
     ~tok_status ~retries ~current ~live ~on_new =
@@ -1597,16 +1795,21 @@ let eval_delta_round st pool (rules : prepared list) ~use_planner ~cancel
     (fun (prep : prepared) ->
       if prep.has_agg then
         (* order-sensitive: evaluate directly against the live store, in
-           written order (the delta still probes through a hash index) *)
+           written order (the delta still probes through a hash index),
+           or delta-first where that emits in the same order *)
         List.iteri
           (fun i lit ->
             match lit with
             | Rule.Pos (a : Rule.atom) -> (
                 match Hashtbl.find_opt current a.Rule.pred with
                 | Some fl ->
-                    eval_rule st prep
-                      ~delta:(Some (i, delta_group (List.rev !fl)))
-                      ~live ~on_new
+                    let dg = delta_group (List.rev !fl) in
+                    if
+                      not
+                        (use_planner
+                        && eval_agg_delta_first st prep ~dlit:i ~live dg
+                             ~on_new)
+                    then eval_rule st prep ~delta:(Some (i, dg)) ~live ~on_new
                 | None -> ())
             | _ -> ())
           prep.rule.Rule.body
@@ -1738,7 +1941,7 @@ let chase start ?(options = default_options) ?support
     ?(telemetry = Kgm_telemetry.null)
     ?(journal = Kgm_telemetry.Journal.null)
     ?(cancel = Kgm_resilience.Token.none) ?checkpoint ?resume_from
-    ?rule_ids ?(agg_init = []) (program : Rule.program) db =
+    ?rule_ids ?(agg_init = []) ?pool (program : Rule.program) db =
   let seeded, seed, wholesale, on_new =
     match start with
     | Full -> (false, [], (fun _ -> true), None)
@@ -1953,11 +2156,18 @@ let chase start ?(options = default_options) ?support
      the round-0 full evaluation covers this; here nothing else would) *)
   let derived : (string * Database.ifact) list ref = ref [] in
   let stopped = ref None in
-  (* one pool for the whole run; it starts its jobs - 1 domains at the
+  (* one pool for the whole run, the caller's when it passes one (and
+     then not shut down here); a pool starts its jobs - 1 domains at the
      first round with more than one work item, so a run with none (or
      jobs = 1) evaluates every round inline *)
-  let pool = Kgm_pool.create (max 1 options.jobs) in
-  Fun.protect ~finally:(fun () -> Kgm_pool.shutdown pool) @@ fun () ->
+  let pool, owned =
+    match pool with
+    | Some p -> (p, false)
+    | None -> (Kgm_pool.create (max 1 options.jobs), true)
+  in
+  let spawned_before = Kgm_pool.spawned pool in
+  Fun.protect ~finally:(fun () -> if owned then Kgm_pool.shutdown pool)
+  @@ fun () ->
   (try
      for s = start_stratum to n_strata - 1 do
        let rules_here =
@@ -2150,7 +2360,8 @@ let chase start ?(options = default_options) ?support
     Kgm_telemetry.count telemetry ~by:stats.chase_hits "engine.chase.hits";
     Kgm_telemetry.count telemetry ~by:stats.chase_misses "engine.chase.misses";
     Kgm_telemetry.count telemetry ~by:st.examined "engine.chase.examined";
-    Kgm_telemetry.count telemetry ~by:(Kgm_pool.spawned pool)
+    Kgm_telemetry.count telemetry
+      ~by:(Kgm_pool.spawned pool - spawned_before)
       "engine.pool.spawned";
     if !cks_written > 0 then
       Kgm_telemetry.count telemetry ~by:!cks_written
@@ -2189,14 +2400,14 @@ let chase start ?(options = default_options) ?support
   stats
 
 let run ?options ?support ?telemetry ?journal ?cancel ?checkpoint ?resume_from
-    ?rule_ids ?agg_init program db =
+    ?rule_ids ?agg_init ?pool program db =
   chase Full ?options ?support ?telemetry ?journal ?cancel ?checkpoint
-    ?resume_from ?rule_ids ?agg_init program db
+    ?resume_from ?rule_ids ?agg_init ?pool program db
 
 let run_delta ?options ?support ?telemetry ?journal ?cancel ?on_new
-    ?rule_ids ?agg_init ?(wholesale = fun _ -> false) program db ~seed =
+    ?rule_ids ?agg_init ?pool ?(wholesale = fun _ -> false) program db ~seed =
   chase (Seeded { seed; wholesale; on_new }) ?options ?support ?telemetry
-    ?journal ?cancel ?rule_ids ?agg_init program db
+    ?journal ?cancel ?rule_ids ?agg_init ?pool program db
 
 (* Human-readable planning report: what [run] would decide for
    [program] over the current contents of [db] — the strata in

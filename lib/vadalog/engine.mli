@@ -324,7 +324,7 @@ val run :
   ?cancel:Kgm_resilience.Token.t ->
   ?checkpoint:checkpoint -> ?resume_from:string ->
   ?rule_ids:int array -> ?agg_init:(int * agg_state) list ->
-  Rule.program -> Database.t -> stats
+  ?pool:Kgm_pool.pool -> Rule.program -> Database.t -> stats
 (** Load the program's facts into the database and chase its rules to
     fixpoint, stratum by stratum.
 
@@ -336,7 +336,11 @@ val run :
     [agg_init] hands the run monotonic-aggregate tables (keyed by
     recording id) to fold into, in place, instead of fresh ones — a
     maintenance layer passes the empty tables it keeps for the
-    session. Raises [Kgm_error.Error]:
+    session. [pool] runs the rounds' work items on the caller's pool
+    (not shut down here; its size need not be [options.jobs], results
+    are the same at every size) instead of one the run creates and
+    shuts down — a long-lived caller running many short passes keeps
+    its domains started. Raises [Kgm_error.Error]:
     [Validate] on unsafe or unstratifiable programs, [Reason] on
     exceeded budgets (with the offending rule and round — and the final
     checkpoint path, when one was written — in the error context)
@@ -359,7 +363,8 @@ val run :
     evaluation that derived facts, an [engine.rule_eval_s] latency
     histogram and [engine.*] counters (plus [resilience.*] and
     [engine.stopped.*] counters when checkpoints, retries or limit
-    stops occurred).
+    stops occurred); [engine.pool.spawned] counts the domains the run
+    started, 0 on a passed pool that already runs its domains.
 
     [journal] defaults to {!Kgm_telemetry.Journal.null}; an enabled
     journal receives the chase flight record — [run.start],
@@ -392,8 +397,8 @@ val run_delta :
   ?telemetry:Kgm_telemetry.t -> ?journal:Kgm_telemetry.Journal.t ->
   ?cancel:Kgm_resilience.Token.t ->
   ?on_new:(string -> Database.fact -> unit) -> ?rule_ids:int array ->
-  ?agg_init:(int * agg_state) list -> ?wholesale:(int -> bool) ->
-  Rule.program -> Database.t ->
+  ?agg_init:(int * agg_state) list -> ?pool:Kgm_pool.pool ->
+  ?wholesale:(int -> bool) -> Rule.program -> Database.t ->
   seed:(string * Database.fact list) list -> stats
 (** A seeded entry into {!run}'s chase loop, for incremental
     maintenance. Precondition: [db] already holds a chase fixpoint of
@@ -425,7 +430,7 @@ val run_delta :
     chase being maintained, so new contributions extend the old totals
     — required whenever [program] contains a monotonic aggregate
     outside the wholesale strata, otherwise the pass would re-count
-    from empty groups. Checkpointing is not
+    from empty groups; [pool] as in {!run}. Checkpointing is not
     supported here ({!Incremental} states are cheap to rebuild from a
     fresh chase). The journal's [run.start]/[run.end] carry
     [mode = "delta"] and the seed count; the span is

@@ -195,12 +195,12 @@ let note_negatives st (stats : Engine.stats) =
 
 (* Chase [phases] (the state's pipeline, possibly facts-stripped) in
    order on [db], recording into [support] and folding into the logs. *)
-let run_phases ?telemetry ?journal ~options st ~support db phases =
+let run_phases ?telemetry ?journal ?pool ~options st ~support db phases =
   List.mapi
     (fun i ph ->
       let m = st.metas.(i) in
       let stats =
-        Engine.run ~options ~support ?telemetry ?journal
+        Engine.run ~options ~support ?telemetry ?journal ?pool
           ~rule_ids:(phase_rule_ids m) ~agg_init:(agg_init_for st m) ph db
       in
       note_negatives st stats;
@@ -235,12 +235,19 @@ let chase ?options ?telemetry ?journal ?(db = Database.create ()) program =
 
 let db st = st.db
 let phases st = st.phases
+let options st = st.options
 let support st = st.support
 
-let edb_facts st =
-  List.concat_map
-    (fun p -> List.map (fun f -> (p, f)) (Database.facts st.edb p))
+let iter_edb st f =
+  List.iter
+    (fun p ->
+      ignore (Database.iter_matches st.edb p [] [] (fun _ fact -> f p fact)))
     (Database.predicates st.edb)
+
+let edb_facts st =
+  let acc = ref [] in
+  iter_edb st (fun p f -> acc := (p, f) :: !acc);
+  List.rev !acc
 
 let swap_db st db = st.db <- db
 
@@ -413,13 +420,14 @@ let repair_options st = { st.options with Engine.on_limit = `Raise }
    dictionary, same fact arrays) with the batch applied, chased with
    fresh support. Null numbering is then up to {!canonical_facts},
    since the global null counter never rewinds. *)
-let rechase ?telemetry ?journal st ~retracts ~inserts =
+let rechase ?telemetry ?journal ?pool st ~retracts ~inserts =
   let db = Database.copy st.edb in
   ignore (Database.apply_batch db ~retracts ~inserts);
   let support = Support.create () in
   register_agg_logs st;
   ignore
-    (run_phases ?telemetry ?journal ~options:(repair_options st) st ~support
+    (run_phases ?telemetry ?journal ?pool ~options:(repair_options st) st
+       ~support
        db
        (List.map (fun (ph : Rule.program) -> { ph with Rule.facts = [] })
           st.phases));
@@ -775,7 +783,7 @@ let delete ~journal st plan cone (alive, alive_nulls) =
    wholesale strata re-derive on the maintained lower strata, and every
    later stratum also sees what the pass itself derived. Returns the
    facts derived and the rounds run. *)
-let reseed ~telemetry ~journal st plan ~is_edb ~inserts del =
+let reseed ~telemetry ~journal ?pool st plan ~is_edb ~inserts del =
   (* an insert already in the store (derived, or listed twice) is no
      seed: its consequences already exist *)
   let fresh =
@@ -823,7 +831,7 @@ let reseed ~telemetry ~journal st plan ~is_edb ~inserts del =
       if relevant then begin
         let stats =
           Engine.run_delta ~options:(repair_options st) ~support:st.support
-            ~telemetry ~journal ~on_new ~rule_ids:(phase_rule_ids m)
+            ~telemetry ~journal ?pool ~on_new ~rule_ids:(phase_rule_ids m)
             ~agg_init:(agg_init_for st m) ~wholesale:(Array.get marked) ph
             st.db ~seed:phase_seed
         in
@@ -835,7 +843,7 @@ let reseed ~telemetry ~journal st plan ~is_edb ~inserts del =
   (!derived, !rounds)
 
 let maintain ?(telemetry = Kgm_telemetry.null)
-    ?(journal = Kgm_telemetry.Journal.null) st ~inserts ~retracts =
+    ?(journal = Kgm_telemetry.Journal.null) ?pool st ~inserts ~retracts =
   let t0 = Kgm_telemetry.Clock.now () in
   (* retractions only make sense against the EDB; a derived fact would
      simply be rederived. Until the batch commits, a fact is extensional
@@ -853,7 +861,7 @@ let maintain ?(telemetry = Kgm_telemetry.null)
     List.sort_uniq String.compare (List.map fst (inserts @ retracts))
   in
   let by_rechase () =
-    rechase ~telemetry ~journal st ~retracts ~inserts;
+    rechase ~telemetry ~journal ?pool st ~retracts ~inserts;
     st.torn <- false;
     { u_inserted = 0; u_retracted = 0; u_cone = 0; u_rederived = 0;
       u_deleted = 0; u_refired = 0; u_derived = 0; u_rounds = 0;
@@ -879,7 +887,7 @@ let maintain ?(telemetry = Kgm_telemetry.null)
             let deleted = del.dl_deleted in
             let refired = List.length del.dl_refire in
             let derived, rounds =
-              reseed ~telemetry ~journal st plan ~is_edb ~inserts del
+              reseed ~telemetry ~journal ?pool st plan ~is_edb ~inserts del
             in
             { u_inserted = 0; u_retracted = 0; u_cone = cone_n;
               u_rederived = cone_n - deleted; u_deleted = deleted;

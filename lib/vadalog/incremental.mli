@@ -99,6 +99,10 @@ val db : state -> Database.t
 val phases : state -> Rule.program list
 (** The chased pipeline, in replay order. *)
 
+val options : state -> Engine.options
+(** The engine options the state was chased with; every repair runs
+    under them (with [on_limit = `Raise]). *)
+
 val support : state -> Support.t
 (** The live support (provenance edges) backing DRed. Replaced by a
     fallback re-chase, so re-fetch after every {!maintain} — e.g. to
@@ -111,6 +115,10 @@ val edb_facts : state -> (string * Database.fact) list
     where maintenance puts it in the store. The EDB is one
     {!Database.t} sharing the store's dictionary. *)
 
+val iter_edb : state -> (string -> Database.fact -> unit) -> unit
+(** The current extensional facts in {!edb_facts}'s order, one call
+    each, without building the list. *)
+
 val swap_db : state -> Database.t -> unit
 (** [swap_db st twin] hands the session a twin of its database: a store
     holding the same facts in the same per-predicate order (sequence
@@ -121,7 +129,8 @@ val swap_db : state -> Database.t -> unit
     dictionary; nothing else checks that it is a twin. *)
 
 val maintain :
-  ?telemetry:Kgm_telemetry.t -> ?journal:Kgm_telemetry.Journal.t -> state ->
+  ?telemetry:Kgm_telemetry.t -> ?journal:Kgm_telemetry.Journal.t ->
+  ?pool:Kgm_pool.pool -> state ->
   inserts:(string * Database.fact) list ->
   retracts:(string * Database.fact) list -> update_stats
 (** Apply a batch of extensional updates and repair the
@@ -131,7 +140,10 @@ val maintain :
     changes the EDB exactly as {!Database.apply_batch} changes a fact
     set: retractions before inserts, so a batch may move a fact, and a
     fact listed twice counts once. Each phase the batch can reach gets
-    exactly one {!Engine.run_delta} pass.
+    exactly one {!Engine.run_delta} pass. [pool] is handed to every
+    engine pass of the batch (see {!Engine.run}): a caller maintaining
+    batch after batch passes one pool, whose domains then start once,
+    instead of a pool started and joined per pass.
     Emits [incremental.*] telemetry counters mirroring {!update_stats};
     an enabled [journal] additionally records [maintain.start],
     [dred.cone] (overdeletion cone / rederivation / deletion sizes) and
