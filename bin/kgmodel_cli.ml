@@ -706,7 +706,7 @@ let serve_cmd =
           [ Sys.sigint; Sys.sigterm ];
         Kgm_server.start srv;
         Format.printf "%% serving on %s (workers %d, queue %d, epoch %d)@."
-          sock workers queue epoch;
+          sock workers queue (Kgm_server.stats srv).Kgm_server.st_epoch;
         Format.print_flush ();
         let s = Kgm_server.run_until_drained srv in
         Format.printf
