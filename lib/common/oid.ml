@@ -20,13 +20,31 @@ let hash = function
   | Fresh (i, _) -> Hashtbl.hash (0, i)
   | Skolem (f, xs) -> Hashtbl.hash (1, f, xs)
 
-let pp ppf = function
-  | Fresh (i, "") -> Format.fprintf ppf "#%d" i
-  | Fresh (i, hint) -> Format.fprintf ppf "#%d:%s" i hint
+let to_buffer buf = function
+  | Fresh (i, hint) ->
+      Buffer.add_char buf '#';
+      Buffer.add_string buf (string_of_int i);
+      if hint <> "" then begin
+        Buffer.add_char buf ':';
+        Buffer.add_string buf hint
+      end
   | Skolem (f, xs) ->
-      Format.fprintf ppf "sk_%s(%s)" f (String.concat "," xs)
+      Buffer.add_string buf "sk_";
+      Buffer.add_string buf f;
+      Buffer.add_char buf '(';
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_char buf ',';
+          Buffer.add_string buf x)
+        xs;
+      Buffer.add_char buf ')'
 
-let to_string o = Format.asprintf "%a" pp o
+let to_string o =
+  let buf = Buffer.create 16 in
+  to_buffer buf o;
+  Buffer.contents buf
+
+let pp ppf o = Format.pp_print_string ppf (to_string o)
 
 type gen = { mutable next : int }
 

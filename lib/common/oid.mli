@@ -13,6 +13,10 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
 
+val to_buffer : Buffer.t -> t -> unit
+(** Append the printed form ("#12", "#12:hint", "sk_f(a,b)"); {!pp}
+    and {!to_string} print through it. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

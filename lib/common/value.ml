@@ -67,20 +67,61 @@ module Hashed_array = struct
   let hash f = Array.fold_left (fun h v -> (h * 31) + hash v) (Array.length f) f
 end
 
-let rec pp ppf = function
-  | Int i -> Format.pp_print_int ppf i
-  | Float f -> Format.fprintf ppf "%g" f
-  | String s -> Format.fprintf ppf "%S" s
-  | Bool b -> Format.pp_print_bool ppf b
-  | Date (y, m, d) -> Format.fprintf ppf "%04d-%02d-%02d" y m d
-  | Id o -> Oid.pp ppf o
-  | Null n -> Format.fprintf ppf "_:n%d" n
-  | List l ->
-      Format.fprintf ppf "[%a]"
-        (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";") pp)
-        l
+(* The one renderer: [to_string] and [pp] print through it, and the
+   server renders answers with it straight into the response buffer.
+   The text is what [Format] printed before — [%g] floats (the C
+   formatter Printf's [%g] calls, without interpreting the format),
+   OCaml-escaped quoted strings ([%S]), zero-padded dates ([%04d],
+   [%02d], sign first) — so the printed forms stay byte-identical. *)
+external format_float : string -> float -> string = "caml_format_float"
 
-let to_string v = Format.asprintf "%a" pp v
+let add_padded buf width n =
+  let s = string_of_int n in
+  let len = String.length s in
+  if len >= width then Buffer.add_string buf s
+  else if n < 0 then begin
+    Buffer.add_char buf '-';
+    for _ = len to width - 1 do Buffer.add_char buf '0' done;
+    Buffer.add_substring buf s 1 (len - 1)
+  end
+  else begin
+    for _ = len to width - 1 do Buffer.add_char buf '0' done;
+    Buffer.add_string buf s
+  end
+
+let rec to_buffer buf = function
+  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Float f -> Buffer.add_string buf (format_float "%g" f)
+  | String s ->
+      Buffer.add_char buf '"';
+      Buffer.add_string buf (String.escaped s);
+      Buffer.add_char buf '"'
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Date (y, m, d) ->
+      add_padded buf 4 y;
+      Buffer.add_char buf '-';
+      add_padded buf 2 m;
+      Buffer.add_char buf '-';
+      add_padded buf 2 d
+  | Id o -> Oid.to_buffer buf o
+  | Null n ->
+      Buffer.add_string buf "_:n";
+      Buffer.add_string buf (string_of_int n)
+  | List l ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char buf ';';
+          to_buffer buf v)
+        l;
+      Buffer.add_char buf ']'
+
+let to_string v =
+  let buf = Buffer.create 16 in
+  to_buffer buf v;
+  Buffer.contents buf
+
+let pp ppf v = Format.pp_print_string ppf (to_string v)
 
 let int i = Int i
 let float f = Float f

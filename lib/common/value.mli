@@ -35,6 +35,12 @@ module Hashed_array : Hashtbl.HashedType with type t = t array
 (** Value tuples as arrays, pointwise {!equal} — probe fact-keyed tables
     with the fact itself instead of allocating a list key. *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** Append the printed form of a value: [%g] floats, OCaml-escaped
+    quoted strings, [yyyy-mm-dd] dates, [_:nN] nulls, {!Oid.to_buffer}
+    identifiers, [[a;b]] lists. {!pp} and {!to_string} print through
+    it. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -118,6 +118,15 @@ let fingerprint phases =
 let session_log base = Filename.remove_extension base ^ ".log"
 
 let save_session ~dir ~keep ~epoch st =
+  (* rotation keeps the highest-numbered generations, so a base
+     numbered below one already here could be the one it deletes *)
+  (match List.rev (Snapshot.list ~dir ~kind:session_kind) with
+  | (seq, newer) :: _ when seq > epoch ->
+      Err.raise_error_ctx Err.Storage
+        [ ("path", newer) ]
+        "session epoch %d is older than generation %d already in %s" epoch
+        seq dir
+  | _ -> ());
   let path = Snapshot.path ~dir ~kind:session_kind ~seq:epoch in
   Snapshot.save_with ~kind:session_kind ~version:session_version ~path
     (fun oc ->
@@ -231,14 +240,75 @@ type req = {
 
 let header req k = List.assoc_opt k req.headers
 
-let find_sub hay needle from =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then None
-    else if String.sub hay i nn = needle then Some i
-    else go (i + 1)
-  in
-  go from
+(* Bytes read off a socket and not consumed yet: [lo, hi) of [b]. Both
+   ends of the wire frame in place here: a head is found by scanning
+   these bytes, a request or response is cut out of them once, and
+   the bytes past it — a pipelined successor — stay where they are for
+   the next call. Offsets handed out are relative to [lo], so they
+   survive a [fill] that compacts or grows the buffer. *)
+module Inbuf = struct
+  type t = {
+    mutable b : Bytes.t;
+    mutable lo : int;
+    mutable hi : int;
+    mutable seen : int;  (* from [lo]: no head ends before this *)
+  }
+
+  let initial = 8192
+
+  let create () = { b = Bytes.create initial; lo = 0; hi = 0; seen = 0 }
+  let length ib = ib.hi - ib.lo
+
+  (* offset of the blank line ending a head, [-1] while none is in;
+     a later call resumes where this one stopped *)
+  let find_head_end ib =
+    let b = ib.b and last = ib.hi - 4 in
+    let rec go i =
+      if i > last then begin
+        ib.seen <- i - ib.lo;
+        -1
+      end
+      else if
+        Bytes.get b i = '\r'
+        && Bytes.get b (i + 1) = '\n'
+        && Bytes.get b (i + 2) = '\r'
+        && Bytes.get b (i + 3) = '\n'
+      then i - ib.lo
+      else go (i + 1)
+    in
+    go (ib.lo + ib.seen)
+
+  (* one read(2) into the free tail, made at least [want] bytes long
+     (compacting first, growing when that is not enough); 0 at EOF *)
+  let fill ib fd ~want =
+    let cap = Bytes.length ib.b and live = length ib in
+    if cap - ib.hi < want then begin
+      let b =
+        if live + want <= cap then ib.b
+        else Bytes.create (max (2 * cap) (live + want))
+      in
+      Bytes.blit ib.b ib.lo b 0 live;
+      ib.b <- b;
+      ib.lo <- 0;
+      ib.hi <- live
+    end;
+    let n = Unix.read fd ib.b ib.hi (Bytes.length ib.b - ib.hi) in
+    ib.hi <- ib.hi + n;
+    n
+
+  let sub ib off len = Bytes.sub_string ib.b (ib.lo + off) len
+
+  (* drop the first [n] bytes; an emptied buffer starts over at its
+     front, and at its initial size once a large message is through *)
+  let consume ib n =
+    ib.lo <- ib.lo + n;
+    ib.seen <- 0;
+    if ib.lo = ib.hi then begin
+      ib.lo <- 0;
+      ib.hi <- 0;
+      if Bytes.length ib.b > 8 * initial then ib.b <- Bytes.create initial
+    end
+end
 
 let write_all fd s =
   let n = String.length s in
@@ -259,18 +329,17 @@ let reason_of = function
   | 504 -> "Gateway Timeout"
   | _ -> "Status"
 
-(* assembled with plain Buffer pushes — this runs once per request,
-   and interpreted Printf formats are measurable at six figures of
-   requests per second *)
-let write_response ?(keep_alive = false) fd status extra body =
-  let b = Buffer.create (String.length body + 256) in
+(* a response head, assembled with plain Buffer pushes — this runs once
+   per request, and interpreted Printf formats are measurable at six
+   figures of requests per second *)
+let add_head b ~keep_alive status extra ~body_len =
   Buffer.add_string b "HTTP/1.1 ";
   Buffer.add_string b (string_of_int status);
   Buffer.add_char b ' ';
   Buffer.add_string b (reason_of status);
   Buffer.add_string b "\r\ncontent-type: text/plain; charset=utf-8\r\n";
   Buffer.add_string b "content-length: ";
-  Buffer.add_string b (string_of_int (String.length body));
+  Buffer.add_string b (string_of_int body_len);
   Buffer.add_string b
     (if keep_alive then "\r\nconnection: keep-alive\r\n"
      else "\r\nconnection: close\r\n");
@@ -281,10 +350,7 @@ let write_response ?(keep_alive = false) fd status extra body =
       Buffer.add_string b v;
       Buffer.add_string b "\r\n")
     extra;
-  Buffer.add_string b "\r\n";
-  Buffer.add_string b body;
-  (* a peer that hung up mid-response is its problem, not ours *)
-  try write_all fd (Buffer.contents b) with Unix.Unix_error _ -> ()
+  Buffer.add_string b "\r\n"
 
 let max_head = 65536
 let max_body = 8_000_000
@@ -308,51 +374,93 @@ let parse_head_lines head =
       in
       Some (first, headers)
 
-(* Per-connection read state: [pending] carries the bytes already read
-   past the previous request's content-length — the pipelined
-   successor the old one-request reader would have silently eaten —
-   and [served] counts requests toward the per-connection cap. *)
+(* Answers wait in [out] until the connection would block for input,
+   closes, or holds [out_max] bytes; a flush writes them through
+   [wbuf] in [out_max]-byte write(2)s. [body] is the answer being
+   rendered. [served] counts requests toward the per-connection cap. *)
 type conn = {
   c_fd : Unix.file_descr;
-  mutable c_pending : string;
+  c_in : Inbuf.t;
   mutable c_served : int;
-  c_chunk : Bytes.t;   (* read scratch, reused across requests *)
-  c_buf : Buffer.t;    (* request accumulator, reused across requests *)
+  c_body : Buffer.t;
+  c_out : Buffer.t;
+  mutable c_wbuf : Bytes.t;
 }
+
+(* one write(2) moves at most this much: the runtime's IO buffer *)
+let out_max = 65536
 
 let make_conn fd =
   {
     c_fd = fd;
-    c_pending = "";
+    c_in = Inbuf.create ();
     c_served = 0;
-    c_chunk = Bytes.create 8192;
-    c_buf = Buffer.create 512;
+    c_body = Buffer.create 1024;
+    c_out = Buffer.create 4096;
+    c_wbuf = Bytes.empty;
   }
+
+(* write(2) until [len] bytes of [b] from [off] are out, counting each
+   call into [writes] before it is made *)
+let rec write_counted writes fd b off len =
+  if len > 0 then begin
+    Atomic.incr writes;
+    let n = Unix.single_write fd b off len in
+    write_counted writes fd b (off + n) (len - n)
+  end
+
+(* Write the held answers, [false] when the peer is gone. They go
+   through the reused [wbuf] and never through [Buffer.contents]: a
+   window's answers are past 256 words, so that string would be a
+   major-heap allocation per window. *)
+let flush writes conn =
+  let out = conn.c_out in
+  let len = Buffer.length out in
+  let rec go off =
+    if off < len then begin
+      let n = min out_max (len - off) in
+      if Bytes.length conn.c_wbuf < n then begin
+        let rec pow2 k = if k >= n then k else pow2 (2 * k) in
+        conn.c_wbuf <- Bytes.create (min out_max (pow2 4096))
+      end;
+      Buffer.blit out off conn.c_wbuf 0 n;
+      write_counted writes conn.c_fd conn.c_wbuf 0 n;
+      go (off + n)
+    end
+  in
+  let ok =
+    match go 0 with () -> true | exception Unix.Unix_error _ -> false
+  in
+  if len > out_max then Buffer.reset out else Buffer.clear out;
+  ok
 
 (* Read one request off a persistent connection.
 
    [`Close] is the clean end of the connection (peer EOF between
-   requests, idle timeout, or a drain request while waiting for new
-   bytes); [`Err] is a protocol or transport failure worth a [400]
-   before closing. Between requests the wait for the first byte is a
-   short-tick select bounded by [idle_s], polled against [draining] so
-   an idle keep-alive connection never delays a drain; once a request
-   has started arriving, reads run under the socket's SO_RCVTIMEO
-   ([io_timeout_s]), so a slowloris half-request times out as an
-   error rather than holding a reader forever. Bytes past this
-   request's content-length stay in [c_pending] for the next call. *)
-let read_request ~idle_s ~draining conn =
-  let chunk = conn.c_chunk in
-  let buf = conn.c_buf in
-  Buffer.clear buf;
-  Buffer.add_string buf conn.c_pending;
-  conn.c_pending <- "";
-  let recv () =
-    match Unix.read conn.c_fd chunk 0 (Bytes.length chunk) with
-    | 0 -> `Eof
-    | n -> `Data (Bytes.sub_string chunk 0 n)
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> `Timeout
-    | exception Unix.Unix_error (e, _, _) -> `Fail (Unix.error_message e)
+   requests, idle timeout, a drain request while waiting for new
+   bytes, or a peer that stopped taking answers); [`Err] is a protocol
+   or transport failure worth a [400] before closing. Before every
+   wait for bytes the answers held so far are written ([writes] counts
+   the write(2)s), so a window that arrived in one read is answered
+   with one write, and a client waiting for its answers before it
+   sends more always gets them. Between requests the wait for the
+   first byte is a short-tick select bounded by [idle_s], polled
+   against [draining] so an idle keep-alive connection never delays a
+   drain; once a request has started arriving, reads run under the
+   socket's SO_RCVTIMEO ([io_timeout_s]), so a slowloris half-request
+   times out as an error rather than holding a reader forever. Bytes
+   past this request's content-length stay buffered for the next
+   call. *)
+let read_request ~writes ~idle_s ~draining conn =
+  let ib = conn.c_in in
+  let recv ~want =
+    if not (flush writes conn) then `Broken
+    else
+      match Inbuf.fill ib conn.c_fd ~want with
+      | 0 -> `Eof
+      | _ -> `Data
+      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> `Timeout
+      | exception Unix.Unix_error (e, _, _) -> `Fail (Unix.error_message e)
   in
   let rec await_first budget =
     if draining () then `Close
@@ -364,34 +472,29 @@ let read_request ~idle_s ~draining conn =
       | _ -> `Ready
       | exception Unix.Unix_error (EINTR, _, _) -> await_first budget
   in
-  let rec read_head started =
-    let all = Buffer.contents buf in
-    match find_sub all "\r\n\r\n" 0 with
-    | Some head_end -> read_body head_end
-    | None ->
-        if Buffer.length buf > max_head then `Err "request head too large"
-        else if not started then
-          match await_first idle_s with
-          | `Close -> `Close
-          | `Ready -> (
-              match recv () with
-              | `Eof -> `Close (* clean close between requests *)
-              | `Data s ->
-                  Buffer.add_string buf s;
-                  read_head true
-              | `Timeout -> `Close
-              | `Fail m -> `Err m)
-        else begin
-          match recv () with
-          | `Eof -> `Err "connection closed mid-request"
-          | `Data s ->
-              Buffer.add_string buf s;
-              read_head true
-          | `Timeout -> `Err "read timeout"
-          | `Fail m -> `Err m
-        end
-  and read_body head_end =
-    match parse_head_lines (String.sub (Buffer.contents buf) 0 head_end) with
+  let rec read_head () =
+    let head_len = Inbuf.find_head_end ib in
+    if head_len >= 0 then read_body head_len
+    else if Inbuf.length ib > max_head then `Err "request head too large"
+    else if Inbuf.length ib = 0 then
+      if not (flush writes conn) then `Close
+      else
+        match await_first idle_s with
+        | `Close -> `Close
+        | `Ready -> (
+            match recv ~want:2048 with
+            | `Data -> read_head ()
+            | `Eof | `Timeout | `Broken -> `Close (* clean close between requests *)
+            | `Fail m -> `Err m)
+    else
+      match recv ~want:2048 with
+      | `Data -> read_head ()
+      | `Eof -> `Err "connection closed mid-request"
+      | `Timeout -> `Err "read timeout"
+      | `Broken -> `Close
+      | `Fail m -> `Err m
+  and read_body head_len =
+    match parse_head_lines (Inbuf.sub ib 0 head_len) with
     | None -> `Err "empty request"
     | Some (first, headers) -> (
         (* content-length is 1*DIGIT: not the signs, [0x]/[0o]/[0b]
@@ -415,44 +518,80 @@ let read_request ~idle_s ~draining conn =
         in
         if clen < 0 || clen > max_body then `Err "bad content-length"
         else
-          let total = head_end + 4 + clen in
+          let total = head_len + 4 + clen in
           let rec fill () =
-            if Buffer.length buf >= total then begin
-              let all = Buffer.contents buf in
-              (* leftover bytes past content-length are the pipelined
-                 next request — carry, don't truncate *)
-              conn.c_pending <-
-                String.sub all total (String.length all - total);
-              let body = String.sub all (head_end + 4) clen in
+            if Inbuf.length ib >= total then begin
+              let body = Inbuf.sub ib (head_len + 4) clen in
+              Inbuf.consume ib total;
               match String.split_on_char ' ' first with
               | meth :: path :: _ -> `Req { meth; path; headers; body }
               | _ -> `Err "malformed request line"
             end
             else
-              match recv () with
+              match recv ~want:(max 2048 (total - Inbuf.length ib)) with
+              | `Data -> fill ()
               | `Eof -> `Err "connection closed mid-body"
-              | `Data s ->
-                  Buffer.add_string buf s;
-                  fill ()
               | `Timeout -> `Err "read timeout"
+              | `Broken -> `Close
               | `Fail m -> `Err m
           in
           fill ())
   in
-  read_head (Buffer.length buf > 0)
+  read_head ()
 
 (* ------------------------------------------------------------------ *)
 (* Pattern queries                                                     *)
 
 (* a query body is either a bare predicate name (all its facts) or a
    pattern like [controls(a, X)] — constants bind positions, variables
-   project, a repeated variable joins within the fact. Parsed by
-   round-tripping [pat :- pat.] through the Vadalog rule parser, so the
-   constant syntax (strings, numbers, dates, ...) is exactly the
-   language's own. *)
+   project, a repeated variable joins within the fact. Parsed as one
+   atom by the Vadalog parser, so the constant syntax (strings,
+   numbers, dates, ...) is exactly the language's own. A pattern is
+   compiled once per query text: its bound positions with their
+   constants (the index probe) and the positions of each repeated
+   variable (the in-fact join), so evaluating it builds nothing per
+   request. *)
 type query =
   | Q_pred of string
-  | Q_pattern of R.atom
+  | Q_pattern of {
+      pred : string;
+      arity : int;
+      positions : int list;  (* bound, ascending *)
+      key : Kgm_common.Value.t list;  (* their constants *)
+      joins : int array array;  (* positions of each repeated variable *)
+    }
+
+let compile_pattern atom =
+  let args = Array.of_list atom.R.args in
+  let bound =
+    List.filter_map
+      (fun i ->
+        match args.(i) with
+        | Kgm_vadalog.Term.Const v -> Some (i, v)
+        | Kgm_vadalog.Term.Var _ -> None)
+      (List.init (Array.length args) Fun.id)
+  in
+  let joins =
+    let tbl = Hashtbl.create 4 in
+    Array.iteri
+      (fun i t ->
+        match t with
+        | Kgm_vadalog.Term.Var v when v <> "" && v.[0] <> '_' ->
+            Hashtbl.replace tbl v
+              (i :: (try Hashtbl.find tbl v with Not_found -> []))
+        | _ -> ())
+      args;
+    Hashtbl.fold
+      (fun _ ps acc ->
+        if List.length ps > 1 then Array.of_list (List.rev ps) :: acc else acc)
+      tbl []
+  in
+  Q_pattern
+    { pred = atom.R.pred;
+      arity = Array.length args;
+      positions = List.map fst bound;
+      key = List.map snd bound;
+      joins = Array.of_list joins }
 
 let parse_query body =
   let s = String.trim body in
@@ -465,30 +604,22 @@ let parse_query body =
     Err.raise_error_ctx Err.Validate [] "query: empty pattern";
   if not (String.contains s '(') then Q_pred s
   else
-    let rule =
-      try Kgm_vadalog.Parser.parse_rule (s ^ " :- " ^ s ^ ".")
-      with Err.Error e ->
+    match Kgm_vadalog.Parser.parse_atom s with
+    | atom -> compile_pattern atom
+    | exception Err.Error e ->
         Err.raise_error_ctx Err.Validate
           [ ("pattern", s) ]
           "query: %s" e.Err.message
-    in
-    match rule.R.head with
-    | [ atom ] -> Q_pattern atom
-    | _ ->
-        Err.raise_error_ctx Err.Validate
-          [ ("pattern", s) ]
-          "query: expected a single atom"
 
-(* one answer line, pushed straight into the response buffer — this
-   is the per-fact inner loop of every query *)
+(* one answer line, rendered straight into the answer — this is the
+   per-fact inner loop of every query *)
 let add_fact_line buf pred fact =
   Buffer.add_string buf pred;
   Buffer.add_char buf '(';
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf (Kgm_common.Value.to_string v))
-    fact;
+  for i = 0 to Array.length fact - 1 do
+    if i > 0 then Buffer.add_string buf ", ";
+    Kgm_common.Value.to_buffer buf fact.(i)
+  done;
   Buffer.add_string buf ").\n"
 
 (* poll the deadline/drain tokens every so many facts so a scan over a
@@ -510,55 +641,22 @@ let eval_query ~poll ~cache db q buf =
           if !seen land (poll_every - 1) = 0 then poll ();
           emit pred fact)
         (DB.facts db pred)
-  | Q_pattern atom ->
-      let args = Array.of_list atom.R.args in
-      let arity = Array.length args in
-      let positions = ref [] and key = ref [] in
-      Array.iteri
-        (fun i t ->
-          match t with
-          | Kgm_vadalog.Term.Const v ->
-              positions := i :: !positions;
-              key := v :: !key
-          | Kgm_vadalog.Term.Var _ -> ())
-        args;
-      let positions = List.rev !positions and key = List.rev !key in
-      (* positions of each named variable occurring more than once *)
-      let var_groups =
-        let tbl = Hashtbl.create 4 in
-        Array.iteri
-          (fun i t ->
-            match t with
-            | Kgm_vadalog.Term.Var v when v <> "" && v.[0] <> '_' ->
-                Hashtbl.replace tbl v
-                  (i :: (try Hashtbl.find tbl v with Not_found -> []))
-            | _ -> ())
-          args;
-        Hashtbl.fold
-          (fun _ ps acc -> if List.length ps > 1 then ps :: acc else acc)
-          tbl []
-      in
+  | Q_pattern { pred; arity; positions; key; joins } ->
       let joins_ok fact =
-        List.for_all
+        Array.for_all
           (fun ps ->
-            match ps with
-            | [] -> true
-            | p0 :: rest ->
-                List.for_all
-                  (fun p -> Kgm_common.Value.equal fact.(p0) fact.(p))
-                  rest)
-          var_groups
+            let v = fact.(ps.(0)) in
+            Array.for_all (fun p -> Kgm_common.Value.equal v fact.(p)) ps)
+          joins
       in
       (* within an epoch the side-car cache turns the repeated
          frozen-store linear scan into one build; the next publish
          prepares the patterns it recorded up front *)
       ignore
-        (DB.iter_matches_cached cache db atom.R.pred positions key
-           (fun _seq fact ->
+        (DB.iter_matches_cached cache db pred positions key (fun _seq fact ->
              incr seen;
              if !seen land (poll_every - 1) = 0 then poll ();
-             if Array.length fact = arity && joins_ok fact then
-               emit atom.R.pred fact)));
+             if Array.length fact = arity && joins_ok fact then emit pred fact)));
   !n
 
 (* ------------------------------------------------------------------ *)
@@ -610,6 +708,7 @@ let make_epoch id db =
 type stats = {
   st_epoch : int;
   st_requests : int;
+  st_writes : int;
   st_conns : int;
   st_shed : int;
   st_errors : int;
@@ -665,6 +764,7 @@ type t = {
   stopped : bool Atomic.t;
   drain_tok : Token.t;
   c_requests : int Atomic.t;
+  c_writes : int Atomic.t;
   c_conns : int Atomic.t;
   c_shed : int Atomic.t;
   c_errors : int Atomic.t;
@@ -732,6 +832,7 @@ let create ?(telemetry = Kgm_telemetry.null)
       stopped = Atomic.make false;
       drain_tok = Token.create ();
       c_requests = Atomic.make 0;
+      c_writes = Atomic.make 0;
       c_conns = Atomic.make 0;
       c_shed = Atomic.make 0;
       c_errors = Atomic.make 0;
@@ -743,6 +844,8 @@ let create ?(telemetry = Kgm_telemetry.null)
       (Atomic.get t.epoch).ep_id);
   Kgm_telemetry.gauge t.tele "server.requests" (fun () ->
       Atomic.get t.c_requests);
+  Kgm_telemetry.gauge t.tele "server.writes" (fun () ->
+      Atomic.get t.c_writes);
   Kgm_telemetry.gauge t.tele "server.connections" (fun () ->
       Atomic.get t.c_conns);
   Kgm_telemetry.gauge t.tele "server.shed" (fun () -> Atomic.get t.c_shed);
@@ -760,6 +863,7 @@ let create ?(telemetry = Kgm_telemetry.null)
 let stats t =
   { st_epoch = (Atomic.get t.epoch).ep_id;
     st_requests = Atomic.get t.c_requests;
+    st_writes = Atomic.get t.c_writes;
     st_conns = Atomic.get t.c_conns;
     st_shed = Atomic.get t.c_shed;
     st_errors = Atomic.get t.c_errors;
@@ -1002,10 +1106,10 @@ let handle_status t =
   let s = stats t in
   ok
     (Printf.sprintf
-       "epoch: %d\nfacts: %d\nrequests: %d\nconnections: %d\nshed: %d\n\
-        errors: %d\nupdates: %d\nqueue_depth: %d\ninflight: %d\n\
+       "epoch: %d\nfacts: %d\nrequests: %d\nwrites: %d\nconnections: %d\n\
+        shed: %d\nerrors: %d\nupdates: %d\nqueue_depth: %d\ninflight: %d\n\
         faults_absorbed: %d\nworkers: %d\nqueue_capacity: %d\ndraining: %b\n"
-       ep.ep_id ep.ep_facts s.st_requests s.st_conns s.st_shed
+       ep.ep_id ep.ep_facts s.st_requests s.st_writes s.st_conns s.st_shed
        s.st_errors s.st_updates s.st_queue_depth s.st_inflight s.st_faults
        t.cfg.workers t.cfg.queue_capacity (draining t))
 
@@ -1027,17 +1131,41 @@ let handle_slow t req tok =
   loop ();
   ok "slept\n"
 
-let route t req =
-  let deadline_s =
-    match header req "x-kgm-deadline" with
-    | Some v -> float_of_string_opt v
-    | None -> t.cfg.default_deadline_s
+(* the query surface of a serving workload is a small set of repeated
+   shapes: cache text -> compiled query so the Vadalog rule parser runs
+   once per shape, not once per request. Compiled queries are
+   immutable, so sharing them across reader domains is free; failures
+   are not cached (they answer 400 anyway). The facts render straight
+   into [body]. *)
+let handle_query t tok text body =
+  let q =
+    match with_lock t.qp_mu (fun () -> Hashtbl.find_opt t.qp_cache text) with
+    | Some q -> q
+    | None ->
+        let q = parse_query text in
+        with_lock t.qp_mu (fun () ->
+            if Hashtbl.length t.qp_cache < 4096 then
+              Hashtbl.replace t.qp_cache text q);
+        q
   in
-  let tok =
-    match deadline_s with
-    | Some d -> Token.create ~deadline_s:d ()
-    | None -> Token.none
+  let poll () =
+    Token.check tok;
+    Token.check t.drain_tok
   in
+  (* pinned only while evaluating into the buffer: a slow client never
+     holds back the writer *)
+  let ep = pin t in
+  let n =
+    Fun.protect
+      ~finally:(fun () -> Atomic.decr ep.ep_pins)
+      (fun () -> eval_query ~poll ~cache:ep.ep_cache ep.ep_db q body)
+  in
+  ( 200,
+    [ ("x-kgm-epoch", string_of_int ep.ep_id);
+      ("x-kgm-count", string_of_int n) ] )
+
+(* every endpoint but /query: a status, extra headers and a short text *)
+let route_text t req tok =
   match (req.meth, req.path) with
   | "GET", "/health" -> ok "ok\n"
   | "GET", "/ready" ->
@@ -1050,43 +1178,6 @@ let route t req =
           ( 200,
             [ ("content-type", "text/plain; version=0.0.4") ],
             Kgm_telemetry.prometheus t.tele ))
-  | "POST", "/query" ->
-      (* the query surface of a serving workload is a small set of
-         repeated shapes: cache text -> parsed query so the Vadalog
-         rule parser runs once per shape, not once per request.
-         Parsed queries are immutable, so sharing them across reader
-         domains is free; failures are not cached (they answer 400
-         anyway). *)
-      let q =
-        match
-          with_lock t.qp_mu (fun () -> Hashtbl.find_opt t.qp_cache req.body)
-        with
-        | Some q -> q
-        | None ->
-            let q = parse_query req.body in
-            with_lock t.qp_mu (fun () ->
-                if Hashtbl.length t.qp_cache < 4096 then
-                  Hashtbl.replace t.qp_cache req.body q);
-            q
-      in
-      let buf = Buffer.create 1024 in
-      let poll () =
-        Token.check tok;
-        Token.check t.drain_tok
-      in
-      (* pinned only while evaluating into the buffer: a slow client
-         never holds back the writer *)
-      let ep = pin t in
-      let n =
-        Fun.protect
-          ~finally:(fun () -> Atomic.decr ep.ep_pins)
-          (fun () ->
-            eval_query ~poll ~cache:ep.ep_cache ep.ep_db q buf)
-      in
-      ( 200,
-        [ ("x-kgm-epoch", string_of_int ep.ep_id);
-          ("x-kgm-count", string_of_int n) ],
-        Buffer.contents buf )
   | "POST", "/explain" ->
       if draining t then (503, [], "draining\n") else handle_explain t req.body
   | "POST", "/update" ->
@@ -1098,41 +1189,78 @@ let route t req =
       (405, [], "method not allowed\n")
   | _ -> (404, [], "unknown endpoint\n")
 
+(* Answer [req] with a status and extra headers; the answer's body is
+   rendered into [body] *)
+let route t req body =
+  let deadline_s =
+    match header req "x-kgm-deadline" with
+    | Some v -> float_of_string_opt v
+    | None -> t.cfg.default_deadline_s
+  in
+  let tok =
+    match deadline_s with
+    | Some d -> Token.create ~deadline_s:d ()
+    | None -> Token.none
+  in
+  match (req.meth, req.path) with
+  | "POST", "/query" -> handle_query t tok req.body body
+  | _ ->
+      let status, extra, text = route_text t req tok in
+      Buffer.add_string body text;
+      (status, extra)
+
 (* One persistent connection, start to close. Requests are answered in
    arrival order; bytes past each request's content-length carry over
-   to the next iteration (pipelining). The connection closes when the
-   client asks ([connection: close]), the per-connection request cap is
-   reached, the idle timeout expires, a drain is requested and no
-   buffered request remains, or the framing breaks (one [400], then
-   close — after a framing error the byte stream cannot be trusted). *)
+   to the next iteration (pipelining). Answers are held and written
+   together: when the loop would block for input, once they pass
+   [out_max] bytes, and when the connection closes; a write that fails
+   ends the connection. The connection closes when the client asks
+   ([connection: close]), the per-connection request cap is reached,
+   the idle timeout expires, a drain is requested and no buffered
+   request remains, or the framing breaks (one [400], then close —
+   after a framing error the byte stream cannot be trusted). *)
 let serve_conn t fd =
   Atomic.incr t.c_conns;
   let conn = make_conn fd in
+  let body = conn.c_body and out = conn.c_out in
+  let respond ~keep_alive (status, extra) =
+    add_head out ~keep_alive status extra ~body_len:(Buffer.length body);
+    Buffer.add_buffer out body;
+    if Buffer.length body > out_max then Buffer.reset body
+    else Buffer.clear body
+  in
   let rec loop () =
     match
-      read_request ~idle_s:t.cfg.idle_timeout_s
+      read_request ~writes:t.c_writes ~idle_s:t.cfg.idle_timeout_s
         ~draining:(fun () -> draining t)
         conn
     with
     | `Close -> ()
     | `Err msg ->
         Atomic.incr t.c_errors;
-        write_response ~keep_alive:false fd 400 [] (msg ^ "\n")
+        Buffer.add_string body msg;
+        Buffer.add_char body '\n';
+        respond ~keep_alive:false (400, [])
     | `Req req ->
         Atomic.incr t.c_requests;
         conn.c_served <- conn.c_served + 1;
-        let status, extra, body =
+        let fail status text =
+          Buffer.clear body;
+          Buffer.add_string body text;
+          (status, [])
+        in
+        let ((status, _) as answer) =
           try
             Faults.inject "request";
-            route t req
+            route t req body
           with
           | Kgm_resilience.Fault site ->
               Atomic.incr t.c_faults;
-              (500, [], Printf.sprintf "fault injected at %s\n" site)
-          | Kgm_resilience.Interrupted `Deadline -> (504, [], "deadline\n")
-          | Kgm_resilience.Interrupted `Cancelled -> (503, [], "draining\n")
-          | Err.Error e -> (400, [], Err.to_string e ^ "\n")
-          | e -> (500, [], "internal: " ^ Printexc.to_string e ^ "\n")
+              fail 500 (Printf.sprintf "fault injected at %s\n" site)
+          | Kgm_resilience.Interrupted `Deadline -> fail 504 "deadline\n"
+          | Kgm_resilience.Interrupted `Cancelled -> fail 503 "draining\n"
+          | Err.Error e -> fail 400 (Err.to_string e ^ "\n")
+          | e -> fail 500 ("internal: " ^ Printexc.to_string e ^ "\n")
         in
         if status >= 400 then Atomic.incr t.c_errors;
         let client_close =
@@ -1145,12 +1273,14 @@ let serve_conn t fd =
           && conn.c_served < t.cfg.max_requests_per_conn
           (* during a drain, finish what the client already pipelined,
              then close instead of waiting for more *)
-          && not (draining t && conn.c_pending = "")
+          && not (draining t && Inbuf.length conn.c_in = 0)
         in
-        write_response ~keep_alive fd status extra body;
-        if keep_alive then loop ()
+        respond ~keep_alive answer;
+        if keep_alive && (Buffer.length out < out_max || flush t.c_writes conn)
+        then loop ()
   in
-  loop ()
+  loop ();
+  ignore (flush t.c_writes conn)
 
 (* ---- threads ---- *)
 
@@ -1174,7 +1304,12 @@ let lingering_close fd =
 (* the blocking half of a shed: 503 + lingering close. Runs only on
    the shed thread (or the drain coordinator), never on the acceptor *)
 let shed_now t fd why =
-  write_response ~keep_alive:false fd 503 [] (why ^ "\n");
+  let b = Buffer.create 160 in
+  add_head b ~keep_alive:false 503 [] ~body_len:(String.length why + 1);
+  Buffer.add_string b why;
+  Buffer.add_char b '\n';
+  (try write_counted t.c_writes fd (Buffer.to_bytes b) 0 (Buffer.length b)
+   with Unix.Unix_error _ -> ());
   lingering_close fd;
   if Journal.enabled t.jr then
     Journal.emit t.jr "server.overloaded" [ ("why", J.Str why) ]
@@ -1365,11 +1500,9 @@ let run_until_drained t =
 module Client = struct
   type conn = {
     fd : Unix.file_descr;
-    mutable leftover : string;  (** response bytes read past the framed end *)
+    inb : Inbuf.t;              (** response bytes read, not yet taken *)
     mutable alive : bool;       (** usable for another request *)
     mutable fd_closed : bool;
-    chunk : Bytes.t;            (** read scratch, reused across responses *)
-    resp : Buffer.t;            (** response accumulator, reused *)
     send : Buffer.t;            (** request assembly, reused *)
   }
 
@@ -1382,15 +1515,8 @@ module Client = struct
      with e ->
        close_quietly fd;
        raise e);
-    {
-      fd;
-      leftover = "";
-      alive = true;
-      fd_closed = false;
-      chunk = Bytes.create 8192;
-      resp = Buffer.create 1024;
-      send = Buffer.create 512;
-    }
+    { fd; inb = Inbuf.create (); alive = true; fd_closed = false;
+      send = Buffer.create 512 }
 
   (* idempotent on purpose: a second [close] must never touch the fd
      number again — the kernel may have already handed it to another
@@ -1424,30 +1550,23 @@ module Client = struct
      for the next call. [Failure] when the server closed or sent
      garbage. *)
   let read_response c =
-    let resp = c.resp in
-    Buffer.clear resp;
-    Buffer.add_string resp c.leftover;
-    c.leftover <- "";
-    let chunk = c.chunk in
-    let recv () =
-      match Unix.read c.fd chunk 0 (Bytes.length chunk) with
-      | 0 ->
-          c.alive <- false;
-          failwith "Kgm_server.Client: connection closed by server"
-      | n -> Buffer.add_subbytes resp chunk 0 n
+    let ib = c.inb in
+    let recv ~want =
+      if Inbuf.fill ib c.fd ~want = 0 then begin
+        c.alive <- false;
+        failwith "Kgm_server.Client: connection closed by server"
+      end
     in
     let rec read_head () =
-      match find_sub (Buffer.contents resp) "\r\n\r\n" 0 with
-      | Some i -> i
-      | None ->
-          recv ();
+      match Inbuf.find_head_end ib with
+      | -1 ->
+          recv ~want:4096;
           read_head ()
+      | i -> i
     in
-    let head_end = read_head () in
-    let all = Buffer.contents resp in
-    let head = String.sub all 0 head_end in
+    let head_len = read_head () in
     let first_line, headers =
-      match parse_head_lines head with
+      match parse_head_lines (Inbuf.sub ib 0 head_len) with
       | Some p -> p
       | None -> failwith "Kgm_server.Client: malformed response head"
     in
@@ -1463,13 +1582,12 @@ module Client = struct
           match int_of_string_opt (String.trim v) with Some n -> n | None -> 0)
       | None -> 0
     in
-    let total = head_end + 4 + clen in
-    while Buffer.length resp < total do
-      recv ()
+    let total = head_len + 4 + clen in
+    while Inbuf.length ib < total do
+      recv ~want:(max 4096 (total - Inbuf.length ib))
     done;
-    let all = Buffer.contents resp in
-    let body = String.sub all (head_end + 4) clen in
-    c.leftover <- String.sub all total (String.length all - total);
+    let body = Inbuf.sub ib (head_len + 4) clen in
+    Inbuf.consume ib total;
     (match List.assoc_opt "connection" headers with
     | Some v when String.lowercase_ascii (String.trim v) = "close" -> close c
     | _ -> ());

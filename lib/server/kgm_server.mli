@@ -22,7 +22,10 @@
     [connection: keep-alive], clients may pipeline (bytes past one
     request's [content-length] are carried into the next read), and a
     connection is closed only on client demand ([connection: close]),
-    idle timeout, per-connection request cap, or drain. Enough for
+    idle timeout, per-connection request cap, or drain. Answers are
+    held until the connection would wait for input, holds 64 KiB or
+    closes, so a pipelined window that arrives in one read is answered
+    with one [write(2)] ({!stats} [st_writes]). Enough for
     [curl --unix-socket], the bundled {!Client}, and the CI chaos
     harness, with no external dependency.
 
@@ -140,6 +143,11 @@ type stats = {
   st_requests : int;     (** requests served (including failed ones) —
                              on keep-alive connections many per
                              connection *)
+  st_writes : int;       (** write(2) calls made to send answers (503s
+                             included): a window of pipelined requests
+                             that arrived in one read is answered with
+                             one, so over pipelined traffic this falls
+                             well below [st_requests] *)
   st_conns : int;        (** connections picked up by a reader *)
   st_shed : int;         (** connections answered [503] at admission
                              (overloaded or draining) *)
@@ -227,7 +235,12 @@ val save_session :
     base (kind ["session"], version 4, sequence = [epoch]) with
     atomic-rename and digest protection, then rotate old generations,
     bases and logs together ({!Kgm_resilience.Snapshot.gc} with
-    [keep]); returns the base's path. The batches applied after the
+    [keep]); returns the base's path. An [epoch] below the newest
+    generation already in [dir] raises [Kgm_error.Error] ([Storage],
+    naming that generation) before anything is written: rotation keeps
+    the highest-numbered generations and would delete the new base.
+    Writing the newest generation's epoch again replaces it. The
+    batches applied after the
     base go to its log ([session-EPOCH.log], a
     {!Kgm_resilience.Framed} log), which the server starts when it
     writes the base; a base without a log is a generation with no

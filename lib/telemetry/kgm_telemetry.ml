@@ -90,12 +90,29 @@ type span = {
   sp_args : (string * string) list;
 }
 
+(* one span name's closed spans: how many, their total seconds, and the
+   earliest (start, id) among them — the exporters' order *)
+type span_total = {
+  mutable tot_n : int;
+  mutable tot_s : float;
+  mutable first_start : float;
+  mutable first_id : int;
+}
+
+(* span records a collector keeps for {!spans} and the trace: the last
+   this many to close. A long-lived collector (a server's, which every
+   maintained batch's engine pass records into) would otherwise grow
+   without bound; the per-name totals stay exact. *)
+let max_spans = 1 lsl 16
+
 type t = {
   on : bool;
   epoch : float;
   mutable next_id : int;
   mutable stack : int list;             (* open span ids, innermost first *)
-  mutable closed : span list;           (* reverse completion order *)
+  mutable ring : span array;            (* closed span [i] at [i mod max_spans] *)
+  mutable closed : int;                 (* spans closed so far *)
+  totals : (string, span_total) Hashtbl.t;
   ctrs : (string, int ref) Hashtbl.t;
   hists : (string, Histogram.t) Hashtbl.t;
   gauge_reg : (string, unit -> int) Hashtbl.t;
@@ -106,7 +123,9 @@ let make on =
     epoch = Clock.now ();
     next_id = 0;
     stack = [];
-    closed = [];
+    ring = [||];
+    closed = 0;
+    totals = Hashtbl.create 16;
     ctrs = Hashtbl.create 16;
     hists = Hashtbl.create 16;
     gauge_reg = Hashtbl.create 8 }
@@ -118,7 +137,9 @@ let enabled t = t.on
 let reset t =
   t.next_id <- 0;
   t.stack <- [];
-  t.closed <- [];
+  t.ring <- [||];
+  t.closed <- 0;
+  Hashtbl.reset t.totals;
   Hashtbl.reset t.ctrs;
   Hashtbl.reset t.hists;
   Hashtbl.reset t.gauge_reg
@@ -131,6 +152,31 @@ let push t =
   t.stack <- id :: t.stack;
   (id, parent, depth)
 
+let close_span t sp =
+  (match Hashtbl.find_opt t.totals sp.sp_name with
+   | Some a ->
+       a.tot_n <- a.tot_n + 1;
+       a.tot_s <- a.tot_s +. sp.sp_dur;
+       if
+         sp.sp_start < a.first_start
+         || (sp.sp_start = a.first_start && sp.sp_id < a.first_id)
+       then begin
+         a.first_start <- sp.sp_start;
+         a.first_id <- sp.sp_id
+       end
+   | None ->
+       Hashtbl.add t.totals sp.sp_name
+         { tot_n = 1; tot_s = sp.sp_dur; first_start = sp.sp_start;
+           first_id = sp.sp_id });
+  let cap = Array.length t.ring in
+  if t.closed = cap && cap < max_spans then begin
+    let ring = Array.make (min max_spans (max 64 (2 * cap))) sp in
+    Array.blit t.ring 0 ring 0 cap;
+    t.ring <- ring
+  end;
+  t.ring.(t.closed land (max_spans - 1)) <- sp;
+  t.closed <- t.closed + 1
+
 let with_span t ?(cat = "span") ?(args = []) name f =
   if not t.on then f ()
   else begin
@@ -142,11 +188,10 @@ let with_span t ?(cat = "span") ?(args = []) name f =
         (match t.stack with
          | x :: rest when x = id -> t.stack <- rest
          | _ -> ());
-        t.closed <-
+        close_span t
           { sp_id = id; sp_parent = parent; sp_depth = depth;
             sp_name = name; sp_cat = cat;
-            sp_start = t0 -. t.epoch; sp_dur = t1 -. t0; sp_args = args }
-          :: t.closed)
+            sp_start = t0 -. t.epoch; sp_dur = t1 -. t0; sp_args = args })
       f
   end
 
@@ -156,13 +201,12 @@ let record_span t ?(cat = "span") ?(args = []) name ~start ~stop =
     t.next_id <- t.next_id + 1;
     let parent = match t.stack with [] -> None | p :: _ -> Some p in
     let depth = List.length t.stack in
-    t.closed <-
+    close_span t
       { sp_id = id; sp_parent = parent; sp_depth = depth;
         sp_name = name; sp_cat = cat;
         sp_start = start -. t.epoch;
         sp_dur = Float.max 0. (stop -. start);
         sp_args = args }
-      :: t.closed
   end
 
 let count t ?(by = 1) name =
@@ -189,7 +233,9 @@ let spans t =
       match compare a.sp_start b.sp_start with
       | 0 -> compare a.sp_id b.sp_id
       | c -> c)
-    t.closed
+    (Array.to_list (Array.sub t.ring 0 (min t.closed max_spans)))
+
+let spans_dropped t = t.closed - min t.closed max_spans
 
 let counters t =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.ctrs []
@@ -217,26 +263,16 @@ let gauges t =
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                           *)
 
-(* spans aggregated by name, in first-seen order: (name, count, total
-   seconds) *)
+(* spans aggregated by name, in the order of each name's first span
+   to start: (name, count, total seconds). Kept as spans close, so an
+   export costs the names, not the spans *)
 let span_totals t =
-  let agg : (string, int ref * float ref) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun s ->
-      match Hashtbl.find_opt agg s.sp_name with
-      | Some (n, tot) ->
-          incr n;
-          tot := !tot +. s.sp_dur
-      | None ->
-          Hashtbl.add agg s.sp_name (ref 1, ref s.sp_dur);
-          order := s.sp_name :: !order)
-    (spans t);
-  List.rev_map
-    (fun name ->
-      let n, tot = Hashtbl.find agg name in
-      (name, !n, !tot))
-    !order
+  Hashtbl.fold (fun name a acc -> (name, a) :: acc) t.totals []
+  |> List.sort (fun (_, a) (_, b) ->
+         match compare a.first_start b.first_start with
+         | 0 -> compare a.first_id b.first_id
+         | c -> c)
+  |> List.map (fun (name, a) -> (name, a.tot_n, a.tot_s))
 
 let summary t =
   let buf = Buffer.create 1024 in
@@ -632,9 +668,10 @@ module Json = struct
   let to_str = function Str s -> Some s | _ -> None
 end
 
-(* Chrome trace-event format: one complete ("X") event per span, in
+(* Chrome trace-event format: one complete ("X") event per span kept, in
    microseconds, after a process-name metadata event; counters ride in
-   [otherData] *)
+   [otherData], and the spans no longer kept in [spans_dropped] (the
+   format reads other top-level keys as trace metadata) *)
 let chrome_trace ?(process_name = "kgmodel") t =
   let event s =
     Json.Obj
@@ -657,7 +694,8 @@ let chrome_trace ?(process_name = "kgmodel") t =
     (Json.Obj
        [ ("traceEvents", Json.Arr (meta :: List.map event (spans t)));
          ("otherData",
-          Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters t))) ])
+          Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters t)));
+         ("spans_dropped", Json.Int (spans_dropped t)) ])
   ^ "\n"
 
 let write_chrome_trace ?process_name file t =

@@ -104,7 +104,15 @@ val observe : t -> string -> float -> unit
 (** {1 Reading} *)
 
 val spans : t -> span list
-(** In start order. *)
+(** The spans kept, in start order: the last {!max_spans} to close. *)
+
+val max_spans : int
+(** 2{^16}: a collector keeps this many span records at most, dropping
+    the oldest to close; the per-name totals of {!summary} and
+    {!prometheus} count every span. *)
+
+val spans_dropped : t -> int
+(** Closed spans no longer kept. *)
 
 val counters : t -> (string * int) list
 (** Sorted by name. *)
@@ -129,8 +137,10 @@ val summary : t -> string
     mean), counters, histogram quantiles. *)
 
 val chrome_trace : ?process_name:string -> t -> string
-(** Chrome trace-event JSON: one ["X"] (complete) event per span with
-    microsecond [ts]/[dur], plus the counters under ["otherData"].
+(** Chrome trace-event JSON: one ["X"] (complete) event per span kept
+    ({!spans}) with microsecond [ts]/[dur], plus the counters under
+    ["otherData"] and {!spans_dropped} as top-level metadata
+    ["spans_dropped"].
     Loadable in [chrome://tracing] / Perfetto. *)
 
 val write_chrome_trace : ?process_name:string -> string -> t -> unit

@@ -379,6 +379,13 @@ let parse_rule src =
   | [ r ] -> r
   | rs -> Kgm_error.parse_error "expected exactly one rule, got %d" (List.length rs)
 
+let parse_atom src =
+  let st = { toks = Lexer.tokenize src; fresh = 0 } in
+  let a = parse_head_atom st in
+  if (peek st).Lexer.tok <> Lexer.EOF then
+    error st "expected the end of the atom";
+  a
+
 let parse_facts s =
   let s = String.trim s in
   let p =

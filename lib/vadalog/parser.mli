@@ -32,6 +32,10 @@ val parse_program : string -> Rule.program
 val parse_rule : string -> Rule.rule
 (** Expects exactly one rule. *)
 
+val parse_atom : string -> Rule.atom
+(** Exactly one atom, [pred(t1, ..., tn)], its terms read as in a rule
+    body: the pattern syntax of a server query. *)
+
 val parse_facts :
   string ->
   ((string * Kgm_common.Value.t array) list, [ `Rule | `No_fact ]) result

@@ -170,6 +170,51 @@ let test_sanitize () =
   check Alcotest.string "empty" "x" (Names.sanitize_identifier "");
   check Alcotest.string "clean" "ok_name" (Names.sanitize_identifier "ok_name")
 
+(* The renderer, pinned on the printed forms [Value.to_string] gave
+   when it still printed through [Format]: every constructor, the float
+   specials, escaped strings, padded and negative dates, fresh, hinted
+   and skolem oids, nested lists *)
+let test_value_render_pinned () =
+  let g = Oid.make_gen () in
+  let o0 = Oid.fresh g in
+  let o1 = Oid.fresh_named g "hint" in
+  let cases =
+    Value.
+      [ (Int 0, "0"); (Int (-42), "-42");
+        (Int max_int, "4611686018427387903");
+        (Int min_int, "-4611686018427387904");
+        (Float 0.6, "0.6"); (Float 0., "0"); (Float (-0.), "-0");
+        (Float nan, "nan"); (Float (-.nan), "-nan");
+        (Float infinity, "inf"); (Float neg_infinity, "-inf");
+        (Float 1e-5, "1e-05"); (Float 123456789., "1.23457e+08");
+        (Float 1e21, "1e+21"); (Float 2.5, "2.5"); (Float 100., "100");
+        (String "", {|""|}); (String "acme", {|"acme"|});
+        (String "say \"hi\"\\ok", {|"say \"hi\"\\ok"|});
+        (String "tab\tnl\ncr\r", {|"tab\tnl\ncr\r"|});
+        (String "\001\127", {|"\001\127"|});
+        (String "caf\xc3\xa9", {|"caf\195\169"|});
+        (Bool true, "true"); (Bool false, "false");
+        (Date (2022, 3, 29), "2022-03-29"); (Date (5, 1, 2), "0005-01-02");
+        (Date (-5, 1, 2), "-005-01-02"); (Date (12345, 12, 31), "12345-12-31");
+        (Id o0, "#0"); (Id o1, "#1:hint");
+        (Id (Oid.skolem "f" [ "a"; "b" ]), "sk_f(a,b)");
+        (Id (Oid.skolem "g" []), "sk_g()");
+        (Null 0, "_:n0"); (Null 7, "_:n7"); (List [], "[]");
+        (List [ Int 1; String "a" ], {|[1;"a"]|});
+        ( List [ List [ Float 0.5; Null 2 ]; Id o1; Date (1999, 12, 1) ],
+          "[[0.5;_:n2];#1:hint;1999-12-01]" ) ]
+  in
+  List.iter
+    (fun (v, want) ->
+      check Alcotest.string ("to_string " ^ want) want (Value.to_string v);
+      check Alcotest.string ("pp " ^ want) want (Format.asprintf "%a" Value.pp v);
+      let buf = Buffer.create 8 in
+      Buffer.add_string buf "p(";
+      Value.to_buffer buf v;
+      check Alcotest.string ("to_buffer appends " ^ want)
+        ("p(" ^ want) (Buffer.contents buf))
+    cases
+
 (* ------------------------------------------------------------------ *)
 (* Kgm_error *)
 
@@ -188,6 +233,7 @@ let suite =
     ("value conforms", `Quick, test_conforms);
     ("value parse", `Quick, test_parse);
     ("value ty roundtrip", `Quick, test_ty_roundtrip);
+    ("value render pinned", `Quick, test_value_render_pinned);
     qtest prop_compare_antisym;
     qtest prop_compare_trans;
     qtest prop_equal_hash;

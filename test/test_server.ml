@@ -152,9 +152,12 @@ let test_queries () =
         let code, body = post sock "/query" "nothing(X)" in
         check Alcotest.int "unknown pred ok" 200 code;
         check Alcotest.string "unknown pred empty" "" body;
-        (* malformed pattern: a clean 400 *)
-        let code, _ = post sock "/query" "p(" in
-        check Alcotest.int "bad pattern" 400 code;
+        (* malformed pattern, two atoms, a rule: a clean 400 *)
+        List.iter
+          (fun q ->
+            let code, _ = post sock "/query" q in
+            check Alcotest.int ("bad pattern " ^ q) 400 code)
+          [ "p("; "path(a, X), edge(a, Y)"; "path(a, X) :- edge(a, X)" ];
         let code, _ = get sock "/nope" in
         check Alcotest.int "unknown endpoint" 404 code;
         (* metrics exposition includes the server gauges *)
@@ -460,8 +463,9 @@ let write_all fd s =
   go 0
 
 (* read one content-length framed response; [pending] holds bytes read
-   past the previous frame. Returns (status, headers, body, leftover). *)
-let read_framed fd pending =
+   past the previous frame. Returns (status, headers, body, the
+   response's length on the wire, leftover). *)
+let read_frame fd pending =
   let buf = Buffer.create 512 in
   Buffer.add_string buf pending;
   let chunk = Bytes.create 4096 in
@@ -512,7 +516,13 @@ let read_framed fd pending =
   ( status,
     headers,
     String.sub all (head_end + 4) clen,
+    total,
     String.sub all total (String.length all - total) )
+
+(* [read_frame] without the wire length *)
+let read_framed fd pending =
+  let status, headers, body, _, left = read_frame fd pending in
+  (status, headers, body, left)
 
 let expect_eof ?(timeout_s = 3.) fd =
   (try Unix.setsockopt_float fd SO_RCVTIMEO timeout_s
@@ -729,6 +739,187 @@ let test_keepalive_drain () =
                (List.assoc_opt "connection" h2);
              check Alcotest.string "nothing after the close" "" left;
              expect_eof fd)))
+
+(* Pipelined windows: the server holds its answers until the
+   connection would block for input (or they pass 64 KiB, or it
+   closes), so a window that arrives in one read is answered with one
+   write(2) — [st_writes] counts them. *)
+
+let writes srv = (S.stats srv).S.st_writes
+
+(* read [n] framed responses: [(status, body, wire length)] in order *)
+let read_answers fd n =
+  let rec go left acc k =
+    if k = 0 then (List.rev acc, left)
+    else
+      let s, _, b, len, left = read_frame fd left in
+      go left ((s, b, len) :: acc) (k - 1)
+  in
+  go "" [] n
+
+let window_queries =
+  [ "edge"; "path(a, X)"; "path(X, d)"; "edge(a, b)"; "path(b, X)";
+    "path(X, Y)"; "edge(X, c)"; "path(c, d)"; "path(a, a)"; "edge(Y, X)";
+    "path(X, c)"; "edge(c, X)"; "path"; "path(d, X)"; "edge(b, c)";
+    "path(X, X)" ]
+
+(* sixteen queries in one client write: the answers come back in
+   order, each the one it gets on its own, in one server write *)
+let test_window_one_write () =
+  ignore
+    (with_server (fun srv sock ->
+         let alone = List.map (post sock "/query") window_queries in
+         let fd = raw_connect sock in
+         Fun.protect
+           ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+           (fun () ->
+             let w0 = writes srv in
+             write_all fd
+               (String.concat ""
+                  (List.map (raw_request "POST" "/query") window_queries));
+             let answers, left = read_answers fd (List.length window_queries) in
+             check
+               Alcotest.(list (pair int string))
+               "in order, each as answered alone" alone
+               (List.map (fun (s, b, _) -> (s, b)) answers);
+             check Alcotest.string "nothing past the last answer" "" left;
+             check Alcotest.int "one write for the window" 1 (writes srv - w0))))
+
+(* a window cut inside a request, in its head and then in its body:
+   the answers to the complete requests arrive before the client sends
+   the rest. A server that waited for the rest first would deadlock
+   with a client that reads before it writes again; the socket's 5 s
+   receive timeout makes that a failure, not a hang *)
+let test_window_cut_mid_request () =
+  ignore
+    (with_server (fun srv sock ->
+         let fd = raw_connect sock in
+         Fun.protect
+           ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+           (fun () ->
+             let r1 = raw_request "POST" "/query" "edge"
+             and r2 = raw_request "POST" "/query" "path(a, X)"
+             and r3 = raw_request "POST" "/query" "path(X, d)"
+             and r4 = raw_request "POST" "/query" "path(b, X)" in
+             let cut3 = 20 and cut4 = String.length r4 - 3 in
+             let from s i = String.sub s i (String.length s - i) in
+             let expect name n want =
+               let answers, left = read_answers fd n in
+               check
+                 Alcotest.(list (pair int int))
+                 name want
+                 (List.map
+                    (fun (s, b, _) -> (s, List.length (sorted_lines b)))
+                    answers);
+               check Alcotest.string (name ^ ": nothing more") "" left
+             in
+             let w0 = writes srv in
+             write_all fd (r1 ^ r2 ^ String.sub r3 0 cut3);
+             expect "the two complete requests" 2 [ (200, 3); (200, 3) ];
+             check Alcotest.int "answered in one write" 1 (writes srv - w0);
+             write_all fd (from r3 cut3 ^ String.sub r4 0 cut4);
+             expect "the request completed in the next write" 1 [ (200, 3) ];
+             write_all fd (from r4 cut4);
+             expect "the request completed in its body" 1 [ (200, 2) ];
+             check Alcotest.int "one write per wait" 3 (writes srv - w0))))
+
+(* a store whose [big] answer is ~100 KB on the wire *)
+let big_session () =
+  let db = V.Database.create () in
+  for i = 0 to 1799 do
+    ignore
+      (V.Database.add db "big"
+         [| Kgm_common.Value.Int i; Kgm_common.Value.String (String.make 40 'x') |])
+  done;
+  fst (Inc.chase ~options ~db (V.Parser.parse_program tc_src))
+
+(* the write(2)s of one window whose answers have these wire lengths:
+   held until they pass 64 KiB, then written in 64 KiB pieces; the
+   rest once the server waits for input *)
+let expected_writes lengths =
+  let out_max = 65536 in
+  let held, n =
+    List.fold_left
+      (fun (held, n) len ->
+        let held = held + len in
+        if held >= out_max then (0, n + ((held + out_max - 1) / out_max))
+        else (held, n))
+      (0, 0) lengths
+  in
+  n + if held > 0 then 1 else 0
+
+(* two answers past 64 KiB between small ones, pipelined: every answer
+   comes back intact, and the big ones do not wait for the window's
+   end — 5 writes here, where one write per answer makes 7 and one
+   flush per window 3 *)
+let test_window_past_64k () =
+  ignore
+    (with_server ~session:(big_session ()) (fun srv sock ->
+         let window = [ "edge"; "big"; "path(a, X)"; "big"; "edge(a, X)" ] in
+         let alone = List.map (post sock "/query") window in
+         let fd = raw_connect sock in
+         Fun.protect
+           ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+           (fun () ->
+             let w0 = writes srv in
+             write_all fd
+               (String.concat "" (List.map (raw_request "POST" "/query") window));
+             let answers, left = read_answers fd (List.length window) in
+             check
+               Alcotest.(list (pair int string))
+               "every answer intact" alone
+               (List.map (fun (s, b, _) -> (s, b)) answers);
+             check Alcotest.int "1800 big facts" 1800
+               (List.length (sorted_lines (snd (List.nth alone 1))));
+             check Alcotest.string "nothing past the last answer" "" left;
+             let lengths = List.map (fun (_, _, len) -> len) answers in
+             check Alcotest.bool "big answers past 64 KiB" true
+               (List.for_all (fun len -> len > 65536 && len < 2 * 65536)
+                  [ List.nth lengths 1; List.nth lengths 3 ]);
+             let n = writes srv - w0 in
+             check Alcotest.bool "at least two writes" true (n >= 2);
+             check Alcotest.int "flushed past 64 KiB, the rest at the end"
+               (expected_writes lengths) n)))
+
+(* a base numbered below a generation already in the directory is
+   refused before anything is written — rotation keeps the newest
+   generations and would delete it; the newest epoch again, and a
+   newer one, are written *)
+let test_save_session_refuses_older () =
+  let dir = fresh_dir "older" in
+  let session = mk_session tc_src in
+  List.iter
+    (fun epoch -> ignore (S.save_session ~dir ~keep:3 ~epoch session))
+    [ 5; 6; 7 ];
+  let contents () =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.map (fun f -> (f, Digest.to_hex (Digest.file (Filename.concat dir f))))
+  in
+  let before = contents () in
+  (match S.save_session ~dir ~keep:3 ~epoch:2 session with
+  | _ -> Alcotest.fail "epoch 2 below generation 7 was written"
+  | exception Kgm_common.Kgm_error.Error e ->
+      check Alcotest.bool "a storage error" true
+        (e.Kgm_common.Kgm_error.stage = Kgm_common.Kgm_error.Storage);
+      check
+        Alcotest.(option string)
+        "naming the newer generation"
+        (Some (R.Snapshot.path ~dir ~kind:"session" ~seq:7))
+        (List.assoc_opt "path" e.Kgm_common.Kgm_error.context));
+  check
+    Alcotest.(list (pair string string))
+    "the directory is unchanged" before (contents ());
+  ignore (S.save_session ~dir ~keep:3 ~epoch:7 session);
+  check
+    Alcotest.(list int)
+    "the newest epoch again replaces it" [ 5; 6; 7 ]
+    (List.map fst (R.Snapshot.list ~dir ~kind:"session"));
+  let path = S.save_session ~dir ~keep:3 ~epoch:8 session in
+  check Alcotest.bool "epoch 8 written" true (Sys.file_exists path);
+  check
+    Alcotest.(list int)
+    "and generation 5 rotated away" [ 6; 7; 8 ]
+    (List.map fst (R.Snapshot.list ~dir ~kind:"session"))
 
 (* ------------------------------------------------------------------ *)
 (* The write path in O(batch): publish by replay onto the twin store,
@@ -1340,6 +1531,14 @@ let suite =
       test_strict_content_length;
     Alcotest.test_case "keep-alive x drain: pipeline finishes, then close."
       `Quick test_keepalive_drain;
+    Alcotest.test_case "pipelining: a window answered in one write." `Quick
+      test_window_one_write;
+    Alcotest.test_case "pipelining: a window cut mid-request, no deadlock."
+      `Quick test_window_cut_mid_request;
+    Alcotest.test_case "pipelining: answers past 64 KiB flush early." `Quick
+      test_window_past_64k;
+    Alcotest.test_case "session base: an older epoch is refused." `Quick
+      test_save_session_refuses_older;
     Alcotest.test_case "write path is O(batch): replay, no copy, append."
       `Quick test_write_path_is_o_batch;
     Alcotest.test_case "one maintenance pool per server." `Quick

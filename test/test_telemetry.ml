@@ -403,6 +403,55 @@ let test_summary_renders () =
         (contains_sub s needle))
     [ "load"; "facts"; "lat" ]
 
+(* A long-lived collector keeps exact per-name totals of every span but
+   only the last [max_spans] records: after 200k spans the exporters
+   count them all, the records stay bounded, and the trace says how
+   many it dropped *)
+let test_span_records_bounded () =
+  let t = T.create () in
+  let n = 200_000 in
+  T.with_span t "outer" (fun () ->
+      let t0 = T.Clock.now () in
+      for i = 0 to n - 1 do
+        T.record_span t
+          (if i mod 4 = 0 then "a" else "b")
+          ~start:t0 ~stop:(t0 +. 0.5)
+      done);
+  check Alcotest.int "records kept" T.max_spans (List.length (T.spans t));
+  check Alcotest.bool "at most 2^16" true (T.max_spans <= 1 lsl 16);
+  check Alcotest.int "records dropped" (n + 1 - T.max_spans) (T.spans_dropped t);
+  check Alcotest.bool "the last to close are kept" true
+    (List.mem "outer" (List.map (fun s -> s.T.sp_name) (T.spans t)));
+  let prom = T.prometheus t in
+  List.iter
+    (fun line ->
+      check Alcotest.bool ("prometheus: " ^ line) true (contains_sub prom line))
+    [ {|kgm_span_total{span="a"} 50000|};
+      {|kgm_span_total{span="b"} 150000|};
+      {|kgm_span_total{span="outer"} 1|};
+      {|kgm_span_seconds_total{span="a"} 25000.000000000|};
+      {|kgm_span_seconds_total{span="b"} 75000.000000000|} ];
+  let at needle =
+    let rec go i =
+      if String.sub prom i (String.length needle) = needle then i else go (i + 1)
+    in
+    go 0
+  in
+  check Alcotest.bool "names in the order their first span started" true
+    (at {|span="outer"|} < at {|span="a"|} && at {|span="a"|} < at {|span="b"|});
+  let summary = T.summary t in
+  check Alcotest.bool "summary counts every span" true
+    (contains_sub summary "150000");
+  let trace = parse_json (T.chrome_trace t) in
+  check Alcotest.bool "the trace says how many it dropped" true
+    (obj_field "spans_dropped" trace
+    = Some (J_num (float_of_int (n + 1 - T.max_spans))));
+  match obj_field "traceEvents" trace with
+  | Some (J_arr events) ->
+      check Alcotest.int "one event per record kept, and the process name"
+        (T.max_spans + 1) (List.length events)
+  | _ -> Alcotest.fail "no traceEvents"
+
 let suite =
   [ Alcotest.test_case "clock monotonic" `Quick test_clock_monotonic;
     Alcotest.test_case "histogram" `Quick test_histogram;
@@ -419,4 +468,6 @@ let suite =
     Alcotest.test_case "stats merge" `Quick test_stats_merge;
     Alcotest.test_case "budget error context" `Quick
       test_budget_error_context;
-    Alcotest.test_case "summary renders" `Quick test_summary_renders ]
+    Alcotest.test_case "summary renders" `Quick test_summary_renders;
+    Alcotest.test_case "span records bounded, totals exact" `Quick
+      test_span_records_bounded ]
