@@ -763,8 +763,8 @@ let resilience () =
    (a) guard-first ownership reachability — the recursive rule names a
        guard the delta does not bind first, as declarative programs
        naturally read; unplanned evaluation scans it unbound once per
-       delta fact, the planner probes it last, bound, through a
-       prepared index (the headline probe cut);
+       delta fact, the planner probes it last, bound, through an
+       index (the headline probe cut);
    (b) the EXP-6 DESCFROM star pattern through the MetaLog bridge —
        its compiled program has a non-recursive DESCFROM stratum whose
        empty fixpoint round the planner skips (the round cut);

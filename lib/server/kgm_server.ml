@@ -626,7 +626,7 @@ let add_fact_line buf pred fact =
    large predicate cannot outlive its budget *)
 let poll_every = 2048
 
-let eval_query ~poll ~cache db q buf =
+let eval_query ~poll db q buf =
   let n = ref 0 in
   let seen = ref 0 in
   let emit pred fact =
@@ -649,11 +649,8 @@ let eval_query ~poll ~cache db q buf =
             Array.for_all (fun p -> Kgm_common.Value.equal v fact.(p)) ps)
           joins
       in
-      (* within an epoch the side-car cache turns the repeated
-         frozen-store linear scan into one build; the next publish
-         prepares the patterns it recorded up front *)
       ignore
-        (DB.iter_matches_cached cache db pred positions key (fun _seq fact ->
+        (DB.iter_matches db pred positions key (fun _seq fact ->
              incr seen;
              if !seen land (poll_every - 1) = 0 then poll ();
              if Array.length fact = arity && joins_ok fact then emit pred fact)));
@@ -687,23 +684,19 @@ let default_config ~sock =
     keep = 3;
     debug_endpoints = false }
 
-(* an epoch pairs the frozen snapshot with its side-car index cache:
-   patterns first seen at query time (after the publish-time
-   preparation) are built once per epoch instead of linear-scanned per
-   request. [ep_pins] counts the /query evaluations reading [ep_db]
-   right now: the writer thaws a retired epoch's store only once its
-   pins drain to zero. *)
+(* an epoch is a frozen store; the first query of a pattern it lacks
+   builds the index into it. [ep_pins] counts the /query evaluations
+   reading [ep_db] right now: the writer thaws a retired epoch's store
+   only once its pins drain to zero. *)
 type epoch = {
   ep_id : int;
   ep_db : DB.t;
-  ep_cache : DB.index_cache;
   ep_facts : int;  (* DB.total at publish *)
   ep_pins : int Atomic.t;
 }
 
 let make_epoch id db =
-  { ep_id = id; ep_db = db; ep_cache = DB.cache_create ();
-    ep_facts = DB.total db; ep_pins = Atomic.make 0 }
+  { ep_id = id; ep_db = db; ep_facts = DB.total db; ep_pins = Atomic.make 0 }
 
 type stats = {
   st_epoch : int;
@@ -717,11 +710,6 @@ type stats = {
   st_inflight : int;
   st_faults : int;
 }
-
-(* bound on the publish-time pattern registry, so an adversarial query
-   stream cannot make every publish arbitrarily expensive (patterns
-   past the cap still get the per-epoch cache) *)
-let max_registered_patterns = 512
 
 type t = {
   cfg : config;
@@ -740,9 +728,6 @@ type t = {
   mutable log_w : Kgm_resilience.Framed.writer option;
   mutable log_bytes : int;
   mutable base_bytes : int;
-  (* the query surface: every pattern a retired epoch's cache built,
-     prepared at each publish. Under writer_mu *)
-  patterns : (string * int list, unit) Hashtbl.t;
   qp_mu : Mutex.t;
   qp_cache : (string, query) Hashtbl.t;  (* query text -> parsed *)
   mutable pool : Unix.file_descr Kgm_pool.Service.t option;
@@ -814,7 +799,6 @@ let create ?(telemetry = Kgm_telemetry.null)
       log_w = None;
       log_bytes = 0;
       base_bytes = 0;
-      patterns = Hashtbl.create 16;
       qp_mu = Mutex.create ();
       qp_cache = Hashtbl.create 64;
       pool = None;
@@ -905,10 +889,6 @@ let await_readers ep =
   wait 2e-5
 
 (* Publish the master as epoch [t.epoch_ctr]. Under writer_mu. The
-   patterns the outgoing epoch's readers built into its side-car cache
-   join the registry, and every registered pattern is index-prepared
-   on the master *before* it freezes, so readers of the new epoch never
-   pay the frozen-store linear-scan fallback for a known pattern. The
    "swap" fault site is transient: wrapped in the retry loop, bounded
    by the drain token. A swap that exhausts its retries thaws the
    master and leaves the previous epoch visible — readers stay
@@ -917,21 +897,13 @@ let await_readers ep =
 
    After the swap the retired store waits for its readers, is thawed,
    and replays the master's change log, which makes it an identical
-   twin: it becomes the next master. When a re-chase replaced the
-   session's store (a fallback, or the batch after one that raised),
-   the retired store is unrelated to it and the next master is a copy
-   instead. *)
+   twin: it becomes the next master, keeping the indexes its readers
+   built. When a re-chase replaced the session's store (a fallback, or
+   the batch after one that raised), the retired store is unrelated to
+   it and the next master is a copy instead. *)
 let publish t =
   let db = Inc.db t.session in
   let retired = Atomic.get t.epoch in
-  List.iter
-    (fun p ->
-      if Hashtbl.length t.patterns < max_registered_patterns then
-        Hashtbl.replace t.patterns p ())
-    (DB.cached_patterns retired.ep_cache);
-  Hashtbl.iter
-    (fun (pred, positions) () -> DB.prepare_index db pred positions)
-    t.patterns;
   DB.freeze db;
   let ep = make_epoch t.epoch_ctr db in
   (match
@@ -1158,7 +1130,7 @@ let handle_query t tok text body =
   let n =
     Fun.protect
       ~finally:(fun () -> Atomic.decr ep.ep_pins)
-      (fun () -> eval_query ~poll ~cache:ep.ep_cache ep.ep_db q body)
+      (fun () -> eval_query ~poll ep.ep_db q body)
   in
   ( 200,
     [ ("x-kgm-epoch", string_of_int ep.ep_id);
@@ -1190,12 +1162,20 @@ let route_text t req tok =
   | _ -> (404, [], "unknown endpoint\n")
 
 (* Answer [req] with a status and extra headers; the answer's body is
-   rendered into [body] *)
+   rendered into [body]. A deadline header that is not a finite number
+   of seconds >= 0 is a 400: dropping it would override the configured
+   default, and nan or inf would never expire *)
 let route t req body =
   let deadline_s =
     match header req "x-kgm-deadline" with
-    | Some v -> float_of_string_opt v
     | None -> t.cfg.default_deadline_s
+    | Some v -> (
+        match float_of_string_opt v with
+        | Some d when Float.is_finite d && d >= 0. -> Some d
+        | _ ->
+            Err.raise_error_ctx Err.Validate
+              [ ("x-kgm-deadline", v) ]
+              "x-kgm-deadline: %S is not a finite number of seconds >= 0" v)
   in
   let tok =
     match deadline_s with

@@ -31,9 +31,10 @@
 
     Requests are served by a pool of {e reader domains}
     ({!Kgm_pool.Service}) rather than systhreads: every request
-    answers against one immutable frozen epoch (plus a per-epoch
-    side-car index cache for query patterns first seen after publish),
-    so readers share no locks and scale across cores. Writer paths
+    answers against one frozen epoch, so readers scale across cores.
+    The first query of a pattern an epoch's store has no index for
+    builds the index into that store ({!Kgm_vadalog.Database.freeze});
+    every later probe of it, from any reader, takes no lock. Writer paths
     ([/update]) still serialize on the master session's mutex.
 
     {2 Failure model}

@@ -22,13 +22,15 @@
     its slots densely) only once its dead slots outnumber its live
     facts.
 
-    For the parallel chase the store can be {!freeze}-frozen: a frozen
-    database rejects writes and never mutates on {!lookup} (a missing
-    index falls back to a linear scan instead of being built, and a
+    The first probe of a pattern builds its index, on any store. A
+    {!freeze}-frozen store rejects writes, so any number of domains may
+    read it — and the read-only dictionary — concurrently: a build there
+    runs under the store's one mutex, looks again inside it, and
+    publishes by replacing the predicate's immutable (positions, index)
+    list held in an [Atomic.t], so a probe of an existing index takes
+    no lock and every domain that sees the index sees it finished. A
     probe key containing a value absent from the dictionary simply has
-    no matches), so any number of domains may read it — and the
-    read-only dictionary — concurrently. {!prepare_index} builds the
-    indexes a query plan will need {e before} the parallel section.
+    no matches.
 
     A store can also {!record} its successful writes into a change log,
     which {!replay} applies to a twin — how the server turns a retired
@@ -122,7 +124,9 @@ type pred_store = {
   mutable len : int;          (* slots in use, live or dead *)
   mutable count : int;        (* live facts *)
   seqs : int IFactTbl.t;      (* dedup set: live fact -> its slot *)
-  indexes : (int list, postings IKeyTbl.t) Hashtbl.t;
+  indexes : (int list * postings IKeyTbl.t) list Atomic.t;
+      (* the list is replaced whole, never edited: readers of a frozen
+         store load it without a lock *)
 }
 
 (* one successful write of a recording store, replayable on its twin *)
@@ -135,12 +139,13 @@ type t = {
   mutable frozen : bool;
   mutable recording : bool;
   mutable changes : change list;  (* reverse order *)
+  build_mu : Mutex.t;  (* serializes index builds *)
 }
 
 let create ?dict () =
   let dict = match dict with Some d -> d | None -> Intern.create () in
   { preds = Hashtbl.create 64; dict; total = 0; frozen = false;
-    recording = false; changes = [] }
+    recording = false; changes = []; build_mu = Mutex.create () }
 
 let note_change t c = if t.recording then t.changes <- c :: t.changes
 
@@ -180,7 +185,7 @@ let store t pred =
   | None ->
       let s =
         { arr = [||]; len = 0; count = 0; seqs = IFactTbl.create 256;
-          indexes = Hashtbl.create 4 }
+          indexes = Atomic.make [] }
       in
       Hashtbl.add t.preds pred s;
       s
@@ -229,7 +234,9 @@ let insert t pred (fact : ifact) =
     IFactTbl.add s.seqs fact seq;
     buffer_append s fact;
     t.total <- t.total + 1;
-    Hashtbl.iter (fun positions idx -> index_insert idx positions fact seq) s.indexes;
+    List.iter
+      (fun (positions, idx) -> index_insert idx positions fact seq)
+      (Atomic.get s.indexes);
     true
   end
 
@@ -285,14 +292,9 @@ let total t = t.total
 let predicates t =
   Hashtbl.fold (fun p _ acc -> p :: acc) t.preds [] |> List.sort String.compare
 
-let build_detached s positions =
+let build_index s positions =
   let idx = IKeyTbl.create (max 64 s.count) in
   iter_live s s.len (fun i fact -> index_insert idx positions fact i);
-  idx
-
-let build_index s positions =
-  let idx = build_detached s positions in
-  Hashtbl.add s.indexes positions idx;
   idx
 
 (* drop [seq] from the ascending postings of [fact]'s key: a binary
@@ -328,9 +330,10 @@ let compact s =
       incr n);
   s.arr <- live;
   s.len <- !n;
-  let patterns = Hashtbl.fold (fun positions _ acc -> positions :: acc) s.indexes [] in
-  Hashtbl.reset s.indexes;
-  List.iter (fun positions -> ignore (build_index s positions)) patterns
+  Atomic.set s.indexes
+    (List.map
+       (fun (positions, _) -> (positions, build_index s positions))
+       (Atomic.get s.indexes))
 
 (* tombstone one live fact; the store compacts once its dead slots
    outnumber its live facts, and an emptied predicate disappears *)
@@ -346,7 +349,9 @@ let remove_i t pred (fact : ifact) =
           s.arr.(seq) <- tomb;
           s.count <- s.count - 1;
           t.total <- t.total - 1;
-          Hashtbl.iter (fun positions idx -> index_remove idx positions fact seq) s.indexes;
+          List.iter
+            (fun (positions, idx) -> index_remove idx positions fact seq)
+            (Atomic.get s.indexes);
           if s.count = 0 then
             (* no ghost store: [predicates] (and the maintenance layer's
                canonical forms) must agree with a database into which
@@ -410,19 +415,34 @@ let freeze t = t.frozen <- true
 let thaw t = t.frozen <- false
 let is_frozen t = t.frozen
 
+(* The index serving [positions] (non-empty), built by the first probe
+   that needs it. Readers on other domains may be probing a frozen
+   store, so the build runs under [build_mu], looks again inside it, and
+   publishes through the atomic: an existing index is found without the
+   lock, and fully built *)
+let index_for t s positions =
+  match List.assoc_opt positions (Atomic.get s.indexes) with
+  | Some idx -> idx
+  | None ->
+      Mutex.protect t.build_mu (fun () ->
+          let built = Atomic.get s.indexes in
+          match List.assoc_opt positions built with
+          | Some idx -> idx
+          | None ->
+              let idx = build_index s positions in
+              Atomic.set s.indexes ((positions, idx) :: built);
+              idx)
+
 let prepare_index t pred positions =
   if positions <> [] then
     match Hashtbl.find_opt t.preds pred with
     | None -> ()
-    | Some s ->
-        if not (Hashtbl.mem s.indexes positions) then ignore (build_index s positions)
+    | Some s -> ignore (index_for t s positions)
 
 let indexed_patterns t pred =
   match Hashtbl.find_opt t.preds pred with
   | None -> []
-  | Some s ->
-      Hashtbl.fold (fun positions _ acc -> positions :: acc) s.indexes []
-      |> List.sort compare
+  | Some s -> List.sort compare (List.map fst (Atomic.get s.indexes))
 
 (* [f] over one index group, as long as it is now, until [f] returns
    [true]; returns how many facts it visited *)
@@ -436,67 +456,46 @@ let iter_group s (ps : postings) f =
   in
   go 0
 
-(* [f] over the live slots below [len] that [keep] accepts, until [f]
-   returns [true]; returns how many live facts it visited *)
-let scan_live s keep f =
+(* [f] over the live slots below the current length, until [f] returns
+   [true]; returns how many live facts it visited *)
+let scan_live s f =
   let len = s.len in
   let rec go i live =
     if i >= len then live
     else
       let fact = s.arr.(i) in
       if fact == tomb then go (i + 1) live
-      else if keep fact && f i fact then live + 1
+      else if f i fact then live + 1
       else go (i + 1) (live + 1)
   in
   go 0 0
-
-(* the index serving [positions], built first on an unfrozen store;
-   [None] for the empty pattern and a frozen store's missing index *)
-let index_for t s positions =
-  if positions = [] then None
-  else
-    match Hashtbl.find_opt s.indexes positions with
-    | Some idx -> Some idx
-    | None -> if t.frozen then None else Some (build_index s positions)
 
 (** [iter_matches_i t pred positions key f] calls [f seq ifact] for
     every fact whose ids at [positions] equal [key], in ascending
     insertion order ([seq] is the fact's per-predicate insertion
     sequence), until [f] returns [true]. Returns the number of facts
-    {e examined} to produce the matches: the index-group length when an
-    index serves the probe (or is built, when the store is unfrozen),
-    but the whole predicate on the frozen missing-index path, where the
-    probe degrades to a linear scan — the honest probe cost the engine's
-    [rs_probes] counter reports; a probe that [f] stops counts what it
-    visited up to there. The group is the one at call time: facts [f]
-    inserts are neither visited nor counted. *)
+    {e examined} to produce the matches: the index-group length (the
+    index is built first when the pattern has none), the live facts for
+    the empty pattern; a probe that [f] stops counts what it visited up
+    to there. The group is the one at call time: facts [f] inserts are
+    neither visited nor counted. *)
 let iter_matches_i t pred positions key f =
   match Hashtbl.find_opt t.preds pred with
   | None -> 0
+  | Some s when positions = [] -> scan_live s f
   | Some s -> (
-      if positions = [] then scan_live s (fun _ -> true) f
-      else
-        match index_for t s positions with
-        | Some idx -> (
-            match IKeyTbl.find_opt idx key with
-            | Some ps -> iter_group s ps f
-            | None -> 0)
-        | None ->
-            scan_live s
-              (fun fact ->
-                match index_key positions fact with
-                | Some k -> IKey.equal k key
-                | None -> false)
-              f)
+      match IKeyTbl.find_opt (index_for t s positions) key with
+      | Some ps -> iter_group s ps f
+      | None -> 0)
 
 let probe_size t pred positions key =
   match Hashtbl.find_opt t.preds pred with
   | None -> 0
+  | Some s when positions = [] -> s.count
   | Some s -> (
-      match index_for t s positions with
-      | Some idx -> (
-          match IKeyTbl.find_opt idx key with Some ps -> ps.p_len | None -> 0)
-      | None -> s.count)
+      match IKeyTbl.find_opt (index_for t s positions) key with
+      | Some ps -> ps.p_len
+      | None -> 0)
 
 (** Value-level probe: same semantics as {!iter_matches_i} after
     encoding the key through the dictionary. A key containing a value
@@ -513,82 +512,16 @@ let iter_matches t pred positions key f =
 
 (** Facts whose values at [positions] equal [key], in insertion order.
     Builds (and then maintains) a hash index for the position pattern on
-    first use; an empty pattern is a full scan. On a frozen database a
-    missing index is answered by a linear scan instead (no mutation). *)
+    first use; an empty pattern is a full scan. *)
 let lookup t pred positions key =
   let acc = ref [] in
   ignore (iter_matches t pred positions key (fun _ f -> acc := f :: !acc));
   List.rev !acc
 
-(* ------------------------------------------------------------------ *)
-(* Side-car index cache for frozen stores.
-
-   A frozen database answers a probe on an unprepared pattern with a
-   full linear scan (it must not mutate itself — any number of domains
-   may be reading it). For a serving layer that sees the same pattern
-   on every request that is an O(n) scan per request; an [index_cache]
-   amortizes it: the first probe builds the pattern's index {e outside}
-   the store, under the cache's mutex, and every later probe (from any
-   domain) answers through the cached index. The mutex protects only
-   the lookup/build step; a published index is immutable, so probes
-   read it lock-free. Safe only against a frozen store (the postings
-   would go stale under writes), which is exactly the epoch-snapshot
-   use the reasoning server makes of it. *)
-
-type index_cache = {
-  ic_mu : Mutex.t;
-  ic_tbl : (string * int list, postings IKeyTbl.t) Hashtbl.t;
-}
-
-let cache_create () = { ic_mu = Mutex.create (); ic_tbl = Hashtbl.create 8 }
-
-let cached_patterns c =
-  Mutex.lock c.ic_mu;
-  let ps = Hashtbl.fold (fun k _ acc -> k :: acc) c.ic_tbl [] in
-  Mutex.unlock c.ic_mu;
-  List.sort compare ps
-
-let cache_index c t pred positions =
-  match Hashtbl.find_opt t.preds pred with
-  | None -> None
-  | Some s -> (
-      match Hashtbl.find_opt s.indexes positions with
-      | Some idx -> Some (s, idx) (* the store itself is prepared *)
-      | None ->
-          Mutex.lock c.ic_mu;
-          let idx =
-            match Hashtbl.find_opt c.ic_tbl (pred, positions) with
-            | Some idx -> idx
-            | None ->
-                let idx = build_detached s positions in
-                Hashtbl.add c.ic_tbl (pred, positions) idx;
-                idx
-          in
-          Mutex.unlock c.ic_mu;
-          Some (s, idx))
-
-(** [iter_matches_cached cache t pred positions key f] — the semantics
-    of {!iter_matches}, but a missing index on a frozen store is built
-    once into [cache] (thread-safe) instead of degrading to a linear
-    scan per probe. The returned examined count is the postings length
-    (the probe is indexed either way after the first call). *)
-let iter_matches_cached c t pred positions key f =
-  if positions = [] || not t.frozen then iter_matches t pred positions key f
-  else
-    match find_key t key with
-    | None -> 0
-    | Some ikey -> (
-        match cache_index c t pred positions with
-        | None -> 0
-        | Some (s, idx) -> (
-            match IKeyTbl.find_opt idx ikey with
-            | Some ps ->
-                for i = 0 to ps.p_len - 1 do
-                  let seq = ps.p_seq.(i) in
-                  f seq (resolve_fact t s.arr.(seq))
-                done;
-                ps.p_len
-            | None -> 0))
+(* kgbench's names for [iter_matches] on a frozen store *)
+type index_cache = unit
+let cache_create () = ()
+let iter_matches_cached () = iter_matches
 
 let copy t =
   (* the dictionary is shared: ids remain stable across copies, which
@@ -599,9 +532,9 @@ let copy t =
   Hashtbl.iter
     (fun pred s ->
       iter_live s s.len (fun _ fact -> ignore (insert t' pred fact));
-      (* carry the source's index patterns over: a frozen copy could
-         otherwise never build them and would linear-scan every probe *)
-      Hashtbl.iter (fun positions _ -> prepare_index t' pred positions) s.indexes)
+      List.iter
+        (fun (positions, _) -> prepare_index t' pred positions)
+        (Atomic.get s.indexes))
     t.preds;
   t'.frozen <- t.frozen;
   t'

@@ -1,5 +1,6 @@
 (** Fact store of the Vadalog engine: per-predicate sets of tuples with
-    lazily built hash indexes on bound-position patterns. Duplicate
+    hash indexes on bound-position patterns, each built by the first
+    probe that needs it. Duplicate
     facts are silently ignored (set semantics); fact equality is
     {!Kgm_common.Value.equal} pointwise (so e.g. a fact containing
     [Float nan] equals itself and re-derivation never duplicates it). *)
@@ -85,12 +86,11 @@ val predicates : t -> string list
 val lookup : t -> string -> int list -> Value.t list -> fact list
 (** [lookup db pred positions key]: the facts whose values at
     [positions] (ascending) equal [key] pointwise, in insertion order.
-    Builds a hash index for the position pattern on first use; the empty
-    pattern is a full scan. Facts too short for the pattern never match.
-    On a {!freeze}-frozen database a missing index is answered by a
-    linear scan instead of being built (no mutation). A key containing
-    a value absent from the dictionary matches nothing (and examines
-    nothing) without touching the dictionary. *)
+    Builds a hash index for the position pattern on first use, on a
+    {!freeze}-frozen database too (see {!freeze}); the empty pattern is
+    a full scan. Facts too short for the pattern never match. A key
+    containing a value absent from the dictionary matches nothing (and
+    examines nothing) without touching the dictionary. *)
 
 val iter_matches :
   t -> string -> int list -> Value.t list -> (int -> fact -> unit) -> int
@@ -105,12 +105,10 @@ val iter_matches :
     of [seq]s carries meaning.
 
     Returns the number of facts {e examined} to answer the probe: the
-    index-group length when an index serves it (or is built first, on an
-    unfrozen store), but the predicate's whole (live) cardinality on the
-    frozen missing-index path, where the probe degrades to a linear
-    scan. The engine charges this to its [rs_probes] counter, so
-    un-prepared probe patterns show up as the full scans they really
-    are. *)
+    index-group length (the first probe of a pattern builds its index
+    first, frozen store or not), the predicate's live cardinality for
+    the empty pattern. The engine charges this to its [rs_probes]
+    counter. *)
 
 val iter_matches_i :
   t -> string -> int list -> int list -> (int -> ifact -> bool) -> int
@@ -123,9 +121,8 @@ val iter_matches_i :
 val probe_size : t -> string -> int list -> int list -> int
 (** [probe_size t pred positions key]: how many facts {!iter_matches_i}
     would examine for this probe, without visiting them — the index
-    group's length (the index is built first on an unfrozen store, as a
-    probe would), the predicate's cardinality for the empty pattern and
-    on a frozen store's missing index. *)
+    group's length (a missing index is built first, as a probe would
+    build it), the predicate's cardinality for the empty pattern. *)
 
 val remove_batch : t -> (string * fact) list -> int
 (** [remove_batch t facts] deletes every listed (pred, fact) pair that
@@ -183,64 +180,53 @@ val apply_batch :
 (** {1 Freezing (parallel read phases)}
 
     The restricted-chase engine evaluates rule bodies from several
-    domains at once against a read-only snapshot. Freezing makes the
-    store safe for concurrent readers: writes are rejected and
-    {!lookup} never builds indexes. Use {!prepare_index} to build the
-    indexes the workers will probe {e before} freezing. *)
+    domains at once against a read-only snapshot, and the server answers
+    queries from a frozen epoch. Freezing makes the store safe for
+    concurrent readers: writes are rejected, and the only change a read
+    can make is the index its probe pattern lacks. The first probe of a
+    pattern builds it under the store's one mutex, looking again inside
+    the lock, and publishes it by replacing an immutable list held in an
+    [Atomic.t]; a probe of an existing index takes no lock. Indexes
+    built while frozen stay after {!thaw}, and writes maintain them
+    like any other. *)
 
 val freeze : t -> unit
-(** Reject writes ({!add} raises [Invalid_argument]) and make every
-    read path mutation-free until {!thaw}. *)
+(** Reject writes ({!add} raises [Invalid_argument]) until {!thaw}. *)
 
 val thaw : t -> unit
 val is_frozen : t -> bool
 
 val prepare_index : t -> string -> int list -> unit
-(** [prepare_index db pred positions] eagerly builds the index for the
-    position pattern (a no-op for the empty pattern, unknown predicates
-    or an already-built index). *)
+(** [prepare_index db pred positions] builds the index for the position
+    pattern now rather than at its first probe (a no-op for the empty
+    pattern, unknown predicates or an already-built index). *)
 
 val indexed_patterns : t -> string -> int list list
 (** The position patterns currently indexed for a predicate, sorted. *)
 
-(** {1 Side-car index cache (frozen stores)}
+(** {1 Aliases kept for kgbench}
 
-    A frozen store answers a probe on an unprepared pattern with a full
-    linear scan on {e every} call (it must not mutate itself — any
-    number of domains may be reading it concurrently). An
-    {!index_cache} amortizes that to one scan: the first probe builds
-    the pattern's index {e outside} the store under the cache's mutex;
-    later probes, from any domain, answer through the cached (then
-    immutable) index lock-free. Only meaningful against a frozen store
-    — the reasoning server keeps one cache per published epoch for
-    query patterns first seen after the epoch was prepared. *)
+    The benchmark probes its frozen copies through these names; they are
+    {!iter_matches} (a frozen store builds its own missing index). *)
 
 type index_cache
 
 val cache_create : unit -> index_cache
 
-val cached_patterns : index_cache -> (string * int list) list
-(** The (predicate, positions) patterns built into the cache so far,
-    sorted. *)
-
 val iter_matches_cached :
   index_cache -> t -> string -> int list -> Value.t list ->
   (int -> fact -> unit) -> int
-(** {!iter_matches}, except that a missing index on a frozen store is
-    built once into the cache (thread-safe) instead of degrading to a
-    linear scan per probe; the examined count is then the postings
-    length. Falls back to plain {!iter_matches} for empty patterns and
-    unfrozen stores. *)
+(** [iter_matches_cached _ = iter_matches]. *)
 
 val copy : t -> t
 (** Copy of the stores. The dictionary and the fact arrays are
     {e shared} (a stored fact is never written to), so ids stay stable
     across copies and a copy costs its tables, not its facts. Live facts
-    are copied in insertion order (densely renumbered), the source's
-    index patterns are rebuilt eagerly, and the frozen flag carries over
-    (a copy of a frozen snapshot is itself a read-only snapshot). The
-    copy does not record ({!record}) and does not fire the
-    ["db_insert"] fault site. *)
+    are copied in insertion order (densely renumbered), every index
+    pattern of the source is built on the copy at once, and the frozen
+    flag carries over (a copy of a frozen snapshot is itself a read-only
+    snapshot). The copy does not record ({!record}) and does not fire
+    the ["db_insert"] fault site. *)
 
 val pp : Format.formatter -> t -> unit
 (** Every fact as [pred(v1, ..., vn).] lines, predicates sorted. *)

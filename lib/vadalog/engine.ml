@@ -1726,16 +1726,8 @@ let eval_delta_round st pool (rules : prepared list) ~use_planner ~cancel
   let results =
     if Array.length items = 0 then []
     else begin
-      (* build exactly the indexes the items will probe: every plan —
-         planned or written-order — records its probe patterns along
-         its own evaluation order (the delta literal never probes the
-         store) *)
-      Hashtbl.iter
-        (fun _ (p : Planner.plan) ->
-          List.iter
-            (fun (pred, pat) -> Database.prepare_index st.db pred pat)
-            p.Planner.patterns)
-        plans;
+      (* a worker's first probe of a pattern the store lacks builds its
+         index (Database.freeze) *)
       Database.freeze st.db;
       let t0 = Kgm_telemetry.Clock.now () in
       let results =

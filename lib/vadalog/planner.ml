@@ -34,51 +34,17 @@ type plan = {
   order : int list;  (** body literal indices in evaluation order *)
   reordered : bool;  (** [order] differs from the written order *)
   cost : int;        (** summed candidate estimates per delta fact *)
-  patterns : (string * int list) list;
-      (** bound-position pattern each non-delta positive literal is
-          probed under when evaluated in [order] — the indexes to
-          {!Database.prepare_index} before freezing *)
 }
 
 let written ~delta_lit (r : Rule.rule) =
-  let items = Array.of_list r.Rule.body in
-  let n = Array.length items in
+  let n = List.length r.Rule.body in
   let order =
     delta_lit :: List.filter (fun i -> i <> delta_lit) (List.init n Fun.id)
   in
   (* rotating the delta to the front is readiness-safe: a non-atom
      literal's binders all precede it in the written order, and the
      rotation only moves one binder earlier *)
-  let bound = Hashtbl.create 16 in
-  let patterns = ref [] in
-  List.iter
-    (fun i ->
-      (match items.(i) with
-       | Rule.Pos (a : Rule.atom) when i <> delta_lit ->
-           (* the delta literal's bindings anchor probes the pure
-              written-order prediction misses (a late delta would
-              otherwise degrade every probe to a store scan) *)
-           let pattern =
-             List.filter_map Fun.id
-               (List.mapi
-                  (fun j t ->
-                    match t with
-                    | Term.Const _ -> Some j
-                    | Term.Var x ->
-                        if Hashtbl.mem bound x then Some j else None)
-                  a.Rule.args)
-           in
-           if pattern <> [] then
-             patterns := (a.Rule.pred, pattern) :: !patterns
-       | _ -> ());
-      List.iter
-        (fun v -> Hashtbl.replace bound v ())
-        (Rule.literal_body_bound items.(i)))
-    order;
-  { order;
-    reordered = order <> List.init n Fun.id;
-    cost = 1;
-    patterns = List.rev !patterns }
+  { order; reordered = order <> List.init n Fun.id; cost = 1 }
 
 (* Candidate estimate for evaluating [a] now: base cardinality divided
    by 4 per bound position, floored at 1. *)
@@ -95,7 +61,7 @@ let plan_rule ~count ?delta_lit (r : Rule.rule) =
   let used = Array.make n false in
   let bound = Hashtbl.create 16 in
   let is_bound v = Hashtbl.mem bound v in
-  let order = ref [] and patterns = ref [] and cost = ref 0 in
+  let order = ref [] and cost = ref 0 in
   let bound_pattern (a : Rule.atom) =
     List.filter_map Fun.id
       (List.mapi
@@ -107,12 +73,6 @@ let plan_rule ~count ?delta_lit (r : Rule.rule) =
   in
   let add i =
     used.(i) <- true;
-    (match items.(i) with
-     | Rule.Pos a when delta_lit <> Some i ->
-         (* the delta literal ranges over the chunk, not the store *)
-         let pattern = bound_pattern a in
-         if pattern <> [] then patterns := (a.Rule.pred, pattern) :: !patterns
-     | _ -> ());
     List.iter (fun v -> Hashtbl.replace bound v ()) (Rule.literal_body_bound items.(i));
     order := i :: !order
   in
@@ -168,10 +128,7 @@ let plan_rule ~count ?delta_lit (r : Rule.rule) =
     if not used.(i) then add i
   done;
   let order = List.rev !order in
-  { order;
-    reordered = order <> List.init n Fun.id;
-    cost = max 1 !cost;
-    patterns = List.rev !patterns }
+  { order; reordered = order <> List.init n Fun.id; cost = max 1 !cost }
 
 let pp ~delta_lit (r : Rule.rule) ppf plan =
   let items = Array.of_list r.Rule.body in

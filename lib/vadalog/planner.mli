@@ -14,19 +14,12 @@ type plan = {
       (** summed integral candidate estimates of the non-delta positive
           literals along [order] — an estimated probe volume per delta
           fact, used to weight work-item scheduling; [>= 1] *)
-  patterns : (string * int list) list;
-      (** bound-position pattern each non-delta positive literal is
-          probed under when evaluated in [order]: what to
-          {!Database.prepare_index} before freezing the store *)
 }
 
 val written : delta_lit:int -> Rule.rule -> plan
 (** The unplanned order: the delta literal first (see {!plan_rule}),
-    then every other literal in written order; unit cost. Probe
-    patterns are still recorded along that order — the delta literal's
-    bindings anchor probes the pure written-order prediction misses —
-    so the engine prepares the right indexes with the planner off.
-    The identity on bodies whose delta literal is already first. *)
+    then every other literal in written order; unit cost. The identity
+    on bodies whose delta literal is already first. *)
 
 val plan_rule : count:(string -> int) -> ?delta_lit:int -> Rule.rule -> plan
 (** [plan_rule ~count ~delta_lit r]: join order for the round evaluating

@@ -142,7 +142,7 @@ let test_db_freeze () =
   (match V.Database.add db "p" [| Value.Int 5; Value.Int 6 |] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "frozen database accepted a write");
-  (* lookup without a prepared index: linear scan, no mutation *)
+  (* lookup without an index: the probe builds it *)
   check Alcotest.int "frozen lookup" 1
     (List.length (V.Database.lookup db "p" [ 1 ] [ Value.Int 4 ]));
   V.Database.thaw db;
@@ -497,40 +497,55 @@ let test_key_hash_distribution () =
     (worst < n / 8)
 
 (* ------------------------------------------------------------------ *)
-(* The frozen-store side-car index cache: first probe builds once,
-   later probes answer through it with index-sized examined counts *)
+(* A frozen store builds its own missing index: four domains released
+   together race to first-probe the same two patterns *)
 
-let test_index_cache () =
-  let db = V.Database.create () in
-  for i = 0 to 99 do
-    ignore
-      (V.Database.add db "e"
-         [| Value.Int (i mod 10); Value.Int i |])
+let test_concurrent_first_probe () =
+  let module D = V.Database in
+  let db = D.create () in
+  for i = 0 to 9_999 do
+    ignore (D.add db "e" [| Value.Int (i mod 97); Value.Int (i mod 13); Value.Int i |])
   done;
-  V.Database.freeze db;
-  let cache = V.Database.cache_create () in
-  let probe () =
-    let got = ref [] in
-    let examined =
-      V.Database.iter_matches_cached cache db "e" [ 0 ] [ Value.Int 3 ]
-        (fun _seq fact -> got := fact :: !got)
-    in
-    (examined, List.rev !got)
+  let reference = D.copy db in
+  let before = D.facts db "e" in
+  D.freeze db;
+  let probes = [ ([ 0 ], List.init 97 Fun.id); ([ 1 ], List.init 13 Fun.id) ] in
+  let released = Atomic.make 0 in
+  let domains =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            Atomic.incr released;
+            while Atomic.get released < 4 do
+              Domain.cpu_relax ()
+            done;
+            (* half the domains start on the other pattern *)
+            let probes = if d mod 2 = 0 then probes else List.rev probes in
+            List.concat_map
+              (fun (positions, keys) ->
+                List.map
+                  (fun k ->
+                    let got = ref [] in
+                    let examined =
+                      D.iter_matches db "e" positions [ Value.Int k ] (fun _ f ->
+                          got := f :: !got)
+                    in
+                    (positions, k, examined, List.rev !got))
+                  keys)
+              probes))
   in
-  (* uncached, the frozen store would examine all 100 facts per probe;
-     through the cache only the first probe pays the build *)
-  let examined1, got1 = probe () in
-  let examined2, got2 = probe () in
-  check Alcotest.int "10 facts match" 10 (List.length got1);
-  check Alcotest.bool "same answer twice" true (got1 = got2);
-  check Alcotest.int "cached probe examines the postings only" 10 examined2;
-  check Alcotest.int "so did the building probe" 10 examined1;
-  check Alcotest.bool "pattern recorded" true
-    (List.mem ("e", [ 0 ]) (V.Database.cached_patterns cache));
-  (* matches what the store's own index would answer *)
-  let direct = V.Database.lookup db "e" [ 0 ] [ Value.Int 3 ] in
-  check Alcotest.bool "agrees with lookup" true (got1 = direct);
-  V.Database.thaw db
+  List.iter
+    (fun (positions, k, examined, got) ->
+      let what =
+        Printf.sprintf "e[%s] = %d" (String.concat ";" (List.map string_of_int positions)) k
+      in
+      let want = D.lookup reference "e" positions [ Value.Int k ] in
+      check Alcotest.bool (what ^ ": answer = lookup on an unfrozen copy") true (got = want);
+      check Alcotest.int (what ^ ": examined = the group") (List.length want) examined)
+    (List.concat_map Domain.join domains);
+  check Alcotest.(list (list int)) "each pattern indexed once" [ [ 0 ]; [ 1 ] ]
+    (D.indexed_patterns db "e");
+  check Alcotest.bool "facts and their order unchanged" true (D.facts db "e" = before);
+  D.thaw db
 
 (* ------------------------------------------------------------------ *)
 
@@ -570,4 +585,5 @@ let suite =
       test_service_pool_errors;
     Alcotest.test_case "index key hash: wide keys spread." `Quick
       test_key_hash_distribution;
-    Alcotest.test_case "frozen-store index cache." `Quick test_index_cache ]
+    Alcotest.test_case "frozen store: racing first probes." `Quick
+      test_concurrent_first_probe ]

@@ -197,15 +197,6 @@ let test_update_epochs () =
          check Alcotest.int "server stats count the update" 1
            (S.stats srv).S.st_updates))
 
-let test_deadline () =
-  ignore
-    (with_server
-       ~cfg:(fun c -> { c with S.debug_endpoints = true })
-       (fun _srv sock ->
-         let code, body = post ~deadline_s:0.3 sock "/slow" "5" in
-         check Alcotest.int "deadline trips" 504 code;
-         check Alcotest.string "deadline body" "deadline\n" body))
-
 (* a client that hangs up before its answer is written costs the server
    an EPIPE on that connection, not the process (SIGPIPE would kill it,
    and with it this test binary) *)
@@ -533,6 +524,41 @@ let expect_eof ?(timeout_s = 3.) fd =
   | n -> Alcotest.fail (Printf.sprintf "expected EOF, got %d bytes" n)
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
       Alcotest.fail "expected EOF, connection still open"
+
+(* a deadline header trips at its deadline; one that is not a finite
+   number of seconds >= 0 is a 400 naming the header, whatever the
+   configured default *)
+let test_deadline () =
+  ignore
+    (with_server
+       ~cfg:(fun c ->
+         { c with S.debug_endpoints = true; default_deadline_s = Some 10. })
+       (fun _srv sock ->
+         let code, body = post ~deadline_s:0.3 sock "/slow" "5" in
+         check Alcotest.int "deadline trips" 504 code;
+         check Alcotest.string "deadline body" "deadline\n" body;
+         let slow deadline sleep =
+           let fd = raw_connect sock in
+           Fun.protect
+             ~finally:(fun () -> Unix.close fd)
+             (fun () ->
+               write_all fd
+                 (raw_request
+                    ~headers:(Printf.sprintf "x-kgm-deadline: %s\r\n" deadline)
+                    "POST" "/slow" sleep);
+               let status, _, body, _ = read_framed fd "" in
+               (status, body))
+         in
+         List.iter
+           (fun v ->
+             let code, body = slow v "0.05" in
+             check Alcotest.int ("deadline " ^ v ^ " is refused") 400 code;
+             check Alcotest.bool ("the 400 names the header: " ^ body) true
+               (find_sub body "x-kgm-deadline" 0 <> None))
+           [ "abc"; "nan"; "inf"; "-1" ];
+         (* as the bundled Client writes one, with %g *)
+         check Alcotest.int "1e-05 trips" 504 (fst (slow (Printf.sprintf "%g" 1e-5) "5"));
+         check Alcotest.int "2.5 leaves time" 200 (fst (slow "2.5" "0"))))
 
 (* two requests written back-to-back in one write: the bytes past the
    first content-length must be carried into the second request, not
@@ -1477,10 +1503,9 @@ let test_generated_stream_recovers () =
       check Alcotest.bool "recovered = the live session" true (canon st = !live)
   | None -> Alcotest.fail "nothing recovered"
 
-(* A pattern the chase never indexed is built into the epoch's
-   side-car cache by the query that needs it; the next publish
-   prepares it on the master, and the one after on its twin, so after
-   two batches the session's store has the index itself *)
+(* A pattern the chase never indexed is built into the epoch's store by
+   the query that needs it. That store turns master at the next
+   publish, keeping the index, and its writes maintain it *)
 let test_query_patterns_prepared () =
   let session = mk_session tc_src in
   let indexed () = V.Database.indexed_patterns (Inc.db session) "edge" in
@@ -1492,9 +1517,103 @@ let test_query_patterns_prepared () =
          check Alcotest.(list string) "answer" [ "edge(\"c\", \"d\")." ]
            (sorted_lines body);
          ignore (update_ok sock "+edge(d, e).\n");
-         ignore (update_ok sock "+edge(e, f).\n")));
-  check Alcotest.bool "prepared on the session's store" true
-    (List.mem [ 1 ] (indexed ()))
+         check Alcotest.bool "the store that served epoch 0 is the master, indexed"
+           true
+           (List.mem [ 1 ] (indexed ()));
+         ignore (update_ok sock "+edge(e, d).\n");
+         check Alcotest.string "epoch 2" "2\n" (snd (get sock "/epoch"));
+         let _, body = post sock "/query" "edge(X, d)" in
+         check Alcotest.(list string) "answer at epoch 2"
+           [ "edge(\"c\", \"d\")."; "edge(\"e\", \"d\")." ]
+           (sorted_lines body)))
+
+(* A served epoch answer is an offline query of the same database:
+   patterns over every non-empty bound-position subset of the session's
+   predicates, constants drawn from the store (some absent), each
+   answer equal to [Database.lookup] on an unfrozen copy of the
+   session's store at the epoch the answer is stamped with; update
+   batches between rounds *)
+let test_served_answers_match_lookup () =
+  let module Value = Kgm_common.Value in
+  let src =
+    {| edge(a, b). edge(b, c). edge(c, d). edge(d, a).
+       hop(a, b, 1). hop(b, c, 2). hop(c, a, 3).
+       path(X, Y) :- edge(X, Y).
+       path(X, Z) :- path(X, Y), edge(Y, Z).
+       reach(X, Y, N) :- hop(X, Y, N).
+       reach(X, Z, N) :- reach(X, Y, N), hop(Y, Z, M). |}
+  in
+  let session = mk_session src in
+  let rng = Random.State.make [| 25 |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let vs = [ "a"; "b"; "c"; "d"; "e"; "f" ] in
+  let line pred f =
+    Printf.sprintf "%s(%s)." pred
+      (String.concat ", " (List.map Value.to_string (Array.to_list f)))
+  in
+  let asked = ref 0 in
+  ignore
+    (with_server ~session (fun _srv sock ->
+         let fd = raw_connect sock in
+         Fun.protect
+           ~finally:(fun () -> Unix.close fd)
+           (fun () ->
+             let pending = ref "" in
+             let round epoch =
+               let db = V.Database.copy (Inc.db session) in
+               let preds = V.Database.predicates db in
+               for _ = 1 to 40 do
+                 let pred = pick preds in
+                 let facts = V.Database.facts db pred in
+                 let arity = Array.length (List.hd facts) in
+                 let mask = 1 + Random.State.int rng ((1 lsl arity) - 1) in
+                 let positions =
+                   List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init arity Fun.id)
+                 in
+                 let key =
+                   let f = pick facts in
+                   List.map
+                     (fun i ->
+                       if Random.State.int rng 5 = 0 then Value.String "zz" else f.(i))
+                     positions
+                 in
+                 let text =
+                   Printf.sprintf "%s(%s)" pred
+                     (String.concat ", "
+                        (List.init arity (fun i ->
+                             match List.assoc_opt i (List.combine positions key) with
+                             | Some v -> Value.to_string v
+                             | None -> Printf.sprintf "X%d" i)))
+                 in
+                 write_all fd (raw_request "POST" "/query" text);
+                 let status, headers, body, left = read_framed fd !pending in
+                 pending := left;
+                 incr asked;
+                 check Alcotest.int (text ^ ": status") 200 status;
+                 check Alcotest.(option string) (text ^ ": epoch")
+                   (Some (string_of_int epoch))
+                   (List.assoc_opt "x-kgm-epoch" headers);
+                 check Alcotest.(list string) (Printf.sprintf "%s at epoch %d" text epoch)
+                   (List.sort compare
+                      (List.map (line pred) (V.Database.lookup db pred positions key)))
+                   (sorted_lines body)
+               done
+             in
+             round 0;
+             for _ = 1 to 4 do
+               let batch =
+                 List.init 3 (fun _ ->
+                     let sign = if Random.State.bool rng then "+" else "-" in
+                     if Random.State.bool rng then
+                       Printf.sprintf "%sedge(%s, %s).\n" sign (pick vs) (pick vs)
+                     else
+                       Printf.sprintf "%shop(%s, %s, %d).\n" sign (pick vs) (pick vs)
+                         (1 + Random.State.int rng 3))
+               in
+               let answer = update_ok sock (String.concat "" batch) in
+               round (Scanf.sscanf answer "ok epoch=%d" Fun.id)
+             done)));
+  check Alcotest.int "patterns asked" 200 !asked
 
 (* ------------------------------------------------------------------ *)
 
@@ -1555,5 +1674,7 @@ let suite =
       `Quick test_generated_stream_recovers;
     Alcotest.test_case "a failed swap's operations replay at the next one."
       `Quick test_failed_swap_replays_later;
+    Alcotest.test_case "served answers = offline lookup." `Quick
+      test_served_answers_match_lookup;
     Alcotest.test_case "queried patterns are prepared at later publishes."
       `Quick test_query_patterns_prepared ]
