@@ -16,6 +16,9 @@
 
 open Cmdliner
 
+(* program start, the zero of [serve]'s start-up line *)
+let started = Kgm_telemetry.Clock.now ()
+
 let read_file path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -659,11 +662,21 @@ let serve_cmd =
         with_observability ~trace ~metrics ~journal ~metrics_out
           ~progress:false ~deadline:None
         @@ fun tele jr ->
+        (* the start-up line's parts: consecutive laps from program start,
+           so they add up to the time to [serving on] *)
+        let parts = ref [] and last = ref started in
+        let lap name =
+          let t = Kgm_telemetry.Clock.now () in
+          parts := (name, t -. !last) :: !parts;
+          last := t
+        in
+        lap "init";
         let program = Kgm_vadalog.Parser.parse_program (read_file file) in
+        lap "parse";
         let options =
           { (options_for_jobs jobs) with Kgm_vadalog.Engine.provenance = true }
         in
-        let session, epoch =
+        let session, epoch, edb_copy =
           match
             Option.bind state_dir (fun dir ->
                 Kgm_server.recover ~options ~telemetry:tele ~journal:jr ~dir
@@ -673,10 +686,12 @@ let serve_cmd =
               Format.printf "%% recovered epoch %d from %s (%d facts)@." ep
                 path
                 (Kgm_vadalog.Database.total (Kgm_vadalog.Incremental.db st));
-              (st, ep)
+              lap "recover";
+              (st, ep, "")
           | None ->
               let db = Kgm_vadalog.Database.create () in
               ignore (Kgm_vadalog.Io_sources.load_inputs program db);
+              lap "@input";
               let st, stats =
                 Kgm_vadalog.Incremental.chase ~options ~telemetry:tele
                   ~journal:jr ~db program
@@ -685,7 +700,10 @@ let serve_cmd =
                 stats.Kgm_vadalog.Engine.new_facts
                 stats.Kgm_vadalog.Engine.rounds
                 stats.Kgm_vadalog.Engine.elapsed_s;
-              (st, 0)
+              lap "chase";
+              ( st, 0,
+                Printf.sprintf " (EDB copy %.3fs)"
+                  (Kgm_vadalog.Incremental.edb_copy_s st) )
         in
         let cfg =
           { Kgm_server.sock; workers; queue_capacity = queue;
@@ -697,6 +715,7 @@ let serve_cmd =
         let srv =
           Kgm_server.create ~telemetry:tele ~journal:jr ~epoch cfg ~session
         in
+        lap "twin copy";
         List.iter
           (fun s ->
             try
@@ -705,6 +724,14 @@ let serve_cmd =
             with Invalid_argument _ -> ())
           [ Sys.sigint; Sys.sigterm ];
         Kgm_server.start srv;
+        lap "start";
+        Format.printf "%% start-up %.3fs: %s@." (!last -. started)
+          (String.concat ", "
+             (List.rev_map
+                (fun (name, dt) ->
+                  Printf.sprintf "%s %.3fs%s" name dt
+                    (if name = "chase" then edb_copy else ""))
+                !parts));
         Format.printf "%% serving on %s (workers %d, queue %d, epoch %d)@."
           sock workers queue (Kgm_server.stats srv).Kgm_server.st_epoch;
         Format.print_flush ();

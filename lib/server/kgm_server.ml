@@ -782,9 +782,16 @@ let create ?(telemetry = Kgm_telemetry.null)
         | (seq, _) :: _ when seq > epoch -> seq + 1
         | _ -> epoch)
   in
-  (* the initial twin: one of the three times a store is copied *)
+  (* the initial twin: one of the three times a store is copied (the
+     others are the session's EDB at its chase and the batch EDB of a
+     re-chase). A copy is array copies of the store's slot buffer and
+     flat tables, sharing the facts and the dictionary: no fact is
+     re-hashed and no index rebuilt *)
   let master = Inc.db session in
-  let twin = DB.copy master in
+  let twin =
+    Kgm_telemetry.with_span telemetry ~cat:"server" "server.twin_copy" (fun () ->
+        DB.copy master)
+  in
   DB.freeze twin;
   DB.record master true;
   let t =

@@ -14,13 +14,22 @@
     Facts live in per-predicate append-order buffers (doubling arrays),
     so insertion order is the storage order: probes and {!facts} never
     reverse a list, and every fact carries an insertion sequence number
-    (its slot) that the engine uses as a deterministic sort key. The
-    dedup table is keyed on the [int array] fact itself — no list key
-    is allocated per {!add}/{!mem} probe. Removal tombstones a slot and
-    drops the fact from the dedup set and its index postings, so
-    survivors keep their relative order; a store compacts (renumbering
-    its slots densely) only once its dead slots outnumber its live
-    facts.
+    (its slot) that the engine uses as a deterministic sort key.
+
+    Everything else a store holds is flat [int array]s of slots. The
+    dedup set is a {!Slot_table} of the live slots, hashed by their
+    facts: an insert is one probe that compares against [arr.(slot)],
+    with no cell allocated per fact. An index is a {!Slot_table} of each
+    group's first slot, hashed by the group's key and compared against
+    that fact, plus two slot-indexed link arrays chaining every group in
+    slot order. Per fact that is a buffer word (8–16 bytes), a dedup
+    entry (16–32) and, per index, two links (16–32) and a table entry
+    per group (16–32); the fact arrays are the only boxed data and are
+    shared by every copy. Removal tombstones a slot, shifts its dedup
+    entry out and unlinks it from its index groups, so survivors keep
+    their relative order; a store compacts (renumbering its slots
+    densely, renaming them in every table in place) only once its dead
+    slots outnumber its live facts.
 
     The first probe of a pattern builds its index, on any store. A
     {!freeze}-frozen store rejects writes, so any number of domains may
@@ -62,69 +71,40 @@ end
 
 module KeyTbl = Hashtbl.Make (Key)
 
-(* One step of the id-sequence hash: every position is mixed in
-   (xor, multiply, then fold the high bits into the low ones, which are
-   the bits [Hashtbl.Make] picks buckets by). A plain [h * 31 + id]
-   fold keeps the low bits constant for facts whose ids step together:
-   own(v, v+1, w) hashes to [C + 992 * v], and 992 = 32 * 31, so such
-   facts shared 1/32 of the buckets. *)
-let mix h id =
-  let h = (h lxor id) * 0x2545F4914F6CDD1D in
-  h lxor (h lsr 29)
-
 (* Interned probe keys: the values at a pattern's positions, as ids. *)
 module IKey = struct
   type t = int list
 
   let equal = List.equal Int.equal
-  let hash k = List.fold_left mix 17 k land max_int
+  let hash = Slot_table.hash_ids
 end
 
 module IKeyTbl = Hashtbl.Make (IKey)
 
-(* Interned facts: pointwise int equality, mixed hash over every id. *)
-module IFact = struct
-  type t = int array
-
-  let equal a b =
-    let n = Array.length a in
-    n = Array.length b
-    &&
-    let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
-    go 0
-
-  let hash f = Array.fold_left mix (Array.length f) f land max_int
-end
-
-module IFactTbl = Hashtbl.Make (IFact)
-
-(* Growable array of ascending insertion sequences (index postings).
-   Most keys of a served store hold one fact: a new key's postings
-   start with one slot and double from two. An index build grows them
-   the same way: counting each group first to size it exactly made a
-   build slower (a second hashing pass, and a write barrier per group
-   when its array is filled in later) than the doublings it saves. *)
-type postings = { mutable p_seq : int array; mutable p_len : int }
-
-let postings_add ps seq =
-  if ps.p_len = Array.length ps.p_seq then begin
-    let cap = max 2 (2 * ps.p_len) in
-    let a = Array.make cap 0 in
-    Array.blit ps.p_seq 0 a 0 ps.p_len;
-    ps.p_seq <- a
-  end;
-  ps.p_seq.(ps.p_len) <- seq;
-  ps.p_len <- ps.p_len + 1
-
 (* slots of removed facts hold this array (compared physically) *)
 let tomb : ifact = Array.make 1 (-1)
+
+(* The index on one position pattern. A group (the facts that agree at
+   [positions]) is a doubly linked chain of slots in ascending order;
+   the table holds the first slot of every group, so its key is read
+   off that fact. [next] and [prev] are indexed by slot and reach the
+   store's capacity as [insert] needs them; only the slots of live
+   facts with a key have meaningful links. *)
+type index = {
+  positions : int list;
+  heads : Slot_table.t;      (* first slot of each group, by key hash *)
+  mutable next : int array;  (* the group's next slot; the last slot holds
+                                minus the group's length *)
+  mutable prev : int array;  (* the group's previous slot; the first slot
+                                holds the last *)
+}
 
 type pred_store = {
   mutable arr : ifact array;  (* slots 0 .. len-1 in insertion order *)
   mutable len : int;          (* slots in use, live or dead *)
   mutable count : int;        (* live facts *)
-  seqs : int IFactTbl.t;      (* dedup set: live fact -> its slot *)
-  indexes : (int list * postings IKeyTbl.t) list Atomic.t;
+  dedup : Slot_table.t;       (* the slot of every live fact, by fact hash *)
+  indexes : index list Atomic.t;
       (* the list is replaced whole, never edited: readers of a frozen
          store load it without a lock *)
 }
@@ -184,27 +164,114 @@ let store t pred =
   | Some s -> s
   | None ->
       let s =
-        { arr = [||]; len = 0; count = 0; seqs = IFactTbl.create 256;
+        { arr = [||]; len = 0; count = 0; dedup = Slot_table.create ();
           indexes = Atomic.make [] }
       in
       Hashtbl.add t.preds pred s;
       s
 
+let same_fact (a : ifact) (b : ifact) =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
+  go 0
+
+(* the dedup cell of [fact] (of hash [h]), or a miss (see
+   [Slot_table.find]) *)
+let find_dup s h fact =
+  Slot_table.find s.dedup h (fun slot -> same_fact fact s.arr.(slot))
+
 (* A predicate may hold facts of several arities (nothing enforces a
    unique arity per name); a fact too short for the position pattern
    simply has no key under it. *)
-let index_key positions (fact : ifact) =
+let has_key positions (fact : ifact) =
   let n = Array.length fact in
-  if List.exists (fun i -> i >= n) positions then None
-  else Some (List.map (fun i -> fact.(i)) positions)
+  List.for_all (fun i -> i < n) positions
 
-let index_insert idx positions fact seq =
-  match index_key positions fact with
-  | None -> ()
-  | Some k -> (
-      match IKeyTbl.find_opt idx k with
-      | Some ps -> postings_add ps seq
-      | None -> IKeyTbl.add idx k { p_seq = [| seq |]; p_len = 1 })
+let rec same_at positions (a : ifact) (b : ifact) =
+  match positions with
+  | [] -> true
+  | i :: rest -> a.(i) = b.(i) && same_at rest a b
+
+let rec key_at positions key (fact : ifact) =
+  match (positions, key) with
+  | [], [] -> true
+  | i :: ps, k :: ks -> fact.(i) = k && key_at ps ks fact
+  | _ -> false
+
+(* the table cell of the group of [fact] (which has a key, of hash [h]),
+   or a miss *)
+let find_group s ix h fact =
+  Slot_table.find ix.heads h (fun head -> same_at ix.positions fact s.arr.(head))
+
+(* the first slot of [key]'s group, or -1 *)
+let find_head s ix key =
+  let c =
+    Slot_table.find ix.heads (Slot_table.hash_ids key) (fun head ->
+        key_at ix.positions key s.arr.(head))
+  in
+  if c < 0 then -1 else Slot_table.slot ix.heads c
+
+let group_length ix head = - ix.next.(ix.prev.(head))
+
+(* append [seq], the store's newest slot, to its group *)
+let index_insert s ix fact seq =
+  if has_key ix.positions fact then begin
+    if seq >= Array.length ix.next then begin
+      let grow a =
+        let a' = Array.make (Array.length s.arr) 0 in
+        Array.blit a 0 a' 0 (Array.length a);
+        a'
+      in
+      ix.next <- grow ix.next;
+      ix.prev <- grow ix.prev
+    end;
+    let h = Slot_table.hash_at ix.positions fact in
+    let c = find_group s ix h fact in
+    if c < 0 then begin
+      ix.next.(seq) <- -1;
+      ix.prev.(seq) <- seq;
+      Slot_table.add ix.heads c h seq
+    end
+    else begin
+      let head = Slot_table.slot ix.heads c in
+      let last = ix.prev.(head) in
+      ix.next.(seq) <- ix.next.(last) - 1;
+      ix.next.(last) <- seq;
+      ix.prev.(seq) <- last;
+      ix.prev.(head) <- seq
+    end
+  end
+
+(* unlink [seq] from its group, whose table entry moves to the next
+   slot when [seq] was the first; [s.arr.(seq)] must still hold [fact],
+   the group's key may be read off it *)
+let index_remove s ix fact seq =
+  if has_key ix.positions fact then begin
+    let c = find_group s ix (Slot_table.hash_at ix.positions fact) fact in
+    let head = Slot_table.slot ix.heads c in
+    let last = ix.prev.(head) in
+    if seq = last && seq = head then Slot_table.remove ix.heads c
+    else begin
+      ix.next.(last) <- ix.next.(last) + 1;
+      if seq = head then begin
+        let second = ix.next.(head) in
+        ix.prev.(second) <- last;
+        Slot_table.replace ix.heads c second
+      end
+      else if seq = last then begin
+        let before = ix.prev.(seq) in
+        ix.next.(before) <- ix.next.(last);
+        ix.prev.(head) <- before
+      end
+      else begin
+        let before = ix.prev.(seq) and after = ix.next.(seq) in
+        ix.next.(before) <- after;
+        ix.prev.(after) <- before
+      end
+    end
+  end
 
 let buffer_append s fact =
   if s.len = Array.length s.arr then begin
@@ -228,15 +295,15 @@ let iter_live s len f =
    [add_i] and [replay] *)
 let insert t pred (fact : ifact) =
   let s = store t pred in
-  if IFactTbl.mem s.seqs fact then false
+  let h = Slot_table.hash_fact fact in
+  let c = find_dup s h fact in
+  if c >= 0 then false
   else begin
     let seq = s.len in
-    IFactTbl.add s.seqs fact seq;
     buffer_append s fact;
+    Slot_table.add s.dedup c h seq;
     t.total <- t.total + 1;
-    List.iter
-      (fun (positions, idx) -> index_insert idx positions fact seq)
-      (Atomic.get s.indexes);
+    List.iter (fun ix -> index_insert s ix fact seq) (Atomic.get s.indexes);
     true
   end
 
@@ -259,7 +326,7 @@ let add t pred fact =
 
 let mem_i t pred (fact : ifact) =
   match Hashtbl.find_opt t.preds pred with
-  | Some s -> IFactTbl.mem s.seqs fact
+  | Some s -> find_dup s (Slot_table.hash_fact fact) fact >= 0
   | None -> false
 
 let mem t pred fact =
@@ -293,72 +360,67 @@ let predicates t =
   Hashtbl.fold (fun p _ acc -> p :: acc) t.preds [] |> List.sort String.compare
 
 let build_index s positions =
-  let idx = IKeyTbl.create (max 64 s.count) in
-  iter_live s s.len (fun i fact -> index_insert idx positions fact i);
-  idx
+  let cap = Array.length s.arr in
+  let ix =
+    { positions; heads = Slot_table.create (); next = Array.make cap 0;
+      prev = Array.make cap 0 }
+  in
+  iter_live s s.len (fun i fact -> index_insert s ix fact i);
+  ix
 
-(* drop [seq] from the ascending postings of [fact]'s key: a binary
-   search and a shift within the one group *)
-let index_remove idx positions fact seq =
-  match index_key positions fact with
-  | None -> ()
-  | Some k -> (
-      match IKeyTbl.find_opt idx k with
-      | None -> ()
-      | Some ps ->
-          let rec find lo hi =
-            if lo >= hi then lo
-            else
-              let mid = (lo + hi) / 2 in
-              if ps.p_seq.(mid) < seq then find (mid + 1) hi else find lo mid
-          in
-          let i = find 0 ps.p_len in
-          if i < ps.p_len && ps.p_seq.(i) = seq then begin
-            Array.blit ps.p_seq (i + 1) ps.p_seq i (ps.p_len - i - 1);
-            ps.p_len <- ps.p_len - 1;
-            if ps.p_len = 0 then IKeyTbl.remove idx k
-          end)
-
-(* survivors renumbered densely from 0 in slot order, every index
-   pattern rebuilt over them *)
+(* survivors renumbered densely from 0 in slot order: the tables keep
+   their cells (the keys have not changed) and rename the slots in
+   them, and the links move to the new numbers *)
 let compact s =
   let live = Array.make (max 16 s.count) tomb in
+  let renum = Array.make s.len (-1) in
   let n = ref 0 in
-  iter_live s s.len (fun _ fact ->
+  iter_live s s.len (fun i fact ->
       live.(!n) <- fact;
-      IFactTbl.replace s.seqs fact !n;
+      renum.(i) <- !n;
       incr n);
+  List.iter
+    (fun ix ->
+      let next = Array.make (Array.length live) 0 in
+      let prev = Array.make (Array.length live) 0 in
+      iter_live s s.len (fun i fact ->
+          if has_key ix.positions fact then begin
+            let after = ix.next.(i) in
+            next.(renum.(i)) <- (if after < 0 then after else renum.(after));
+            prev.(renum.(i)) <- renum.(ix.prev.(i))
+          end);
+      ix.next <- next;
+      ix.prev <- prev;
+      Slot_table.remap ix.heads (fun slot -> renum.(slot)))
+    (Atomic.get s.indexes);
+  Slot_table.remap s.dedup (fun slot -> renum.(slot));
   s.arr <- live;
-  s.len <- !n;
-  Atomic.set s.indexes
-    (List.map
-       (fun (positions, _) -> (positions, build_index s positions))
-       (Atomic.get s.indexes))
+  s.len <- !n
 
 (* tombstone one live fact; the store compacts once its dead slots
    outnumber its live facts, and an emptied predicate disappears *)
 let remove_i t pred (fact : ifact) =
   match Hashtbl.find_opt t.preds pred with
   | None -> false
-  | Some s -> (
-      match IFactTbl.find_opt s.seqs fact with
-      | None -> false
-      | Some seq ->
-          let fact = s.arr.(seq) in
-          IFactTbl.remove s.seqs fact;
-          s.arr.(seq) <- tomb;
-          s.count <- s.count - 1;
-          t.total <- t.total - 1;
-          List.iter
-            (fun (positions, idx) -> index_remove idx positions fact seq)
-            (Atomic.get s.indexes);
-          if s.count = 0 then
-            (* no ghost store: [predicates] (and the maintenance layer's
-               canonical forms) must agree with a database into which
-               only the survivors were inserted *)
-            Hashtbl.remove t.preds pred
-          else if s.len - s.count > s.count then compact s;
-          true)
+  | Some s ->
+      let c = find_dup s (Slot_table.hash_fact fact) fact in
+      if c < 0 then false
+      else begin
+        let seq = Slot_table.slot s.dedup c in
+        let fact = s.arr.(seq) in
+        List.iter (fun ix -> index_remove s ix fact seq) (Atomic.get s.indexes);
+        Slot_table.remove s.dedup c;
+        s.arr.(seq) <- tomb;
+        s.count <- s.count - 1;
+        t.total <- t.total - 1;
+        if s.count = 0 then
+          (* no ghost store: [predicates] (and the maintenance layer's
+             canonical forms) must agree with a database into which
+             only the survivors were inserted *)
+          Hashtbl.remove t.preds pred
+        else if s.len - s.count > s.count then compact s;
+        true
+      end
 
 (** [remove_batch t facts] deletes every listed (pred, fact) pair that
     is present and returns how many were removed; duplicates count
@@ -421,17 +483,18 @@ let is_frozen t = t.frozen
    publishes through the atomic: an existing index is found without the
    lock, and fully built *)
 let index_for t s positions =
-  match List.assoc_opt positions (Atomic.get s.indexes) with
-  | Some idx -> idx
+  let serves ix = List.equal Int.equal ix.positions positions in
+  match List.find_opt serves (Atomic.get s.indexes) with
+  | Some ix -> ix
   | None ->
       Mutex.protect t.build_mu (fun () ->
           let built = Atomic.get s.indexes in
-          match List.assoc_opt positions built with
-          | Some idx -> idx
+          match List.find_opt serves built with
+          | Some ix -> ix
           | None ->
-              let idx = build_index s positions in
-              Atomic.set s.indexes ((positions, idx) :: built);
-              idx)
+              let ix = build_index s positions in
+              Atomic.set s.indexes (ix :: built);
+              ix)
 
 let prepare_index t pred positions =
   if positions <> [] then
@@ -442,19 +505,17 @@ let prepare_index t pred positions =
 let indexed_patterns t pred =
   match Hashtbl.find_opt t.preds pred with
   | None -> []
-  | Some s -> List.sort compare (List.map fst (Atomic.get s.indexes))
+  | Some s ->
+      List.sort compare (List.map (fun ix -> ix.positions) (Atomic.get s.indexes))
 
-(* [f] over one index group, as long as it is now, until [f] returns
-   [true]; returns how many facts it visited *)
-let iter_group s (ps : postings) f =
-  let n = ps.p_len in
-  let rec go i =
-    if i >= n then n
-    else
-      let seq = ps.p_seq.(i) in
-      if f seq s.arr.(seq) then i + 1 else go (i + 1)
+(* [f] over the group whose first slot is [head], up to its last slot
+   now, until [f] returns [true]; returns how many facts it visited *)
+let iter_group s ix head f =
+  let last = ix.prev.(head) in
+  let rec go seq i =
+    if f seq s.arr.(seq) || seq = last then i else go ix.next.(seq) (i + 1)
   in
-  go 0
+  go head 1
 
 (* [f] over the live slots below the current length, until [f] returns
    [true]; returns how many live facts it visited *)
@@ -483,19 +544,19 @@ let iter_matches_i t pred positions key f =
   match Hashtbl.find_opt t.preds pred with
   | None -> 0
   | Some s when positions = [] -> scan_live s f
-  | Some s -> (
-      match IKeyTbl.find_opt (index_for t s positions) key with
-      | Some ps -> iter_group s ps f
-      | None -> 0)
+  | Some s ->
+      let ix = index_for t s positions in
+      let head = find_head s ix key in
+      if head < 0 then 0 else iter_group s ix head f
 
 let probe_size t pred positions key =
   match Hashtbl.find_opt t.preds pred with
   | None -> 0
   | Some s when positions = [] -> s.count
-  | Some s -> (
-      match IKeyTbl.find_opt (index_for t s positions) key with
-      | Some ps -> ps.p_len
-      | None -> 0)
+  | Some s ->
+      let ix = index_for t s positions in
+      let head = find_head s ix key in
+      if head < 0 then 0 else group_length ix head
 
 (** Value-level probe: same semantics as {!iter_matches_i} after
     encoding the key through the dictionary. A key containing a value
@@ -523,19 +584,24 @@ type index_cache = unit
 let cache_create () = ()
 let iter_matches_cached () = iter_matches
 
+let copy_index ix =
+  { ix with heads = Slot_table.copy ix.heads; next = Array.copy ix.next;
+            prev = Array.copy ix.prev }
+
 let copy t =
   (* the dictionary is shared: ids remain stable across copies, which
      lets the engine compare and ship interned facts between a store
      and its frozen snapshot. So are the fact arrays: a stored fact is
-     never written to, and [replay] shares them between twins too *)
+     never written to, and [replay] shares them between twins too.
+     Everything else is arrays of ints and slots, copied as they are *)
   let t' = create ~dict:t.dict () in
   Hashtbl.iter
     (fun pred s ->
-      iter_live s s.len (fun _ fact -> ignore (insert t' pred fact));
-      List.iter
-        (fun (positions, _) -> prepare_index t' pred positions)
-        (Atomic.get s.indexes))
+      Hashtbl.replace t'.preds pred
+        { s with arr = Array.copy s.arr; dedup = Slot_table.copy s.dedup;
+                 indexes = Atomic.make (List.map copy_index (Atomic.get s.indexes)) })
     t.preds;
+  t'.total <- t.total;
   t'.frozen <- t.frozen;
   t'
 

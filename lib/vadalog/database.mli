@@ -3,7 +3,19 @@
     probe that needs it. Duplicate
     facts are silently ignored (set semantics); fact equality is
     {!Kgm_common.Value.equal} pointwise (so e.g. a fact containing
-    [Float nan] equals itself and re-derivation never duplicates it). *)
+    [Float nan] equals itself and re-derivation never duplicates it).
+
+    Layout: a predicate's facts sit in one append-order buffer of
+    interned fact arrays, a fact's position there (its slot) being its
+    insertion sequence number. The rest is flat [int array]s over slots
+    ({!Slot_table}): the dedup set holds every live slot, hashed by its
+    fact; an index holds the first slot of every group (the facts that
+    agree at its positions), hashed by the group's key, and chains each
+    group's slots in ascending order through two slot-indexed link
+    arrays. A fact costs a buffer word (8–16 bytes) and a dedup entry
+    (16–32 bytes), and each index adds two links per slot (16–32 bytes)
+    and a table entry per group (16–32 bytes); the fact arrays are the
+    only boxed data, shared by every {!copy}. *)
 
 open Kgm_common
 
@@ -22,11 +34,6 @@ module KeyTbl : Hashtbl.S with type key = Value.t list
 
 module IKeyTbl : Hashtbl.S with type key = int list
 (** Hash tables keyed by interned probe keys (id tuples). *)
-
-module IFactTbl : Hashtbl.S with type key = ifact
-(** Hash tables keyed by interned facts (pointwise int equality; the
-    hash mixes every id, so facts whose ids step together still spread
-    over all buckets). *)
 
 type t
 
@@ -55,9 +62,11 @@ val find_fact : t -> fact -> ifact option
 
 val add : t -> string -> fact -> bool
 (** [add db pred fact] inserts and returns [true] when the fact is new.
-    Facts are stored in append order and the dedup probe is keyed on the
-    fact array itself (no per-probe key allocation). Existing indexes on
-    the predicate are maintained incrementally. Registered as the
+    Facts are stored in append order; the dedup probe hashes the fact
+    array itself and compares it with the slots its hash leads to, and
+    a new fact costs a table entry, no allocated cell. Existing indexes
+    on the predicate are maintained incrementally (a new fact joins the
+    end of its group's chain). Registered as the
     ["db_insert"] {!Kgm_resilience.Faults} site: with fault injection
     active it may raise [Kgm_resilience.Fault], which lands mid-round —
     the crash the checkpoint/resume tests provoke. *)
@@ -127,17 +136,18 @@ val probe_size : t -> string -> int list -> int list -> int
 val remove_batch : t -> (string * fact) list -> int
 (** [remove_batch t facts] deletes every listed (pred, fact) pair that
     is present; returns how many facts were removed (duplicates counted
-    once). A removal tombstones the fact's slot and drops the fact from
-    the dedup set and from its index postings — it touches nothing but
-    the fact and its index groups. Survivors keep their relative
-    insertion order, so {!facts}, every probe's matches and the
+    once). A removal tombstones the fact's slot, shifts its entry out of
+    the dedup table and unlinks it from its index groups — it touches
+    nothing but the fact and its index groups. Survivors keep their
+    relative insertion order, so {!facts}, every probe's matches and the
     engine's sort keys are exactly as if only the survivors had ever
     been inserted; only the {e values} of sequence numbers differ (gaps
     remain until the store compacts). A store compacts — renumbers its
-    survivors densely and rebuilds its indexes — only when its dead
-    slots outnumber its live facts, so removal is amortized O(1) per
-    fact plus its index groups; {!count} and {!total} always count live
-    facts. A predicate emptied by the removal vanishes from
+    survivors densely, renaming the slots in its tables and links in
+    place, with no fact re-hashed — only when its dead slots outnumber
+    its live facts, so removal is amortized O(1) per fact; {!count} and
+    {!total} always count live facts. A predicate emptied by the
+    removal vanishes from
     {!predicates}. This is the deletion primitive of the incremental
     maintenance layer ({!Kgm_vadalog.Incremental}); it is
     batch-oriented because DRed removes a whole overdeletion cone at
@@ -186,9 +196,11 @@ val apply_batch :
     can make is the index its probe pattern lacks. The first probe of a
     pattern builds it under the store's one mutex, looking again inside
     the lock, and publishes it by replacing an immutable list held in an
-    [Atomic.t]; a probe of an existing index takes no lock. Indexes
-    built while frozen stay after {!thaw}, and writes maintain them
-    like any other. *)
+    [Atomic.t]; a probe of an existing index takes no lock. A build
+    walks the live slots once, entering each into its group's table
+    entry and chain; it allocates the index's arrays and nothing per
+    fact or key. Indexes built while frozen stay after {!thaw}, and
+    writes maintain them like any other. *)
 
 val freeze : t -> unit
 (** Reject writes ({!add} raises [Invalid_argument]) until {!thaw}. *)
@@ -221,12 +233,15 @@ val iter_matches_cached :
 val copy : t -> t
 (** Copy of the stores. The dictionary and the fact arrays are
     {e shared} (a stored fact is never written to), so ids stay stable
-    across copies and a copy costs its tables, not its facts. Live facts
-    are copied in insertion order (densely renumbered), every index
-    pattern of the source is built on the copy at once, and the frozen
-    flag carries over (a copy of a frozen snapshot is itself a read-only
-    snapshot). The copy does not record ({!record}) and does not fire
-    the ["db_insert"] fault site. *)
+    across copies. Everything else is copied as the arrays it is — the
+    slot buffer, the dedup table, every index's table and links — with
+    no fact re-hashed and no index rebuilt: a copy costs the bytes per
+    fact the header lists, written once. The copy keeps its source's
+    slots, tombstones included, so the two number their facts alike,
+    and replaying the same writes ({!replay}) keeps them so. It carries
+    every index of the source and the frozen flag (a copy of a frozen
+    snapshot is itself a read-only snapshot). The copy does not record
+    ({!record}) and does not fire the ["db_insert"] fault site. *)
 
 val pp : Format.formatter -> t -> unit
 (** Every fact as [pred(v1, ..., vn).] lines, predicates sorted. *)

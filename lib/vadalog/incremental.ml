@@ -111,6 +111,7 @@ type state = {
   mutable torn : bool;
       (** a {!maintain} raised mid-repair: the store matches neither the
           pre- nor the post-batch EDB, so the next batch re-chases *)
+  edb_copy_s : float;  (** what copying the loaded store into [edb] took *)
 }
 
 type update_stats = {
@@ -214,7 +215,14 @@ let chase_phases ?(options = Engine.default_options) ?telemetry ?journal ~db
     phases =
   (* the EDB is everything loaded rather than derived: facts already in
      the database plus each phase's own fact list *)
-  let edb = Database.copy db in
+  let t0 = Kgm_telemetry.Clock.now () in
+  let edb =
+    Kgm_telemetry.with_span
+      (Option.value telemetry ~default:Kgm_telemetry.null)
+      ~cat:"chase" "chase.edb_copy"
+      (fun () -> Database.copy db)
+  in
+  let edb_copy_s = Kgm_telemetry.Clock.now () -. t0 in
   List.iter
     (fun (ph : Rule.program) ->
       ignore
@@ -224,7 +232,7 @@ let chase_phases ?(options = Engine.default_options) ?telemetry ?journal ~db
     phases;
   let st =
     { phases; options; metas = build_metas phases; agg_tbl = Hashtbl.create 16;
-      db; support = Support.create (); edb; torn = false }
+      db; support = Support.create (); edb; torn = false; edb_copy_s }
   in
   register_agg_logs st;
   (st,
@@ -234,6 +242,7 @@ let chase ?options ?telemetry ?journal ?(db = Database.create ()) program =
   chase_phases ?options ?telemetry ?journal ~db [ program ]
 
 let db st = st.db
+let edb_copy_s st = st.edb_copy_s
 let phases st = st.phases
 let options st = st.options
 let support st = st.support

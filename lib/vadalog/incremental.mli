@@ -96,6 +96,10 @@ val chase_phases :
 val db : state -> Database.t
 (** The current materialization. Re-fetch after every {!maintain}. *)
 
+val edb_copy_s : state -> float
+(** Seconds {!chase} spent copying the loaded store into the session's
+    EDB (a ["chase.edb_copy"] span when telemetry is on). *)
+
 val phases : state -> Rule.program list
 (** The chased pipeline, in replay order. *)
 
