@@ -617,13 +617,18 @@ let serve_cmd =
   in
   let workers =
     Arg.(value & opt int 4
-         & info [ "workers" ] ~docv:"N" ~doc:"Request worker threads.")
+         & info [ "workers" ] ~docv:"N"
+             ~doc:"Reader domains. A reader keeps a keep-alive \
+                   connection between its requests only while no other \
+                   connection waits for one.")
   in
   let queue =
     Arg.(value & opt int 64
          & info [ "queue" ] ~docv:"N"
-             ~doc:"Admission queue bound; beyond it requests are shed \
-                   immediately with 503 overloaded.")
+             ~doc:"Admission queue bound, in connections with a request \
+                   to read; beyond it they are shed immediately with 503 \
+                   overloaded. A connection accepted at a descriptor past \
+                   FD_SETSIZE (1024) is answered 503 and closed.")
   in
   let keep =
     Arg.(value & opt int 3
@@ -643,12 +648,6 @@ let serve_cmd =
              ~doc:"Close a keep-alive connection after $(docv) with no \
                    request in flight.")
   in
-  let max_requests =
-    Arg.(value & opt int 100_000
-         & info [ "max-requests" ] ~docv:"N"
-             ~doc:"Requests served on one connection before the server \
-                   answers connection: close.")
-  in
   let debug_endpoints =
     Arg.(value & flag
          & info [ "debug-endpoints" ]
@@ -656,7 +655,7 @@ let serve_cmd =
                    and overload testing only.")
   in
   let run file sock state_dir workers queue keep request_deadline
-      idle_timeout max_requests debug_endpoints jobs trace metrics journal
+      idle_timeout debug_endpoints jobs trace metrics journal
       metrics_out =
     handle (fun () ->
         with_observability ~trace ~metrics ~journal ~metrics_out
@@ -709,7 +708,6 @@ let serve_cmd =
           { Kgm_server.sock; workers; queue_capacity = queue;
             default_deadline_s = request_deadline; io_timeout_s = 10.;
             idle_timeout_s = idle_timeout;
-            max_requests_per_conn = max_requests;
             state_dir; keep; debug_endpoints }
         in
         let srv =
@@ -750,7 +748,7 @@ let serve_cmd =
              update batches, graceful drain on SIGINT/SIGTERM, crash \
              recovery from --state-dir.")
     Term.(const run $ file $ sock $ state_dir $ workers $ queue $ keep
-          $ request_deadline $ idle_timeout $ max_requests
+          $ request_deadline $ idle_timeout
           $ debug_endpoints $ jobs_arg $ trace_arg $ metrics_arg
           $ journal_arg $ metrics_out_arg)
 
@@ -869,9 +867,8 @@ let call_cmd =
                    with
                   | code, b -> note code b
                   | exception (Unix.Unix_error _ | Failure _) -> (
-                      (* the server may close on its request cap or an
-                         idle gap — reconnect once before counting an
-                         error *)
+                      (* the server may close on an idle gap —
+                         reconnect once before counting an error *)
                       Kgm_server.Client.close !conn;
                       match
                         conn := Kgm_server.Client.connect sock;

@@ -14,19 +14,17 @@
    the session log before it is acknowledged. The wire protocol is a
    hand-rolled HTTP/1.1 subset over a Unix-domain socket — persistent
    connections with pipelining (bytes read past one request's
-   content-length carry over into the next), a per-connection idle
-   timeout and request cap, `connection: close` only on demand, cap,
-   or drain — enough for curl, the bundled Client and the chaos
-   harness, with no external dependency.
+   content-length carry over into the next), an idle timeout,
+   `connection: close` only on demand or drain — enough for curl, the
+   bundled Client and the chaos harness, with no external dependency.
 
-   Threading: one acceptor thread (select with a short timeout so it
-   notices the drain flag) feeding a pool of N reader *domains*
+   Threading: one event-loop thread, which owns every connection
+   waiting for a request, feeding a pool of N reader *domains*
    (Kgm_pool.Service) behind a bounded admission gate — readers answer
    against immutable frozen epochs, so they parallelize without locks
-   (systhreads would serialize on the runtime lock). A small shed
-   thread owns every 503-at-the-door write so a slow or dead client
-   can never stall the acceptor. The caller's thread parks in
-   run_until_drained as the drain coordinator. The telemetry collector
+   (systhreads would serialize on the runtime lock). A request, not a
+   connection, holds a reader. The caller's thread parks in
+   run_until_drained until the loop has drained. The telemetry collector
    is not thread-safe, so every collector mutation and export happens
    under [writer_mu]; per-domain statistics live in Atomics sampled by
    registered gauges at export time. *)
@@ -374,14 +372,16 @@ let parse_head_lines head =
       in
       Some (first, headers)
 
-(* Answers wait in [out] until the connection would block for input,
+(* A connection, owned between its requests by the event loop or by
+   one reader; [deadline] is when it closes if no request arrives.
+   Answers wait in [out] until the connection would block for input,
    closes, or holds [out_max] bytes; a flush writes them through
    [wbuf] in [out_max]-byte write(2)s. [body] is the answer being
-   rendered. [served] counts requests toward the per-connection cap. *)
+   rendered. *)
 type conn = {
   c_fd : Unix.file_descr;
   c_in : Inbuf.t;
-  mutable c_served : int;
+  mutable c_deadline : float;
   c_body : Buffer.t;
   c_out : Buffer.t;
   mutable c_wbuf : Bytes.t;
@@ -390,11 +390,11 @@ type conn = {
 (* one write(2) moves at most this much: the runtime's IO buffer *)
 let out_max = 65536
 
-let make_conn fd =
+let make_conn fd ~deadline =
   {
     c_fd = fd;
     c_in = Inbuf.create ();
-    c_served = 0;
+    c_deadline = deadline;
     c_body = Buffer.create 1024;
     c_out = Buffer.create 4096;
     c_wbuf = Bytes.empty;
@@ -437,21 +437,20 @@ let flush writes conn =
 (* Read one request off a persistent connection.
 
    [`Close] is the clean end of the connection (peer EOF between
-   requests, idle timeout, a drain request while waiting for new
-   bytes, or a peer that stopped taking answers); [`Err] is a protocol
-   or transport failure worth a [400] before closing. Before every
-   wait for bytes the answers held so far are written ([writes] counts
-   the write(2)s), so a window that arrived in one read is answered
-   with one write, and a client waiting for its answers before it
-   sends more always gets them. Between requests the wait for the
-   first byte is a short-tick select bounded by [idle_s], polled
-   against [draining] so an idle keep-alive connection never delays a
-   drain; once a request has started arriving, reads run under the
-   socket's SO_RCVTIMEO ([io_timeout_s]), so a slowloris half-request
-   times out as an error rather than holding a reader forever. Bytes
-   past this request's content-length stay buffered for the next
-   call. *)
-let read_request ~writes ~idle_s ~draining conn =
+   requests, idle timeout, a drain, or a peer that stopped taking
+   answers); [`Yield] gives the idle connection back to the event
+   loop; [`Err] is a protocol or transport failure worth a [400]
+   before closing. Before every wait for bytes the answers held so far
+   are written ([writes] counts the write(2)s), so a window that
+   arrived in one read is answered with one write, and a client
+   waiting for its answers before it sends more always gets them.
+   Between requests [await] writes them and decides whether to read,
+   close or yield; once a request has started arriving, reads run
+   under the socket's SO_RCVTIMEO ([io_timeout_s]), so a slowloris
+   half-request times out as an error rather than holding a reader
+   forever. Bytes past this request's content-length stay buffered for
+   the next call. *)
+let read_request ~writes ~await conn =
   let ib = conn.c_in in
   let recv ~want =
     if not (flush writes conn) then `Broken
@@ -462,37 +461,22 @@ let read_request ~writes ~idle_s ~draining conn =
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> `Timeout
       | exception Unix.Unix_error (e, _, _) -> `Fail (Unix.error_message e)
   in
-  let rec await_first budget =
-    if draining () then `Close
-    else if budget <= 0. then `Close (* idle timeout *)
-    else
-      let tick = Float.min 0.05 budget in
-      match Unix.select [ conn.c_fd ] [] [] tick with
-      | [], _, _ -> await_first (budget -. tick)
-      | _ -> `Ready
-      | exception Unix.Unix_error (EINTR, _, _) -> await_first budget
-  in
   let rec read_head () =
     let head_len = Inbuf.find_head_end ib in
     if head_len >= 0 then read_body head_len
     else if Inbuf.length ib > max_head then `Err "request head too large"
-    else if Inbuf.length ib = 0 then
-      if not (flush writes conn) then `Close
-      else
-        match await_first idle_s with
-        | `Close -> `Close
-        | `Ready -> (
-            match recv ~want:2048 with
-            | `Data -> read_head ()
-            | `Eof | `Timeout | `Broken -> `Close (* clean close between requests *)
-            | `Fail m -> `Err m)
     else
-      match recv ~want:2048 with
-      | `Data -> read_head ()
-      | `Eof -> `Err "connection closed mid-request"
-      | `Timeout -> `Err "read timeout"
-      | `Broken -> `Close
-      | `Fail m -> `Err m
+      let idle = Inbuf.length ib = 0 in
+      match if idle then await () else `Ready with
+      | (`Close | `Yield) as v -> v
+      | `Ready -> (
+          match recv ~want:2048 with
+          | `Data -> read_head ()
+          | (`Eof | `Timeout) when idle -> `Close (* between requests *)
+          | `Eof -> `Err "connection closed mid-request"
+          | `Timeout -> `Err "read timeout"
+          | `Broken -> `Close
+          | `Fail m -> `Err m)
   and read_body head_len =
     match parse_head_lines (Inbuf.sub ib 0 head_len) with
     | None -> `Err "empty request"
@@ -666,7 +650,6 @@ type config = {
   default_deadline_s : float option;
   io_timeout_s : float;
   idle_timeout_s : float;
-  max_requests_per_conn : int;
   state_dir : string option;
   keep : int;
   debug_endpoints : bool;
@@ -679,7 +662,6 @@ let default_config ~sock =
     default_deadline_s = None;
     io_timeout_s = 10.;
     idle_timeout_s = 5.;
-    max_requests_per_conn = 100_000;
     state_dir = None;
     keep = 3;
     debug_endpoints = false }
@@ -708,6 +690,8 @@ type stats = {
   st_updates : int;
   st_queue_depth : int;
   st_inflight : int;
+  st_parked : int;
+  st_yields : int;
   st_faults : int;
 }
 
@@ -730,23 +714,22 @@ type t = {
   mutable base_bytes : int;
   qp_mu : Mutex.t;
   qp_cache : (string, query) Hashtbl.t;  (* query text -> parsed *)
-  mutable pool : Unix.file_descr Kgm_pool.Service.t option;
+  mutable pool : conn Kgm_pool.Service.t option;
   batch_pool : Kgm_pool.pool;
   (* every maintenance pass's rounds, at the session's [jobs]; it starts
      its domains at the first round with work and keeps them until
      drain, so a batch does not start and join one. Used under
      writer_mu *)
-  shed_q : (Unix.file_descr * string) Queue.t;
-  shed_mu : Mutex.t;
-  shed_cond : Condition.t;
-  mutable shed_thread : Thread.t option;
-  stop_shed : bool Atomic.t;
-  mutable acceptor_thread : Thread.t option;
-  mutable listen_fd : Unix.file_descr option;
+  mutable loop_thread : Thread.t option;
+  (* connections readers gave back to the event loop; its self-pipe,
+     written after a push here; the pipe that wakes holding readers *)
+  inbox : conn list Atomic.t;
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  hold_r : Unix.file_descr;
+  hold_w : Unix.file_descr;
   started : bool Atomic.t;
   drain_req : bool Atomic.t;
-  stop_accept : bool Atomic.t;
-  stopped : bool Atomic.t;
   drain_tok : Token.t;
   c_requests : int Atomic.t;
   c_writes : int Atomic.t;
@@ -755,19 +738,44 @@ type t = {
   c_errors : int Atomic.t;
   c_updates : int Atomic.t;
   c_inflight : int Atomic.t;
+  c_parked : int Atomic.t;
+  c_yields : int Atomic.t;
   c_faults : int Atomic.t;
 }
 
 let queue_depth t =
   match t.pool with Some p -> Kgm_pool.Service.pending p | None -> 0
 
+let stats t =
+  { st_epoch = (Atomic.get t.epoch).ep_id;
+    st_requests = Atomic.get t.c_requests;
+    st_writes = Atomic.get t.c_writes;
+    st_conns = Atomic.get t.c_conns;
+    st_shed = Atomic.get t.c_shed;
+    st_errors = Atomic.get t.c_errors;
+    st_updates = Atomic.get t.c_updates;
+    st_queue_depth = queue_depth t;
+    st_inflight = Atomic.get t.c_inflight;
+    st_parked = Atomic.get t.c_parked;
+    st_yields = Atomic.get t.c_yields;
+    st_faults = Atomic.get t.c_faults }
+
+(* the counters /status prints, in its order, and /metrics exports as
+   [server.NAME] gauges *)
+let counters =
+  [ ("requests", fun s -> s.st_requests); ("writes", fun s -> s.st_writes);
+    ("connections", fun s -> s.st_conns); ("shed", fun s -> s.st_shed);
+    ("errors", fun s -> s.st_errors); ("updates", fun s -> s.st_updates);
+    ("queue_depth", fun s -> s.st_queue_depth);
+    ("inflight", fun s -> s.st_inflight); ("parked", fun s -> s.st_parked);
+    ("yields", fun s -> s.st_yields); ("faults_absorbed", fun s -> s.st_faults) ]
+
 let create ?(telemetry = Kgm_telemetry.null)
     ?(journal = Journal.null) ?(epoch = 0) cfg ~session =
   let cfg =
     { cfg with
       workers = max 1 cfg.workers;
-      queue_capacity = max 1 cfg.queue_capacity;
-      max_requests_per_conn = max 1 cfg.max_requests_per_conn }
+      queue_capacity = max 1 cfg.queue_capacity }
   in
   (* a generation numbered past [epoch] is one recovery rejected: the
      counter starts past it, so the first base this server writes is
@@ -794,6 +802,11 @@ let create ?(telemetry = Kgm_telemetry.null)
   in
   DB.freeze twin;
   DB.record master true;
+  let wake_r, wake_w = Unix.pipe ~cloexec:true ()
+  and hold_r, hold_w = Unix.pipe ~cloexec:true () in
+  (* no end blocks: a reader finds a signal another took, and a full
+     pipe is already a wake-up *)
+  List.iter Unix.set_nonblock [ wake_r; wake_w; hold_r; hold_w ];
   let t =
     { cfg;
       session;
@@ -810,17 +823,14 @@ let create ?(telemetry = Kgm_telemetry.null)
       qp_cache = Hashtbl.create 64;
       pool = None;
       batch_pool = Kgm_pool.create (Inc.options session).E.jobs;
-      shed_q = Queue.create ();
-      shed_mu = Mutex.create ();
-      shed_cond = Condition.create ();
-      shed_thread = None;
-      stop_shed = Atomic.make false;
-      acceptor_thread = None;
-      listen_fd = None;
+      loop_thread = None;
+      inbox = Atomic.make [];
+      wake_r;
+      wake_w;
+      hold_r;
+      hold_w;
       started = Atomic.make false;
       drain_req = Atomic.make false;
-      stop_accept = Atomic.make false;
-      stopped = Atomic.make false;
       drain_tok = Token.create ();
       c_requests = Atomic.make 0;
       c_writes = Atomic.make 0;
@@ -829,39 +839,17 @@ let create ?(telemetry = Kgm_telemetry.null)
       c_errors = Atomic.make 0;
       c_updates = Atomic.make 0;
       c_inflight = Atomic.make 0;
+      c_parked = Atomic.make 0;
+      c_yields = Atomic.make 0;
       c_faults = Atomic.make 0 }
   in
   Kgm_telemetry.gauge t.tele "server.epoch" (fun () ->
       (Atomic.get t.epoch).ep_id);
-  Kgm_telemetry.gauge t.tele "server.requests" (fun () ->
-      Atomic.get t.c_requests);
-  Kgm_telemetry.gauge t.tele "server.writes" (fun () ->
-      Atomic.get t.c_writes);
-  Kgm_telemetry.gauge t.tele "server.connections" (fun () ->
-      Atomic.get t.c_conns);
-  Kgm_telemetry.gauge t.tele "server.shed" (fun () -> Atomic.get t.c_shed);
-  Kgm_telemetry.gauge t.tele "server.errors" (fun () ->
-      Atomic.get t.c_errors);
-  Kgm_telemetry.gauge t.tele "server.updates" (fun () ->
-      Atomic.get t.c_updates);
-  Kgm_telemetry.gauge t.tele "server.inflight" (fun () ->
-      Atomic.get t.c_inflight);
-  Kgm_telemetry.gauge t.tele "server.queue_depth" (fun () -> queue_depth t);
-  Kgm_telemetry.gauge t.tele "server.faults_absorbed" (fun () ->
-      Atomic.get t.c_faults);
+  List.iter
+    (fun (name, get) ->
+      Kgm_telemetry.gauge t.tele ("server." ^ name) (fun () -> get (stats t)))
+    counters;
   t
-
-let stats t =
-  { st_epoch = (Atomic.get t.epoch).ep_id;
-    st_requests = Atomic.get t.c_requests;
-    st_writes = Atomic.get t.c_writes;
-    st_conns = Atomic.get t.c_conns;
-    st_shed = Atomic.get t.c_shed;
-    st_errors = Atomic.get t.c_errors;
-    st_updates = Atomic.get t.c_updates;
-    st_queue_depth = queue_depth t;
-    st_inflight = Atomic.get t.c_inflight;
-    st_faults = Atomic.get t.c_faults }
 
 let draining t = Atomic.get t.drain_req
 let drain t = Atomic.set t.drain_req true
@@ -1081,16 +1069,16 @@ let handle_explain t body =
         "explain expects a single ground fact, e.g. 'control(a, b)'"
 
 let handle_status t =
-  let ep = Atomic.get t.epoch in
-  let s = stats t in
-  ok
-    (Printf.sprintf
-       "epoch: %d\nfacts: %d\nrequests: %d\nwrites: %d\nconnections: %d\n\
-        shed: %d\nerrors: %d\nupdates: %d\nqueue_depth: %d\ninflight: %d\n\
-        faults_absorbed: %d\nworkers: %d\nqueue_capacity: %d\ndraining: %b\n"
-       ep.ep_id ep.ep_facts s.st_requests s.st_writes s.st_conns s.st_shed
-       s.st_errors s.st_updates s.st_queue_depth s.st_inflight s.st_faults
-       t.cfg.workers t.cfg.queue_capacity (draining t))
+  let ep = Atomic.get t.epoch and s = stats t in
+  let b = Buffer.create 512 in
+  let line k v = Printf.bprintf b "%s: %s\n" k v in
+  line "epoch" (string_of_int ep.ep_id);
+  line "facts" (string_of_int ep.ep_facts);
+  List.iter (fun (k, get) -> line k (string_of_int (get s))) counters;
+  line "workers" (string_of_int t.cfg.workers);
+  line "queue_capacity" (string_of_int t.cfg.queue_capacity);
+  line "draining" (string_of_bool (draining t));
+  ok (Buffer.contents b)
 
 let handle_slow t req tok =
   let dur =
@@ -1196,19 +1184,28 @@ let route t req body =
       Buffer.add_string body text;
       (status, extra)
 
-(* One persistent connection, start to close. Requests are answered in
-   arrival order; bytes past each request's content-length carry over
-   to the next iteration (pipelining). Answers are held and written
-   together: when the loop would block for input, once they pass
-   [out_max] bytes, and when the connection closes; a write that fails
-   ends the connection. The connection closes when the client asks
-   ([connection: close]), the per-connection request cap is reached,
+(* ---- readers ---- *)
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let signal fd =
+  try ignore (Unix.single_write_substring fd "!" 0 1)
+  with Unix.Unix_error _ -> ()
+
+(* queued connections beyond the readers free to take them *)
+let unserved t = Atomic.get t.c_inflight - t.cfg.workers
+
+(* A connection's turn on a reader, from the queue until it closes or
+   goes back to the loop. Requests are answered in arrival order;
+   bytes past each request's content-length carry over to the next
+   iteration (pipelining). Answers are held and written together: when
+   the loop would block for input, once they pass [out_max] bytes, and
+   when the connection closes; a write that fails ends the connection.
+   The connection closes when the client asks ([connection: close]),
    the idle timeout expires, a drain is requested and no buffered
    request remains, or the framing breaks (one [400], then close —
    after a framing error the byte stream cannot be trusted). *)
-let serve_conn t fd =
-  Atomic.incr t.c_conns;
-  let conn = make_conn fd in
+let serve_conn t conn =
   let body = conn.c_body and out = conn.c_out in
   let respond ~keep_alive (status, extra) =
     add_head out ~keep_alive status extra ~body_len:(Buffer.length body);
@@ -1216,21 +1213,42 @@ let serve_conn t fd =
     if Buffer.length body > out_max then Buffer.reset body
     else Buffer.clear body
   in
+  (* the wait for the next request: one blocking select until bytes
+     arrive, the deadline passes or a drain starts, or a signal on
+     [hold_r] finds a queued connection that no free reader will take,
+     and this one goes back to the loop. A signal another reader took,
+     or one a free reader answered first, is passed over *)
+  let rec hold () =
+    let left = conn.c_deadline -. Kgm_telemetry.Clock.now () in
+    if draining t || left <= 0. then `Close
+    else
+      match Unix.select [ conn.c_fd; t.hold_r ] [] [] left with
+      | exception Unix.Unix_error (EINTR, _, _) -> hold ()
+      | ready, _, _ ->
+          if
+            List.mem t.hold_r ready
+            && (try Unix.read t.hold_r (Bytes.create 1) 0 1 = 1
+                with Unix.Unix_error _ -> false)
+            && unserved t > 0
+          then `Yield
+          else if List.mem conn.c_fd ready then `Ready
+          else hold ()
+  in
+  let await () =
+    conn.c_deadline <- Kgm_telemetry.Clock.now () +. t.cfg.idle_timeout_s;
+    if flush t.c_writes conn then hold () else `Close
+  in
   let rec loop () =
-    match
-      read_request ~writes:t.c_writes ~idle_s:t.cfg.idle_timeout_s
-        ~draining:(fun () -> draining t)
-        conn
-    with
-    | `Close -> ()
+    match read_request ~writes:t.c_writes ~await conn with
+    | (`Close | `Yield) as v -> v
     | `Err msg ->
         Atomic.incr t.c_errors;
         Buffer.add_string body msg;
         Buffer.add_char body '\n';
-        respond ~keep_alive:false (400, [])
+        respond ~keep_alive:false (400, []);
+        `Close
     | `Req req ->
         Atomic.incr t.c_requests;
-        conn.c_served <- conn.c_served + 1;
         let fail status text =
           Buffer.clear body;
           Buffer.add_string body text;
@@ -1257,7 +1275,6 @@ let serve_conn t fd =
         in
         let keep_alive =
           (not client_close)
-          && conn.c_served < t.cfg.max_requests_per_conn
           (* during a drain, finish what the client already pipelined,
              then close instead of waiting for more *)
           && not (draining t && Inbuf.length conn.c_in = 0)
@@ -1265,111 +1282,162 @@ let serve_conn t fd =
         respond ~keep_alive answer;
         if keep_alive && (Buffer.length out < out_max || flush t.c_writes conn)
         then loop ()
+        else `Close
   in
-  loop ();
-  ignore (flush t.c_writes conn)
+  Fun.protect
+    ~finally:(fun () -> Atomic.decr t.c_inflight)
+    (fun () ->
+      match loop () with
+      | `Yield ->
+          Atomic.incr t.c_yields;
+          let rec give_back () =
+            let l = Atomic.get t.inbox in
+            if not (Atomic.compare_and_set t.inbox l (conn :: l)) then
+              give_back ()
+          in
+          give_back ();
+          signal t.wake_w
+      | `Close ->
+          ignore (flush t.c_writes conn);
+          close_quietly conn.c_fd
+      | exception e ->
+          close_quietly conn.c_fd;
+          raise e)
 
-(* ---- threads ---- *)
+(* ---- the event loop ---- *)
 
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* closing a socket with unread inbound bytes makes the kernel send
-   RST, which destroys the response we just queued before the client
-   can read it — so a shed answer must linger: stop sending, then
-   drain whatever the client wrote until it sees our FIN and closes *)
-let lingering_close fd =
-  (try Unix.shutdown fd SHUTDOWN_SEND with Unix.Unix_error _ -> ());
-  (try
-     Unix.setsockopt_float fd SO_RCVTIMEO 1.0;
-     let junk = Bytes.create 4096 in
-     while Unix.read fd junk 0 (Bytes.length junk) > 0 do
-       ()
-     done
-   with Unix.Unix_error _ -> ());
-  close_quietly fd
-
-(* the blocking half of a shed: 503 + lingering close. Runs only on
-   the shed thread (or the drain coordinator), never on the acceptor *)
-let shed_now t fd why =
+(* the door's 503 in one write(2) that cannot block: a client that
+   never reads its answers may have left no room, and then gets none *)
+let refuse t fd why =
+  Atomic.incr t.c_shed;
+  Atomic.incr t.c_writes;
   let b = Buffer.create 160 in
   add_head b ~keep_alive:false 503 [] ~body_len:(String.length why + 1);
-  Buffer.add_string b why;
-  Buffer.add_char b '\n';
-  (try write_counted t.c_writes fd (Buffer.to_bytes b) 0 (Buffer.length b)
+  Buffer.add_string b (why ^ "\n");
+  (try
+     Unix.set_nonblock fd;
+     ignore (Unix.single_write_substring fd (Buffer.contents b) 0 (Buffer.length b))
    with Unix.Unix_error _ -> ());
-  lingering_close fd;
   if Journal.enabled t.jr then
     Journal.emit t.jr "server.overloaded" [ ("why", J.Str why) ]
 
-(* bound on 503s waiting for the shed thread: past it the connection
-   is just closed — under that much pressure the polite answer has
-   lost its audience, and the acceptor must never block *)
-let max_shed_backlog = 256
+let absorb_drain_fault t =
+  try Faults.inject "drain"
+  with Kgm_resilience.Fault _ -> Atomic.incr t.c_faults
 
-(* hand the doomed fd to the shed thread. The acceptor's only cost is
-   a queue push: a slow or dead shed target stalls the shed thread (up
-   to its own IO timeouts), never the accept loop *)
-let shed_async t fd why =
-  Atomic.incr t.c_shed;
-  Mutex.lock t.shed_mu;
-  let backlogged = Queue.length t.shed_q >= max_shed_backlog in
-  if not backlogged then begin
-    Queue.push (fd, why) t.shed_q;
-    Condition.signal t.shed_cond
-  end;
-  Mutex.unlock t.shed_mu;
-  if backlogged then close_quietly fd
-
-let shed_loop t =
+(* The server's event loop, on its own thread: one blocking select, no
+   tick, over the listening socket, the self-pipe, every idle
+   connection until its deadline, and every shed one until it closes or
+   its second of linger is over. A byte on [hold_w] asks a holding
+   reader to give its connection back when no free reader will take a
+   queued one. The loop runs the drain and returns once nothing
+   lingers. *)
+let event_loop t lfd pool =
+  let parked = ref [] and lingering = ref [] and listening = ref true in
+  let junk = Bytes.create 4096 in
+  (* closing a socket with unread inbound bytes can destroy the answer
+     before the client reads it: the loop stops sending and reads *)
+  let shed c why =
+    refuse t c.c_fd why;
+    (try Unix.shutdown c.c_fd SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+    c.c_deadline <- Kgm_telemetry.Clock.now () +. 1.;
+    lingering := c :: !lingering
+  in
+  (* a readable connection's first bytes, then the readers' queue *)
+  let queue c =
+    match Inbuf.fill c.c_in c.c_fd ~want:2048 with
+    | 0 | (exception Unix.Unix_error _) -> close_quietly c.c_fd
+    | _ when Kgm_pool.Service.pending pool >= t.cfg.queue_capacity ->
+        shed c "overloaded"
+    | _ ->
+        Atomic.incr t.c_inflight;
+        ignore (Kgm_pool.Service.submit pool c);
+        if unserved t > 0 then signal t.hold_w
+  in
+  let accept () =
+    match Unix.accept ~cloexec:true lfd with
+    | exception Unix.Unix_error _ -> ()
+    | fd, _ -> (
+        (* select(2) watches descriptors below FD_SETSIZE only *)
+        match Faults.inject "accept"; Unix.select [ fd ] [] [] 0. with
+        | exception Kgm_resilience.Fault _ ->
+            (* a dropped connection: the client sees a reset, the
+               failure path curl/retry loops exercise *)
+            Atomic.incr t.c_faults;
+            close_quietly fd
+        | exception Unix.Unix_error (EINVAL, _, _) ->
+            refuse t fd "too many connections";
+            close_quietly fd
+        | _ ->
+            (try
+               Unix.setsockopt_float fd SO_RCVTIMEO t.cfg.io_timeout_s;
+               Unix.setsockopt_float fd SO_SNDTIMEO t.cfg.io_timeout_s
+             with Unix.Unix_error _ -> ());
+            Atomic.incr t.c_conns;
+            let deadline = Kgm_telemetry.Clock.now () +. t.cfg.idle_timeout_s in
+            parked := make_conn fd ~deadline :: !parked)
+  in
+  (* [false] once a lingering client has closed *)
+  let lingers c =
+    (try Unix.read c.c_fd junk 0 (Bytes.length junk) > 0
+     with Unix.Unix_error _ -> false)
+    || (close_quietly c.c_fd; false)
+  in
+  let drain () =
+    listening := false;
+    if Journal.enabled t.jr then Journal.emit t.jr "server.drain.start" [];
+    (* 1. stop admission (new clients fail fast on the unlinked socket)
+       and close the idle connections: the parked ones here, the held
+       ones on their readers, which [hold_r]'s EOF wakes *)
+    absorb_drain_fault t;
+    close_quietly lfd;
+    (try Unix.unlink t.cfg.sock with Unix.Unix_error _ -> ());
+    List.iter (fun c -> close_quietly c.c_fd) !parked;
+    parked := [];
+    close_quietly t.hold_w;
+    (* 2. cancel in-flight work (scans and debug sleeps poll the drain
+       token; a reader finishes what its client already pipelined, then
+       closes) and shed every connection never picked up by a reader *)
+    absorb_drain_fault t;
+    Token.cancel t.drain_tok;
+    List.iter
+      (fun c ->
+        Atomic.decr t.c_inflight;
+        shed c "draining")
+      (Kgm_pool.Service.shutdown pool);
+    List.iter (fun c -> close_quietly c.c_fd) (Atomic.exchange t.inbox [])
+  in
   let rec loop () =
-    Mutex.lock t.shed_mu;
-    while Queue.is_empty t.shed_q && not (Atomic.get t.stop_shed) do
-      Condition.wait t.shed_cond t.shed_mu
-    done;
-    if Queue.is_empty t.shed_q then Mutex.unlock t.shed_mu (* stopping *)
-    else begin
-      let fd, why = Queue.pop t.shed_q in
-      Mutex.unlock t.shed_mu;
-      shed_now t fd why;
-      loop ()
-    end
+    parked := List.rev_append (Atomic.exchange t.inbox []) !parked;
+    if !listening && draining t then drain ();
+    let now = Kgm_telemetry.Clock.now () in
+    let live c = c.c_deadline > now || (close_quietly c.c_fd; false) in
+    parked := List.filter live !parked;
+    lingering := List.filter live !lingering;
+    Atomic.set t.c_parked (List.length !parked);
+    let watched = !parked @ !lingering in
+    let next = List.fold_left (fun d c -> Float.min d c.c_deadline) infinity watched in
+    let fds = List.map (fun c -> c.c_fd) watched in
+    if !listening || !lingering <> [] then
+      match
+        Unix.select
+          (t.wake_r :: (if !listening then lfd :: fds else fds))
+          [] [] (if next = infinity then -1. else next -. now)
+      with
+      | exception Unix.Unix_error (EINTR, _, _) -> loop ()
+      | ready, _, _ ->
+          let readable c = List.mem c.c_fd ready in
+          if List.mem t.wake_r ready then
+            ignore (try Unix.read t.wake_r junk 0 4096 with Unix.Unix_error _ -> 0);
+          let waiting, idle = List.partition readable !parked in
+          parked := idle;
+          lingering :=
+            List.filter (fun c -> (not (readable c)) || lingers c) !lingering;
+          List.iter queue waiting;
+          if !listening && List.mem lfd ready then accept ();
+          loop ()
   in
   loop ()
-
-let handle_conn t fd =
-  Atomic.incr t.c_inflight;
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.decr t.c_inflight;
-      close_quietly fd)
-    (fun () -> serve_conn t fd)
-
-let acceptor_loop t lfd pool =
-  while not (Atomic.get t.stop_accept) do
-    match Unix.select [ lfd ] [] [] 0.05 with
-    | exception Unix.Unix_error (EINTR, _, _) -> ()
-    | [], _, _ -> ()
-    | _ -> (
-        match Unix.accept ~cloexec:true lfd with
-        | exception Unix.Unix_error _ -> ()
-        | fd, _ -> (
-            match Faults.inject "accept" with
-            | exception Kgm_resilience.Fault _ ->
-                (* a dropped connection: the client sees a reset, the
-                   failure path curl/retry loops exercise *)
-                Atomic.incr t.c_faults;
-                close_quietly fd
-            | () ->
-                (try
-                   Unix.setsockopt_float fd SO_RCVTIMEO t.cfg.io_timeout_s;
-                   Unix.setsockopt_float fd SO_SNDTIMEO t.cfg.io_timeout_s
-                 with Unix.Unix_error _ -> ());
-                if draining t then shed_async t fd "draining"
-                else if
-                  Kgm_pool.Service.pending pool >= t.cfg.queue_capacity
-                  || not (Kgm_pool.Service.submit pool fd)
-                then shed_async t fd "overloaded"))
-  done
 
 (* Serving allocates short-lived strings and buffers on every request;
    with the stock 256k-word minor heap a busy domain triggers a minor
@@ -1408,7 +1476,6 @@ let start t =
    with e ->
      close_quietly lfd;
      raise e);
-  t.listen_fd <- Some lfd;
   (* the reader pool: dedicated domains, because every request answers
      against an immutable epoch snapshot — reads share no locks, so
      domains give true parallelism where systhreads would serialize on
@@ -1416,12 +1483,10 @@ let start t =
   let pool =
     Kgm_pool.Service.create ~domains:t.cfg.workers
       ~on_error:(fun _ -> Atomic.incr t.c_errors)
-      (fun fd -> handle_conn t fd)
+      (fun c -> serve_conn t c)
   in
   t.pool <- Some pool;
-  t.shed_thread <- Some (Thread.create (fun () -> shed_loop t) ());
-  t.acceptor_thread <-
-    Some (Thread.create (fun () -> acceptor_loop t lfd pool) ());
+  t.loop_thread <- Some (Thread.create (fun () -> event_loop t lfd pool) ());
   if Journal.enabled t.jr then
     Journal.emit t.jr "server.start"
       [ ("sock", J.Str t.cfg.sock);
@@ -1429,37 +1494,14 @@ let start t =
         ("queue", J.Int t.cfg.queue_capacity);
         ("epoch", J.Int (Atomic.get t.epoch).ep_id) ]
 
-let absorb_drain_fault t =
-  try Faults.inject "drain"
-  with Kgm_resilience.Fault _ -> Atomic.incr t.c_faults
-
 let run_until_drained t =
   while not (Atomic.get t.drain_req) do
     Thread.delay 0.02
   done;
-  if Journal.enabled t.jr then Journal.emit t.jr "server.drain.start" [];
-  (* 1. stop admission: the acceptor notices the flag within one select
-     tick; then unlink the socket so new clients fail fast *)
-  absorb_drain_fault t;
-  Atomic.set t.stop_accept true;
-  (match t.acceptor_thread with Some th -> Thread.join th | None -> ());
-  (match t.listen_fd with Some fd -> close_quietly fd | None -> ());
-  (try Unix.unlink t.cfg.sock with Unix.Unix_error _ -> ());
-  (* 2. cancel in-flight work (scans and debug sleeps poll the drain
-     token; keep-alive loops close once their buffered pipeline is
-     answered) and shed every connection never picked up by a reader *)
-  absorb_drain_fault t;
-  Token.cancel t.drain_tok;
-  (match t.pool with
-  | Some pool ->
-      let doomed = Kgm_pool.Service.shutdown pool in
-      List.iter (fun fd -> shed_async t fd "draining") doomed
-  | None -> ());
-  (* the shed thread flushes its backlog (including the fds above),
-     then exits *)
-  Atomic.set t.stop_shed true;
-  with_lock t.shed_mu (fun () -> Condition.broadcast t.shed_cond);
-  (match t.shed_thread with Some th -> Thread.join th | None -> ());
+  (* 1-2. the event loop runs the drain, woken here *)
+  signal t.wake_w;
+  Option.iter Thread.join t.loop_thread;
+  List.iter close_quietly [ t.wake_r; t.wake_w; t.hold_r ];
   (* 3. final base — absorbed on failure: drain always exits; no reader
      is left to run a maintenance pass, so the batch pool stops too *)
   absorb_drain_fault t;
@@ -1478,7 +1520,6 @@ let run_until_drained t =
         ("errors", J.Int s.st_errors);
         ("updates", J.Int s.st_updates);
         ("faults_absorbed", J.Int s.st_faults) ];
-  Atomic.set t.stopped true;
   s
 
 (* ------------------------------------------------------------------ *)

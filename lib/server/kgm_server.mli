@@ -22,7 +22,7 @@
     [connection: keep-alive], clients may pipeline (bytes past one
     request's [content-length] are carried into the next read), and a
     connection is closed only on client demand ([connection: close]),
-    idle timeout, per-connection request cap, or drain. Answers are
+    idle timeout, or drain. Answers are
     held until the connection would wait for input, holds 64 KiB or
     closes, so a pipelined window that arrives in one read is answered
     with one [write(2)] ({!stats} [st_writes]). Enough for
@@ -32,6 +32,12 @@
     Requests are served by a pool of {e reader domains}
     ({!Kgm_pool.Service}) rather than systhreads: every request
     answers against one frozen epoch, so readers scale across cores.
+    One event-loop thread owns every connection waiting for its next
+    request and hands a connection to the readers only when it has
+    bytes to read; a reader keeps a connection it answered only while
+    no other connection waits for a reader, so a request, not a
+    connection, holds a reader, and idle or busy keep-alive clients
+    never lock a probe, an [/update] or a scrape out.
     The first query of a pattern an epoch's store has no index for
     builds the index into that store ({!Kgm_vadalog.Database.freeze});
     every later probe of it, from any reader, takes no lock. Writer paths
@@ -39,20 +45,22 @@
 
     {2 Failure model}
 
-    - {e Admission control}: accepted connections enter a bounded
-      queue; when it is full the server answers [503 overloaded]
-      immediately instead of queueing unboundedly — load is shed at
-      the door, latency stays bounded, and a client can tell
-      "busy" from "broken".
+    - {e Admission control}: a connection with a request to read
+      enters a bounded queue; when it is full the server answers
+      [503 overloaded] immediately instead of queueing unboundedly —
+      load is shed at the door, latency stays bounded, and a client
+      can tell "busy" from "broken". The 503 is written without
+      blocking and the socket lingers in the event loop for at most a
+      second, so a dead client never stalls accepting.
     - {e Deadlines}: each request runs under a
       {!Kgm_resilience.Token} (from the [x-kgm-deadline] header or
       the configured default); long scans poll it and answer
       [504 deadline] when it trips.
     - {e Graceful drain}: {!drain} (wired to SIGINT/SIGTERM by the
-      CLI, safe to call from a signal handler) stops admission,
-      cancels or finishes in-flight work, sheds the queue with
-      [503 draining], writes a final base snapshot and lets
-      {!run_until_drained} return — exit 0, state on disk.
+      CLI, safe to call from a signal handler) stops admission, closes
+      the idle connections, cancels or finishes in-flight work, sheds
+      the queue with [503 draining], writes a final base snapshot and
+      lets {!run_until_drained} return — exit 0, state on disk.
     - {e Persistence}: a session {e generation} is a base snapshot
       ({!save_session}) plus an append-only log of the batches applied
       after it. Every batch is appended — epoch, length, digest — and
@@ -103,8 +111,10 @@ type config = {
   sock : string;          (** Unix-domain socket path (unlinked on bind
                               and again on drain) *)
   workers : int;          (** reader domains (clamped >= 1) *)
-  queue_capacity : int;   (** admission queue bound; beyond it requests
-                              are shed with [503 overloaded] *)
+  queue_capacity : int;   (** admission queue bound, in connections
+                              with a request to read (not open ones);
+                              beyond it they are shed with
+                              [503 overloaded] *)
   default_deadline_s : float option;
                           (** per-request deadline when the client sends
                               no [x-kgm-deadline] header *)
@@ -113,13 +123,14 @@ type config = {
                               {e mid-request} (slowloris) *)
   idle_timeout_s : float; (** keep-alive idle bound: a connection with
                               no request in flight is closed after this
-                              long without bytes *)
-  max_requests_per_conn : int;
-                          (** requests served on one connection before
-                              the server answers [connection: close]
-                              (clamped >= 1) — bounds per-connection
-                              state and re-balances long-lived clients
-                              across readers *)
+                              long without one, wherever it waits — on
+                              the reader that answered it or in the
+                              event loop. There is no per-connection
+                              request cap. The loop watches connections
+                              with [select], so a connection accepted
+                              at a descriptor >= FD_SETSIZE (1024) is
+                              answered [503] and closed at once: that
+                              caps the open connections *)
   state_dir : string option;
                           (** session generations (base snapshots and
                               their batch logs); [None] disables
@@ -132,8 +143,7 @@ type config = {
 
 val default_config : sock:string -> config
 (** 4 workers, queue 64, no default deadline, 10 s IO timeout, 5 s
-    idle timeout, 100000 requests per connection, no persistence,
-    keep 3, debug off. *)
+    idle timeout, no persistence, keep 3, debug off. *)
 
 (** {1 Server lifecycle} *)
 
@@ -149,13 +159,21 @@ type stats = {
                              that arrived in one read is answered with
                              one, so over pipelined traffic this falls
                              well below [st_requests] *)
-  st_conns : int;        (** connections picked up by a reader *)
+  st_conns : int;        (** connections accepted *)
   st_shed : int;         (** connections answered [503] at admission
-                             (overloaded or draining) *)
+                             (overloaded, draining, or past
+                             FD_SETSIZE) *)
   st_errors : int;       (** requests that answered 4xx/5xx *)
   st_updates : int;      (** update batches applied *)
   st_queue_depth : int;  (** connections queued right now *)
-  st_inflight : int;     (** requests being served right now *)
+  st_inflight : int;     (** connections queued for a reader or on
+                             one (served or held) right now *)
+  st_parked : int;       (** idle connections the event loop holds
+                             right now *)
+  st_yields : int;       (** idle connections readers gave back to the
+                             event loop because another connection
+                             waited for a reader: 0 while there are no
+                             more connections than readers *)
   st_faults : int;       (** injected faults absorbed by the server *)
 }
 
@@ -195,9 +213,9 @@ val tune_runtime_for_serving : unit -> unit
 
 val start : t -> unit
 (** Write a base generation (when [state_dir] is set), bind the socket
-    and spawn the acceptor thread, the shed thread
-    (which answers [503] off the accept path so a slow doomed client
-    never stalls accepts) and the reader domain pool. Tunes the
+    and spawn the event-loop thread (the server's one systhread: it
+    accepts, watches every waiting connection and answers [503]s
+    without blocking) and the reader domain pool. Tunes the
     runtime via {!tune_runtime_for_serving} and ignores [SIGPIPE]
     process-wide, so a client that hangs up early costs an [EPIPE] on
     its own connection instead of killing the process. Raises
@@ -212,9 +230,11 @@ val drain : t -> unit
 val draining : t -> bool
 
 val run_until_drained : t -> stats
-(** Block until {!drain} is requested, then: stop admission, unlink
-    the socket, cancel in-flight work past the grace of one request,
-    shed the queue with [503 draining], join every thread, write a
+(** Block until {!drain} is requested, then: stop admission, close
+    the idle connections, unlink the socket, cancel in-flight work past
+    the grace of one request, shed the queue with [503 draining], join
+    the readers and the event loop (which lingers on a shed connection
+    for at most a second), write a
     final base generation (when [state_dir] is set), stop the
     maintenance pool, and return the final statistics. ["drain"]-site
     faults along the way are absorbed and counted — drain always
@@ -302,7 +322,7 @@ module Client : sig
       read by their [content-length] frame; bytes past it are carried
       into the next call. [close_conn] sends [connection: close]
       (the connection is unusable afterwards); the server closing
-      (drain, request cap) is detected from the response header and
+      (drain) is detected from the response header and
       marks the connection dead. Returns [(status, body)]; raises
       [Failure] on a dead/garbled connection, [Unix.Unix_error] on IO
       errors. *)

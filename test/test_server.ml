@@ -628,55 +628,295 @@ let test_client_keepalive () =
          check Alcotest.int "over one connection" 1
            (s1.S.st_conns - s0.S.st_conns)))
 
+(* an idle connection closes at the idle timeout wherever it waits:
+   on the reader that answered it, or — given back because another
+   connection queued for the one reader — in the event loop *)
 let test_idle_timeout () =
   ignore
     (with_server
-       ~cfg:(fun c -> { c with S.idle_timeout_s = 0.25 })
-       (fun _srv sock ->
-         let fd = raw_connect sock in
-         Fun.protect
-           ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-           (fun () ->
-             write_all fd (raw_request "POST" "/query" "edge");
-             let s, h, _, left = read_framed fd "" in
-             check Alcotest.int "served before idling" 200 s;
-             check
-               Alcotest.(option string)
-               "still keep-alive" (Some "keep-alive")
-               (List.assoc_opt "connection" h);
-             check Alcotest.string "no leftover" "" left;
-             (* no second request: the server must hang up on its own *)
-             let t0 = Unix.gettimeofday () in
-             expect_eof fd;
-             let dt = Unix.gettimeofday () -. t0 in
-             check Alcotest.bool "closed by idle timeout, not instantly" true
-               (dt < 2.5))))
+       ~cfg:(fun c -> { c with S.idle_timeout_s = 0.25; workers = 1 })
+       (fun srv sock ->
+         let idle_close ?(meanwhile = ignore) () =
+           let fd = raw_connect sock in
+           Fun.protect
+             ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+             (fun () ->
+               write_all fd (raw_request "POST" "/query" "edge");
+               let s, h, _, left = read_framed fd "" in
+               check Alcotest.int "served before idling" 200 s;
+               check
+                 Alcotest.(option string)
+                 "still keep-alive" (Some "keep-alive")
+                 (List.assoc_opt "connection" h);
+               check Alcotest.string "no leftover" "" left;
+               meanwhile ();
+               (* no second request: the server must hang up on its own *)
+               let t0 = Unix.gettimeofday () in
+               expect_eof fd;
+               let dt = Unix.gettimeofday () -. t0 in
+               check Alcotest.bool "closed by idle timeout, not instantly" true
+                 (dt < 2.5))
+         in
+         idle_close ();
+         let y0 = (S.stats srv).S.st_yields in
+         idle_close
+           ~meanwhile:(fun () ->
+             check Alcotest.int "another connection is served" 200
+               (fst (get sock "/ready"));
+             check Alcotest.bool "the idle one was given back to the loop"
+               true
+               ((S.stats srv).S.st_yields > y0))
+           ()))
 
-let test_request_cap () =
+(* until no reader serves or holds a connection (the probes' turns are
+   over) *)
+let await_readers_idle srv =
+  let t0 = Unix.gettimeofday () in
+  while (S.stats srv).S.st_inflight > 0 && Unix.gettimeofday () -. t0 < 2. do
+    Thread.delay 0.005
+  done
+
+(* sixteen queries whose answers the updates below do not change *)
+let stable_queries =
+  List.concat
+    (List.init 2 (fun _ ->
+         [ "path(a, X)"; "edge(a, X)"; "path(b, X)"; "path(X, d)";
+           "edge(b, c)"; "path(c, d)"; "path(a, a)"; "edge(c, X)" ]))
+
+(* [workers] keep-alive clients, idle and then busy, lock no further
+   connection out: a request, not a connection, holds a reader. At
+   one reader per connection, the probe and the update would wait for
+   the idle timeout, and for the busy clients to close *)
+let test_head_of_line () =
+  let workers = 2 in
   ignore
     (with_server
-       ~cfg:(fun c -> { c with S.max_requests_per_conn = 2 })
-       (fun _srv sock ->
-         let c = S.Client.connect sock in
+       ~cfg:(fun c -> { c with S.workers })
+       (fun srv sock ->
+         let timed what f =
+           let t0 = Unix.gettimeofday () in
+           let code, body = f () in
+           let dt = Unix.gettimeofday () -. t0 in
+           check Alcotest.int (what ^ ": " ^ body) 200 code;
+           check Alcotest.bool
+             (Printf.sprintf "%s answered in %.3f s < 1 s" what dt)
+             true (dt < 1.)
+         in
+         let probe_and_update batch =
+           timed "/ready" (fun () -> get sock "/ready");
+           timed "/update" (fun () -> post sock "/update" batch)
+         in
+         let expected = List.map (post sock "/query") stable_queries in
+         let holders = List.init workers (fun _ -> S.Client.connect sock) in
          Fun.protect
-           ~finally:(fun () -> S.Client.close c)
+           ~finally:(fun () -> List.iter S.Client.close holders)
            (fun () ->
-             let code, _ =
-               S.Client.request_on c ~meth:"POST" ~path:"/query" ~body:"edge"
-                 ()
+             List.iter
+               (fun c ->
+                 check Alcotest.int "a holder's query" 200
+                   (fst
+                      (S.Client.request_on c ~meth:"POST" ~path:"/query"
+                         ~body:"edge" ())))
+               holders;
+             probe_and_update "+edge(x, y).\n";
+             (* every holder pipelines windows of 16 back to back *)
+             let stop = Atomic.make false
+             and bad = Atomic.make 0
+             and windows = Atomic.make 0 in
+             let busy c () =
+               try
+                 while not (Atomic.get stop) do
+                   if
+                     S.Client.pipeline c ~meth:"POST" ~path:"/query"
+                       stable_queries
+                     <> expected
+                   then Atomic.incr bad;
+                   Atomic.incr windows
+                 done
+               with _ -> Atomic.incr bad
              in
-             check Alcotest.int "request 1 ok" 200 code;
-             let code, _ =
-               S.Client.request_on c ~meth:"POST" ~path:"/query" ~body:"edge"
-                 ()
-             in
-             check Alcotest.int "request 2 ok (capped after)" 200 code;
-             match
-               S.Client.request_on c ~meth:"POST" ~path:"/query" ~body:"edge"
-                 ()
-             with
-             | _ -> Alcotest.fail "expected the cap to close the connection"
-             | exception (Failure _ | Unix.Unix_error _) -> ())))
+             let ths = List.map (fun c -> Thread.create (busy c) ()) holders in
+             Fun.protect
+               ~finally:(fun () ->
+                 Atomic.set stop true;
+                 List.iter Thread.join ths)
+               (fun () ->
+                 while Atomic.get windows < 4 * workers do
+                   Thread.delay 0.002
+                 done;
+                 probe_and_update "-edge(x, y).\n");
+             check Alcotest.int "every window answered as each query alone" 0
+               (Atomic.get bad));
+         check Alcotest.bool "readers gave idle connections back" true
+           ((S.stats srv).S.st_yields >= 1)))
+
+(* no more connections than readers: a reader keeps its busy client's
+   connection between windows and gives nothing back, so a window
+   costs one wake-up, as when a connection held its reader *)
+let test_no_yield_without_contention () =
+  let workers = 2 in
+  ignore
+    (with_server
+       ~cfg:(fun c -> { c with S.workers })
+       (fun srv sock ->
+         let expected = List.map (post sock "/query") stable_queries in
+         await_readers_idle srv;
+         let bad = Atomic.make 0 in
+         let client () =
+           let c = S.Client.connect sock in
+           Fun.protect
+             ~finally:(fun () -> S.Client.close c)
+             (fun () ->
+               for _ = 1 to 50 do
+                 if
+                   S.Client.pipeline c ~meth:"POST" ~path:"/query"
+                     stable_queries
+                   <> expected
+                 then Atomic.incr bad
+               done)
+         in
+         List.iter Thread.join
+           (List.init workers (fun _ -> Thread.create client ()));
+         check Alcotest.int "every window answered as each query alone" 0
+           (Atomic.get bad);
+         check Alcotest.int "no connection given back" 0
+           (S.stats srv).S.st_yields))
+
+(* a started server outside [with_server], for tests that time its
+   drain *)
+let started_server cfg =
+  let sock = fresh_sock () in
+  let srv = S.create (cfg (S.default_config ~sock)) ~session:(mk_session tc_src) in
+  S.start srv;
+  if not (S.Client.wait_ready sock) then Alcotest.fail "server never ready";
+  (srv, sock)
+
+let timed_drain srv =
+  S.drain srv;
+  let t0 = Unix.gettimeofday () in
+  ignore (S.run_until_drained srv);
+  Unix.gettimeofday () -. t0
+
+(* a drain closes idle connections wherever they wait — held by a
+   reader or parked in the event loop — at once, not at the 5 s idle
+   timeout *)
+let test_drain_idle_connections () =
+  let srv, sock = started_server (fun c -> { c with S.workers = 2 }) in
+  let conns = List.init 4 (fun _ -> S.Client.connect sock) in
+  Fun.protect
+    ~finally:(fun () -> List.iter S.Client.close conns)
+    (fun () ->
+      List.iter
+        (fun c ->
+          check Alcotest.int "an idle connection's query" 200
+            (fst (S.Client.request_on c ~meth:"POST" ~path:"/query" ~body:"edge" ())))
+        conns;
+      let t0 = Unix.gettimeofday () in
+      while (S.stats srv).S.st_parked < 2 && Unix.gettimeofday () -. t0 < 2. do
+        Thread.delay 0.005
+      done;
+      let s = S.stats srv in
+      check Alcotest.int "two parked in the loop" 2 s.S.st_parked;
+      check Alcotest.int "two held by readers" 2 s.S.st_inflight;
+      let dt = timed_drain srv in
+      check Alcotest.bool (Printf.sprintf "drained in %.3f s < 1 s" dt) true
+        (dt < 1.);
+      List.iter
+        (fun c ->
+          match S.Client.request_on c ~meth:"GET" ~path:"/ready" () with
+          | _ -> Alcotest.fail "an idle connection outlived the drain"
+          | exception (Failure _ | Unix.Unix_error _) -> ())
+        conns)
+
+(* a shed client that never reads its 503 and never closes lingers in
+   the event loop for at most a second: it holds up neither a later
+   probe nor the drain *)
+let test_shed_client_lingers () =
+  let srv, sock =
+    started_server (fun c ->
+        { c with S.workers = 1; queue_capacity = 1; debug_endpoints = true })
+  in
+  (* the reader sleeps and the queue holds one more: a third
+     connection is shed *)
+  let slow d =
+    Thread.create (fun () -> ignore (post ~deadline_s:10. sock "/slow" d)) ()
+  in
+  let t1 = slow "0.6" in
+  Thread.delay 0.15;
+  let t2 = slow "0.1" in
+  Thread.delay 0.1;
+  let fd = raw_connect sock in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      write_all fd (raw_request "POST" "/query" "edge");
+      let t0 = Unix.gettimeofday () in
+      while (S.stats srv).S.st_shed < 1 && Unix.gettimeofday () -. t0 < 2. do
+        Thread.delay 0.005
+      done;
+      check Alcotest.int "the third connection was shed" 1
+        (S.stats srv).S.st_shed;
+      List.iter Thread.join [ t1; t2 ];
+      let t0 = Unix.gettimeofday () in
+      check Alcotest.int "a later probe" 200 (fst (get sock "/ready"));
+      let dt = Unix.gettimeofday () -. t0 in
+      check Alcotest.bool (Printf.sprintf "answered in %.3f s" dt) true
+        (dt < 0.5);
+      let dt = timed_drain srv in
+      check Alcotest.bool
+        (Printf.sprintf "drained in %.3f s, within the 1 s linger" dt)
+        true (dt < 1.5))
+
+(* select(2) cannot watch a descriptor >= FD_SETSIZE: a connection
+   accepted at one is answered 503 and closed at once, and the server
+   goes on serving the connections it can watch *)
+let test_fd_setsize () =
+  ignore
+    (with_server (fun srv sock ->
+         await_readers_idle srv;
+         let watchable fd =
+           match Unix.select [ fd ] [] [] 0. with
+           | _ -> true
+           | exception Unix.Unix_error (EINVAL, _, _) -> false
+         in
+         (* socket pairs take every descriptor below FD_SETSIZE, so the
+            server accepts the next connection past it *)
+         let pairs = ref [] in
+         let rec fill k =
+           let a, b = Unix.socketpair ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+           pairs := (a, b) :: !pairs;
+           if watchable b then
+             if k = 0 then Alcotest.fail "FD_SETSIZE not reached" else fill (k - 1)
+         in
+         let close_pair (a, b) =
+           Unix.close a;
+           Unix.close b
+         in
+         Fun.protect
+           ~finally:(fun () -> List.iter close_pair !pairs)
+           (fun () ->
+             (match fill 600 with
+             | () -> ()
+             | exception Unix.Unix_error (EMFILE, _, _) -> Alcotest.skip ());
+             let fd = raw_connect sock in
+             Fun.protect
+               ~finally:(fun () -> Unix.close fd)
+               (fun () ->
+                 let s, h, _, _ = read_framed fd "" in
+                 check Alcotest.int "refused with 503" 503 s;
+                 check
+                   Alcotest.(option string)
+                   "and closed" (Some "close")
+                   (List.assoc_opt "connection" h));
+             (* the first pair's two descriptors, below FD_SETSIZE, go
+                to the next connection's two ends *)
+             (match List.rev !pairs with
+             | first :: rest ->
+                 close_pair first;
+                 pairs := List.rev rest
+             | [] -> ());
+             check Alcotest.int "a watchable connection is served" 200
+               (fst (get sock "/ready")))))
 
 (* a half-sent request head must not hold a reader forever: past
    io_timeout_s it answers 400 and closes *)
@@ -1642,8 +1882,16 @@ let suite =
       test_client_keepalive;
     Alcotest.test_case "keep-alive: idle timeout closes." `Quick
       test_idle_timeout;
-    Alcotest.test_case "keep-alive: request cap closes." `Quick
-      test_request_cap;
+    Alcotest.test_case "head-of-line: idle and busy clients lock no one out."
+      `Quick test_head_of_line;
+    Alcotest.test_case "no contention: readers give nothing back." `Quick
+      test_no_yield_without_contention;
+    Alcotest.test_case "drain closes idle connections, held or parked."
+      `Quick test_drain_idle_connections;
+    Alcotest.test_case "a shed client lingers at most a second." `Quick
+      test_shed_client_lingers;
+    Alcotest.test_case "a connection past FD_SETSIZE is refused." `Quick
+      test_fd_setsize;
     Alcotest.test_case "slowloris: partial head times out." `Quick
       test_slowloris;
     Alcotest.test_case "content-length: decimal digits only." `Quick
