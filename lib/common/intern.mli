@@ -12,19 +12,29 @@
     merge, which keeps id assignment — and therefore every downstream
     artifact — deterministic across jobs x planner x chunking.
 
+    The value-to-id map is a {!Slot_table} whose slots are ids, under
+    a hash private to the dictionary: an [Int] is mixed as
+    {!Slot_table.mix} mixes ids, every other value takes {!Value.hash}.
+    So values {!Value.equal} equates ([nan], [0.] and [-0.], [Id]s that
+    differ only in their hint) hash alike and share one id.
+
     The reads are also safe against {e one} concurrent writer, which is
     how the server uses the table: reader domains answer queries
-    through [find]/[resolve] while [intern] appends. Each insertion
-    into the value table runs between two bumps of a version counter,
-    and [find] retries while the version is odd or moved during the
-    lookup; the id arrays are published atomically when they grow.
-    So a reader never misses a present key, never raises on an id
+    through [find]/[resolve] while [intern] appends. A [find] racing
+    an insert can be torn two ways: the table doubles by installing
+    its new cell array before refilling it, and the id array the
+    reader loaded can be older than the table it probes. Each
+    insertion runs between two bumps of a version counter, and [find]
+    retries while the version is odd or moved during the lookup; its
+    compare checks an id against the length of the id array it loaded
+    first. The id arrays are published atomically when they grow. So
+    a reader never misses a present key, never raises on an id
     published to it, and never takes a lock. Two writers still need
     outside serialization. *)
 
 type t
 
-val create : ?size:int -> unit -> t
+val create : unit -> t
 val length : t -> int
 (** Number of interned values; valid ids are [0 .. length - 1]. *)
 

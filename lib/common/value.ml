@@ -52,21 +52,6 @@ module Hashed = struct
   let hash = hash
 end
 
-(** Same, for value tuples kept as arrays: pointwise {!equal}, a hash
-    combined from the element hashes. Lets fact-keyed tables probe with
-    the fact itself instead of allocating a list key per probe. *)
-module Hashed_array = struct
-  type nonrec t = t array
-
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec go i = i < 0 || (equal a.(i) b.(i) && go (i - 1)) in
-    go (Array.length a - 1)
-
-  let hash f = Array.fold_left (fun h v -> (h * 31) + hash v) (Array.length f) f
-end
-
 (* The one renderer: [to_string] and [pp] print through it, and the
    server renders answers with it straight into the response buffer.
    The text is what [Format] printed before — [%g] floats (the C

@@ -31,10 +31,6 @@ val hash : t -> int
     hint. *)
 module Hashed : Hashtbl.HashedType with type t = t
 
-module Hashed_array : Hashtbl.HashedType with type t = t array
-(** Value tuples as arrays, pointwise {!equal} — probe fact-keyed tables
-    with the fact itself instead of allocating a list key. *)
-
 val to_buffer : Buffer.t -> t -> unit
 (** Append the printed form of a value: [%g] floats, OCaml-escaped
     quoted strings, [yyyy-mm-dd] dates, [_:nN] nulls, {!Oid.to_buffer}

@@ -8,7 +8,7 @@
     Layout: a predicate's facts sit in one append-order buffer of
     interned fact arrays, a fact's position there (its slot) being its
     insertion sequence number. The rest is flat [int array]s over slots
-    ({!Slot_table}): the dedup set holds every live slot, hashed by its
+    ({!Kgm_common.Slot_table}): the dedup set holds every live slot, hashed by its
     fact; an index holds the first slot of every group (the facts that
     agree at its positions), hashed by the group's key, and chains each
     group's slots in ascending order through two slot-indexed link

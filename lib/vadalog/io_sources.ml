@@ -16,7 +16,15 @@
     an empty cell in a multi-column row — is a [Storage] error carrying
     the source and line number, or, under [~lenient:true], is skipped
     with a counted warning. Loading never crashes mid-run on bad data:
-    it either reports the offending line or degrades gracefully. *)
+    it either reports the offending line or degrades gracefully.
+
+    The reader scans a source's text where it lies: no list of lines or
+    of cells is built, each cell is trimmed once by index, and a
+    decimal int of at most 18 digits is read without copying it out.
+    Every other cell is copied and parsed by {!Value.parse}, so the
+    values, line numbers and errors are those of splitting the text
+    into lines and cells. A UTF-8 byte-order mark opening a csv file is
+    skipped; it is not part of the first cell. *)
 
 open Kgm_common
 
@@ -33,25 +41,41 @@ type source_report = {
   sr_warnings : warning list;  (** per skipped row, in line order *)
 }
 
-let parse_cell cell =
-  match Value.parse Value.TAny (String.trim cell) with
-  | Some v -> v
-  | None -> Value.String cell
+(* [String.trim]'s blanks *)
+let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
 
-(* A cell that is empty after trimming carries no value; in a
-   multi-column row that is a malformed (truncated or shifted) record,
-   not an empty string. Single-column sources keep accepting blank-ish
-   rows as empty strings for backward compatibility. *)
-let row_error cells =
-  let arity = List.length cells in
-  if arity > 1 && List.exists (fun c -> String.trim c = "") cells then
-    Some "empty cell (unparsable value)"
-  else None
+let rec skip_blanks text i e = if i < e && is_blank text.[i] then skip_blanks text (i + 1) e else i
+let rec trim_end text a e = if e > a && is_blank text.[e - 1] then trim_end text a (e - 1) else e
+let rec cell_end text i e = if i < e && text.[i] <> ',' then cell_end text (i + 1) e else i
 
-let load_rows ?(lenient = false) ~source db pred rows =
+(* the digits of [text.[i..e)] as an int, or -1 if one is not a digit *)
+let rec decimal text i e n =
+  if i = e then n
+  else
+    match text.[i] with
+    | '0' .. '9' as c -> decimal text (i + 1) e ((n * 10) + Char.code c - Char.code '0')
+    | _ -> -1
+
+(* The trimmed, non-empty cell [text.[a..b)]. At most 18 digits cannot
+   overflow, so such a decimal is read where it lies; any other cell is
+   [Value.parse TAny] of its text, which never fails. *)
+let parse_cell text a b =
+  let d = if text.[a] = '-' then a + 1 else a in
+  let n = if d < b && b - d <= 18 then decimal text d b 0 else -1 in
+  if n >= 0 then Value.Int (if d > a then -n else n)
+  else Option.get (Value.parse Value.TAny (String.sub text a (b - a)))
+
+(* The rows of [text] are the pieces between [sep]s, numbered from 1,
+   and a row's cells the pieces between commas, each trimmed as
+   [String.trim] trims. A row whose one cell is blank is skipped. A
+   blank cell in a multi-column row is a malformed (truncated or
+   shifted) record, not an empty string; single-column sources keep
+   accepting blank-ish rows as empty strings for backward
+   compatibility. *)
+let load_rows ?(lenient = false) ~source db pred ~sep text =
   let loaded = ref 0 and skipped = ref 0 in
   let warnings = ref [] in
-  let expected_arity = ref None in
+  let expected_arity = ref 0 (* 0 until the first loaded row *) in
   let malformed line reason =
     if lenient then begin
       incr skipped;
@@ -62,26 +86,44 @@ let load_rows ?(lenient = false) ~source db pred rows =
         [ ("source", source); ("line", string_of_int line); ("predicate", pred) ]
         "malformed row: %s" reason
   in
-  List.iteri
-    (fun i row ->
-      let line = i + 1 in
-      if String.trim row <> "" then begin
-        let cells = String.split_on_char ',' row in
-        match row_error cells with
-        | Some reason -> malformed line reason
-        | None -> (
-            let arity = List.length cells in
-            match !expected_arity with
-            | Some a when a <> arity ->
-                malformed line
-                  (Printf.sprintf "arity %d, expected %d (from first row)"
-                     arity a)
-            | _ ->
-                if !expected_arity = None then expected_arity := Some arity;
-                if Database.add db pred (Array.of_list (List.map parse_cell cells))
-                then incr loaded)
-      end)
-    rows;
+  (* [split i re k] reads the cells of [text.[i..re)] as cells [k], [k + 1],
+     ...: the trimmed [start, end) of cell [k] goes to [bounds] at [2k],
+     [2k + 1], and each blank one counts in [blanks]. It returns the
+     row's arity. *)
+  let bounds = ref (Array.make 32 0) and blanks = ref 0 in
+  let rec split i re k =
+    let e = cell_end text i re in
+    let a = skip_blanks text i e in
+    let b = trim_end text a e in
+    if a = b then incr blanks;
+    if (2 * k) + 1 >= Array.length !bounds then begin
+      let grown = Array.make (4 * (k + 1)) 0 in
+      Array.blit !bounds 0 grown 0 (2 * k);
+      bounds := grown
+    end;
+    !bounds.(2 * k) <- a;
+    !bounds.((2 * k) + 1) <- b;
+    if e < re then split (e + 1) re (k + 1) else k + 1
+  in
+  let len = String.length text in
+  let rec row line rs =
+    let re = match String.index_from text rs sep with i -> i | exception Not_found -> len in
+    blanks := 0;
+    let arity = split rs re 0 in
+    if arity = 1 && !blanks = 1 then ()
+    else if !blanks > 0 then malformed line "empty cell (unparsable value)"
+    else if !expected_arity > 0 && arity <> !expected_arity then
+      malformed line
+        (Printf.sprintf "arity %d, expected %d (from first row)" arity !expected_arity)
+    else begin
+      expected_arity := arity;
+      let b = !bounds in
+      let fact = Array.init arity (fun k -> parse_cell text b.(2 * k) b.((2 * k) + 1)) in
+      if Database.add db pred fact then incr loaded
+    end;
+    if re < len then row (line + 1) (re + 1)
+  in
+  row 1 0;
   (!loaded, !skipped, List.rev !warnings)
 
 let read_file path =
@@ -97,6 +139,10 @@ let strip_prefix ~prefix s =
     Some (String.sub s lp (String.length s - lp))
   else None
 
+(* a UTF-8 byte-order mark opening a file is not part of its first cell *)
+let skip_bom doc =
+  match strip_prefix ~prefix:"\xEF\xBB\xBF" doc with Some rest -> rest | None -> doc
+
 (** Load every resolvable [@input] source into the database, one report
     per resolved annotation. Unresolvable sources (e.g. the Cypher
     extraction queries) are skipped. Raises [Kgm_error.Error]
@@ -109,9 +155,9 @@ let load_inputs_report ?lenient (program : Rule.program) db =
     (fun (a : Rule.annotation) ->
       match a.Rule.a_name, a.Rule.a_args with
       | "input", [ pred; source ] -> (
-          let report rows =
+          let report sep text =
             let loaded, skipped, warnings =
-              load_rows ?lenient ~source db pred rows
+              load_rows ?lenient ~source db pred ~sep text
             in
             Some
               { sr_pred = pred; sr_source = source; sr_loaded = loaded;
@@ -123,10 +169,10 @@ let load_inputs_report ?lenient (program : Rule.program) db =
                 try read_file path
                 with Sys_error m -> Kgm_error.storage_error "@input %s: %s" pred m
               in
-              report (String.split_on_char '\n' doc)
+              report '\n' (skip_bom doc)
           | None -> (
               match strip_prefix ~prefix:"inline:" source with
-              | Some rows -> report (String.split_on_char ';' rows)
+              | Some rows -> report ';' rows
               | None -> None))
       | _ -> None)
     program.Rule.annotations

@@ -94,29 +94,39 @@ let test_scratch () =
 (* One writer interning while a reader domain probes: the server's
    epochs share the master's dictionary, so reader domains call
    [find]/[resolve] on every query while [maintain] interns new
-   constants and nulls. Interning 2^18 values crosses several resize
-   thresholds of the id table; an unguarded [Hashtbl.find_opt] racing a
-   resize misses keys that are present (the resize installs its empty
-   bucket array before re-inserting). Every probe of a pre-interned key
-   must still find its id, and every resolve its value. *)
+   constants and nulls. Interning 2^18 values crosses several doublings
+   of the id table, which installs its new cell array before refilling
+   it, so an unguarded probe racing a doubling misses keys that are
+   present. The values are of all three kinds a source loads — [Int]s
+   take the dictionary's own mix, [Float]s and [String]s [Value.hash] —
+   so every hash path races. Every probe of a pre-interned key must
+   still find its id, and every resolve its value. *)
 let test_concurrent_find () =
   let d = Intern.create () in
   let n = 10_000 in
-  let ids = Array.init n (fun i -> Intern.intern d (Value.Int i)) in
+  let kinds =
+    [| (fun i -> Value.Int i);
+       (fun i -> Value.Float (float_of_int i +. 0.5));
+       (fun i -> Value.String ("v" ^ string_of_int i)) |]
+  in
+  let ids = Array.map (fun v -> Array.init n (fun i -> Intern.intern d (v i))) kinds in
   let started = Atomic.make false and stop = Atomic.make false in
   let reader =
     Domain.spawn (fun () ->
         let misses = ref 0 and wrong = ref 0 and sweeps = ref 0 in
         Atomic.set started true;
         while not (Atomic.get stop) do
-          for i = 0 to n - 1 do
-            (match Intern.find d (Value.Int i) with
-            | Some id when id = ids.(i) -> ()
-            | Some _ -> incr wrong
-            | None -> incr misses);
-            if not (Value.equal (Intern.resolve d ids.(i)) (Value.Int i)) then
-              incr wrong
-          done;
+          Array.iteri
+            (fun k v ->
+              for i = 0 to n - 1 do
+                (match Intern.find d (v i) with
+                | Some id when id = ids.(k).(i) -> ()
+                | Some _ -> incr wrong
+                | None -> incr misses);
+                if not (Value.equal (Intern.resolve d ids.(k).(i)) (v i)) then
+                  incr wrong
+              done)
+            kinds;
           incr sweeps
         done;
         (!misses, !wrong, !sweeps))
@@ -125,14 +135,14 @@ let test_concurrent_find () =
     Domain.cpu_relax ()
   done;
   for i = n to n + (1 lsl 18) - 1 do
-    ignore (Intern.intern d (Value.Int i))
+    ignore (Intern.intern d (kinds.(i mod 3) i))
   done;
   Atomic.set stop true;
   let misses, wrong, sweeps = Domain.join reader in
   check Alcotest.int "present keys never missed" 0 misses;
   check Alcotest.int "ids and values never wrong" 0 wrong;
   check Alcotest.bool "the reader ran" true (sweeps > 0);
-  check Alcotest.int "every value interned once" (n + (1 lsl 18))
+  check Alcotest.int "every value interned once" ((3 * n) + (1 lsl 18))
     (Intern.length d)
 
 (* CSV rows load to the same boxed facts whether the database's
@@ -141,7 +151,7 @@ let test_concurrent_find () =
 let test_csv_import_unchanged () =
   let rows = [ "1,hello"; "2.5,a;b"; "true,2024-02-29"; {|x\y,new|} ] in
   let load db =
-    ignore (V.Io_sources.load_rows ~source:"test" db "p" rows);
+    ignore (V.Io_sources.load_rows ~source:"test" db "p" ~sep:'\n' (String.concat "\n" rows));
     V.Database.facts db "p"
   in
   let fresh = load (V.Database.create ()) in

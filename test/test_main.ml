@@ -25,4 +25,5 @@ let () =
       ("materialize", Test_materialize.suite);
       ("finance", Test_finance.suite);
       ("conformance", Test_conformance.suite);
-      ("schema-diff", Test_schema_diff.suite) ]
+      ("schema-diff", Test_schema_diff.suite);
+      ("sources", Test_sources.suite) ]

@@ -340,7 +340,7 @@ let test_checkpoint_rotation () =
 let test_sources_strict () =
   let db = V.Database.create () in
   (match
-     V.Io_sources.load_rows ~source:"test" db "p" [ "1,2"; "3,"; "4,5" ]
+     V.Io_sources.load_rows ~source:"test" db "p" ~sep:'\n' "1,2\n3,\n4,5"
    with
   | exception Kgm_error.Error e ->
       check Alcotest.bool "storage stage" true
@@ -349,15 +349,15 @@ let test_sources_strict () =
         (List.assoc_opt "line" e.Kgm_error.context)
   | _ -> Alcotest.fail "expected a malformed-row error");
   let db = V.Database.create () in
-  (match V.Io_sources.load_rows ~source:"test" db "p" [ "1,2"; "7" ] with
+  (match V.Io_sources.load_rows ~source:"test" db "p" ~sep:'\n' "1,2\n7" with
   | exception Kgm_error.Error _ -> ()
   | _ -> Alcotest.fail "expected an arity error")
 
 let test_sources_lenient () =
   let db = V.Database.create () in
   let loaded, skipped, warnings =
-    V.Io_sources.load_rows ~lenient:true ~source:"test" db "p"
-      [ "1,2"; "3,"; "4,5"; "8"; "" ]
+    V.Io_sources.load_rows ~lenient:true ~source:"test" db "p" ~sep:'\n'
+      "1,2\n3,\n4,5\n8\n"
   in
   check Alcotest.int "loaded" 2 loaded;
   check Alcotest.int "skipped" 2 skipped;

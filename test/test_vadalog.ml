@@ -946,12 +946,12 @@ let test_tombstone_compaction () =
 (* the store's flat table over 5 * 10^4 chain-shaped facts, each under
    [hash] and numbered by its position *)
 let chain_table hash =
-  let t = V.Slot_table.create () in
+  let t = Slot_table.create () in
   for v = 0 to 49_999 do
     let h = hash [| 1000 + v; 1001 + v; 7 |] in
-    V.Slot_table.add t (V.Slot_table.find t h (fun _ -> false)) h v
+    Slot_table.add t (Slot_table.find t h (fun _ -> false)) h v
   done;
-  V.Slot_table.stats t
+  Slot_table.stats t
 
 let test_hash_spread () =
   let module D = V.Database in
@@ -961,12 +961,12 @@ let test_hash_spread () =
   done;
   (* on the store's dedup table a bucket is the entries sharing a home
      cell *)
-  let facts = chain_table V.Slot_table.hash_fact in
+  let facts = chain_table Slot_table.hash_fact in
   check Alcotest.bool
     (Printf.sprintf "chain-shaped facts: most sharing a home %d <= 16 (%d cells)"
-       facts.V.Slot_table.most_per_home facts.V.Slot_table.cells)
+       facts.Slot_table.most_per_home facts.Slot_table.cells)
     true
-    (facts.V.Slot_table.most_per_home <= 16);
+    (facts.Slot_table.most_per_home <= 16);
   let s = D.IKeyTbl.stats keys in
   check Alcotest.bool
     (Printf.sprintf "two-position keys: longest bucket %d <= 16 (%d buckets)"
@@ -984,11 +984,11 @@ let test_probe_length () =
       let s = chain_table hash in
       check Alcotest.bool
         (Printf.sprintf "%s: mean displacement %.2f <= 1.0 (%d in %d cells)" what
-           s.V.Slot_table.mean_displacement s.V.Slot_table.entries s.V.Slot_table.cells)
+           s.Slot_table.mean_displacement s.Slot_table.entries s.Slot_table.cells)
         true
-        (s.V.Slot_table.mean_displacement <= 1.0))
-    [ ("chain-shaped facts", V.Slot_table.hash_fact);
-      ("their two-position keys", V.Slot_table.hash_at [ 0; 1 ]) ]
+        (s.Slot_table.mean_displacement <= 1.0))
+    [ ("chain-shaped facts", Slot_table.hash_fact);
+      ("their two-position keys", Slot_table.hash_at [ 0; 1 ]) ]
 
 (* a probe can be stopped: [iter_matches_i] then counts what it visited
    up to the stop; [probe_size] is what a whole probe would examine *)
