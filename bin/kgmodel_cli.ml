@@ -492,7 +492,8 @@ let reason_cmd =
                let sup =
                  match stats.Kgm_vadalog.Engine.support with
                  | Some sup -> sup
-                 | None -> Kgm_vadalog.Support.create ()
+                 | None ->
+                     Kgm_vadalog.Support.create (Kgm_vadalog.Database.dict db)
                in
                if not (Kgm_vadalog.Database.mem db pred fact) then
                  Format.printf "%% not in the database: %s@." (String.trim s);

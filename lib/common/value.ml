@@ -174,7 +174,9 @@ let parse ty s =
        | _ -> None)
   | TId -> None
   | TAny ->
-      (match int_of_string_opt s with
+      (* no int syntax admits a '.': such a cell skips the int attempt,
+         which fails by raising inside the stdlib *)
+      (match if String.contains s '.' then None else int_of_string_opt s with
        | Some i -> Some (Int i)
        | None ->
            (match float_of_string_opt s with

@@ -429,16 +429,25 @@ let remove_i t pred (fact : ifact) =
     frozen. (The dictionary is append-only: ids of removed facts stay
     interned, which is harmless — membership is decided by the dedup
     set.) *)
-let remove_batch t facts =
+let remove_batch_i t facts =
   if t.frozen then invalid_arg "Database.remove_batch: database is frozen";
   List.fold_left
-    (fun removed (pred, fact) ->
-      match find_fact t fact with
-      | Some ifact when remove_i t pred ifact ->
-          note_change t (Removed (pred, ifact));
-          removed + 1
-      | _ -> removed)
+    (fun removed (pred, ifact) ->
+      if remove_i t pred ifact then begin
+        note_change t (Removed (pred, ifact));
+        removed + 1
+      end
+      else removed)
     0 facts
+
+(* the listed facts whose values are all interned, as ids: no other
+   fact can be stored *)
+let interned t facts =
+  List.filter_map
+    (fun (pred, fact) -> Option.map (fun f -> (pred, f)) (find_fact t fact))
+    facts
+
+let remove_batch t facts = remove_batch_i t (interned t facts)
 
 (* ---- change log ---- *)
 
@@ -458,12 +467,11 @@ let replay t ~into =
     changes;
   List.length changes
 
-let apply_batch t ~retracts ~inserts =
-  let removed = remove_batch t retracts in
+let apply_batch_i t ~retracts ~inserts =
+  let removed = remove_batch_i t retracts in
   let inserted =
     List.fold_left
       (fun n (pred, fact) ->
-        let fact = intern_fact t fact in
         if insert t pred fact then begin
           note_change t (Added (pred, fact));
           n + 1
@@ -472,6 +480,12 @@ let apply_batch t ~retracts ~inserts =
       0 inserts
   in
   (removed, inserted)
+
+let apply_batch t ~retracts ~inserts =
+  (* before interning: a frozen store's dictionary takes no value *)
+  if t.frozen then invalid_arg "Database.remove_batch: database is frozen";
+  apply_batch_i t ~retracts:(interned t retracts)
+    ~inserts:(List.map (fun (pred, fact) -> (pred, intern_fact t fact)) inserts)
 
 let freeze t = t.frozen <- true
 let thaw t = t.frozen <- false

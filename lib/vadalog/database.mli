@@ -153,6 +153,9 @@ val remove_batch : t -> (string * fact) list -> int
     batch-oriented because DRed removes a whole overdeletion cone at
     once. Raises [Invalid_argument] on a frozen database. *)
 
+val remove_batch_i : t -> (string * ifact) list -> int
+(** {!remove_batch} for interned facts. *)
+
 (** {1 Change log (twin stores)}
 
     A serving layer keeps two physical stores that take turns: while
@@ -186,6 +189,12 @@ val apply_batch :
     ["db_insert"] fault site, so on an unfrozen store it cannot raise;
     a frozen one raises [Invalid_argument] before any change. Recorded
     like {!add} and {!remove_batch} when {!record} is on. *)
+
+val apply_batch_i :
+  t -> retracts:(string * ifact) list -> inserts:(string * ifact) list ->
+  int * int
+(** {!apply_batch} for interned facts: an inserted array is stored as
+    it is (never written to afterwards). *)
 
 (** {1 Freezing (parallel read phases)}
 

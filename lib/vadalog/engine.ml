@@ -560,13 +560,13 @@ let trail_parents st =
    is what makes the numbering independent of [options.jobs]. *)
 let global_null_counter = Atomic.make 0
 
-(* [fresh_null st] returns the interned id of the fresh null and its
-   label. Only called from sequential sections (round 0, the merge
-   sweep), where appending to the dictionary is legal. *)
+(* [fresh_null st] returns the interned id of a fresh null. Only
+   called from sequential sections (round 0, the merge sweep), where
+   appending to the dictionary is legal. *)
 let fresh_null st =
   st.cur.c_nulls <- st.cur.c_nulls + 1;
   let n = Atomic.fetch_and_add global_null_counter 1 + 1 in
-  (Intern.intern (Database.dict st.db) (Value.Null n), n)
+  Intern.intern (Database.dict st.db) (Value.Null n)
 
 (* Id handling. Non-negative ids live in the shared dictionary;
    negative ids are worker-local scratch entries (values a worker
@@ -591,12 +591,6 @@ let value_id st v =
 let id_is_null st id =
   if id >= 0 then Intern.is_null (Database.dict st.db) id
   else Value.is_null (Intern.Scratch.resolve st.sc id)
-
-let resolve_ifact st (f : Database.ifact) : Database.fact =
-  Array.map (resolve_id st) f
-
-let resolve_parents st ps =
-  List.map (fun (p, f) -> (p, resolve_ifact st f)) ps
 
 (* variable resolver for expression evaluation over id bindings *)
 let env_value st env x = Option.map (resolve_id st) (env_lookup env x)
@@ -814,15 +808,14 @@ let fire st env (prep : prepared) ~on_new =
     end;
     (* the support records EVERY derivation — including re-derivations
        of a fact already present: DRed needs the alternatives a fact may
-       survive a retraction through. It stays value-based: resolve once,
-       at the recording boundary, off the hot dedup path *)
+       survive a retraction through. Interned as the store is: the
+       parents are the store's fact arrays, and no id here is a
+       worker's scratch id (the merge re-interned those) *)
     (match st.sup with
      | Some sup ->
-         let fact = resolve_ifact st ifact in
-         if fresh then Support.note_fact sup a.ca_pred fact;
-         Support.record sup ~rule_id:prep.rid
-           ~parents:(resolve_parents st (trail_parents st)) ~nulls a.ca_pred
-           fact
+         if fresh then Support.note_fact sup a.ca_pred ifact;
+         Support.record sup ~rule_id:prep.rid ~parents:(trail_parents st)
+           ~nulls a.ca_pred ifact
      | None -> ());
     if fresh then on_new a.ca_pred ifact
   in
@@ -837,8 +830,7 @@ let fire st env (prep : prepared) ~on_new =
           (match st.sup with
            | Some sup ->
                Support.record_suppressed sup ~rule_id:prep.rid
-                 ~parents:(resolve_parents st (trail_parents st))
-                 ~image:(resolve_parents st image)
+                 ~parents:(trail_parents st) ~image
            | None -> ());
           true
       | None ->
@@ -850,9 +842,9 @@ let fire st env (prep : prepared) ~on_new =
       let invented =
         List.map
           (fun x ->
-            let id, k = fresh_null st in
+            let id = fresh_null st in
             env_bind env x id;
-            k)
+            id)
           prep.existentials
       in
       List.iter (add_head invented) prep.cheads;
@@ -1092,7 +1084,7 @@ type agg_match = {
   am_group : Value.t list;
   am_key : Value.t list;
   am_weight : Value.t;
-  am_parents : (string * Database.fact) list;
+  am_parents : Support.fact list;
 }
 
 (* a monotonic aggregate rule compiled against a dictionary *)
@@ -1116,18 +1108,29 @@ let agg_rule db (r : Rule.rule) =
   in
   find 0
 
+(* One walk state and environment for any number of listings over one
+   store: each listing leaves both as it found them *)
+type lister = { ls_st : run_state; ls_env : env }
+
+let lister db = { ls_st = walk_state db ~keep_trail:true; ls_env = env_create () }
+
+let check_dict db ar =
+  if Database.dict db != ar.ar_dict then
+    invalid_arg "Engine.agg_matches: rule compiled for another dictionary"
+
 (* The matches of the rule's prefix, in the walker's order: through one
    fact (at every prefix literal it fits, so a match using it twice is
    listed twice), or of the groups agreeing with a key (a value, or
    [None] for any, per group variable). A group walk binds only the
    group variables of the first positive prefix literal and checks the
    others on each match: its probes are then those of a delta round
-   over that literal, instead of an index on every group variable. *)
-let agg_matches db { ar_dict; ar_prep = prep; ar_lit = j; ar_agg = g } source =
-  if Database.dict db != ar_dict then
-    invalid_arg "Engine.agg_matches: rule compiled for another dictionary";
-  let st = walk_state db ~keep_trail:true in
-  let env = env_create () and keyv = sort_key prep and out = ref [] in
+   over that literal, instead of an index on every group variable. The
+   parents are the trail's, as the store holds them. *)
+let list_matches { ls_st = st; ls_env = env }
+    ({ ar_prep = prep; ar_lit = j; ar_agg = g; _ } as ar) source =
+  let db = st.db in
+  check_dict db ar;
+  let keyv = sort_key prep and out = ref [] in
   let prefix = List.init j Fun.id in
   let gv = List.assoc j prep.group_vars in
   (* [key] compared as ids: a value never interned matches nothing *)
@@ -1143,10 +1146,11 @@ let agg_matches db { ar_dict; ar_prep = prep; ar_lit = j; ar_agg = g } source =
           out :=
             { am_group; am_key;
               am_weight = Expr.eval_fn (env_value st env) g.Rule.weight;
-              am_parents = resolve_parents st (trail_parents st) }
+              am_parents = trail_parents st }
             :: !out
         end)
   in
+  let mark = env_mark env in
   (match source with
    | `Group key ->
        let anchor =
@@ -1161,42 +1165,55 @@ let agg_matches db { ar_dict; ar_prep = prep; ar_lit = j; ar_agg = g } source =
            | _ -> ())
          gv key;
        list ~key prefix
-   | `Fact (pred, fact) ->
-       let ifact = Database.find_fact db fact in
+   | `Fact (pred, (f : Database.ifact)) ->
        Array.iteri
          (fun i lit ->
-           match (lit, ifact) with
-           | CPos a, Some f when i < j && a.ca_pred = pred ->
+           match lit with
+           | CPos a when i < j && a.ca_pred = pred ->
                list ~delta:(i, delta_group [ f ]) (i :: List.filter (( <> ) i) prefix)
            | _ -> ())
          prep.cbody);
+  env_undo env mark;
   List.rev !out
 
-(* The keys of the groups whose heads include [(pred, fact)]: read off a
+let agg_matches db ar source =
+  check_dict db ar;
+  match source with
+  | `Group key -> list_matches (lister db) ar (`Group key)
+  | `Fact (pred, fact) -> (
+      match Database.find_fact db fact with
+      | Some f -> list_matches (lister db) ar (`Fact (pred, f))
+      | None -> [])
+
+(* The keys of the groups whose heads include [(pred, f)]: read off a
    head atom that binds every group variable, else listed with the
    values it binds. *)
-let agg_head_groups db ({ ar_prep = prep; ar_lit = j; _ } as ar) (pred, fact) =
+let head_groups ({ ls_st = st; ls_env = env } as ls)
+    ({ ar_prep = prep; ar_lit = j; _ } as ar) (pred, (f : Database.ifact)) =
   let gv = List.assoc j prep.group_vars in
-  let st = walk_state db ~keep_trail:false and env = env_create () in
-  let ifact = Database.find_fact db fact in
   List.concat_map
     (fun a ->
       let mark = env_mark env in
       let key =
-        match ifact with
-        | Some f
-          when a.ca_pred = pred && Array.length a.ca_args = Array.length f
-               && unify env a.ca_args f 0 ->
-            Some (List.map (env_value st env) gv)
-        | _ -> None
+        if
+          a.ca_pred = pred
+          && Array.length a.ca_args = Array.length f
+          && unify env a.ca_args f 0
+        then Some (List.map (env_value st env) gv)
+        else None
       in
       env_undo env mark;
       match key with
       | None -> []
       | Some key when List.for_all Option.is_some key -> [ List.map Option.get key ]
-      | Some key -> List.map (fun m -> m.am_group) (agg_matches db ar (`Group key)))
+      | Some key -> List.map (fun m -> m.am_group) (list_matches ls ar (`Group key)))
     prep.cheads
   |> List.sort_uniq (List.compare Value.compare)
+
+let agg_head_groups db ar (pred, fact) =
+  match Database.find_fact db fact with
+  | Some f -> head_groups (lister db) ar (pred, f)
+  | None -> []
 
 (* Stratified-aggregate rule: walk the prefix and fold every match into
    its group, then walk the suffix per group with only the group
@@ -1861,15 +1878,16 @@ let checkpoint ?(every = default_checkpoint_every) ?(keep = 0)
     ?(label = "chase") dir =
   { ck_dir = dir; ck_every = max 1 every; ck_label = label; ck_keep = keep }
 
-(* v5: facts and deltas are stored as interned [int array]s together
-   with the dictionary (p_dict); loading re-interns the dictionary into
-   the target database and remaps the ids. v4 dropped v3's
-   first-derivation table from the payload, v5 the support's null ->
-   creating-parents table (the entries name them); any other version is
-   rejected by [Snapshot.load]'s version check, so an old file fails
-   with a Storage error instead of being unmarshalled as the wrong
-   type. *)
-let ck_version = 5
+(* v6: facts, deltas and the support are stored over interned ids
+   together with the dictionary (p_dict); loading re-interns the
+   dictionary into the target database and remaps every id, the
+   support's included. v4 dropped v3's first-derivation table from the
+   payload, v5 the support's null -> creating-parents table (the entries
+   name them), v6 keys the support by ids instead of values; any other
+   version is rejected by [Snapshot.load]'s version check, so an old
+   file fails with a Storage error instead of being unmarshalled as the
+   wrong type. *)
+let ck_version = 6
 let ck_kind label = "chase-" ^ label
 
 let latest_checkpoint ?(label = "chase") dir =
@@ -1887,22 +1905,75 @@ type ck_payload = {
   p_deltas : int list;     (* reverse chronological, as the loop keeps it *)
   p_added : int;
   p_nulls : int;           (* global null counter *)
-  p_dict : Value.t array;  (* interned values in id order; [p_facts] and
-                              [p_delta] ids index into it *)
+  p_dict : Value.t array;  (* interned values in id order; the ids of
+                              [p_facts], [p_delta] and [p_sup] index
+                              into it *)
   p_facts : (string * Database.ifact list) list;
   p_delta : (string * Database.ifact list) list;
   p_ctrs : rule_ctr array;
   p_agg : (int * agg_state) list;
-  p_sup : Support.t option;
+  p_sup : Support.image option;
       (* the full derivation support, so a resumed run stays
-         incrementally maintainable and explain-able. Pure data
-         (hashtables, refs, lists of values), so Marshal round-trips
-         it; per-fact entry lists are preserved verbatim, which keeps
-         explanation output identical across resume. *)
+         incrementally maintainable and explain-able; per-fact entry
+         lists are preserved verbatim, which keeps explanation output
+         identical across resume. *)
 }
 
 let program_fingerprint program =
   Digest.to_hex (Digest.string (Rule.program_to_string program))
+
+(* ------------------------------------------------------------------ *)
+(* A program compiled for one dictionary: everything a pass over it
+   needs before it looks at a fact, computed once. [run] compiles per
+   call; a maintenance layer compiles each phase once per session and
+   hands it to every [run_delta]. *)
+
+type compiled = {
+  c_program : Rule.program;
+  c_dict : Intern.t;
+  c_analysis : Analysis.t;
+  c_prepared : prepared list;
+  c_rule_strata : int array;
+  c_by_stratum : prepared list array;  (* each stratum's rules, in order *)
+  c_texts : string array;  (* [rs_rule] of each rule *)
+}
+
+(* the checks a program passes before a pass touches the store *)
+let analyse (program : Rule.program) =
+  (match Analysis.safety_report program with
+   | [] -> ()
+   | errs ->
+       Kgm_error.validate_error "unsafe program:@ %s" (String.concat "; " errs));
+  Analysis.stratify program
+
+let compile_analysed ~options ?rule_ids analysis db (program : Rule.program) =
+  let prepared =
+    List.mapi
+      (fun i r ->
+        prepare
+          ?rid:(Option.map (fun a -> a.(i)) rule_ids)
+          (Database.dict db) i
+          (if options.reorder_body then reorder_rule db r else r))
+      program.Rule.rules
+  in
+  let rule_strata = Analysis.rule_strata analysis program in
+  { c_program = program;
+    c_dict = Database.dict db;
+    c_analysis = analysis;
+    c_prepared = prepared;
+    c_rule_strata = rule_strata;
+    c_by_stratum =
+      Array.init (List.length analysis.Analysis.strata) (fun s ->
+          List.filter (fun p -> rule_strata.(p.rule_id) = s) prepared);
+    c_texts =
+      Array.of_list
+        (List.map (fun p -> Format.asprintf "%a" Rule.pp_rule p.rule) prepared) }
+
+let compile ?(options = default_options) ?rule_ids db program =
+  compile_analysed ~options ?rule_ids (analyse program) db program
+
+let rule_strata c = c.c_rule_strata
+let n_strata c = Array.length c.c_by_stratum
 
 (* ------------------------------------------------------------------ *)
 (* The chase loop.
@@ -1922,22 +1993,26 @@ let program_fingerprint program =
    the entry point's. *)
 
 type start =
-  | Full
+  | Full of Rule.program * Analysis.t  (* checked before the store is touched *)
   | Seeded of {
-      seed : (string * Database.fact list) list;
+      compiled : compiled;
+      seed : (string * Database.ifact list) list;
       wholesale : int -> bool;
-      on_new : (string -> Database.fact -> unit) option;
+      on_new : (string -> Database.ifact -> unit) option;
     }
 
 let chase start ?(options = default_options) ?support
     ?(telemetry = Kgm_telemetry.null)
     ?(journal = Kgm_telemetry.Journal.null)
     ?(cancel = Kgm_resilience.Token.none) ?checkpoint ?resume_from
-    ?rule_ids ?(agg_init = []) ?pool (program : Rule.program) db =
-  let seeded, seed, wholesale, on_new =
+    ?rule_ids ?(agg_init = []) ?pool db =
+  let program, seeded, seed, wholesale, on_new =
     match start with
-    | Full -> (false, [], (fun _ -> true), None)
-    | Seeded { seed; wholesale; on_new } -> (true, seed, wholesale, on_new)
+    | Full (program, _) -> (program, false, [], (fun _ -> true), None)
+    | Seeded { compiled; seed; wholesale; on_new } ->
+        if compiled.c_dict != Database.dict db then
+          invalid_arg "Engine.run_delta: program compiled for another dictionary";
+        (compiled.c_program, true, seed, wholesale, on_new)
   in
   Kgm_telemetry.with_span telemetry ~cat:"engine"
     ~args:[ ("rules", string_of_int (List.length program.Rule.rules)) ]
@@ -1948,14 +2023,14 @@ let chase start ?(options = default_options) ?support
      did not pass one; it is returned in [stats.support] *)
   let support =
     match support with
-    | Some _ -> support
-    | None -> if options.provenance then Some (Support.create ()) else None
+    | Some sup ->
+        if Support.dict sup != Database.dict db then
+          invalid_arg "Engine.run: support over another dictionary";
+        support
+    | None ->
+        if options.provenance then Some (Support.create (Database.dict db))
+        else None
   in
-  (match Analysis.safety_report program with
-   | [] -> ()
-   | errs ->
-       Kgm_error.validate_error "unsafe program:@ %s" (String.concat "; " errs));
-  let analysis = Analysis.stratify program in
   let fingerprint = lazy (program_fingerprint program) in
   let ck_label =
     match checkpoint with Some c -> c.ck_label | None -> "chase"
@@ -1973,9 +2048,10 @@ let chase start ?(options = default_options) ?support
     | s -> s
   in
   (* Load a snapshot and remap its ids through its serialized
-     dictionary into [db]'s, so the returned payload's ids are valid in
-     [db] and [p_dict] is spent. *)
-  let resume : ck_payload option =
+     dictionary into [db]'s, so the returned payload's facts are valid
+     in [db] and [p_dict] is spent; the remapping comes along for the
+     support's image. *)
+  let resume : (ck_payload * int array) option =
     Option.map
       (fun path ->
         let (p : ck_payload) =
@@ -1992,10 +2068,11 @@ let chase start ?(options = default_options) ?support
         let rf (pr, fl) =
           (pr, List.map (fun f -> Array.map (fun id -> remap.(id)) f) fl)
         in
-        { p with
-          p_dict = [||];
-          p_facts = List.map rf p.p_facts;
-          p_delta = List.map rf p.p_delta })
+        ( { p with
+            p_dict = [||];
+            p_facts = List.map rf p.p_facts;
+            p_delta = List.map rf p.p_delta },
+          remap ))
       resume_from
   in
   (* a seeded pass runs over a store that already holds them *)
@@ -2017,7 +2094,7 @@ let chase start ?(options = default_options) ?support
   List.iter (fun (id, s) -> Hashtbl.replace st.agg_states id s) agg_init;
   (match resume with
    | None -> ()
-   | Some p ->
+   | Some (p, remap) ->
        (* replay the snapshot: facts in insertion order (dedup against
           whatever the caller pre-loaded), exact null counter, counters,
           aggregate and support state *)
@@ -2032,11 +2109,19 @@ let chase start ?(options = default_options) ?support
          p.p_ctrs;
        List.iter (fun (id, s) -> Hashtbl.replace st.agg_states id s) p.p_agg;
        (match support, p.p_sup with
-        | Some into, Some src -> Support.absorb ~into src
+        | Some into, Some img ->
+            Support.absorb ~into ~remap:(fun id -> remap.(id)) img
         | _ -> ()));
-  let seed =
-    List.map (fun (p, fs) -> (p, List.map (Database.intern_fact db) fs)) seed
+  let resume = Option.map fst resume in
+  (* compiled after the facts are in: constants are interned after them,
+     and [reorder_body] sees the loaded cardinalities *)
+  let cp =
+    match start with
+    | Full (program, analysis) ->
+        compile_analysed ~options ?rule_ids analysis db program
+    | Seeded { compiled; _ } -> compiled
   in
+  let analysis = cp.c_analysis in
   if Journal.enabled journal then
     Journal.emit journal "run.start"
       ([ ("mode", J.Str (if seeded then "delta" else "chase"));
@@ -2050,17 +2135,7 @@ let chase start ?(options = default_options) ?support
         let n = List.fold_left (fun n (_, fs) -> n + List.length fs) 0 seed in
         [ ("seed", J.Int n) ]
       else [ ("resumed", J.Bool (Option.is_some resume)) ]);
-  let prepared =
-    List.mapi
-      (fun i r ->
-        prepare
-          ?rid:(Option.map (fun a -> a.(i)) rule_ids)
-          (Database.dict db) i
-          (if options.reorder_body then reorder_rule db r else r))
-      program.Rule.rules
-  in
-  let rule_strata = Analysis.rule_strata analysis program in
-  let n_strata = List.length analysis.Analysis.strata in
+  let n_strata = n_strata cp in
   (* a seeded pass is delta rounds by construction, and maintenance
      deltas are tiny relative to the saturated store: it always plans
      (written-order plans probe the whole closure once per seed fact)
@@ -2109,7 +2184,7 @@ let chase start ?(options = default_options) ?support
             p_agg =
               Hashtbl.fold (fun id s acc -> (id, s) :: acc) st.agg_states []
               |> List.sort compare;
-            p_sup = st.sup }
+            p_sup = Option.map Support.image st.sup }
         in
         let path =
           Kgm_resilience.Snapshot.path ~dir:cfg.ck_dir
@@ -2162,9 +2237,7 @@ let chase start ?(options = default_options) ?support
   @@ fun () ->
   (try
      for s = start_stratum to n_strata - 1 do
-       let rules_here =
-         List.filter (fun p -> rule_strata.(p.rule_id) = s) prepared
-       in
+       let rules_here = cp.c_by_stratum.(s) in
        if rules_here <> [] then begin
          Kgm_telemetry.with_span telemetry ~cat:"engine"
            ~args:[ ("rules", string_of_int (List.length rules_here)) ]
@@ -2187,8 +2260,7 @@ let chase start ?(options = default_options) ?support
          in
          let record pred fact =
            if seeded then derived := (pred, fact) :: !derived;
-           (* external observers stay value-level *)
-           Option.iter (fun f -> f pred (Database.resolve_fact db fact)) on_new;
+           Option.iter (fun f -> f pred fact) on_new;
            if List.mem pred in_stratum then push pred fact
          in
          let delta_size () =
@@ -2306,7 +2378,7 @@ let chase start ?(options = default_options) ?support
       (fun (prep : prepared) ->
         let c = st.ctrs.(prep.rule_id) in
         { rs_id = prep.rule_id;
-          rs_rule = Format.asprintf "%a" Rule.pp_rule prep.rule;
+          rs_rule = cp.c_texts.(prep.rule_id);
           rs_label = prep.head_label;
           rs_firings = c.c_firings;
           rs_matches = c.c_matches;
@@ -2315,7 +2387,7 @@ let chase start ?(options = default_options) ?support
           rs_chase_hits = c.c_hits;
           rs_chase_misses = c.c_misses;
           rs_time_s = c.c_time })
-      prepared
+      cp.c_prepared
   in
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 per_rule in
   let stats =
@@ -2393,13 +2465,13 @@ let chase start ?(options = default_options) ?support
 
 let run ?options ?support ?telemetry ?journal ?cancel ?checkpoint ?resume_from
     ?rule_ids ?agg_init ?pool program db =
-  chase Full ?options ?support ?telemetry ?journal ?cancel ?checkpoint
-    ?resume_from ?rule_ids ?agg_init ?pool program db
+  chase (Full (program, analyse program)) ?options ?support ?telemetry
+    ?journal ?cancel ?checkpoint ?resume_from ?rule_ids ?agg_init ?pool db
 
 let run_delta ?options ?support ?telemetry ?journal ?cancel ?on_new
-    ?rule_ids ?agg_init ?pool ?(wholesale = fun _ -> false) program db ~seed =
-  chase (Seeded { seed; wholesale; on_new }) ?options ?support ?telemetry
-    ?journal ?cancel ?rule_ids ?agg_init ?pool program db
+    ?agg_init ?pool ?(wholesale = fun _ -> false) compiled db ~seed =
+  chase (Seeded { compiled; seed; wholesale; on_new }) ?options ?support
+    ?telemetry ?journal ?cancel ?agg_init ?pool db
 
 (* Human-readable planning report: what [run] would decide for
    [program] over the current contents of [db] — the strata in
@@ -2508,7 +2580,7 @@ and explain_deriv = {
       (* head-variable substitution grounding the head to the fact,
          existentials bound to the invented nulls; sorted by name *)
   ed_nulls : int list;  (* labeled nulls this derivation invented *)
-  ed_premises : explain_tree list;  (* canonical parent order *)
+  ed_premises : explain_tree list;  (* in value order *)
 }
 
 let default_explain_depth = 32
@@ -2543,16 +2615,19 @@ let head_substitution (r : Rule.rule) pred (fact : Database.fact) =
   in
   Option.value ~default:[] (List.find_map try_atom r.Rule.head)
 
+(* The support is interned; the tree is not: every node's fact is
+   resolved as it is rendered, and premises are ordered by value *)
 let explain_tree ?(max_depth = default_explain_depth) (sup : Support.t)
     (program : Rule.program) pred (fact : Database.fact) =
   let rules = Array.of_list program.Rule.rules in
-  let rec go path depth pred fact =
+  let dict = Support.dict sup in
+  let rec go path depth pred ifact fact =
     let node =
-      match Support.entries sup pred fact with
+      match Support.entries sup pred ifact with
       | [] -> Ground
       | entries ->
           if depth >= max_depth then Truncated
-          else if List.exists (Support.parent_equal (pred, fact)) path then
+          else if List.exists (Support.fact_equal (pred, ifact)) path then
             Cycle
           else begin
             (* entries are most-recent-first: the first-recorded
@@ -2573,16 +2648,28 @@ let explain_tree ?(max_depth = default_explain_depth) (sup : Support.t)
                   (match rule with
                    | Some r -> head_substitution r pred fact
                    | None -> []);
-                ed_nulls = e.se_nulls;
+                ed_nulls =
+                  List.map
+                    (fun id ->
+                      match Intern.resolve dict id with
+                      | Value.Null k -> k
+                      | _ -> id)
+                    e.se_nulls;
                 ed_premises =
                   List.map
-                    (fun (pp, pf) -> go ((pred, fact) :: path) (depth + 1) pp pf)
-                    e.se_parents }
+                    (fun (pp, pf) ->
+                      go ((pred, ifact) :: path) (depth + 1) pp pf
+                        (Array.map (Intern.resolve dict) pf))
+                    (List.sort (Support.compare_value sup) e.se_parents) }
           end
     in
     { et_pred = pred; et_fact = fact; et_depth = depth; et_node = node }
   in
-  go [] 0 pred fact
+  (* a fact with a value never interned has no derivation *)
+  match Array.map (Intern.find dict) fact with
+  | ids when Array.for_all Option.is_some ids ->
+      go [] 0 pred (Array.map Option.get ids) fact
+  | _ -> { et_pred = pred; et_fact = fact; et_depth = 0; et_node = Ground }
 
 let rec pp_explain_tree ppf (t : explain_tree) =
   let pp_fact ppf (p, f) =

@@ -157,8 +157,9 @@ type rule_stats = {
     A monotonic aggregate keeps one accumulator per group across
     rounds; {!run} and {!run_delta} fold into the caller's tables when
     given [?agg_init]. Counting maintenance owns those tables and reads
-    everything else about a group from the store: {!agg_matches} lists
-    the matches that feed it. *)
+    everything else about a group from the store: {!list_matches} lists
+    the matches that feed it. Group keys and accumulators are values;
+    the facts a match consumed are interned. *)
 
 type group_state = {
   seen : unit Database.KeyTbl.t;  (** contributor/dedup keys *)
@@ -186,8 +187,9 @@ type agg_match = {
   am_group : Kgm_common.Value.t list;  (** group key *)
   am_key : Kgm_common.Value.t list;  (** contributor dedup key *)
   am_weight : Kgm_common.Value.t;  (** the weight this match would fold *)
-  am_parents : (string * Database.fact) list;
-      (** the positive body facts matched before the aggregate literal *)
+  am_parents : Support.fact list;
+      (** the positive body facts matched before the aggregate literal,
+          as the store holds them *)
 }
 (** One match of a monotonic aggregate rule's prefix — the literals
     before its aggregate literal. *)
@@ -204,30 +206,51 @@ val agg_rule : Database.t -> Rule.rule -> agg_rule
     sharing [db]'s dictionary. Raises [Invalid_argument] when [r] has
     no monotonic aggregate. *)
 
+type lister
+(** One walk state and environment over one store, reused by every
+    listing made through it: a maintenance batch makes one and lists
+    through it alone. Not shared between domains. *)
+
+val lister : Database.t -> lister
+
+val list_matches :
+  lister -> agg_rule ->
+  [ `Fact of Support.fact | `Group of Kgm_common.Value.t option list ] ->
+  agg_match list
+(** [list_matches l r source] lists the prefix matches of [r]'s
+    monotonic aggregate literal over [l]'s store with the engine's own
+    body walker, in its (written, insertion) order: [`Fact (p, f)] —
+    the matches using the interned fact [f] at some positive prefix
+    literal (a match using it at two is listed twice); [`Group key] —
+    the matches of the groups whose key agrees with [key] (a value, or
+    [None] for any, per group variable; all values name one group).
+    Nothing is folded or fired, and no fact is resolved: only the group
+    key, the contributor key and the weight are values. Under
+    [sum(w, <z>)] a group folds the {e first} match per contributor key
+    it meets, so the list may hold matches the group never folded.
+    Raises [Invalid_argument] when the store does not share the
+    dictionary [r] was compiled against. *)
+
 val agg_matches :
   Database.t -> agg_rule ->
   [ `Fact of string * Database.fact
   | `Group of Kgm_common.Value.t option list ] ->
   agg_match list
-(** [agg_matches db r source] lists the prefix matches of [r]'s
-    monotonic aggregate literal over [db] with the engine's own body
-    walker, in its (written, insertion) order: [`Fact (p, f)] — the
-    matches using [f] at some positive prefix literal (a match using it
-    at two is listed twice); [`Group key] — the matches of the groups
-    whose key agrees with [key] (a value, or [None] for any, per group
-    variable; all values name one group). Nothing is folded or fired,
-    and a fact whose values were never interned has no matches. Under
-    [sum(w, <z>)] a group folds the {e first} match per contributor key
-    it meets, so the list may hold matches the group never folded.
-    Raises [Invalid_argument] when [db] does not share the dictionary
-    [r] was compiled against. *)
+(** {!list_matches} through a fresh {!lister} of [db], for a fact given
+    by its values: one whose values were never interned has no
+    matches. *)
+
+val head_groups :
+  lister -> agg_rule -> Support.fact -> Kgm_common.Value.t list list
+(** The keys of the groups that ground a head atom of the rule to the
+    interned fact, sorted: read off the head when it binds every group
+    variable, else from {!list_matches} with the values it binds. *)
 
 val agg_head_groups :
   Database.t -> agg_rule -> string * Database.fact ->
   Kgm_common.Value.t list list
-(** The keys of the groups that ground a head atom of the rule to the
-    fact, sorted: read off the head when it binds every group variable,
-    else from {!agg_matches} with the values it binds. *)
+(** {!head_groups} through a fresh {!lister}, for a fact given by its
+    values. *)
 
 type stats = {
   rounds : int;      (** fixpoint rounds across all strata *)
@@ -270,7 +293,10 @@ val pp_rule_table : Format.formatter -> stats -> unit
     is expanded — the merge order of the chase is schedule-independent
     and snapshots preserve entry lists verbatim, so the tree (and its
     rendering) is bit-identical across [jobs] values, planner on/off,
-    and checkpoint/resume. *)
+    and checkpoint/resume. The support holds interned facts; the tree
+    resolves them through the support's dictionary as it is built, and
+    orders each derivation's premises by value
+    ({!Support.compare_value}). *)
 
 type explain_tree = {
   et_pred : string;
@@ -292,8 +318,8 @@ and explain_deriv = {
   ed_subst : (string * Kgm_common.Value.t) list;
       (** head-variable substitution grounding the head to the fact,
           existentials bound to the invented nulls; sorted by name *)
-  ed_nulls : int list;  (** labeled nulls this derivation invented *)
-  ed_premises : explain_tree list;  (** canonical parent order *)
+  ed_nulls : int list;  (** labels of the nulls this derivation invented *)
+  ed_premises : explain_tree list;  (** in value order *)
 }
 
 val default_explain_depth : int
@@ -304,8 +330,9 @@ val explain_tree :
   ?max_depth:int -> Support.t -> Rule.program -> string -> Database.fact ->
   explain_tree
 (** [explain_tree sup program pred fact] — the bounded derivation tree
-    of [fact]. A fact with no recorded derivation (extensional, or
-    simply absent) explains as {!Ground}; recursion stops at
+    of [fact], found through the support's dictionary. A fact with no
+    recorded derivation (extensional, simply absent, or holding a value
+    never interned) explains as {!Ground}; recursion stops at
     [max_depth] ({!Truncated}) and on back-edges ({!Cycle}). [program]
     must be the program that was chased — rule ids index into it to
     render rules and recover head substitutions. *)
@@ -318,6 +345,27 @@ val explain_tree_to_string : explain_tree -> string
 
 (** {1 Running programs} *)
 
+type compiled
+(** A program compiled for one dictionary: checked for safety,
+    stratified, its rules prepared against the dictionary (constants
+    interned), grouped by stratum, labelled and printed for
+    {!rule_stats}. Everything a pass needs before it looks at a fact. *)
+
+val compile :
+  ?options:options -> ?rule_ids:int array -> Database.t -> Rule.program ->
+  compiled
+(** [compile db program] compiles [program]'s rules for [db]'s
+    dictionary (shared by every copy of [db]), interning their
+    constants. [rule_ids] as in {!run}; with [options.reorder_body] the
+    bodies are reordered from [db]'s cardinalities now. Raises
+    [Kgm_error.Error] [Validate] on unsafe or unstratifiable programs. *)
+
+val rule_strata : compiled -> int array
+(** Per rule (positional), the stratum it is evaluated in
+    ({!Analysis.rule_strata}). *)
+
+val n_strata : compiled -> int
+
 val run :
   ?options:options -> ?support:Support.t ->
   ?telemetry:Kgm_telemetry.t -> ?journal:Kgm_telemetry.Journal.t ->
@@ -325,8 +373,8 @@ val run :
   ?checkpoint:checkpoint -> ?resume_from:string ->
   ?rule_ids:int array -> ?agg_init:(int * agg_state) list ->
   ?pool:Kgm_pool.pool -> Rule.program -> Database.t -> stats
-(** Load the program's facts into the database and chase its rules to
-    fixpoint, stratum by stratum.
+(** Load the program's facts into the database, {!compile} the
+    program for it and chase its rules to fixpoint, stratum by stratum.
 
     [rule_ids] overrides the {e recording} id of each rule
     (positional): support entries, suppressed firings and aggregate
@@ -396,16 +444,18 @@ val run_delta :
   ?options:options -> ?support:Support.t ->
   ?telemetry:Kgm_telemetry.t -> ?journal:Kgm_telemetry.Journal.t ->
   ?cancel:Kgm_resilience.Token.t ->
-  ?on_new:(string -> Database.fact -> unit) -> ?rule_ids:int array ->
+  ?on_new:(string -> Database.ifact -> unit) ->
   ?agg_init:(int * agg_state) list -> ?pool:Kgm_pool.pool ->
-  ?wholesale:(int -> bool) -> Rule.program -> Database.t ->
-  seed:(string * Database.fact list) list -> stats
+  ?wholesale:(int -> bool) -> compiled -> Database.t ->
+  seed:(string * Database.ifact list) list -> stats
 (** A seeded entry into {!run}'s chase loop, for incremental
-    maintenance. Precondition: [db] already holds a chase fixpoint of
-    [program] plus a batch of new extensional facts, and [seed] lists
-    exactly the facts that are new since that fixpoint (already present
-    in [db]; they are {e not} re-inserted, and [program]'s fact list is
-    ignored).
+    maintenance, over a program {!compile}d once for [db]'s dictionary
+    (else [Invalid_argument]) — a session compiles each phase once and
+    passes it to every pass. Precondition: [db] already holds a chase
+    fixpoint of the program plus a batch of new extensional facts, and
+    [seed] lists exactly the facts that are new since that fixpoint, as
+    interned facts (already present in [db]; they are {e not}
+    re-inserted, and the program's fact list is ignored).
 
     The loop is {!run}'s; only each stratum's first round differs. A
     stratum [s] with [wholesale s] (default: none) starts with round 0,
@@ -425,10 +475,11 @@ val run_delta :
     [options.planner] says — written-order plans probe the whole
     closure once per seed fact, and planning is pure scheduling, so
     [options.planner] only ablates {!run}. [on_new] observes every
-    fact the pass adds; [rule_ids] as in {!run}; [agg_init] as in
+    fact the pass adds, interned; recording ids are the ones the
+    program was compiled with; [agg_init] as in
     {!run}, but here the tables are the saturated accumulators of the
     chase being maintained, so new contributions extend the old totals
-    — required whenever [program] contains a monotonic aggregate
+    — required whenever the program contains a monotonic aggregate
     outside the wholesale strata, otherwise the pass would re-count
     from empty groups; [pool] as in {!run}. Checkpointing is not
     supported here ({!Incremental} states are cheap to rebuild from a

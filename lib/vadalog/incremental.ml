@@ -20,7 +20,7 @@
        cone fact invented are {e at risk}, and every fact carrying one
        joins the cone too (a null is only meaningful while its creating
        derivation stands). {e Counting:} when a cone fact feeds a match
-       of a monotonic aggregate ({!Engine.agg_matches}), the match's
+       of a monotonic aggregate ({!Engine.list_matches}), the match's
        group is {e touched} and its head facts join the cone (the group
        total shrinks, so heads that only ever passed a threshold thanks
        to the dying match must be re-judged — the support graph alone
@@ -36,7 +36,7 @@
        untouched one as its accumulator stands. An at-risk null is
        alive iff all parents of its creating derivation are alive.}
     {- [delete]: cone minus alive is removed in one
-       {!Database.remove_batch} call (survivors keep their relative
+       {!Database.remove_batch_i} call (survivors keep their relative
        order — the determinism invariant), and the support is pruned
        ({!Support.prune}, {!Support.sweep_suppressed}). {e Counting:}
        each touched group's accumulator is refolded from its surviving
@@ -54,7 +54,8 @@
     [Stratified] aggregation are non-monotone, so support entries
     recorded under them are not sound deletion evidence — but that
     only poisons the strata actually containing them. Each phase is
-    stratified once ({!Analysis.stratify}); when the update's affected
+    compiled, and so stratified, once per session ({!Engine.compile});
+    when the update's affected
     closure reaches a rule with stratified negation or aggregation,
     that rule's {e stratum} is marked {e wholesale} ({!Engine.run_delta}'s
     [?wholesale]) and re-derived on top of the already-maintained lower
@@ -74,7 +75,7 @@ module J = Kgm_telemetry.Json
 (** One profiled monotonic rule ({!Analysis.monotonic_profiles}). Its
     accumulators are the only aggregate state a session keeps: every
     engine pass folds into them ([agg_init]), and everything else about
-    a group is read from the store ({!Engine.agg_matches}). *)
+    a group is read from the store ({!Engine.list_matches}). *)
 type agg_log = {
   lg_rid : int;  (** pipeline-global recording id of the rule *)
   lg_rule : Rule.rule;
@@ -87,27 +88,28 @@ type agg_log = {
           fallback gate fires *)
 }
 
-(** Per-phase stratification, computed once at chase time. Recording
-    ids are pipeline-global: phase [i]'s rule [j] records support,
-    suppressed firings and aggregate state under
-    [metas.(i).pm_rid_base + j]. *)
+(** A phase's rules and recording ids. Recording ids are
+    pipeline-global: phase [i]'s rule [j] records support, suppressed
+    firings and aggregate state under [metas.(i).pm_rid_base + j]. *)
 type phase_meta = {
   pm_rules : Rule.rule array;
-  pm_rule_strata : int array;
   pm_rid_base : int;
-  pm_n_strata : int;
 }
 
 type state = {
   phases : Rule.program list;
   options : Engine.options;
   metas : phase_meta array;
+  mutable compiled : Engine.compiled array;
+      (** each phase compiled once for the session's dictionary, under
+          its recording ids: the program of every seeded pass, and the
+          stratification every plan reads. Rebuilt after a re-chase *)
   agg_tbl : (int, agg_log) Hashtbl.t;  (** recording id -> log *)
   mutable db : Database.t;
   mutable support : Support.t;
   edb : Database.t;
       (** the extensional facts, sharing [db]'s dictionary; changed only
-          when a batch commits ({!Database.apply_batch}) *)
+          when a batch commits ({!Database.apply_batch_i}) *)
   mutable torn : bool;
       (** a {!maintain} raised mid-repair: the store matches neither the
           pre- nor the post-batch EDB, so the next batch re-chases *)
@@ -142,14 +144,8 @@ let build_metas phases =
   let metas =
     List.map
       (fun (ph : Rule.program) ->
-        let analysis = Analysis.stratify ph in
         let rules = Array.of_list ph.Rule.rules in
-        let m =
-          { pm_rules = rules;
-            pm_rule_strata = Analysis.rule_strata analysis ph;
-            pm_rid_base = !base;
-            pm_n_strata = max 1 (List.length analysis.Analysis.strata) }
-        in
+        let m = { pm_rules = rules; pm_rid_base = !base } in
         base := !base + Array.length rules;
         m)
       phases
@@ -174,6 +170,21 @@ let register_agg_logs st =
 
 let phase_rule_ids (m : phase_meta) =
   Array.init (Array.length m.pm_rules) (fun j -> m.pm_rid_base + j)
+
+(* After the phases ran on [db]: every constant is interned already, so
+   compiling adds nothing to the dictionary *)
+let compile_phases st db =
+  Array.of_list
+    (List.mapi
+       (fun i ph ->
+         Engine.compile ~options:st.options
+           ~rule_ids:(phase_rule_ids st.metas.(i)) db ph)
+       st.phases)
+
+(* phase [i]'s stratum per rule, and its strata count (at least 1) *)
+let phase_strata st i =
+  let c = st.compiled.(i) in
+  (Engine.rule_strata c, max 1 (Engine.n_strata c))
 
 (* The logs' accumulators for one engine pass over a phase: the engine
    folds into them in place, which is what keeps them current for the
@@ -231,12 +242,17 @@ let chase_phases ?(options = Engine.default_options) ?telemetry ?journal ~db
              (List.map (fun (p, args) -> (p, Array.of_list args)) ph.Rule.facts)))
     phases;
   let st =
-    { phases; options; metas = build_metas phases; agg_tbl = Hashtbl.create 16;
-      db; support = Support.create (); edb; torn = false; edb_copy_s }
+    { phases; options; metas = build_metas phases; compiled = [||];
+      agg_tbl = Hashtbl.create 16; db;
+      support = Support.create (Database.dict db); edb; torn = false;
+      edb_copy_s }
   in
   register_agg_logs st;
-  (st,
-   run_phases ?telemetry ?journal ~options st ~support:st.support db phases)
+  let stats =
+    run_phases ?telemetry ?journal ~options st ~support:st.support db phases
+  in
+  st.compiled <- compile_phases st db;
+  (st, stats)
 
 let chase ?options ?telemetry ?journal ?(db = Database.create ()) program =
   chase_phases ?options ?telemetry ?journal ~db [ program ]
@@ -305,9 +321,8 @@ type plan = {
 let plan_update st updated =
   let affected = Hashtbl.create 16 in
   List.iter (fun p -> Hashtbl.replace affected p ()) updated;
-  let marked =
-    Array.map (fun (m : phase_meta) -> Array.make m.pm_n_strata false) st.metas
-  in
+  let strata = Array.mapi (fun i _ -> phase_strata st i) st.metas in
+  let marked = Array.map (fun (_, n) -> Array.make n false) strata in
   let wpreds = Hashtbl.create 16 in
   let wholesale_rids = Hashtbl.create 16 in
   let n_marked = ref 0 in
@@ -319,7 +334,7 @@ let plan_update st updated =
     let m = st.metas.(i) in
     Array.iteri
       (fun j r ->
-        if m.pm_rule_strata.(j) = s then begin
+        if (fst strata.(i)).(j) = s then begin
           Hashtbl.replace wholesale_rids (m.pm_rid_base + j) ();
           List.iter
             (fun p ->
@@ -338,7 +353,7 @@ let plan_update st updated =
       (fun i (m : phase_meta) ->
         Array.iteri
           (fun j (r : Rule.rule) ->
-            let s = m.pm_rule_strata.(j) in
+            let s = (fst strata.(i)).(j) in
             if not marked.(i).(s) then begin
               let neg_hit =
                 List.exists
@@ -396,7 +411,7 @@ let plan_update st updated =
             match Hashtbl.find_opt st.agg_tbl (m.pm_rid_base + j) with
             | None -> unprofiled := true
             | Some log ->
-                let wholesale = marked.(i).(m.pm_rule_strata.(j)) in
+                let wholesale = marked.(i).((fst strata.(i)).(j)) in
                 let hit =
                   wholesale
                   || List.exists (Hashtbl.mem affected) (rule_body_preds r)
@@ -431,8 +446,8 @@ let repair_options st = { st.options with Engine.on_limit = `Raise }
    since the global null counter never rewinds. *)
 let rechase ?telemetry ?journal ?pool st ~retracts ~inserts =
   let db = Database.copy st.edb in
-  ignore (Database.apply_batch db ~retracts ~inserts);
-  let support = Support.create () in
+  ignore (Database.apply_batch_i db ~retracts ~inserts);
+  let support = Support.create (Database.dict db) in
   register_agg_logs st;
   ignore
     (run_phases ?telemetry ?journal ?pool ~options:(repair_options st) st
@@ -441,17 +456,18 @@ let rechase ?telemetry ?journal ?pool st ~retracts ~inserts =
        (List.map (fun (ph : Rule.program) -> { ph with Rule.facts = [] })
           st.phases));
   st.db <- db;
-  st.support <- support
+  st.support <- support;
+  st.compiled <- compile_phases st db
 
 (* ------------------------------------------------------------------ *)
 (* Counting maintenance reads a group from the store: its matches
-   ({!Engine.agg_matches}), refolded as the engine folds them. The
+   ({!Engine.list_matches}), refolded as the engine folds them. The
    session keeps nothing per group but the accumulators. *)
 
 (* [log]'s matches from [source]; a negative [sum] weight among them
    trips the fallback gate *)
-let list_matches st log source =
-  let ms = Engine.agg_matches st.db log.lg_agg source in
+let list_matches ls log source =
+  let ms = Engine.list_matches ls log.lg_agg source in
   if
     log.lg_profile.Analysis.ap_agg.Rule.op = Rule.Sum
     && List.exists
@@ -460,17 +476,24 @@ let list_matches st log source =
   then log.lg_neg <- true;
   ms
 
-(* the head facts of [log]'s group [gkey]: a counting profile makes
-   every head variable a group variable *)
-let group_heads log gkey =
+(* the head facts of [log]'s group [gkey], interned — a counting profile
+   makes every head variable a group variable; [None] for one holding a
+   value never interned, which no store holds *)
+let group_heads st log gkey =
+  let dict = Database.dict st.db in
   let bound = List.combine log.lg_profile.Analysis.ap_group_vars gkey in
   List.map
     (fun (a : Rule.atom) ->
-      ( a.Rule.pred,
-        Array.of_list
-          (List.map
-             (function Term.Const v -> v | Term.Var x -> List.assoc x bound)
-             a.Rule.args) ))
+      let ids =
+        List.map
+          (function
+            | Term.Const v -> Intern.find dict v
+            | Term.Var x -> Intern.find dict (List.assoc x bound))
+          a.Rule.args
+      in
+      if List.for_all Option.is_some ids then
+        Some (a.Rule.pred, Array.of_list (List.map Option.get ids))
+      else None)
     log.lg_rule.Rule.head
 
 (* fold [ms] into their groups in [tbl], first match per contributor
@@ -522,15 +545,17 @@ let report telemetry journal u =
       @ [ ("elapsed_s", J.Float u.u_elapsed_s) ])
 
 (* ------------------------------------------------------------------ *)
-(* The repair steps (see the top of this file) *)
+(* The repair steps (see the top of this file). Every fact here is
+   interned — the batch's arrays, the store's, the support's — and every
+   set of facts a {!Support.Tbl}: no step resolves a fact. *)
 
 (* What [overdelete] found *)
 type cone = {
-  cn_facts : (string * Database.fact) list;  (* discovery order *)
+  cn_facts : Support.fact list;  (* discovery order *)
   cn_mem : unit Support.Tbl.t;
   cn_forced : unit Support.Tbl.t;  (* wholesale strata's derived facts *)
   cn_forced_nulls : (int, unit) Hashtbl.t;  (* and the nulls they invented *)
-  cn_risk : (int, (string * Database.fact) list) Hashtbl.t;
+  cn_risk : (int, Support.fact list) Hashtbl.t;
       (* at-risk null -> parents of its creating derivation ([] if forced) *)
   cn_touched : (agg_log * Value.t list) list;  (* touched groups, touch order *)
   cn_matches : Engine.agg_match list Lazy.t Database.KeyTbl.t;
@@ -539,7 +564,7 @@ type cone = {
 
 let gid log gkey = Value.Int log.lg_rid :: gkey
 
-let overdelete st plan ~is_edb retracts =
+let overdelete st plan ls ~is_edb retracts =
   let sup = st.support in
   (* every derived fact of a marked stratum's head predicates is
      discarded (the rerun re-derives what still holds), and so is every
@@ -551,7 +576,7 @@ let overdelete st plan ~is_edb retracts =
       List.iter
         (fun f ->
           if not (is_edb pred f) then begin
-            Support.Tbl.replace forced (Support.key pred f) ();
+            Support.Tbl.replace forced (pred, f) ();
             forced_seeds := (pred, f) :: !forced_seeds;
             List.iter
               (fun (e : Support.entry) ->
@@ -565,7 +590,7 @@ let overdelete st plan ~is_edb retracts =
                   e.se_nulls)
               (Support.entries sup pred f)
           end)
-        (Database.facts st.db pred))
+        (Database.facts_i st.db pred))
     plan.pl_wpreds;
   (* the cone: reverse reachability from the retractions and the forced
      facts *)
@@ -578,11 +603,10 @@ let overdelete st plan ~is_edb retracts =
   List.iter enqueue retracts;
   List.iter enqueue (List.rev !forced_seeds);
   while not (Queue.is_empty queue) do
-    let (p, f) = Queue.pop queue in
-    let k = Support.key p f in
-    if Database.mem st.db p f && not (Support.Tbl.mem cone k) then begin
-      Support.Tbl.add cone k ();
-      order := (p, f) :: !order;
+    let ((p, f) as pf) = Queue.pop queue in
+    if Database.mem_i st.db p f && not (Support.Tbl.mem cone pf) then begin
+      Support.Tbl.add cone pf ();
+      order := pf :: !order;
       let children = Support.children sup p f in
       List.iter enqueue children;
       (* a dying match shrinks its group's total: the group's heads
@@ -594,11 +618,11 @@ let overdelete st plan ~is_edb retracts =
               let gkey = m.Engine.am_group in
               if not (Database.KeyTbl.mem matches (gid log gkey)) then begin
                 Database.KeyTbl.add matches (gid log gkey)
-                  (lazy (list_matches st log (`Group (List.map Option.some gkey))));
+                  (lazy (list_matches ls log (`Group (List.map Option.some gkey))));
                 touched := (log, gkey) :: !touched;
-                List.iter enqueue (group_heads log gkey)
+                List.iter (Option.iter enqueue) (group_heads st log gkey)
               end)
-            (list_matches st log (`Fact (p, f))))
+            (list_matches ls log (`Fact pf)))
         plan.pl_counting;
       (* the nulls a derivation consuming the fact invented are at risk,
          and so is every fact carrying them; that entry names the
@@ -610,7 +634,7 @@ let overdelete st plan ~is_edb retracts =
               (fun (e : Support.entry) ->
                 if
                   e.se_nulls <> []
-                  && List.exists (Support.parent_equal (p, f)) e.se_parents
+                  && List.exists (Support.fact_equal pf) e.se_parents
                 then
                   List.iter
                     (fun n ->
@@ -628,10 +652,9 @@ let overdelete st plan ~is_edb retracts =
     cn_touched = List.rev !touched; cn_matches = matches }
 
 (* inside the cone, as [alive] has decided so far; outside, iff stored *)
-let fact_alive st cone alive (p, f) =
-  let k = Support.key p f in
-  if Support.Tbl.mem cone.cn_mem k then Support.Tbl.mem alive k
-  else Database.mem st.db p f
+let fact_alive st cone alive ((p, f) as pf) =
+  if Support.Tbl.mem cone.cn_mem pf then Support.Tbl.mem alive pf
+  else Database.mem_i st.db p f
 
 (* touched group [gkey]'s matches with all parents alive *)
 let alive_matches st cone alive log gkey =
@@ -644,7 +667,7 @@ let alive_matches st cone alive log gkey =
    or its nulls are alive and it has DRed or counting evidence; an
    at-risk null is alive iff all parents of its creating derivation
    are. Returns the alive facts and nulls. *)
-let alive st plan ~is_edb cone =
+let alive st plan ls ~is_edb cone =
   let alive = Support.Tbl.create 256 and alive_nulls = Hashtbl.create 16 in
   let null_alive n =
     (not (Hashtbl.mem cone.cn_risk n)) || Hashtbl.mem alive_nulls n
@@ -658,7 +681,7 @@ let alive st plan ~is_edb cone =
   (* counting evidence: a group of a head atom the fact grounds still
      passes — a touched one refolded from its matches with all parents
      alive, an untouched one as its accumulator stands *)
-  let counting_evidence p f =
+  let counting_evidence pf =
     List.exists
       (fun log ->
         List.exists
@@ -667,24 +690,23 @@ let alive st plan ~is_edb cone =
               let tbl = Database.KeyTbl.create 1 in
               holds log (refold log tbl (alive_matches st cone alive log gkey)) gkey
             else holds log log.lg_state gkey)
-          (Engine.agg_head_groups st.db log.lg_agg (p, f)))
+          (Engine.head_groups ls log.lg_agg pf))
       plan.pl_counting
   in
   let changed = ref true in
   while !changed do
     changed := false;
     List.iter
-      (fun (p, f) ->
-        let k = Support.key p f in
+      (fun ((p, f) as pf) ->
         if
-          (not (Support.Tbl.mem alive k))
-          && (not (Support.Tbl.mem cone.cn_forced k))
+          (not (Support.Tbl.mem alive pf))
+          && (not (Support.Tbl.mem cone.cn_forced pf))
           && (is_edb p f
-             || List.for_all null_alive (Support.fact_nulls f)
+             || List.for_all null_alive (Support.fact_nulls st.support f)
                 && (List.exists entry_evidence (Support.entries st.support p f)
-                   || counting_evidence p f))
+                   || counting_evidence pf))
         then begin
-          Support.Tbl.add alive k ();
+          Support.Tbl.add alive pf ();
           changed := true
         end)
       cone.cn_facts;
@@ -705,14 +727,15 @@ let alive st plan ~is_edb cone =
 (* What [delete] leaves [reseed] *)
 type deletion = {
   dl_deleted : int;
-  dl_refire : (string * Database.fact) list list;
-      (* parents of the suppressed firings to re-attempt, recording order *)
-  dl_regrow : (string * Database.fact) list;
+  dl_refire : Support.fact list list;
+      (* parents of the suppressed firings to re-attempt, recording order,
+         each firing's in value order *)
+  dl_regrow : Support.fact list;
       (* surviving parents of the groups to regrow *)
 }
 
 (* The negative-weight gate, then cone minus alive goes in one
-   {!Database.remove_batch} call (survivors keep their relative order —
+   {!Database.remove_batch_i} call (survivors keep their relative order —
    the determinism invariant), the touched groups are refolded, and the
    support is pruned. [None] when the gate trips: the batch re-chases. *)
 let delete ~journal st plan cone (alive, alive_nulls) =
@@ -723,17 +746,14 @@ let delete ~journal st plan cone (alive, alive_nulls) =
     cone.cn_touched;
   if List.exists (fun log -> log.lg_neg) plan.pl_counting then None
   else begin
-    let dead (p, f) =
-      let k = Support.key p f in
-      Support.Tbl.mem cone.cn_mem k && not (Support.Tbl.mem alive k)
-    in
+    let dead pf = Support.Tbl.mem cone.cn_mem pf && not (Support.Tbl.mem alive pf) in
     let dead_facts = List.filter dead cone.cn_facts in
     let dead_nulls =
       Hashtbl.fold
         (fun n _ acc -> if Hashtbl.mem alive_nulls n then acc else n :: acc)
         cone.cn_risk []
     in
-    let deleted = Database.remove_batch st.db dead_facts in
+    let deleted = Database.remove_batch_i st.db dead_facts in
     (* each touched group's accumulator is refolded from its surviving
        matches; one that now passes with a head missing is dropped
        instead, and its survivors' parents join the seeds, so the pass
@@ -744,10 +764,13 @@ let delete ~journal st plan cone (alive, alive_nulls) =
           let state = log.lg_state in
           let ms = alive_matches st cone alive log gkey in
           Database.KeyTbl.remove state gkey;
-          let missing (p, f) = not (Database.mem st.db p f) in
+          let missing = function
+            | Some (p, f) -> not (Database.mem_i st.db p f)
+            | None -> true
+          in
           if
             holds log (refold log state ms) gkey
-            && List.exists missing (group_heads log gkey)
+            && List.exists missing (group_heads st log gkey)
           then begin
             Database.KeyTbl.remove state gkey;
             List.concat_map (fun (m : Engine.agg_match) -> m.Engine.am_parents) ms
@@ -772,7 +795,7 @@ let delete ~journal st plan cone (alive, alive_nulls) =
     Support.prune st.support ~dead dead_facts ~nulls:dead_nulls ~void
       ~kept:
         (List.concat_map
-           (fun p -> List.map (fun f -> (p, f)) (Database.facts st.db p))
+           (fun p -> List.map (fun f -> (p, f)) (Database.facts_i st.db p))
            plan.pl_wpreds);
     Hashtbl.iter
       (fun rid (log : agg_log) ->
@@ -782,8 +805,14 @@ let delete ~journal st plan cone (alive, alive_nulls) =
        their rerun, so their records just drop; elsewhere, drop the
        ones whose body died and re-attempt the ones whose witness image
        died (chronological recording order, so the seed order — and
-       with it null numbering — is deterministic) *)
-    let refire = Support.sweep_suppressed st.support ~dead ~void in
+       with it null numbering — is deterministic). A firing's parents
+       seed in value order, which, unlike id order, does not depend on
+       the order values were interned in *)
+    let refire =
+      List.map
+        (List.sort (Support.compare_value st.support))
+        (Support.sweep_suppressed st.support ~dead ~void)
+    in
     Some { dl_deleted = deleted; dl_refire = refire; dl_regrow = regrow }
   end
 
@@ -797,20 +826,20 @@ let reseed ~telemetry ~journal ?pool st plan ~is_edb ~inserts del =
      seed: its consequences already exist *)
   let fresh =
     List.filter
-      (fun (p, f) -> (not (is_edb p f)) && Database.add st.db p f)
+      (fun (p, f) -> (not (is_edb p f)) && Database.add_i st.db p f)
       inserts
   in
   (* the seeds, each once, per predicate in insertion order *)
   let seeds = Database.create ~dict:(Database.dict st.db) () in
   ignore
-    (Database.apply_batch seeds ~retracts:[]
+    (Database.apply_batch_i seeds ~retracts:[]
        ~inserts:
          (fresh
          @ List.filter
-             (fun (p, f) -> Database.mem st.db p f)
+             (fun (p, f) -> Database.mem_i st.db p f)
              (List.concat del.dl_refire @ del.dl_regrow)));
   let seed =
-    List.map (fun p -> (p, Database.facts seeds p)) (Database.predicates seeds)
+    List.map (fun p -> (p, Database.facts_i seeds p)) (Database.predicates seeds)
   in
   (* later phases must also see what earlier phases of this same batch
      derived, exactly as they would in a fresh pipeline *)
@@ -823,7 +852,7 @@ let reseed ~telemetry ~journal ?pool st plan ~is_edb ~inserts del =
   in
   let derived = ref 0 and rounds = ref 0 in
   List.iteri
-    (fun i (ph : Rule.program) ->
+    (fun i (_ : Rule.program) ->
       let m = st.metas.(i) in
       let marked = plan.pl_marked.(i) in
       let phase_seed = seed @ List.rev_map (fun (p, f) -> (p, [ f ])) !extra in
@@ -840,9 +869,8 @@ let reseed ~telemetry ~journal ?pool st plan ~is_edb ~inserts del =
       if relevant then begin
         let stats =
           Engine.run_delta ~options:(repair_options st) ~support:st.support
-            ~telemetry ~journal ?pool ~on_new ~rule_ids:(phase_rule_ids m)
-            ~agg_init:(agg_init_for st m) ~wholesale:(Array.get marked) ph
-            st.db ~seed:phase_seed
+            ~telemetry ~journal ?pool ~on_new ~agg_init:(agg_init_for st m)
+            ~wholesale:(Array.get marked) st.compiled.(i) st.db ~seed:phase_seed
         in
         note_negatives st stats;
         derived := !derived + stats.Engine.new_facts;
@@ -851,17 +879,42 @@ let reseed ~telemetry ~journal ?pool st plan ~is_edb ~inserts del =
     st.phases;
   (!derived, !rounds)
 
+(* the steps a batch's time splits into, as [incremental.<step>]
+   histograms *)
+let steps = [| "plan"; "overdelete"; "alive"; "delete"; "reseed"; "commit" |]
+
 let maintain ?(telemetry = Kgm_telemetry.null)
     ?(journal = Kgm_telemetry.Journal.null) ?pool st ~inserts ~retracts =
   let t0 = Kgm_telemetry.Clock.now () in
-  (* retractions only make sense against the EDB; a derived fact would
-     simply be rederived. Until the batch commits, a fact is extensional
-     iff the EDB store holds it and [gone] (this batch's retractions,
-     each once) does not *)
-  let retracts = List.filter (fun (p, f) -> Database.mem st.edb p f) retracts in
+  (* with an enabled collector, each step is a lap: the time since the
+     previous lap, so the steps add up to the batch *)
+  let timed = Kgm_telemetry.enabled telemetry in
+  let laps = Array.make (Array.length steps) 0. and last = ref t0 in
+  let lap_at i now =
+    laps.(i) <- laps.(i) +. (now -. !last);
+    last := now
+  in
+  let lap i = if timed then lap_at i (Kgm_telemetry.Clock.now ()) in
+  (* the batch, interned once: an insert's array is the one the store and
+     the EDB keep. A value never interned is in no store, so a
+     retraction naming one is a no-op; and retractions only make sense
+     against the EDB — a derived fact would simply be rederived. Until
+     the batch commits, a fact is extensional iff the EDB store holds it
+     and [gone] (this batch's retractions, each once) does not *)
+  let inserts =
+    List.map (fun (p, f) -> (p, Database.intern_fact st.edb f)) inserts
+  in
+  let retracts =
+    List.filter_map
+      (fun (p, f) ->
+        match Database.find_fact st.edb f with
+        | Some f when Database.mem_i st.edb p f -> Some (p, f)
+        | _ -> None)
+      retracts
+  in
   let gone = Database.create ~dict:(Database.dict st.edb) () in
-  ignore (Database.apply_batch gone ~retracts:[] ~inserts:retracts);
-  let is_edb p f = Database.mem st.edb p f && not (Database.mem gone p f) in
+  ignore (Database.apply_batch_i gone ~retracts:[] ~inserts:retracts);
+  let is_edb p f = Database.mem_i st.edb p f && not (Database.mem_i gone p f) in
   if Journal.enabled journal then
     Journal.emit journal "maintain.start"
       [ ("inserts", J.Int (List.length inserts));
@@ -872,6 +925,7 @@ let maintain ?(telemetry = Kgm_telemetry.null)
   let by_rechase () =
     rechase ~telemetry ~journal ?pool st ~retracts ~inserts;
     st.torn <- false;
+    lap 4;
     { u_inserted = 0; u_retracted = 0; u_cone = 0; u_rederived = 0;
       u_deleted = 0; u_refired = 0; u_derived = 0; u_rounds = 0;
       u_strata = 0; u_agg_groups = 0; u_fallback = true; u_elapsed_s = 0. }
@@ -882,15 +936,23 @@ let maintain ?(telemetry = Kgm_telemetry.null)
     if st.torn then by_rechase ()
     else
       let plan = plan_update st updated in
+      lap 0;
       if updated <> [] && plan.pl_fallback then by_rechase ()
       else
-        let cone = overdelete st plan ~is_edb retracts in
+        (* one walk state and environment for the batch's listings *)
+        let ls = Engine.lister st.db in
+        let cone = overdelete st plan ls ~is_edb retracts in
+        lap 1;
         (* sizes first: nothing of the cone may stay reachable through
            [reseed]'s engine pass, whose minor collections would promote
            it *)
         let cone_n = List.length cone.cn_facts in
         let groups = List.length cone.cn_touched in
-        match delete ~journal st plan cone (alive st plan ~is_edb cone) with
+        let survivors = alive st plan ls ~is_edb cone in
+        lap 2;
+        let del = delete ~journal st plan cone survivors in
+        lap 3;
+        match del with
         | None -> by_rechase ()
         | Some del ->
             let deleted = del.dl_deleted in
@@ -898,6 +960,7 @@ let maintain ?(telemetry = Kgm_telemetry.null)
             let derived, rounds =
               reseed ~telemetry ~journal ?pool st plan ~is_edb ~inserts del
             in
+            lap 4;
             { u_inserted = 0; u_retracted = 0; u_cone = cone_n;
               u_rederived = cone_n - deleted; u_deleted = deleted;
               u_refired = refired; u_derived = derived; u_rounds = rounds;
@@ -914,12 +977,19 @@ let maintain ?(telemetry = Kgm_telemetry.null)
   | stats ->
       (* the commit: after the repair returned, and it cannot raise *)
       let u_retracted, u_inserted =
-        Database.apply_batch st.edb ~retracts ~inserts
+        Database.apply_batch_i st.edb ~retracts ~inserts
       in
+      let t1 = Kgm_telemetry.Clock.now () in
       let stats =
-        { stats with u_inserted; u_retracted;
-          u_elapsed_s = Kgm_telemetry.Clock.now () -. t0 }
+        { stats with u_inserted; u_retracted; u_elapsed_s = t1 -. t0 }
       in
+      if timed then begin
+        lap_at 5 t1;
+        Array.iteri
+          (fun i step ->
+            Kgm_telemetry.observe telemetry ("incremental." ^ step) laps.(i))
+          steps
+      end;
       report telemetry journal stats;
       stats
 
@@ -946,6 +1016,11 @@ let rec rename seen v =
       Value.Null i
   | Value.List l -> Value.List (List.map (rename seen) l)
   | v -> v
+
+let rec has_null = function
+  | Value.Null _ -> true
+  | Value.List l -> List.exists has_null l
+  | _ -> false
 
 let local_pattern (f : Database.fact) =
   let seen = Hashtbl.create 4 in
@@ -1031,7 +1106,7 @@ let iso_facts a b =
       in
       go 0 []
   in
-  let fact_has_null f = Support.fact_nulls f <> [] in
+  let fact_has_null f = Array.exists has_null f in
   (* consecutive grouping of a pattern-sorted (pattern, fact) list *)
   let group_null_facts facts =
     facts

@@ -18,8 +18,9 @@
       too. Restricted-chase firings that were suppressed because their
       image already existed are re-attempted when that image dies.
 
-    Maintenance is {e stratum-aware}: each phase is stratified once
-    ({!Analysis.stratify}) and non-monotone constructs only poison the
+    Maintenance is {e stratum-aware}: each phase is compiled, and so
+    stratified, once per session ({!Engine.compile}; again after a
+    re-chase) and non-monotone constructs only poison the
     strata that contain them. A stratum the update reaches through
     stratified negation or [Stratified] aggregation is marked
     {e wholesale} — its derived facts are force-deleted through the
@@ -30,7 +31,7 @@
     (the paper's [msum]) are maintained by {e counting}. The state
     keeps their accumulators, which every engine pass folds into, and
     nothing else per group: a retraction lists the matches of the
-    groups its cone touches from the store ({!Engine.agg_matches}),
+    groups its cone touches from the store ({!Engine.list_matches}),
     refolds them from the surviving matches, and only threshold-crossing
     head facts cascade. A full re-chase ([u_fallback]) survives only
     for updates the machinery genuinely cannot localize: a
@@ -127,10 +128,11 @@ val swap_db : state -> Database.t -> unit
 (** [swap_db st twin] hands the session a twin of its database: a store
     holding the same facts in the same per-predicate order (sequence
     numbers may differ), e.g. one brought up to date by
-    {!Database.replay}. The support, the EDB and the aggregate
-    accumulators refer to facts by value, so they carry over unchanged;
-    the caller owns the store taken out. [twin] must share the
-    dictionary; nothing else checks that it is a twin. *)
+    {!Database.replay}. The support and the EDB refer to facts by id,
+    over the dictionary the twins share, and the aggregate accumulators
+    by value, so all three carry over unchanged; the caller owns the
+    store taken out. [twin] must share the dictionary; nothing else
+    checks that it is a twin. *)
 
 val maintain :
   ?telemetry:Kgm_telemetry.t -> ?journal:Kgm_telemetry.Journal.t ->
@@ -148,8 +150,14 @@ val maintain :
     engine pass of the batch (see {!Engine.run}): a caller maintaining
     batch after batch passes one pool, whose domains then start once,
     instead of a pool started and joined per pass.
-    Emits [incremental.*] telemetry counters mirroring {!update_stats};
-    an enabled [journal] additionally records [maintain.start],
+    Emits [incremental.*] telemetry counters mirroring {!update_stats},
+    and with an enabled collector one observation per batch of each of
+    the [incremental.plan], [.overdelete], [.alive], [.delete],
+    [.reseed] and [.commit] histograms: consecutive laps of the batch,
+    so they add up to [u_elapsed_s] (a re-chase is one [reseed] lap).
+    The batch is interned once, on entry; a retraction naming a value
+    never interned names no stored fact and is ignored. An enabled
+    [journal] additionally records [maintain.start],
     [dred.cone] (overdeletion cone / rederivation / deletion sizes) and
     [maintain.end] events around the seeded passes' own event streams.
 

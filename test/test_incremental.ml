@@ -716,7 +716,7 @@ let test_canonical_facts_renames_nulls () =
   let c = I.canonical_facts db1 in
   let mgr = List.assoc "mgr" c in
   let null_ids =
-    List.concat_map (fun f -> V.Support.fact_nulls f) mgr
+    List.concat_map (fun f -> List.filter_map (function Value.Null k -> Some k | _ -> None) (Array.to_list f)) mgr
     |> List.sort_uniq Int.compare
   in
   check
@@ -950,8 +950,8 @@ let test_agg_delta_first_probes () =
     let f = List.hd (pfacts "own(c0_4, fresh, 0.6).") in
     ignore (V.Database.add db (fst f) (snd f));
     let stats =
-      V.Engine.run_delta ~options:(opts ()) program db
-        ~seed:[ ("own", [ snd f ]) ]
+      V.Engine.run_delta ~options:(opts ()) (V.Engine.compile db program) db
+        ~seed:[ ("own", [ V.Database.intern_fact db (snd f) ]) ]
     in
     check Alcotest.bool "the chain head controls the new vertex" true
       (V.Database.mem db "controls"
@@ -981,7 +981,7 @@ let test_agg_delta_first_order () =
   in
   check Alcotest.bool "no fallback" false u.I.u_fallback;
   let cxy = snd (List.hd (pfacts "controls(x, y).")) in
-  let entries = V.Support.entries (I.support st) "controls" cxy in
+  let entries = V.Support.entries (I.support st) "controls" (V.Database.intern_fact (I.db st) cxy) in
   check Alcotest.int "one derivation" 1 (List.length entries);
   let show (p, f) =
     Printf.sprintf "%s(%s)" p
@@ -992,7 +992,7 @@ let test_agg_delta_first_order () =
     "parents: the crossing match of z2"
     [ {|controls("x", "z2")|}; {|own("z2", "y", 0.3)|} ]
     (List.sort compare
-       (List.map show (List.hd entries).V.Support.se_parents));
+       (List.map (fun (p, f) -> show (p, V.Database.resolve_fact (I.db st) f)) (List.hd entries).V.Support.se_parents));
   let text =
     V.Engine.explain_tree_to_string
       (V.Engine.explain_tree (I.support st) program "controls" cxy)
@@ -1015,7 +1015,7 @@ let check_prune_children name src cycle =
       (fun acc p ->
         List.fold_left
           (fun acc f -> acc + List.length (V.Support.children sup p f))
-          acc (V.Database.facts db p))
+          acc (V.Database.facts_i db p))
       0 (V.Database.predicates db)
   in
   let options = { (opts ()) with V.Engine.provenance = true } in
@@ -1061,6 +1061,46 @@ let test_prune_children () =
     {| r(x). s(x).
        r(X) :- s(X), not n(X). |}
     [ ("n(x).", ""); ("", "n(x).") ]
+
+(* With an enabled collector every batch observes one lap per step —
+   plan, overdelete, alive, delete, reseed, commit — and the laps add up
+   to the batch's [u_elapsed_s]. *)
+let test_step_histograms () =
+  let program = V.Parser.parse_program control_src in
+  let batches =
+    [ ("", "own(b, c, 0.3)."); ("own(b, c, 0.3).", ""); ("own(c, d, 0.7).", "");
+      ("", "own(a, b, 0.6)."); ("own(a, b, 0.6).", "own(c, d, 0.7).") ]
+  in
+  let run telemetry =
+    let st, _ = I.chase ~options:(opts ()) program in
+    List.fold_left
+      (fun elapsed (ins, ret) ->
+        let u =
+          I.maintain ~telemetry st ~inserts:(pfacts ins) ~retracts:(pfacts ret)
+        in
+        check Alcotest.bool "no fallback" false u.I.u_fallback;
+        elapsed +. u.I.u_elapsed_s)
+      0. batches
+  in
+  let tele = Kgm_telemetry.create () in
+  let elapsed = run tele in
+  let hists = Kgm_telemetry.histograms tele in
+  let parts =
+    List.fold_left
+      (fun acc step ->
+        match List.assoc_opt ("incremental." ^ step) hists with
+        | Some (h : Kgm_telemetry.Histogram.snapshot) ->
+            check Alcotest.int (step ^ ": one lap per batch") (List.length batches)
+              h.Kgm_telemetry.Histogram.count;
+            acc +. h.Kgm_telemetry.Histogram.sum
+        | None -> Alcotest.failf "no incremental.%s histogram" step)
+      0.
+      [ "plan"; "overdelete"; "alive"; "delete"; "reseed"; "commit" ]
+  in
+  check Alcotest.bool
+    (Printf.sprintf "steps %.6fs add up to the batches' %.6fs" parts elapsed)
+    true
+    (Float.abs (parts -. elapsed) <= 0.05 *. elapsed)
 
 let suite =
   [ Alcotest.test_case "insert only ≡ re-chase" `Quick test_insert_only;
@@ -1123,3 +1163,5 @@ let suite =
     Alcotest.test_case "pruned facts leave their parents' children" `Quick
       test_prune_children ]
   @ stream_tests
+  @ [ Alcotest.test_case "maintain's steps on /metrics add up" `Quick
+        test_step_histograms ]

@@ -384,12 +384,14 @@ let test_explain_cycle_bounded () =
    | None -> Alcotest.fail "max_depth:1 must truncate the premises");
   (* a support whose first-recorded derivations loop (as DRed pruning
      can leave behind) hits the Cycle guard, not an infinite loop *)
-  let looped = V.Support.create () in
+  let dict = Intern.create () in
+  let looped = V.Support.create dict in
   let fact_bc = control_fact "b" "c" and fact_cb = control_fact "c" "b" in
-  V.Support.record looped ~rule_id:1 ~parents:[ ("control", fact_cb) ]
-    ~nulls:[] "control" fact_bc;
-  V.Support.record looped ~rule_id:1 ~parents:[ ("control", fact_bc) ]
-    ~nulls:[] "control" fact_cb;
+  let ids = Array.map (Intern.intern dict) in
+  V.Support.record looped ~rule_id:1 ~parents:[ ("control", ids fact_cb) ]
+    ~nulls:[] "control" (ids fact_bc);
+  V.Support.record looped ~rule_id:1 ~parents:[ ("control", ids fact_bc) ]
+    ~nulls:[] "control" (ids fact_cb);
   let t = V.Engine.explain_tree looped program "control" fact_bc in
   (match find_node (fun n -> n.V.Engine.et_node = V.Engine.Cycle) t with
    | Some n ->
@@ -397,7 +399,7 @@ let test_explain_cycle_bounded () =
    | None -> Alcotest.fail "cyclic support must produce a Cycle node")
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot version: v5 resumes with support, v1 to v4 are rejected *)
+(* Snapshot version: v6 resumes with support, v1 to v5 are rejected *)
 
 let test_snapshot_v1_rejected () =
   let dir = fresh_dir "v1_reject" in
@@ -409,8 +411,8 @@ let test_snapshot_v1_rejected () =
     | None -> Alcotest.fail "no snapshot written"
   in
   ignore (support_of (snd (run_control ~resume_from:path ())));
-  (* rewrite the header's version line (line 3) from 5 to 1, 2, 3 and 4:
-     the exact files older builds would have produced modulo payload *)
+  (* rewrite the header's version line (line 3) from 6 to 1, 2, 3, 4 and
+     5: the exact files older builds would have produced modulo payload *)
   let ic = open_in_bin path in
   let n = in_channel_length ic in
   let content = really_input_string ic n in
@@ -438,7 +440,98 @@ let test_snapshot_v1_rejected () =
             (Printf.sprintf "v%s: storage-stage error" v)
             true
             (err.Kgm_error.stage = Kgm_error.Storage))
-    [ "1"; "2"; "3"; "4" ]
+    [ "1"; "2"; "3"; "4"; "5" ]
+
+(* ------------------------------------------------------------------ *)
+(* Explanation text, pinned literally: rendering resolves ids to values
+   and orders premises by value, whatever order the support keeps them
+   in. Null labels are process-global, so they are renamed densely by
+   first occurrence before comparing. *)
+
+let rename_nulls text =
+  let seen = Hashtbl.create 4 and b = Buffer.create (String.length text) in
+  let n = String.length text in
+  let rec go i =
+    if i >= n then ()
+    else if i + 1 < n && text.[i] = '_' && text.[i + 1] = ':' then begin
+      Buffer.add_string b "_:";
+      let j = if i + 2 < n && text.[i + 2] = 'n' then i + 3 else i + 2 in
+      if j > i + 2 then Buffer.add_char b 'n';
+      let k = ref j in
+      while !k < n && text.[!k] >= '0' && text.[!k] <= '9' do incr k done;
+      let label = String.sub text j (!k - j) in
+      let id =
+        match Hashtbl.find_opt seen label with
+        | Some id -> id
+        | None ->
+            let id = Hashtbl.length seen in
+            Hashtbl.add seen label id;
+            id
+      in
+      Buffer.add_string b (string_of_int id);
+      go !k
+    end
+    else begin
+      Buffer.add_char b text.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+let explain_text program pick =
+  let options =
+    { V.Engine.default_options with V.Engine.provenance = true }
+  in
+  let db, stats = V.Engine.run_program ~options program in
+  let pred, fact = pick db in
+  rename_nulls
+    (V.Engine.explain_tree_to_string
+       (V.Engine.explain_tree (support_of stats) program pred fact))
+
+let test_explain_text_pinned () =
+  let company = V.Parser.parse_program Company_control_vada.text in
+  check Alcotest.string "control(a, d) on company_control.vada"
+    {|control("a", "d")  <- control(X, Y) :- control(X, Z), own(Z, Y, W), V = msum(W, <Z>), (V > 0.5).
+  {X = "a", Y = "d"}
+  control("a", "b")  <- control(X, Y) :- control(X, Z), own(Z, Y, W), V = msum(W, <Z>), (V > 0.5).
+    {X = "a", Y = "b"}
+    control("a", "c")  <- control(X, Y) :- control(X, Z), own(Z, Y, W), V = msum(W, <Z>), (V > 0.5).
+      {X = "a", Y = "c"}
+      control("a", "a")  <- control(X, X) :- company(X).
+        {X = "a"}
+        company("a")  (ground)
+      own("a", "c", 0.6)  (ground)
+    own("c", "b", 0.25)  (ground)
+  own("b", "d", 0.6)  (ground)
+|}
+    (explain_text company (fun _ -> ("control", control_fact "a" "d")));
+  let nulls =
+    V.Parser.parse_program
+      "emp(a). emp(b). mgr(X, M) :- emp(X). boss(M) :- mgr(X, M)."
+  in
+  check Alcotest.string "a fact carrying a labeled null"
+    {|boss(_:n0)  <- boss(M) :- mgr(X, M).
+  {M = _:n0}
+  mgr("a", _:n0)  <- mgr(X, M) :- emp(X).
+    {M = _:n0, X = "a"}
+    invents _:0
+    emp("a")  (ground)
+|}
+    (explain_text nulls (fun db ->
+         ("boss", List.hd (V.Database.facts db "boss"))));
+  (* z, y and x are interned in that order, so t(z, y) precedes t(y, x)
+     by ids and follows it by values *)
+  let chain =
+    V.Parser.parse_program "t(z, y). t(y, x). t(X, Z) :- t(X, Y), t(Y, Z)."
+  in
+  check Alcotest.string "premises of one predicate, in value order"
+    {|t("z", "x")  <- t(X, Z) :- t(X, Y), t(Y, Z).
+  {X = "z", Z = "x"}
+  t("y", "x")  (ground)
+  t("z", "y")  (ground)
+|}
+    (explain_text chain (fun _ -> ("t", control_fact "z" "x")))
 
 let suite =
   [ Alcotest.test_case "journal: JSONL round-trip." `Quick
@@ -457,5 +550,7 @@ let suite =
       `Quick test_explain_determinism;
     Alcotest.test_case "explain: cyclic ownership stays bounded." `Quick
       test_explain_cycle_bounded;
-    Alcotest.test_case "snapshot: only v5 resumes."
-      `Quick test_snapshot_v1_rejected ]
+    Alcotest.test_case "snapshot: only v6 resumes."
+      `Quick test_snapshot_v1_rejected;
+    Alcotest.test_case "explain: text pinned (values, nulls, premise order)."
+      `Quick test_explain_text_pinned ]

@@ -220,7 +220,54 @@ let test_bom () =
     "q from the first column" [ "1"; "3" ]
     (List.map (fun f -> Value.to_string f.(0)) (V.Database.facts db "q"))
 
+(* ------------------------------------------------------------------ *)
+(* [Value.parse TAny] skips the int attempt for a cell holding a '.',
+   which no int syntax admits. The reference is the parse before that
+   shortcut; the reader's own reference above calls [Value.parse] too,
+   so only a direct comparison can catch a fault here. *)
+
+let parse_any_reference s =
+  match int_of_string_opt s with
+  | Some i -> Some (Value.Int i)
+  | None -> (
+      match float_of_string_opt s with
+      | Some f -> Some (Value.Float f)
+      | None -> (
+          match bool_of_string_opt s with
+          | Some b -> Some (Value.Bool b)
+          | None -> Some (Value.String s)))
+
+(* same constructor and payload; floats by their bits, so -0. is not
+   0., and any nan is any nan *)
+let same_parse a b =
+  match (a, b) with
+  | Some (Value.Float x), Some (Value.Float y) ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+      || (Float.is_nan x && Float.is_nan y)
+  | _ -> a = b
+
+let dotted =
+  [ ".5"; "5."; "-0."; "+1.5"; "1e5"; "1.5e-3"; "1_0.5"; "0x1.8p1"; "nan";
+    "inf"; "-inf"; "true"; "0.6"; "."; "-."; "1.2.3"; "0x1F"; "0x.8"; "1._5";
+    "abc.def"; "1e"; "e.5"; "+.5e+2"; "0b1.0"; " 1.5"; "1.5 " ]
+
+let gen_parse_cell =
+  QCheck.Gen.(
+    frequency
+      [ (3, oneofl dotted);
+        (4, gen_cell);
+        (3, string_size ~gen:(oneofl [ '0'; '1'; '9'; '.'; '-'; '+'; 'e'; '_'; 'x'; 'n'; 'a' ])
+              (int_range 0 8)) ])
+
+let parse_test =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 30 |])
+    (QCheck.Test.make ~name:"Value.parse TAny = reference parse" ~count:3000
+       (QCheck.make ~print:(Printf.sprintf "%S") gen_parse_cell)
+       (fun cell ->
+         same_parse (Value.parse Value.TAny cell) (parse_any_reference cell)))
+
 let suite =
   [ reference_test;
     ("every tricky cell = reference", `Quick, test_tricky_cells);
-    ("a csv byte-order mark is skipped", `Quick, test_bom) ]
+    ("a csv byte-order mark is skipped", `Quick, test_bom);
+    parse_test ]
